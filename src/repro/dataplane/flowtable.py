@@ -5,26 +5,33 @@ highest-priority matching entry wins; exact ties resolve to the
 earliest-installed entry; idle and hard timeouts expire entries and can emit
 FLOW_REMOVED notifications.
 
-Lookup structure: fully-specified entries (all twelve match fields set,
-/32 network prefixes — the shape every learning controller installs from
-``Match.from_packet``) live in a hash index keyed by the twelve-tuple;
-everything else sits in a wildcard list kept sorted by descending priority.
-A lookup probes the hash bucket, then scans the sorted wildcards only until
-no remaining entry could outrank the best candidate — O(1) + O(w) instead
-of O(n) over the whole table.  ``indexed=False`` restores the linear scan
-(benchmark baseline); ``lookup_fast_hits`` counts lookups won from the
-hash bucket.
+The table is an OVS-style tuple-space classifier (Srinivasan, Suri and
+Varghese, SIGCOMM 1999): one hash table per wildcard mask, keyed by the
+masked integer field values and probed with a packet's all-int
+:func:`~repro.netlib.flowkey.field_tuple` in descending order of each
+mask's highest priority, until no remaining mask can win.  A strict-identity
+dict keyed on ``(match.pack(), priority)`` serves ADD-replace, MODIFY_STRICT
+and DELETE_STRICT: ``pack()`` equality is OF 1.0 strict equality, and it
+keeps host bits under a CIDR prefix that the masked key drops.  The live
+entries stay in install order in one dict.  An ``lru`` table finds its
+victim in a ``(last_used, order)`` heap that is checked lazily at eviction
+time, so ``record_use`` needs no hook.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
+from collections import OrderedDict
+from functools import partial
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.openflow.actions import Action
+from repro.netlib.flowkey import FIELD_TUPLE_KEY, MATCH_FIELD_NAMES, field_tuple
+from repro.openflow.actions import Action, OutputAction
 from repro.openflow.constants import FlowModCommand, FlowModFlags, Port
-from repro.openflow.match import MATCH_FIELD_NAMES, Match, field_tuple
+from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 
 
@@ -33,20 +40,9 @@ class FlowEntry:
 
     _order = itertools.count()
 
-    __slots__ = (
-        "match",
-        "priority",
-        "actions",
-        "cookie",
-        "idle_timeout",
-        "hard_timeout",
-        "flags",
-        "install_time",
-        "last_used",
-        "packet_count",
-        "byte_count",
-        "order",
-    )
+    __slots__ = ("match", "priority", "actions", "cookie", "idle_timeout",
+                 "hard_timeout", "flags", "install_time", "last_used",
+                 "packet_count", "byte_count", "order")
 
     def __init__(
         self,
@@ -83,8 +79,6 @@ class FlowEntry:
 
     def outputs_to(self, port: int) -> bool:
         """True if any action outputs to ``port`` (for out_port filtering)."""
-        from repro.openflow.actions import OutputAction
-
         return any(isinstance(a, OutputAction) and a.port == port for a in self.actions)
 
     def record_use(self, now: float, byte_count: int) -> None:
@@ -107,23 +101,57 @@ class FlowEntry:
         )
 
 
-def _exact_key(match: Match) -> Optional[Tuple[Any, ...]]:
-    """The hash key for a fully-specified match, or None if it wildcards.
+#: Tuple positions of ``nw_src``/``nw_dst`` and their prefix attributes.
+_PREFIX_OF = {MATCH_FIELD_NAMES.index(name): name + "_prefix"
+              for name in ("nw_src", "nw_dst")}
 
-    Mirrors :func:`~repro.openflow.match.field_tuple` over the packet side:
-    when every field is set and both prefixes are /32, ``matches_fields``
-    degenerates to tuple equality, so the twelve-tuple is a sound hash key.
+
+def _mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Any, ...]]:
+    """A match's wildcard mask and its masked integer field values.
+
+    The mask pairs each constrained tuple position with a netmask: -1 for
+    an exact field, the prefix netmask for a CIDR ``nw_src``/``nw_dst``.
+    A /0 prefix constrains nothing, as in :meth:`Match.matches_fields`.
     """
-    if match.nw_src_prefix != 32 or match.nw_dst_prefix != 32:
-        return None
-    values = tuple(getattr(match, name) for name in MATCH_FIELD_NAMES)
-    if any(value is None for value in values):
-        return None
-    return values
+    mask = []
+    values: List[Any] = [None] * len(MATCH_FIELD_NAMES)
+    for pos, name in enumerate(MATCH_FIELD_NAMES):
+        value = getattr(match, name)
+        prefix = getattr(match, _PREFIX_OF[pos]) if pos in _PREFIX_OF else 32
+        if value is None or prefix == 0:
+            continue
+        netmask = -1 if prefix == 32 else ((1 << prefix) - 1) << (32 - prefix)
+        mask.append((pos, netmask))
+        values[pos] = int(value) & netmask
+    return tuple(mask), tuple(values)
 
 
-def _wild_sort_key(entry: FlowEntry) -> Tuple[int, int]:
-    return (-entry.priority, entry.order)
+def _masked_key(mask: Tuple[Tuple[int, int], ...], values: Tuple[Any, ...]) -> Any:
+    try:
+        return tuple(values[pos] & netmask for pos, netmask in mask)
+    except TypeError:  # the packet lacks a field the mask constrains
+        return None
+
+
+class _Subtable:
+    """The entries of one wildcard mask.  ``key`` maps a twelve-tuple to
+    the hash key (``None``: the tuple is the key); a bucket is kept in
+    ascending :attr:`FlowEntry.rank`, so its winner is its last entry."""
+
+    __slots__ = ("mask", "key", "buckets", "priorities", "max_priority")
+
+    def __init__(self, mask: Tuple[Tuple[int, int], ...]) -> None:
+        self.mask = mask
+        positions = [pos for pos, _ in mask]
+        if any(netmask != -1 for _, netmask in mask):
+            self.key: Any = partial(_masked_key, mask)
+        elif len(positions) == len(MATCH_FIELD_NAMES):
+            self.key = None
+        else:
+            self.key = itemgetter(*positions) if positions else (lambda values: ())
+        self.buckets: Dict[Any, List[FlowEntry]] = {}
+        self.priorities: Dict[int, int] = {}  # priority -> entry count
+        self.max_priority = -1
 
 
 #: How a full table treats a new ADD.  ``refuse`` mirrors stock OVS v1.9
@@ -136,30 +164,31 @@ EVICTION_POLICIES = ("refuse", "lru", "fifo")
 class FlowTable:
     """A single OF 1.0 flow table (OVS v1.9 exposed one to OpenFlow 1.0)."""
 
-    def __init__(
-        self,
-        max_entries: int = 65536,
-        indexed: bool = True,
-        eviction: str = "refuse",
-    ) -> None:
+    def __init__(self, max_entries: int = 65536, eviction: str = "refuse") -> None:
         if eviction not in EVICTION_POLICIES:
             raise ValueError(
                 f"unknown eviction policy {eviction!r}; choose from {EVICTION_POLICIES}"
             )
         self.max_entries = max_entries
         self.eviction = eviction
-        self.entries: List[FlowEntry] = []
-        self.indexed = indexed
-        self.lookups = 0
-        self.matched = 0
-        self.lookup_fast_hits = 0
-        self.capacity_evictions = 0
-        self.occupancy_peak = 0
-        self._exact: Dict[Tuple[Any, ...], List[FlowEntry]] = {}
-        self._wild: List[FlowEntry] = []
+        self.reset_stats()
+        self._empty()
+
+    def _empty(self) -> None:
+        # Live entry -> (strict key, subtable, bucket key), in install order.
+        self._live: "OrderedDict[FlowEntry, Tuple[Any, _Subtable, Any]]" = OrderedDict()
+        self._strict: Dict[Tuple[bytes, int], FlowEntry] = {}
+        self._subtables: Dict[Tuple[Tuple[int, int], ...], _Subtable] = {}
+        self._probe_order: List[_Subtable] = []  # max priority, descending
+        self._lru: List[Tuple[float, int, FlowEntry]] = []
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._live)
+
+    @property
+    def entries(self) -> List[FlowEntry]:
+        """The live entries in install order (a fresh list)."""
+        return list(self._live)
 
     def reset_stats(self) -> None:
         """Zero the cumulative counters (``occupancy_peak``,
@@ -173,46 +202,51 @@ class FlowTable:
         """
         self.lookups = 0
         self.matched = 0
-        self.lookup_fast_hits = 0
         self.capacity_evictions = 0
         self.occupancy_peak = 0
 
-    # ------------------------------------------------------------------ #
-    # Index maintenance
-    # ------------------------------------------------------------------ #
+    def _link(self, entry: FlowEntry, strict: Tuple[bytes, int]) -> None:
+        mask, values = _mask_and_values(entry.match)
+        sub = self._subtables.get(mask)
+        if sub is None:
+            sub = self._subtables[mask] = _Subtable(mask)
+        key = values if sub.key is None else sub.key(values)
+        self._live[entry] = (strict, sub, key)
+        self._strict[strict] = entry
+        insort(sub.buckets.setdefault(key, []), entry, key=attrgetter("rank"))
+        priority = entry.priority
+        sub.priorities[priority] = sub.priorities.get(priority, 0) + 1
+        if priority > sub.max_priority:
+            sub.max_priority = priority
+            self._sort_subtables()
+        if self.eviction == "lru":
+            heappush(self._lru, (entry.last_used, entry.order, entry))
 
-    def _index_add(self, entry: FlowEntry) -> None:
-        key = _exact_key(entry.match)
-        if key is not None:
-            self._exact.setdefault(key, []).append(entry)
-        else:
-            insort(self._wild, entry, key=_wild_sort_key)
-
-    def _index_remove(self, entry: FlowEntry) -> None:
-        key = _exact_key(entry.match)
-        if key is not None:
-            bucket = self._exact.get(key)
-            if bucket is not None:
-                bucket.remove(entry)
-                if not bucket:
-                    del self._exact[key]
-        else:
-            self._wild.remove(entry)
-
-    def _rebuild_index(self) -> None:
-        self._exact.clear()
-        self._wild.clear()
-        for entry in self.entries:
-            key = _exact_key(entry.match)
-            if key is not None:
-                self._exact.setdefault(key, []).append(entry)
+    def _unlink(self, entry: FlowEntry) -> None:
+        strict, sub, key = self._live.pop(entry)
+        del self._strict[strict]
+        bucket = sub.buckets[key]
+        bucket.remove(entry)
+        if not bucket:
+            del sub.buckets[key]
+        priority = entry.priority
+        left = sub.priorities.pop(priority) - 1
+        if left:
+            sub.priorities[priority] = left
+        elif priority == sub.max_priority:
+            if sub.priorities:
+                sub.max_priority = max(sub.priorities)
             else:
-                self._wild.append(entry)
-        self._wild.sort(key=_wild_sort_key)
+                del self._subtables[sub.mask]
+            self._sort_subtables()
+        if len(self._lru) > 2 * len(self._live):
+            # Bound the stale items of entries removed by delete/expiry.
+            self._lru = [(e.last_used, e.order, e) for e in self._live]
+            heapify(self._lru)
 
-    # ------------------------------------------------------------------ #
-    # Flow-mod application
-    # ------------------------------------------------------------------ #
+    def _sort_subtables(self) -> None:
+        self._probe_order = sorted(self._subtables.values(),
+                                   key=attrgetter("max_priority"), reverse=True)
 
     def apply_flow_mod(self, flow_mod: FlowMod, now: float) -> Tuple[List[FlowEntry], bool]:
         """Apply a FLOW_MOD; return (removed_entries, table_full).
@@ -234,38 +268,27 @@ class FlowTable:
 
     def _add(self, flow_mod: FlowMod, now: float) -> Tuple[List[FlowEntry], bool]:
         # OF 1.0: ADD with an identical match+priority replaces the entry.
-        replaced = [
-            entry
-            for entry in self.entries
-            if entry.priority == flow_mod.priority
-            and entry.match.is_strict_equal(flow_mod.match)
-        ]
-        for entry in replaced:
-            self.entries.remove(entry)
-            self._index_remove(entry)
+        strict = (flow_mod.match.pack(), flow_mod.priority)
+        replaced = self._strict.get(strict)
+        if replaced is not None:
+            self._unlink(replaced)
         evicted: List[FlowEntry] = []
-        while len(self.entries) >= self.max_entries:
+        while len(self._live) >= self.max_entries:
             victim = self._eviction_victim()
             if victim is None:
                 return [], True
-            self.entries.remove(victim)
-            self._index_remove(victim)
+            self._unlink(victim)
             self.capacity_evictions += 1
             evicted.append(victim)
         entry = FlowEntry(
-            flow_mod.match,
-            flow_mod.priority,
-            flow_mod.actions,
-            cookie=flow_mod.cookie,
-            idle_timeout=flow_mod.idle_timeout,
-            hard_timeout=flow_mod.hard_timeout,
-            flags=flow_mod.flags,
+            flow_mod.match, flow_mod.priority, flow_mod.actions,
+            cookie=flow_mod.cookie, idle_timeout=flow_mod.idle_timeout,
+            hard_timeout=flow_mod.hard_timeout, flags=flow_mod.flags,
             install_time=now,
         )
-        self.entries.append(entry)
-        self._index_add(entry)
-        if len(self.entries) > self.occupancy_peak:
-            self.occupancy_peak = len(self.entries)
+        self._link(entry, strict)
+        if len(self._live) > self.occupancy_peak:
+            self.occupancy_peak = len(self._live)
         return evicted, False
 
     def _eviction_victim(self) -> Optional[FlowEntry]:
@@ -273,110 +296,81 @@ class FlowTable:
 
         LRU picks the least-recently-used entry (install time counts as a
         use); FIFO the earliest-installed.  Ties break on install order,
-        so the choice is deterministic for a deterministic workload.
+        so the choice is deterministic for a deterministic workload.  The
+        LRU heap relies on use times never decreasing (the simulation clock).
         """
-        if self.eviction == "refuse" or not self.entries:
+        if self.eviction == "refuse" or not self._live:
             return None
-        if self.eviction == "lru":
-            return min(self.entries, key=lambda e: (e.last_used, e.order))
-        return min(self.entries, key=lambda e: e.order)
+        if self.eviction == "fifo":
+            return next(iter(self._live))
+        heap = self._lru
+        while True:
+            used, order, entry = heap[0]
+            if entry not in self._live:
+                heappop(heap)
+            elif entry.last_used != used:
+                heapreplace(heap, (entry.last_used, order, entry))
+            else:
+                return heappop(heap)[2]
+
+    def _selected(self, flow_mod: FlowMod, strict: bool) -> List[FlowEntry]:
+        """The entries a MODIFY/DELETE applies to, in install order."""
+        if strict:
+            entry = self._strict.get((flow_mod.match.pack(), flow_mod.priority))
+            return [] if entry is None else [entry]
+        match = flow_mod.match
+        return [entry for entry in self._live if match.subsumes(entry.match)]
 
     def _modify(self, flow_mod: FlowMod, now: float, strict: bool) -> Tuple[List[FlowEntry], bool]:
         # Only actions/cookie change — match and priority stay, so the
         # index needs no maintenance here.
-        changed = False
-        for entry in self.entries:
-            if self._mod_applies(flow_mod.match, flow_mod.priority, entry, strict):
-                entry.actions = list(flow_mod.actions)
-                entry.cookie = flow_mod.cookie
-                changed = True
-        if not changed:
+        selected = self._selected(flow_mod, strict)
+        if not selected:
             return self._add(flow_mod, now)
+        for entry in selected:
+            entry.actions = list(flow_mod.actions)
+            entry.cookie = flow_mod.cookie
         return [], False
 
     def _delete(self, flow_mod: FlowMod, strict: bool) -> Tuple[List[FlowEntry], bool]:
-        removed: List[FlowEntry] = []
-        kept: List[FlowEntry] = []
-        for entry in self.entries:
-            matches = self._mod_applies(flow_mod.match, flow_mod.priority, entry, strict)
-            if matches and flow_mod.out_port != Port.NONE:
-                matches = entry.outputs_to(flow_mod.out_port)
-            (removed if matches else kept).append(entry)
-        if removed:
-            self.entries = kept
-            self._rebuild_index()
+        removed = self._selected(flow_mod, strict)
+        if flow_mod.out_port != Port.NONE:
+            removed = [entry for entry in removed if entry.outputs_to(flow_mod.out_port)]
+        for entry in removed:
+            self._unlink(entry)
         return removed, False
-
-    @staticmethod
-    def _mod_applies(match: Match, priority: int, entry: FlowEntry, strict: bool) -> bool:
-        if strict:
-            return entry.priority == priority and entry.match.is_strict_equal(match)
-        return match.subsumes(entry.match)
-
-    # ------------------------------------------------------------------ #
-    # Lookup / expiry
-    # ------------------------------------------------------------------ #
 
     def lookup(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
         """Highest-priority entry matching extracted packet fields."""
         self.lookups += 1
-        if not self.indexed:
-            best = self._lookup_linear(fields)
-            if best is not None:
-                self.matched += 1
-            return best
+        values = fields.get(FIELD_TUPLE_KEY) or field_tuple(fields)
         best: Optional[FlowEntry] = None
-        bucket = self._exact.get(field_tuple(fields))
-        if bucket:
-            for entry in bucket:
+        for sub in self._probe_order:
+            if best is not None and sub.max_priority < best.priority:
+                break
+            key = sub.key
+            bucket = sub.buckets.get(values if key is None else key(values))
+            if bucket is not None:
+                entry = bucket[-1]
                 if best is None or entry.rank > best.rank:
                     best = entry
-        exact_winner = best
-        # Wildcards are kept sorted best-rank first, so stop as soon as the
-        # next entry cannot outrank the current best; the first wildcard
-        # match encountered is the best-ranked wildcard match.
-        for entry in self._wild:
-            if best is not None and entry.rank <= best.rank:
-                break
-            if entry.match.matches_fields(fields):
-                best = entry
-                break
         if best is not None:
             self.matched += 1
-            if best is exact_winner:
-                self.lookup_fast_hits += 1
-        return best
-
-    def _lookup_linear(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
-        """The unindexed O(n) scan (baseline for ``benchmarks/``)."""
-        best: Optional[FlowEntry] = None
-        for entry in self.entries:
-            if entry.match.matches_fields(fields):
-                if best is None or (entry.priority, -entry.order) > (best.priority, -best.order):
-                    best = entry
         return best
 
     def expire(self, now: float) -> List[Tuple[FlowEntry, str]]:
         """Remove and return timed-out entries with their expiry reason."""
-        expired: List[Tuple[FlowEntry, str]] = []
-        kept: List[FlowEntry] = []
-        for entry in self.entries:
-            reason = entry.expired_reason(now)
-            if reason is None:
-                kept.append(entry)
-            else:
-                expired.append((entry, reason))
-        if expired:
-            self.entries = kept
-            self._rebuild_index()
+        expired = [(entry, reason) for entry in self._live
+                   if (reason := entry.expired_reason(now)) is not None]
+        for entry, _ in expired:
+            self._unlink(entry)
         return expired
 
     def clear(self) -> List[FlowEntry]:
         """Remove all entries (connection reset semantics)."""
-        removed, self.entries = self.entries, []
-        self._exact.clear()
-        self._wild.clear()
+        removed = self.entries
+        self._empty()
         return removed
 
     def __repr__(self) -> str:
-        return f"<FlowTable entries={len(self.entries)} lookups={self.lookups}>"
+        return f"<FlowTable entries={len(self._live)} lookups={self.lookups}>"

@@ -32,22 +32,24 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def normalize_key(values) -> Tuple[int, ...]:
-    """Coerce a flow-key tuple to plain ints (``None`` -> ``-1``).
+    """Map ``None`` to ``-1`` in an all-int flow key (``field_tuple``).
 
-    ``MacAddress``/``Ipv4Address`` are int subclasses and enum fields are
-    ``IntEnum``, so ``int()`` is lossless; the result sorts and compares
-    deterministically, which the heavy-hitter tie-breaks rely on.
+    The result sorts and compares deterministically, which the
+    heavy-hitter tie-breaks rely on.  A key without absent fields (every
+    TCP/UDP frame) is returned as is.
     """
-    return tuple(-1 if v is None else int(v) for v in values)
+    if None not in values:
+        return values
+    return tuple(-1 if v is None else v for v in values)
 
 
 def fold_key(key: Tuple[int, ...]) -> int:
     """A 64-bit FNV-1a fold of an integer tuple — process-stable, unlike
-    the salted builtin ``hash``."""
+    the salted builtin ``hash``.  Elements fold in as their low 64 bits
+    (``-1`` as all ones): one mask after the multiply keeps exactly those."""
     h = _FNV_OFFSET
     for v in key:
-        h ^= v & _MASK64
-        h = (h * _FNV_PRIME) & _MASK64
+        h = ((h ^ v) * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -55,7 +57,7 @@ def row_indices(h: int, width: int, depth: int) -> Tuple[int, ...]:
     """``depth`` row indices from one 64-bit digest via double hashing."""
     h1 = h & 0xFFFFFFFF
     h2 = ((h >> 32) | 1) & 0xFFFFFFFF
-    return tuple((h1 + i * h2) % width for i in range(depth))
+    return tuple([(h1 + i * h2) % width for i in range(depth)])
 
 
 class CountMinSketch:

@@ -26,7 +26,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.netlib.flowkey import FIELD_TUPLE_KEY, MATCH_FIELD_NAMES
+from repro.netlib.flowkey import FIELD_TUPLE_KEY, field_tuple
 from repro.defense.sketches import (
     CountMinSketch,
     InterArrival,
@@ -78,9 +78,8 @@ class SketchTap:
 
     def on_frame(self, switch: str, port_no: int,
                  fields: Dict[str, Any], now: float) -> None:
-        key = fields.get(FIELD_TUPLE_KEY)
-        if key is None:  # lane off / non-FastFrame bytes: build it once
-            key = tuple(fields[name] for name in MATCH_FIELD_NAMES)
+        # The fast lane's memo; lane off / non-FastFrame bytes: build it.
+        key = fields.get(FIELD_TUPLE_KEY) or field_tuple(fields)
         cached = self._memo.get(key)
         if cached is None:
             norm = normalize_key(key)

@@ -11,9 +11,11 @@ key alongside the payload:
 
 * ``_base`` — the eleven port-independent fields, computed once per
   distinct frame content (``extract_flow_base``).
+* ``_base_tuple`` — the same eleven fields as ints (addresses as their
+  integer values, absent fields ``None``).
 * ``_by_port`` — per-ingress-port field dicts (the base plus
-  ``in_port``), each carrying a precomputed ``"__tuple__"`` hash key so
-  :meth:`FlowTable.lookup` skips ``field_tuple`` entirely.
+  ``in_port``), each carrying its all-int ``"__tuple__"`` flow key
+  (``field_tuple``'s value), which :meth:`FlowTable.lookup` probes with.
 * ``_macs`` — the ``(src, dst)`` MAC pair for standalone learning and
   host NIC filtering, which need no other field.
 
@@ -38,17 +40,15 @@ from typing import Any, Dict, Optional, Tuple
 from repro.netlib.addresses import MacAddress
 from repro.netlib.flowkey import (
     FIELD_TUPLE_KEY as TUPLE_KEY,
-    MATCH_FIELD_NAMES,
     extract_flow_base,
     extract_flow_key,
+    field_tuple,
     mac_pair_of,
 )
 
 #: Intern pool size bound.  Eviction is wholesale (``clear``): the pool
 #: re-warms in one round-trip and the bookkeeping stays O(1) per frame.
 POOL_MAX = 4096
-
-_BASE_NAMES = MATCH_FIELD_NAMES[1:]  # every field except in_port
 
 _enabled = True
 _pool: Dict[bytes, "FastFrame"] = {}
@@ -70,7 +70,7 @@ class FastFrame(bytes):
     """
 
     _base: Optional[Dict[str, Any]] = None
-    _base_tuple: Optional[Tuple[Any, ...]] = None
+    _base_tuple: Optional[Tuple[Optional[int], ...]] = None
     _by_port: Optional[Dict[int, Dict[str, Any]]] = None
     _macs: Any = None  # (src, dst) | False (runt) | None (not yet parsed)
 
@@ -141,7 +141,7 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         if base is None:
             base = extract_flow_base(data)
             data._base = base
-            data._base_tuple = tuple(base[name] for name in _BASE_NAMES)
+            data._base_tuple = field_tuple(base)[1:]  # all but in_port
         counters["flowkey_cache_misses"] += 1
         fields = dict(base)
         fields["in_port"] = in_port
@@ -183,5 +183,5 @@ def derive_frame(new_data: bytes, parent: bytes, field: str, value: Any) -> byte
     base = dict(parent._base)
     base[field] = value
     frame._base = base
-    frame._base_tuple = tuple(base[name] for name in _BASE_NAMES)
+    frame._base_tuple = field_tuple(base)[1:]
     return frame

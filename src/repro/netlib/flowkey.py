@@ -50,11 +50,27 @@ MATCH_FIELD_NAMES = (
     "tp_dst",
 )
 
-#: Key under which the fast lane memoizes a precomputed twelve-tuple
-#: inside an extracted fields dict (``repro.netlib.fastframe``).
-#: Dunder-prefixed so it can never collide with a match field name;
-#: ``field_tuple`` and ``Match.matches_fields`` ignore unknown keys.
+#: Key under which the fast lane memoizes the :func:`field_tuple` of an
+#: extracted fields dict (``repro.netlib.fastframe``).  Dunder-prefixed
+#: so it can never collide with a match field name;
+#: ``Match.matches_fields`` ignores unknown keys.
 FIELD_TUPLE_KEY = "__tuple__"
+
+
+def field_tuple(fields: Dict[str, Any]) -> Tuple[Optional[int], ...]:
+    """The flow key: the twelve match fields as a hashable all-int tuple.
+
+    Addresses become their integer values and absent fields stay
+    ``None``, so the tuple hashes and compares at C speed.  The flow
+    table probes with it and the sketch tap counts it.  Returns the fast
+    lane's memo (:data:`FIELD_TUPLE_KEY`) when the dict carries one.
+    """
+    memo = fields.get(FIELD_TUPLE_KEY)
+    if memo is not None:
+        return memo
+    return tuple(None if (value := fields.get(name)) is None else int(value)
+                 for name in MATCH_FIELD_NAMES)
+
 
 _ETH = struct.Struct("!6s6sH")
 _IP = struct.Struct("!BBHHHBBH4s4s")

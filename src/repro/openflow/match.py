@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.ethernet import EtherType
 from repro.netlib.flowkey import (
-    FIELD_TUPLE_KEY,
     MATCH_FIELD_NAMES,
     extract_flow_key,
+    field_tuple,
 )
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import Ipv4Packet
@@ -45,7 +45,7 @@ _SIMPLE_WILDCARDS: Dict[str, Wildcards] = {
     "nw_tos": Wildcards.NW_TOS,
 }
 
-# MATCH_FIELD_NAMES and FIELD_TUPLE_KEY are re-exported from
+# MATCH_FIELD_NAMES and field_tuple are re-exported from
 # repro.netlib.flowkey (imported above) — the single-pass extractor and
 # this module must agree on the tuple order.
 
@@ -361,11 +361,3 @@ def extract_packet_fields_reference(data: bytes, in_port: int) -> Dict[str, Any]
         fields["nw_src"] = l3.sender_ip
         fields["nw_dst"] = l3.target_ip
     return fields
-
-
-def field_tuple(fields: Dict[str, Any]) -> Tuple[Any, ...]:
-    """A hashable key over the twelve match fields (for learning tables)."""
-    memo = fields.get(FIELD_TUPLE_KEY)
-    if memo is not None:
-        return memo
-    return tuple(fields.get(name) for name in MATCH_FIELD_NAMES)

@@ -33,7 +33,7 @@ from repro.netlib import fastframe
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
 from repro.netlib.ethernet import EtherType, EthernetFrame
-from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_base
+from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_base, field_tuple
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
 from repro.netlib.tcp import TcpFlags, TcpSegment
@@ -91,7 +91,7 @@ class FrameTemplate:
         # The authoritative key for the current bytes; patch methods keep
         # it in lockstep (pinned by tests against extract_flow_base).
         self.fields: Dict[str, Any] = extract_flow_base(packed)
-        self._values = [self.fields[name] for name in _BASE_NAMES]
+        self._values = list(field_tuple(self.fields)[1:])
 
     # -------------------------------------------------------------- #
     # Builders
@@ -150,7 +150,7 @@ class FrameTemplate:
 
     def _set_field(self, name: str, value: Any) -> None:
         self.fields[name] = value
-        self._values[_FIELD_POS[name]] = value
+        self._values[_FIELD_POS[name]] = int(value)
 
     def _put_mac(self, offset: int, mac: MacAddress) -> None:
         self.buf[offset:offset + 6] = mac.packed
@@ -219,8 +219,8 @@ class FrameTemplate:
 
         With the fast lane on, the frame is a FastFrame born with its
         ``_base``/``_base_tuple`` caches populated from the template's
-        live field dict — ``fastframe.intern`` passes FastFrames through
-        untouched, so no hop ever re-extracts the key.
+        live field dict and its int values — ``fastframe.intern`` passes
+        FastFrames through untouched, so no hop ever re-extracts the key.
         """
         data = bytes(self.buf)
         if fastframe.fast_lane_enabled():

@@ -1,13 +1,15 @@
-"""The flow table's exact-match hash index vs the linear scan.
+"""Lookups that hit the flow table's hashed fully-specified entries.
 
-``FlowTable(indexed=True)`` (the default) must return exactly the entry the
-linear scan would, for every mix of fully-specified and wildcard entries,
-across adds, replacements, deletes, expiry, and clears.
+Fully-specified matches (what ``Match.from_packet`` builds) and wildcard
+entries share the tuple-space classifier; these pin priority and
+install-order resolution between them across adds, replacements, deletes,
+expiry and clears.  ``test_flowtable_oracle.py`` compares the whole table
+with the linear scan.
 """
 
 import pytest
 
-from repro.dataplane.flowtable import FlowTable, _exact_key
+from repro.dataplane.flowtable import FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
 from repro.openflow.constants import OFP_NO_BUFFER, Port
@@ -49,20 +51,6 @@ def add(table, match, priority=0x8000, out_port=2, **kwargs):
     return table.apply_flow_mod(flow_mod, now=0.0)
 
 
-class TestExactKey:
-    def test_fully_specified_match_is_keyed(self):
-        assert _exact_key(exact_match()) is not None
-
-    def test_wildcarded_field_is_not_keyed(self):
-        assert _exact_key(Match(in_port=1, tp_dst=80)) is None
-        assert _exact_key(Match.wildcard_all()) is None
-
-    def test_cidr_prefix_is_not_keyed(self):
-        match = exact_match()
-        match.nw_src_prefix = 24
-        assert _exact_key(match) is None
-
-
 class TestIndexedLookup:
     def test_exact_entry_found_via_hash(self):
         table = FlowTable()
@@ -70,13 +58,11 @@ class TestIndexedLookup:
         entry = table.lookup(fields_for(exact_match()))
         assert entry is not None
         assert entry.actions[0].port == 7
-        assert table.lookup_fast_hits == 1
 
     def test_miss_returns_none(self):
         table = FlowTable()
         add(table, exact_match(2))
         assert table.lookup(fields_for(exact_match(3))) is None
-        assert table.lookup_fast_hits == 0
 
     def test_higher_priority_wildcard_beats_exact(self):
         table = FlowTable()
@@ -84,7 +70,6 @@ class TestIndexedLookup:
         add(table, Match(in_port=1), priority=200, out_port=9)
         winner = table.lookup(fields_for(exact_match()))
         assert winner.actions[0].port == 9
-        assert table.lookup_fast_hits == 0
 
     def test_exact_beats_lower_priority_wildcard(self):
         table = FlowTable()
@@ -92,7 +77,6 @@ class TestIndexedLookup:
         add(table, exact_match(), priority=200, out_port=2)
         winner = table.lookup(fields_for(exact_match()))
         assert winner.actions[0].port == 2
-        assert table.lookup_fast_hits == 1
 
     def test_priority_tie_resolves_to_earliest_install(self):
         table = FlowTable()
@@ -133,59 +117,6 @@ class TestIndexedLookup:
         assert table.lookup(fields_for(exact_match())) is None
 
 
-class TestEquivalenceWithLinearScan:
-    def build_pair(self):
-        return FlowTable(indexed=True), FlowTable(indexed=False)
-
-    def populated(self):
-        indexed, linear = self.build_pair()
-        for table in (indexed, linear):
-            # Mix of exact entries, overlapping wildcards, and priorities.
-            for octet in range(2, 10):
-                add(table, exact_match(octet), priority=100 + octet,
-                    out_port=octet)
-            add(table, Match(in_port=1), priority=50, out_port=20)
-            add(table, Match(tp_dst=80), priority=105, out_port=21)
-            add(table, Match(nw_dst=Ipv4Address("10.0.0.0"),
-                             nw_dst_prefix=24), priority=300, out_port=22)
-            add(table, Match.wildcard_all(), priority=1, out_port=23)
-        return indexed, linear
-
-    def probes(self):
-        probes = [fields_for(exact_match(octet)) for octet in range(2, 12)]
-        no_ip = dict(fields_for(exact_match()),
-                     nw_dst=Ipv4Address("192.168.1.1"))
-        probes.append(no_ip)
-        return probes
-
-    def test_every_probe_agrees(self):
-        indexed, linear = self.populated()
-        for fields in self.probes():
-            fast = indexed.lookup(fields)
-            slow = linear.lookup(fields)
-            if slow is None:
-                assert fast is None
-            else:
-                assert fast is not None
-                # Entry orders are a process-global counter, so identify the
-                # winner by its (priority, output port) instead.
-                assert (fast.priority, fast.actions[0].port) == \
-                    (slow.priority, slow.actions[0].port)
-
-    def test_agreement_survives_mutation(self):
-        indexed, linear = self.populated()
-        delete = FlowMod(Match(in_port=1), command=FlowModCommand.DELETE)
-        for table in (indexed, linear):
-            table.apply_flow_mod(delete, now=0.0)
-        for fields in self.probes():
-            fast = indexed.lookup(fields)
-            slow = linear.lookup(fields)
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert (fast.priority, fast.actions[0].port) == \
-                    (slow.priority, slow.actions[0].port)
-
-
 class TestPacketPathStillWorks:
     def test_lookup_from_real_packet_fields(self):
         """End-to-end: extract fields from wire bytes, hit the hash index."""
@@ -201,4 +132,3 @@ class TestPacketPathStillWorks:
         entry = table.lookup(fields)
         assert entry is not None
         assert entry.actions[0].port == 6
-        assert table.lookup_fast_hits == 1

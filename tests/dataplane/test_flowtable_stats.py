@@ -39,7 +39,7 @@ def test_reset_stats_zeroes_counters_but_keeps_entries():
     assert table.lookups == 1
     table.reset_stats()
     assert (table.occupancy_peak, table.capacity_evictions,
-            table.lookups, table.matched, table.lookup_fast_hits) == (0,) * 5
+            table.lookups, table.matched) == (0,) * 4
     assert len(table) == 4  # entries untouched
 
 
