@@ -110,10 +110,6 @@ def iter_jsonl(path: Path) -> Iterator[Dict[str, object]]:
                 yield record
 
 
-#: Bytes of consumed suffix remembered to detect in-place rewrites.
-_TAIL_FINGERPRINT = 32
-
-
 class _JsonlTail:
     """Incremental reader over one append-only JSONL file.
 
@@ -124,10 +120,14 @@ class _JsonlTail:
     one unparseable line and is skipped.
 
     Rewrites are detected two ways: a file smaller than the offset, and
-    a fingerprint mismatch on the last consumed bytes (catches a file
+    a fingerprint mismatch on the last consumed line (catches a file
     rewritten to a similar-or-larger size, e.g. a truncate-then-append
     interleaving).  Either invalidates the tail so the caller rebuilds
-    derived state from scratch.
+    derived state from scratch.  The fingerprint is the whole line, not
+    a fixed-size suffix: records of one run share everything but the
+    ``recorded_at`` stamp mid-line, so their last bytes match.  It must
+    still be a whole line of the file (preceded by a newline or the
+    start), so a suffix print from an older index forces one rebuild.
     """
 
     __slots__ = ("path", "offset", "fingerprint")
@@ -148,11 +148,14 @@ class _JsonlTail:
             return True
         if self.offset == 0:
             return False
-        start = max(0, self.offset - _TAIL_FINGERPRINT)
+        start = self.offset - len(self.fingerprint)
+        if start < 0 or not self.fingerprint:
+            return True
+        expected = self.fingerprint if start == 0 else b"\n" + self.fingerprint
         try:
             with self.path.open("rb") as handle:
-                handle.seek(start)
-                return handle.read(self.offset - start) != self.fingerprint
+                handle.seek(self.offset - len(expected))
+                return handle.read(len(expected)) != expected
         except OSError:
             return True
 
@@ -172,6 +175,7 @@ class _JsonlTail:
                 if not line or not line.endswith(b"\n"):
                     break  # torn tail: stays unconsumed until healed
                 self.offset += len(line)
+                self.fingerprint = line
                 text = line.strip()
                 if not text:
                     continue
@@ -181,9 +185,6 @@ class _JsonlTail:
                     continue
                 if isinstance(record, dict):
                     yield record
-            start = max(0, self.offset - _TAIL_FINGERPRINT)
-            handle.seek(start)
-            self.fingerprint = handle.read(self.offset - start)
 
 
 class ResultStore:

@@ -11,6 +11,7 @@ trips) whose disruption the paper measures.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -21,10 +22,20 @@ from repro.netlib.ethernet import EtherType, EthernetFrame
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
 from repro.netlib.packet import decode_ethernet
-from repro.netlib.tcp import TcpFlags, TcpSegment
+from repro.netlib.tcp import TcpFlags, pack_header
 from repro.netlib.udp import UdpDatagram
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import Signal
+
+_FIN = TcpFlags.FIN.value
+_SYN = TcpFlags.SYN.value
+_RST = TcpFlags.RST.value
+_ACK = TcpFlags.ACK.value
+
+#: From byte 16 of an Ethernet/IPv4/TCP frame: the IPv4 total length,
+#: then the TCP sequence number, ack number and flags.
+_TCP_FIELDS = struct.Struct("!H20xIIxB")
+_TCP_FIELDS_AT = 16
 
 
 @dataclass
@@ -150,45 +161,94 @@ class _PingRun:
         self.done.fire(self.result)
 
 
+class _TcpSender:
+    """Sends one side of a TCP connection as pre-keyed frames.
+
+    The 34-byte Ethernet+IPv4 prefix depends only on the peer's MAC and
+    the IPv4 total length, so it is packed through the codecs once per
+    pair; each segment packs only its TCP header.  Nothing is patched per
+    segment: this stack sends a zero TCP checksum, and the IPv4 header,
+    checksum included, is constant for a given length.  The frames share
+    one flow-key memo (``fastframe.share_key``), so no switch hop parses
+    them.  An unresolved peer still queues through ``Host.send_ip``; an
+    ARP re-learn stores a new MAC object, which rebuilds the prefixes and
+    the memo.
+    """
+
+    __slots__ = ("host", "peer", "src_port", "dst_port", "_mac", "_prefixes", "_memo")
+
+    def __init__(self, host: "Host", peer: Ipv4Address, src_port: int,
+                 dst_port: int) -> None:
+        self.host = host
+        self.peer = peer
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self._mac: Optional[MacAddress] = None
+        self._prefixes: Dict[int, bytes] = {}
+        self._memo: Optional[bytes] = None
+
+    def send(self, flags: int, seq: int, ack: int, length: int = 0) -> None:
+        """Send one segment with ``length`` zero bytes of payload."""
+        host = self.host
+        segment = pack_header(self.src_port, self.dst_port, seq, ack,
+                              flags) + bytes(length)
+        mac = host.arp_table.get(self.peer)
+        if mac is None:
+            host.send_ip(self.peer, IpProtocol.TCP, segment)
+            return
+        if mac is not self._mac:
+            self._mac = mac
+            self._prefixes = {}
+            self._memo = None
+        prefix = self._prefixes.get(length)
+        if prefix is None:
+            packet = Ipv4Packet(host.ip, self.peer, IpProtocol.TCP, segment)
+            prefix = EthernetFrame(mac, host.mac, EtherType.IPV4,
+                                   packet.pack()[:20]).pack()
+            self._prefixes[length] = prefix
+        frame = fastframe.share_key(prefix + segment, self._memo)
+        self._memo = frame
+        host.inject_frame(frame)
+
+
 class _IperfServer:
     """Accepts one TCP connection per client and acks received bytes."""
 
     def __init__(self, host: "Host", port: int) -> None:
         self.host = host
         self.port = port
-        # keyed by (client_ip, client_port) -> rcv_nxt
-        self.sessions: Dict[Tuple[Ipv4Address, int], int] = {}
-        self.bytes_received: Dict[Tuple[Ipv4Address, int], int] = {}
+        # keyed by (client_ip, client_port) as ints -> rcv_nxt
+        self.sessions: Dict[Tuple[int, int], int] = {}
+        self.bytes_received: Dict[Tuple[int, int], int] = {}
+        self._senders: Dict[Tuple[int, int], _TcpSender] = {}
 
-    def segment_received(self, src_ip: Ipv4Address, segment: TcpSegment) -> None:
-        key = (src_ip, segment.src_port)
-        if segment.is_syn:
-            self.sessions[key] = (segment.seq + 1) & 0xFFFFFFFF
+    def segment_received(self, src_ip: int, src_port: int, seq: int, ack: int,
+                         flags: int, length: int) -> None:
+        key = (src_ip, src_port)
+        sender = self._senders.get(key)
+        if sender is None:
+            sender = self._senders[key] = _TcpSender(
+                self.host, Ipv4Address(src_ip), self.port, src_port)
+        if flags & _SYN:
+            self.sessions[key] = (seq + 1) & 0xFFFFFFFF
             self.bytes_received[key] = 0
-            self._send(src_ip, segment.src_port, TcpFlags.SYN | TcpFlags.ACK,
-                       seq=0, ack=self.sessions[key])
+            sender.send(_SYN | _ACK, 0, self.sessions[key])
             return
-        if key not in self.sessions:
-            self._send(src_ip, segment.src_port, TcpFlags.RST, seq=0, ack=0)
+        rcv_nxt = self.sessions.get(key)
+        if rcv_nxt is None:
+            sender.send(_RST, 0, 0)
             return
-        rcv_nxt = self.sessions[key]
-        if segment.is_fin:
-            self._send(src_ip, segment.src_port, TcpFlags.FIN | TcpFlags.ACK,
-                       seq=1, ack=(rcv_nxt + 1) & 0xFFFFFFFF)
+        if flags & _FIN:
+            sender.send(_FIN | _ACK, 1, (rcv_nxt + 1) & 0xFFFFFFFF)
             self.sessions.pop(key, None)
             return
-        if segment.payload:
-            if segment.seq == rcv_nxt:
-                rcv_nxt = (rcv_nxt + len(segment.payload)) & 0xFFFFFFFF
+        if length:
+            if seq == rcv_nxt:
+                rcv_nxt = (rcv_nxt + length) & 0xFFFFFFFF
                 self.sessions[key] = rcv_nxt
-                self.bytes_received[key] += len(segment.payload)
+                self.bytes_received[key] += length
             # Cumulative ack either way (duplicate ack on out-of-order).
-            self._send(src_ip, segment.src_port, TcpFlags.ACK, seq=1, ack=rcv_nxt)
-
-    def _send(self, dst_ip: Ipv4Address, dst_port: int, flags: TcpFlags,
-              seq: int, ack: int) -> None:
-        segment = TcpSegment(self.port, dst_port, seq=seq, ack=ack, flags=flags)
-        self.host.send_ip(dst_ip, IpProtocol.TCP, segment.pack())
+            sender.send(_ACK, 1, rcv_nxt)
 
 
 class _IperfClient:
@@ -224,6 +284,7 @@ class _IperfClient:
         self._deadline: Optional[float] = None
         self._rto_event = None
         self._give_up_event = None
+        self._sender = _TcpSender(host, target, src_port, port)
 
     def start(self) -> None:
         self._send_syn()
@@ -235,16 +296,17 @@ class _IperfClient:
             self._finish()
             return
         self._syn_attempts += 1
-        self._send(TcpFlags.SYN, seq=0, ack=0)
+        self._sender.send(_SYN, 0, 0)
         self.host.engine.schedule(self.SYN_TIMEOUT, self._send_syn)
 
-    def segment_received(self, segment: TcpSegment) -> None:
+    def segment_received(self, src_ip: int, src_port: int, seq: int, ack: int,
+                         flags: int, length: int) -> None:
         if self.finished:
             return
-        if segment.is_rst:
+        if flags & _RST:
             self._finish()
             return
-        if segment.is_syn and segment.is_ack and not self.established:
+        if flags & _SYN and flags & _ACK and not self.established:
             self.established = True
             self.result.connected = True
             self._deadline = self.host.engine.now + self.duration
@@ -253,8 +315,8 @@ class _IperfClient:
             )
             self._try_send()
             return
-        if segment.is_ack and self.established:
-            acked = (segment.ack - 1) & 0xFFFFFFFF  # data bytes acked (seq starts at 1)
+        if flags & _ACK and self.established:
+            acked = (ack - 1) & 0xFFFFFFFF  # data bytes acked (seq starts at 1)
             if acked > self.snd_una:
                 self.result.bytes_acked = acked
                 self.snd_una = acked
@@ -267,7 +329,7 @@ class _IperfClient:
         now = self.host.engine.now
         if self._deadline is not None and now >= self._deadline:
             if self.snd_una >= self.snd_max:
-                self._send(TcpFlags.FIN | TcpFlags.ACK, seq=self.snd_max + 1, ack=1)
+                self._sender.send(_FIN | _ACK, self.snd_max + 1, 1)
                 self._finish()
             else:
                 # Past the deadline with unacked data: retransmit the
@@ -275,16 +337,14 @@ class _IperfClient:
                 limit = min(self.snd_una + self.WINDOW, self.snd_max)
                 while self.snd_nxt < limit:
                     chunk = min(self.MSS, limit - self.snd_nxt)
-                    self._send(TcpFlags.ACK, seq=self.snd_nxt + 1, ack=1,
-                               payload=b"\x00" * chunk)
+                    self._sender.send(_ACK, self.snd_nxt + 1, 1, chunk)
                     self.snd_nxt += chunk
                 if self._rto_event is None:
                     self._restart_rto()
             return
         while self.snd_nxt - self.snd_una < self.WINDOW:
-            payload = b"\x00" * self.MSS
-            self._send(TcpFlags.ACK, seq=self.snd_nxt + 1, ack=1, payload=payload)
-            self.snd_nxt += len(payload)
+            self._sender.send(_ACK, self.snd_nxt + 1, 1, self.MSS)
+            self.snd_nxt += self.MSS
             self.snd_max = max(self.snd_max, self.snd_nxt)
         if self._rto_event is None:
             self._restart_rto()
@@ -307,11 +367,6 @@ class _IperfClient:
             self._finish()
         else:
             self._try_send()
-
-    def _send(self, flags: TcpFlags, seq: int, ack: int, payload: bytes = b"") -> None:
-        segment = TcpSegment(self.src_port, self.port, seq=seq, ack=ack,
-                             flags=flags, payload=payload)
-        self.host.send_ip(self.target, IpProtocol.TCP, segment.pack())
 
     def _finish(self) -> None:
         if self.finished:
@@ -377,10 +432,7 @@ class Host:
         self._transmit = transmit
 
     def _send_frame(self, frame: EthernetFrame) -> None:
-        if self._transmit is None:
-            raise RuntimeError(f"host {self.name} is not attached to a link")
-        self.stats["tx_frames"] += 1
-        self._transmit(frame.pack())
+        self.inject_frame(frame.pack())
 
     def inject_frame(self, data: bytes) -> None:
         """Put pre-packed frame bytes on the wire as-is.
@@ -388,7 +440,8 @@ class Host:
         The traffic-generator subsystem synthesizes frames from templates
         (``repro.workloads``) — including spoofed source MACs/IPs the
         normal stack would never emit — so they bypass ARP resolution and
-        EthernetFrame re-packing entirely.
+        EthernetFrame re-packing entirely.  The TCP senders use it for
+        their pre-keyed segment frames.
         """
         if self._transmit is None:
             raise RuntimeError(f"host {self.name} is not attached to a link")
@@ -434,21 +487,39 @@ class Host:
     # ------------------------------------------------------------------ #
 
     def frame_received(self, data: bytes) -> None:
-        """Entry point for frames arriving from the access link."""
+        """Entry point for frames arriving from the access link.
+
+        TCP is demultiplexed from the flow key, which the first switch
+        hop (or the sender) already memoized on the frame: one unpack
+        reads what the iperf endpoints need.  ARP, ICMP and UDP decode.
+        """
         self.stats["rx_frames"] += 1
-        if fastframe.fast_lane_enabled():
-            # NIC filter without a full decode: flooded unicast for some
-            # other host is the common case on learning-switch topologies,
-            # and the MAC pair is already memoized on interned frames.
-            macs = fastframe.mac_pair(data)
-            if macs is not None:
-                dst = macs[1]
-                if dst != self.mac and not dst.is_broadcast and not dst.is_multicast:
-                    return
+        # NIC filter without a full decode: flooded unicast for some
+        # other host is the common case on learning-switch topologies,
+        # and the MAC pair is already memoized on interned frames.
+        macs = fastframe.mac_pair(data)
+        if macs is not None:
+            dst = macs[1]
+            if dst != self.mac and not dst.is_broadcast and not dst.is_multicast:
+                return
+        # (dl_src, dl_dst, dl_vlan, dl_vlan_pcp, dl_type, nw_tos,
+        #  nw_proto, nw_src, nw_dst, tp_src, tp_dst); raises on a runt
+        # exactly as decode_ethernet does.
+        key = fastframe.base_key(data)
+        if key[6] == 6 and key[4] == 0x0800:  # TCP over IPv4
+            # tp_dst is None, which no endpoint listens on, when the TCP
+            # header would not decode.
+            if key[8] == int(self.ip):
+                endpoint = self._iperf_servers.get(key[10])
+                if endpoint is None:
+                    endpoint = self._iperf_clients.get(key[10])
+                if endpoint is not None:
+                    total, seq, ack, flags = _TCP_FIELDS.unpack_from(
+                        data, _TCP_FIELDS_AT)
+                    endpoint.segment_received(key[7], key[9], seq, ack, flags,
+                                              total - 40)
+            return
         decoded = decode_ethernet(data)
-        frame = decoded.ethernet
-        if frame.dst != self.mac and not frame.dst.is_broadcast and not frame.dst.is_multicast:
-            return  # not for us (flooded unicast for another host)
         l3 = decoded.l3
         if isinstance(l3, ArpPacket):
             self._handle_arp(l3)
@@ -484,14 +555,6 @@ class Host:
                 run = self._ping_runs.get(l4.identifier)
                 if run is not None:
                     run.reply_received(l4.sequence)
-        elif isinstance(l4, TcpSegment):
-            server = self._iperf_servers.get(l4.dst_port)
-            if server is not None:
-                server.segment_received(packet.src, l4)
-                return
-            client = self._iperf_clients.get(l4.dst_port)
-            if client is not None:
-                client.segment_received(l4)
         elif isinstance(l4, UdpDatagram):
             handler = self._udp_handlers.get(l4.dst_port)
             if handler is not None:

@@ -24,6 +24,12 @@ retransmitted window resolves to the *same object* — its key caches are
 already warm, and CPython's ``bytes`` hash caching makes re-hashing it
 for buffering O(1).
 
+Frames of one connection may share ``_base``, ``_base_tuple`` and
+``_by_port`` (:func:`share_key`): its segments differ only in sequence
+numbers, flags, length and payload, none of which is a key field, so a
+key one switch computes for one segment at a port serves every later
+segment at that port number.  Such frames bypass the pool.
+
 Set-field actions do not invalidate the whole key: ``derive_frame``
 builds the rewritten frame's key from the parent's by replacing only the
 touched field (see ``OpenFlowSwitch._rewrite_dl``/``_rewrite_nw``).
@@ -139,9 +145,7 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
             by_port = data._by_port = {}
         base = data._base
         if base is None:
-            base = extract_flow_base(data)
-            data._base = base
-            data._base_tuple = field_tuple(base)[1:]  # all but in_port
+            base = _memoize_base(data)
         counters["flowkey_cache_misses"] += 1
         fields = dict(base)
         fields["in_port"] = in_port
@@ -149,6 +153,50 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         by_port[in_port] = fields
         return fields, False
     return extract_flow_key(data, in_port), False
+
+
+def base_key(data: bytes) -> Tuple[Optional[int], ...]:
+    """The eleven port-independent key fields of ``data`` as ints.
+
+    ``field_tuple`` order without ``in_port``: addresses as integers,
+    absent fields ``None``.  Memoized on a FastFrame; raises exactly what
+    ``extract_flow_base`` raises.
+    """
+    if _enabled and type(data) is FastFrame:
+        if data._base_tuple is None:
+            _memoize_base(data)
+        return data._base_tuple
+    return field_tuple(extract_flow_base(data))[1:]
+
+
+def share_key(data: bytes, memo: Optional[bytes]) -> bytes:
+    """``data`` as a FastFrame that shares ``memo``'s flow-key caches.
+
+    ``memo`` is ``None`` or an earlier result of this function for a frame
+    with the same eleven port-independent key fields, such as an earlier
+    segment of the same connection.  The caches are shared, not copied:
+    what a switch memoizes for one frame at a port serves them all.
+    Without a usable ``memo`` the key is extracted from ``data`` once, and
+    the returned frame can serve as the memo for the next.  With the fast
+    lane off, ``data`` is returned unchanged.
+    """
+    if not _enabled:
+        return data
+    frame = FastFrame(data)
+    if type(memo) is FastFrame:
+        frame._base = memo._base
+        frame._base_tuple = memo._base_tuple
+        frame._by_port = memo._by_port
+    else:
+        _memoize_base(frame)
+        frame._by_port = {}
+    return frame
+
+
+def _memoize_base(frame: FastFrame) -> Dict[str, Any]:
+    base = frame._base = extract_flow_base(frame)
+    frame._base_tuple = field_tuple(base)[1:]  # all but in_port
+    return base
 
 
 def mac_pair(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:

@@ -20,14 +20,22 @@ DEFAULT_TTL = 64
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 one's-complement checksum over 16-bit words."""
+    """RFC 1071 one's-complement checksum over 16-bit words.
+
+    Read as one big-endian integer, ``data`` is its words weighted by
+    powers of 2**16, and 2**16 is 1 modulo 0xFFFF, so the one's-complement
+    sum of the words is that integer modulo 0xFFFF.  The end-around-carry
+    sum of nonzero data is never 0, so a remainder of 0 reads as 0xFFFF;
+    all-zero data sums to 0.  An odd trailing byte is padded with zero,
+    i.e. the integer is shifted left by 8.
+    """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        value <<= 8
+    total = value % 0xFFFF
+    if total == 0 and value:
+        total = 0xFFFF
+    return ~total & 0xFFFF
 
 
 class Ipv4Packet:

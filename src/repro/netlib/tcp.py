@@ -19,6 +19,13 @@ class TcpFlags(IntFlag):
 _HEADER = struct.Struct("!HHIIBBHHH")
 
 
+def pack_header(src_port: int, dst_port: int, seq: int, ack: int, flags: int,
+                window: int = 65535) -> bytes:
+    """The 20-byte header :meth:`TcpSegment.pack` writes: data offset 5
+    (no options), checksum and urgent pointer zero."""
+    return _HEADER.pack(src_port, dst_port, seq, ack, 5 << 4, flags, window, 0, 0)
+
+
 class TcpSegment:
     """A TCP segment with a 20-byte header and no options.
 
@@ -71,19 +78,8 @@ class TcpSegment:
         return bool(self.flags & TcpFlags.RST)
 
     def pack(self) -> bytes:
-        data_offset = (5 << 4)
-        header = _HEADER.pack(
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            data_offset,
-            int(self.flags),
-            self.window,
-            0,
-            0,
-        )
-        return header + self.payload
+        return pack_header(self.src_port, self.dst_port, self.seq, self.ack,
+                           int(self.flags), self.window) + self.payload
 
     @classmethod
     def unpack(cls, data: bytes) -> "TcpSegment":

@@ -152,6 +152,31 @@ def test_truncation_sweep_never_corrupts_resume(tmp_path):
         assert _parses(lines[-1])
 
 
+def test_same_size_rewrite_sharing_the_last_bytes_rebuilds(tmp_path):
+    """A cut one byte later plus a ``recorded_at`` one digit shorter
+    rewrites the file to the same size and the same last bytes (records
+    of one run differ only mid-line); the open store must still see the
+    record the later cut kept, as a fresh store does."""
+    path = tmp_path / "runs.jsonl"
+    store = ResultStore(path)
+    for seed in range(3):
+        store.append(dict(make_record(descriptor(seed=seed).to_dict(), "ok", {}),
+                          recorded_at=1000.0))
+    pristine = path.read_bytes()
+    new_record = make_record(descriptor(seed=99).to_dict(), "ok", {})
+    # One byte short of the last record's closing brace: it is torn.
+    path.write_bytes(pristine[:-2])
+    store.append(dict(new_record, recorded_at=1700000000.25))
+    assert len(store.completed_ids()) == 3
+    size = path.stat().st_size
+    # Only its newline is cut now: the record survives the heal.
+    path.write_bytes(pristine[:-1])
+    store.append(dict(new_record, recorded_at=1700000000.5))
+    assert path.stat().st_size == size
+    assert store.completed_ids() == ResultStore(path).completed_ids()
+    assert len(store.completed_ids()) == 4
+
+
 def test_heal_terminates_a_torn_tail(tmp_path):
     path = tmp_path / "runs.jsonl"
     store = ResultStore(path)

@@ -2,14 +2,27 @@
 
 import pytest
 
+import repro.dataplane.host as host_module
 from repro.dataplane import Host
+from repro.experiments import run_suppression_experiment
 from repro.netlib import (
     ArpPacket,
     EtherType,
     EthernetFrame,
+    IpProtocol,
     Ipv4Address,
+    Ipv4Packet,
     MacAddress,
+    TcpSegment,
     decode_ethernet,
+    fastframe,
+)
+from repro.netlib.fastframe import FastFrame
+from repro.netlib.flowkey import (
+    FIELD_TUPLE_KEY,
+    extract_flow_base,
+    extract_flow_key,
+    field_tuple,
 )
 from repro.sim import SimulationEngine
 
@@ -186,6 +199,190 @@ class TestUdp:
         h1, h2 = make_pair(engine)
         h1.send_udp(h2.ip, 1234, 777, b"nobody-home")
         engine.run(until=10.0)  # must not raise
+
+
+def tcp_of(data):
+    """The decoded TCP segment of ``data``, or None."""
+    decoded = decode_ethernet(bytes(data))
+    return decoded.l4 if isinstance(decoded.l4, TcpSegment) else None
+
+
+def capture_tcp_frames(monkeypatch):
+    """Record ``(host name, sim time, frame)`` for every TCP frame a host
+    puts on the wire."""
+    sent = []
+    original = Host.inject_frame
+
+    def capturing(self, data):
+        if tcp_of(data) is not None:
+            sent.append((self.name, self.engine.now, data))
+        return original(self, data)
+
+    monkeypatch.setattr(Host, "inject_frame", capturing)
+    return sent
+
+
+def assert_keyed(frame):
+    """The frame's memo is what a fresh parse of its bytes gives, and its
+    bytes are what the layer codecs build for the decoded segment."""
+    raw = bytes(frame)
+    assert type(frame) is FastFrame
+    base = extract_flow_base(raw)
+    assert frame._base == base
+    assert frame._base_tuple == field_tuple(base)[1:]
+    for port, fields in frame._by_port.items():
+        expected = extract_flow_key(raw, port)
+        assert {k: v for k, v in fields.items() if k != FIELD_TUPLE_KEY} == expected
+        assert fields[FIELD_TUPLE_KEY] == field_tuple(expected)
+    decoded = decode_ethernet(raw)
+    ip = decoded.l3
+    rebuilt = EthernetFrame(decoded.ethernet.dst, decoded.ethernet.src, EtherType.IPV4,
+                            Ipv4Packet(ip.src, ip.dst, IpProtocol.TCP,
+                                       decoded.l4.pack()).pack()).pack()
+    assert rebuilt == raw
+
+
+def resolved_pair(engine, deliver_to_h2=None):
+    """``make_pair`` after one ping, so both ARP tables are warm;
+    ``deliver_to_h2(data)`` may drop h1's frames by returning False."""
+    h1 = Host(engine, "h1", MacAddress(1), Ipv4Address("10.0.0.1"))
+    h2 = Host(engine, "h2", MacAddress(2), Ipv4Address("10.0.0.2"))
+
+    def h1_tx(data):
+        if deliver_to_h2 is None or deliver_to_h2(data):
+            engine.schedule(0.0001, h2.frame_received, data)
+
+    h1.attach(h1_tx)
+    h2.attach(lambda data: engine.schedule(0.0001, h1.frame_received, data))
+    h1.ping(h2.ip, count=1)
+    engine.run(until=1.0)
+    return h1, h2
+
+
+def kinds(sent):
+    """(sender, flags, payload length) of each captured frame."""
+    return {(name, int(tcp_of(frame).flags), len(tcp_of(frame).payload))
+            for name, _, frame in sent}
+
+
+class TestKeyedSegments:
+    """The TCP senders emit pre-keyed frames: each frame's flow-key memo
+    must equal a fresh parse of its bytes."""
+
+    def test_two_host_run_covers_every_segment_kind(self, monkeypatch):
+        sent = capture_tcp_frames(monkeypatch)
+        engine = SimulationEngine()
+
+        # Black-hole h1's data around the client's deadline, so the
+        # retransmission after it ends on a window-limited short chunk.
+        def deliver(data):
+            segment = tcp_of(data)
+            return not (segment and segment.payload and 1.045 <= engine.now <= 1.06)
+
+        h1, h2 = resolved_pair(engine, deliver)
+        h2.start_iperf_server()
+        run = h1.run_iperf_client(h2.ip, duration=0.05)
+        engine.run(until=30.0)
+        assert run.result.retransmits >= 1
+        # A restarted server has no session: the next data segment is
+        # answered with RST, which ends the second transfer.
+        second = h1.run_iperf_client(h2.ip, duration=0.05)
+        engine.schedule(0.01, h2.start_iperf_server)
+        engine.run(until=60.0)
+        assert second.result.connected and second.finished
+
+        ack, syn, fin, rst = 0x10, 0x02, 0x01, 0x04
+        seen = kinds(sent)
+        mss = host_module._IperfClient.MSS
+        assert ("h1", syn, 0) in seen
+        assert ("h2", syn | ack, 0) in seen
+        assert ("h1", ack, mss) in seen
+        assert ("h2", ack, 0) in seen
+        assert ("h1", fin | ack, 0) in seen and ("h2", fin | ack, 0) in seen
+        assert ("h2", rst, 0) in seen
+        assert any(name == "h1" and flags == ack and 0 < length < mss
+                   for name, flags, length in seen)
+        for _, _, frame in sent:
+            assert_keyed(frame)
+
+    def test_fig11_cell_frames_and_switch_memos(self, monkeypatch):
+        sent = capture_tcp_frames(monkeypatch)
+        result = run_suppression_experiment(
+            "pox", attacked=False, ping_trials=2, iperf_trials=1,
+            iperf_duration_s=0.2, iperf_gap_s=0.5, warmup_s=2, seed=0)
+        assert result.mean_throughput_mbps > 10
+        assert len(sent) > 1000
+        # Every switch hop on the path filled the shared per-port memo.
+        assert all(frame._by_port for _, _, frame in sent)
+        for _, _, frame in sent:
+            assert_keyed(frame)
+
+    def test_peer_mac_relearn_moves_later_segments(self, monkeypatch):
+        sent = capture_tcp_frames(monkeypatch)
+        engine = SimulationEngine()
+        h1, h2 = resolved_pair(engine)
+        h2.start_iperf_server()
+        run = h1.run_iperf_client(h2.ip, duration=0.05)
+        spoofed = MacAddress(0x0A)
+        cuts = [0]
+
+        def relearn(mac):
+            reply = ArpPacket.reply(mac, h2.ip, h1.mac, h1.ip)
+            h1.frame_received(EthernetFrame(h1.mac, mac, EtherType.ARP,
+                                            reply.pack()).pack())
+            cuts.append(len(sent))
+
+        # An ARP reply moves h2's address to another MAC mid-transfer
+        # (h2 drops what is sent there); a second one moves it back.
+        engine.schedule(0.02, relearn, spoofed)
+        engine.schedule(0.5, relearn, h2.mac)
+        engine.run(until=30.0)
+        assert run.result.bytes_acked > 0 and run.finished
+
+        cuts.append(len(sent))
+        phases = [[frame for name, _, frame in sent[start:end] if name == "h1"]
+                  for start, end in zip(cuts, cuts[1:])]
+        for frames, mac in zip(phases, (h2.mac, spoofed, h2.mac)):
+            assert frames
+            for frame in frames:
+                assert_keyed(frame)
+                assert decode_ethernet(bytes(frame)).ethernet.dst == mac
+                assert frame._base["dl_dst"] == mac
+        # Each re-learn starts a new memo; frames of one phase share one.
+        memos = [{id(frame._by_port) for frame in frames} for frames in phases]
+        assert all(len(ids) == 1 for ids in memos)
+        assert len(set.union(*memos)) == 3
+
+
+def test_tcp_segments_skip_decode_and_parse_once_per_connection(monkeypatch):
+    """With the fast lane on, no TCP segment is decoded at a host, and
+    each direction of a connection is parsed once, when its memo is built."""
+    decoded_tcp = []
+    parsed_tcp = []
+    real_decode = host_module.decode_ethernet
+    real_parse = fastframe.extract_flow_base
+
+    def decode(data):
+        if tcp_of(data) is not None:
+            decoded_tcp.append(data)
+        return real_decode(data)
+
+    def parse(data):
+        if tcp_of(data) is not None:
+            parsed_tcp.append(data)
+        return real_parse(data)
+
+    monkeypatch.setattr(host_module, "decode_ethernet", decode)
+    monkeypatch.setattr(fastframe, "extract_flow_base", parse)
+    sent = capture_tcp_frames(monkeypatch)
+    run_suppression_experiment(
+        "pox", attacked=False, ping_trials=2, iperf_trials=2,
+        iperf_duration_s=0.2, iperf_gap_s=0.5, warmup_s=2, seed=0)
+    assert len(sent) > 1000
+    assert decoded_tcp == []
+    directions = {bytes(frame[:12]) + bytes(frame[26:38]) for _, _, frame in sent}
+    assert len(directions) == 4  # two connections, two directions each
+    assert 0 < len(parsed_tcp) <= len(directions)
 
 
 def test_unattached_host_raises():
