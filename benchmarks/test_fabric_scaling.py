@@ -20,13 +20,14 @@ Two throughput figures are reported side by side per shard count:
   genuinely removes work from the critical path or this number does not
   move.  Acceptance floors are asserted on capacity.
 
-The exchange A/B: the 4-shard run is repeated with
-``exchange_codec=False`` (batches pickled, the pre-fast-lane wire
-format) and the byte totals compared — the codec must move >= 5x fewer
-bytes for the same message stream.  The A/B is pinned at 4 shards
-because beyond that most directed worker pairs share no boundary link
-and the totals on both sides are dominated by the 16-byte barrier
-control words the two formats pay identically.
+The exchange floor: the codec must move >= 5x fewer bytes per
+cross-shard message at 4 shards than pickled batches (the pre-codec wire
+format) moved for the same deterministic message stream.  The pickled
+figure was measured once on that stream and is pinned below as
+``PICKLED_BYTES_PER_MESSAGE``.  The floor sits at 4 shards because beyond
+that most directed worker pairs share no boundary link and the totals on
+both sides are dominated by the 16-byte barrier control words the two
+formats pay identically.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the workload (fat-tree-k4, shards {1,2})
 for CI smoke; the committed ``BENCH_fabric.json`` is generated at full
@@ -50,6 +51,8 @@ if QUICK:
     PAIRS, PACKETS = 4, 50
     SPEEDUP_FLOOR = None  # smoke: shapes only, too small to assert scaling
     BYTE_RATIO_FLOOR = 2.0  # tiny run: channel tables still amortizing
+    # Pickled batches: 32,864 B for 400 cross-shard messages.
+    PICKLED_BYTES_PER_MESSAGE = 82.16
 else:
     FABRIC = "fat-tree-k8"
     SHARD_COUNTS = (1, 2, 4, 8)
@@ -57,6 +60,8 @@ else:
     PAIRS, PACKETS = 64, 250
     SPEEDUP_FLOOR = 3.2  # acceptance floor at max shards (target: >= 4x)
     BYTE_RATIO_FLOOR = 5.0
+    # Pickled batches: 3,417,324 B for 32,000 cross-shard messages.
+    PICKLED_BYTES_PER_MESSAGE = 106.79
 
 INTERVAL_S = 0.002
 
@@ -71,11 +76,9 @@ def _run(shards, **kwargs):
 
 def test_fabric_packets_per_sec_scaling(benchmark):
     def run_all():
-        results = {shards: _run(shards) for shards in SHARD_COUNTS}
-        pickled = _run(A_B_SHARDS, exchange_codec=False)
-        return results, pickled
+        return {shards: _run(shards) for shards in SHARD_COUNTS}
 
-    results, pickled = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     baseline = results[SHARD_COUNTS[0]]
     rows = []
@@ -109,19 +112,12 @@ def test_fabric_packets_per_sec_scaling(benchmark):
         assert result.cross_shard_messages == baseline.cross_shard_messages
         assert result.epochs == baseline.epochs
 
-    # Exchange fast-lane A/B: same stream, two wire formats.
+    # Exchange floor: the codec's bytes per message against the pinned
+    # pickled figure for the same stream.
     top = results[SHARD_COUNTS[-1]]
     ab = results[A_B_SHARDS]
-    assert pickled.packets_delivered == expected
-    assert pickled.cross_shard_messages == ab.cross_shard_messages
-    byte_ratio = (
-        pickled.exchange_bytes / ab.exchange_bytes
-        if ab.exchange_bytes else 0.0
-    )
-    per_msg = (
-        ab.exchange_bytes / ab.cross_shard_messages
-        if ab.cross_shard_messages else 0.0
-    )
+    per_msg = ab.exchange_bytes / ab.cross_shard_messages
+    byte_ratio = PICKLED_BYTES_PER_MESSAGE / per_msg
     print_table(
         f"Exchange wire formats at {A_B_SHARDS} shards "
         f"({ab.cross_shard_messages} cross-shard messages)",
@@ -129,9 +125,8 @@ def test_fabric_packets_per_sec_scaling(benchmark):
         [
             ("packed codec", f"{ab.exchange_bytes:,}",
              ab.exchange_blobs, f"{per_msg:.1f}"),
-            ("pickled batches", f"{pickled.exchange_bytes:,}",
-             pickled.exchange_blobs,
-             f"{pickled.exchange_bytes / max(1, pickled.cross_shard_messages):.1f}"),
+            ("pickled batches (pinned)", "-", "-",
+             f"{PICKLED_BYTES_PER_MESSAGE:.1f}"),
         ],
     )
 
@@ -172,7 +167,7 @@ def test_fabric_packets_per_sec_scaling(benchmark):
             f"capacity speedup at {SHARD_COUNTS[-1]} shards only "
             f"{speedup:.2f}x (floor {SPEEDUP_FLOOR}x)"
         )
-    assert byte_ratio >= BYTE_RATIO_FLOOR, (
+    assert per_msg * BYTE_RATIO_FLOOR <= PICKLED_BYTES_PER_MESSAGE, (
         f"codec only saved {byte_ratio:.2f}x bytes vs pickled batches "
         f"(floor {BYTE_RATIO_FLOOR}x)"
     )

@@ -4,7 +4,7 @@ Two headline claims, each asserted at >= 5x:
 
 * **Executor no-fire path** at |Φ| = 64 type-constrained rules: the
   (connection, coarse type) index + compiled conditionals vs the linear
-  interpreted scan of Algorithm 1 (``fast_path=False``).
+  interpreted scan of Algorithm 1 (``tests/core/executor_reference.py``).
 * **Pass-through framing**: length-only frame extraction + zero-copy byte
   reuse vs the decode-then-re-encode round trip.
 
@@ -25,6 +25,7 @@ from repro.core.model import gamma_no_tls
 from repro.openflow import FlowMod, Hello, Match, OutputAction, parse_message
 from repro.openflow.connection import MessageFramer
 from repro.sim import SimulationEngine
+from tests.core.executor_reference import LinearAttackExecutor
 
 CONN = ("c1", "s1")
 N_RULES = 64
@@ -44,20 +45,20 @@ def median_time(fn, rounds=ROUNDS, iterations=ITERATIONS):
     return statistics.median(samples)
 
 
-def _executor(fast_path):
+def _executor(executor_cls=AttackExecutor):
     rules = [
         Rule(f"r{index}", CONN, gamma_no_tls(),
              parse_condition("type = FLOW_MOD"), [PassMessage()])
         for index in range(N_RULES)
     ]
     attack = Attack("fastlane", [AttackState("s", rules)], "s")
-    return AttackExecutor(attack, SimulationEngine(), fast_path=fast_path)
+    return executor_cls(attack, SimulationEngine())
 
 
 def test_executor_no_fire_speedup(benchmark):
     """Indexed dispatch beats the linear scan >= 5x when no rule fires."""
-    fast = _executor(fast_path=True)
-    linear = _executor(fast_path=False)
+    fast = _executor()
+    linear = _executor(LinearAttackExecutor)
     raw = Hello().pack()
 
     def process_fast():
@@ -178,7 +179,7 @@ def test_flowtable_lookup_speedup(benchmark):
     benchmark.extra_info["speedup_vs_linear"] = round(speedup, 2)
 
 
-def test_multihop_forwarding_speedup(benchmark):
+def test_multihop_forwarding_speedup(benchmark, monkeypatch):
     """Data-plane fast lane: >= 3x on a 4-switch multi-hop path.
 
     A frame crossing a 4-switch chain is key-extracted at every hop.
@@ -192,7 +193,8 @@ def test_multihop_forwarding_speedup(benchmark):
     from repro.dataplane.switch import OpenFlowSwitch
     from repro.netlib import EtherType, EthernetFrame, Ipv4Address, \
         Ipv4Packet, MacAddress, TcpSegment, fastframe
-    from repro.openflow.match import extract_packet_fields_reference
+    from tests.netlib import plain_frames
+    from tests.netlib.flowkey_reference import extract_packet_fields_reference
 
     N_SWITCHES = 4
     FORWARD_FLOOR = 3.0
@@ -239,20 +241,18 @@ def test_multihop_forwarding_speedup(benchmark):
     # Pre-change baseline: no interning, no memoization, and the
     # decode-based reference extractor at every hop.
     baseline_switches, baseline_delivered = build_chain()
-    fastframe.set_fast_lane(False)
-    original_extractor = fastframe.extract_flow_key
-    fastframe.extract_flow_key = extract_packet_fields_reference
-    try:
+    with monkeypatch.context() as patch:
+        plain_frames.apply(patch)
+        patch.setattr(fastframe, "extract_flow_key",
+                      extract_packet_fields_reference)
+
         def send_one_baseline():
             baseline_switches[0].frame_received(1, bytes(bytearray(raw)))
 
         send_one_baseline()
         assert baseline_delivered[0] == raw
         slow_time = median_time(send_one_baseline, iterations=500)
-    finally:
-        fastframe.extract_flow_key = original_extractor
-        fastframe.set_fast_lane(True)
-        fastframe.clear_pool()
+    fastframe.clear_pool()
 
     speedup = slow_time / fast_time
     print_table(
@@ -278,10 +278,10 @@ def test_tracing_disabled_keeps_the_fast_lane(benchmark):
     work the guard skips."""
     from repro.obs import TraceCollector
 
-    untraced = _executor(fast_path=True)
-    traced = _executor(fast_path=True)
+    untraced = _executor()
+    traced = _executor()
     traced.set_tracer(TraceCollector())
-    linear = _executor(fast_path=False)
+    linear = _executor(LinearAttackExecutor)
     assert untraced.tracer is None  # the zero-overhead configuration
     raw = Hello().pack()
     fired = FlowMod(Match()).pack()

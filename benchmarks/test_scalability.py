@@ -31,6 +31,7 @@ from repro.core.model.system import (
 )
 from repro.openflow import Hello
 from repro.sim import SimulationEngine
+from tests.core.executor_reference import LinearAttackExecutor
 
 CONN = ("c1", "s1")
 
@@ -76,12 +77,13 @@ def test_nd_memory_grows_quadratically(benchmark):
     assert sizes[16][4] == 2 * sizes[8][4]
 
 
-def _executor_with_rules(n_rules, all_fire, fast_path=False):
+def _executor_with_rules(n_rules, all_fire, executor_cls=LinearAttackExecutor):
     """n rules in one state; either all fire or only the last can.
 
-    Defaults to ``fast_path=False``: these benchmarks measure the paper's
-    O(|Φ|) linear scan.  The indexed fast lane is measured separately
-    (here in ``test_executor_runtime_indexed`` and in
+    Defaults to the linear scan (``tests/core/executor_reference.py``):
+    these benchmarks measure the paper's O(|Φ|) Algorithm 1.  The indexed
+    fast lane is measured separately (here in
+    ``test_executor_runtime_indexed`` and in
     ``benchmarks/test_fastpath.py``).
     """
     rules = []
@@ -92,7 +94,7 @@ def _executor_with_rules(n_rules, all_fire, fast_path=False):
                  parse_condition(condition), [PassMessage()])
         )
     attack = Attack("scale", [AttackState("s", rules)], "s")
-    return AttackExecutor(attack, SimulationEngine(), fast_path=fast_path)
+    return executor_cls(attack, SimulationEngine())
 
 
 @pytest.mark.parametrize("n_rules", [1, 16, 64])
@@ -131,7 +133,8 @@ def test_executor_runtime_all_rules_fire(benchmark, n_rules):
 @pytest.mark.parametrize("n_rules", [16, 64])
 def test_executor_runtime_indexed(benchmark, n_rules):
     """The fast lane breaks O(|Φ|): no-fire cost is flat in the rule count."""
-    executor = _executor_with_rules(n_rules, all_fire=False, fast_path=True)
+    executor = _executor_with_rules(n_rules, all_fire=False,
+                                    executor_cls=AttackExecutor)
     raw = Hello().pack()
 
     def process():

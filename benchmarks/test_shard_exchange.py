@@ -4,8 +4,8 @@ Isolates the cross-shard fast lane's serial tax from the simulation
 around it.  A realistic boundary stream (many channels, a few flows per
 channel, steady frame payloads with a sprinkle of control messages) is
 pushed through two exchange disciplines over the *same* transport
-primitive — a ``multiprocessing.Pipe`` connection, the substrate the
-legacy queue-routed path was built on:
+primitive — a ``multiprocessing.Pipe`` connection, the substrate
+``multiprocessing`` queues are built on:
 
 * **packed codec** — one ``BatchEncoder`` blob per (peer, epoch),
   one ``send_bytes`` each.

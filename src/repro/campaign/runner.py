@@ -19,9 +19,8 @@ Fault semantics are unchanged from the process-per-run model:
 
 The pool loop itself lives in :mod:`repro.campaign.scheduler`;
 ``CampaignRunner`` is the one-shot facade over it, and this module keeps
-the process-level primitives (``_worker_loop``, ``reset_run_state``,
-``ShardWorkerPool``) that both the scheduler and the sharded simulator
-share.
+the process-level primitives (``_worker_loop``, ``reset_run_state``) the
+scheduler's workers run.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
@@ -77,27 +76,15 @@ def reset_run_state() -> None:
     fastframe.reset_counters()
 
 
-#: Backwards-compatible private alias (pre-existing callers/tests).
-_reset_run_state = reset_run_state
+def _worker_loop(conn) -> None:
+    """Persistent worker: execute run descriptors until told to shut down.
 
-
-def _worker_loop(conn, peer_queues=None, peer_index=None,
-                 mesh_matrix=None) -> None:
-    """Persistent worker: execute descriptors until told to shut down.
-
-    Two task shapes share the pipe: legacy ``(descriptor, attempt,
-    trace_enabled)`` tuples run one campaign cell to completion, and
-    ``{"op": "shard_*"}`` dicts drive a slice of a sharded simulation
-    (see :mod:`repro.sim.shard`).  ``mesh_matrix`` (inherited pipe fds,
-    fork start method only) gives shard workers a direct peer-to-peer
-    fast lane for the SPMD barrier loop; ``peer_queues`` (one queue per
-    pool worker, this worker reading ``peer_index``'s) is the fallback
-    exchange for epoch-stepped execution without a mesh.
+    Each task is a ``(descriptor, attempt, trace_enabled)`` tuple that
+    runs one campaign cell to completion; ``None`` ends the loop.
     """
     from repro.campaign.executors import execute_descriptor
 
     runs_executed = 0
-    shard_session = None
     while True:
         try:
             task = conn.recv()
@@ -105,24 +92,8 @@ def _worker_loop(conn, peer_queues=None, peer_index=None,
             break
         if task is None:
             break
-        if isinstance(task, dict):
-            if shard_session is None:
-                from repro.sim.shard import ShardWorkerSession
-
-                shard_session = ShardWorkerSession(peer_queues, peer_index,
-                                                   mesh_matrix)
-            try:
-                reply = shard_session.handle(task)
-            except BaseException:
-                reply = {"status": "error",
-                         "error": traceback.format_exc(limit=8)}
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                break
-            continue
         descriptor, attempt, trace_enabled = task
-        _reset_run_state()
+        reset_run_state()
         tracer = None
         if trace_enabled:
             from repro.obs import TraceCollector
@@ -240,138 +211,6 @@ class CampaignRunner:
         summary.worker_runs = dict(scheduler.worker_runs)
         summary.duration_s = time.time() - started
         return summary
-
-
-class ShardWorkerPool:
-    """A fixed set of persistent workers executing simulation shards.
-
-    Reuses the campaign ``_worker_loop`` processes but drives them with
-    ``shard_*`` dict tasks in lock-step: every worker runs its regions to
-    the same epoch barrier, exchanges cross-shard messages directly with
-    its peers over per-worker queues, and the loop repeats — the parent
-    only carries barrier control traffic, which keeps its per-epoch CPU
-    off the scaling-critical path.  Workers are plain (non-daemonic from
-    the pool's perspective only if the parent is the main process —
-    campaign workers are daemonic and cannot spawn children, so fabric
-    cells inside a campaign fall back to the inline executor).
-    """
-
-    def __init__(self, workers: int, mp_context: Optional[str] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers!r}")
-        ctx = multiprocessing.get_context(mp_context)
-        self._slots: List[Tuple[multiprocessing.Process, object]] = []
-        # Full queues (not SimpleQueues): the feeder thread makes puts
-        # non-blocking, so a burst of large batches cannot deadlock two
-        # workers putting into each other's filled pipes.
-        self._queues = [ctx.Queue() for _ in range(workers)]
-        # The pipe mesh (fork only) must exist before any worker forks so
-        # every child inherits the full fd matrix; each worker closes the
-        # fds it does not own, and the parent closes its copies below.
-        from repro.sim.mesh import close_mesh, create_mesh
-
-        mesh_matrix = create_mesh(workers, ctx.get_start_method())
-        self.has_mesh = mesh_matrix is not None
-        for index in range(workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_worker_loop,
-                args=(child_conn, self._queues, index, mesh_matrix),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._slots.append((process, parent_conn))
-        close_mesh(mesh_matrix)
-
-    @property
-    def workers(self) -> int:
-        return len(self._slots)
-
-    def _call_all(self, tasks: List[dict]) -> List[dict]:
-        for (_process, conn), task in zip(self._slots, tasks):
-            conn.send(task)
-        replies = []
-        for process, conn in self._slots:
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(
-                    f"shard worker pid {process.pid} died mid-epoch "
-                    f"(exit code {process.exitcode})"
-                )
-            if reply.get("status") != "ok":
-                raise RuntimeError(
-                    "shard worker failed:\n" + str(reply.get("error"))
-                )
-            replies.append(reply)
-        return replies
-
-    def init(self, config: dict, assignment: List[List[int]]) -> List[dict]:
-        """Build each worker's regions; ``assignment[i]`` lists worker
-        ``i``'s region ids."""
-        if len(assignment) != len(self._slots):
-            raise ValueError(
-                f"assignment covers {len(assignment)} workers, "
-                f"pool has {len(self._slots)}"
-            )
-        return self._call_all([
-            {"op": "shard_init", "config": config, "rids": rids,
-             "assignment": assignment}
-            for rids in assignment
-        ])
-
-    def epoch(self, until: float) -> List[dict]:
-        """Run every worker's regions to ``until``; workers deliver the
-        previous barrier's peer-queue batches themselves.  Returns
-        per-worker ``{"next_time", "min_arrival", "sent"}``."""
-        return self._call_all([
-            {"op": "shard_epoch", "until": until} for _ in self._slots
-        ])
-
-    def run_barrier(
-        self,
-        lookahead: float,
-        horizon: float,
-        adaptive: bool = False,
-        promise: Optional[float] = None,
-        codec: bool = True,
-    ) -> List[dict]:
-        """Run the whole SPMD barrier loop inside the workers.
-
-        One task and one reply per worker for the entire simulation;
-        batches travel over the pipe mesh and every worker derives the
-        identical epoch schedule from exchanged control words.  Returns
-        per-worker ``{"epochs", "epochs_skipped", "epochs_widened",
-        "sent", "exchange_bytes", "exchange_blobs"}``."""
-        return self._call_all([
-            {"op": "shard_run", "lookahead": lookahead, "horizon": horizon,
-             "adaptive": adaptive, "promise": promise, "codec": codec}
-            for _ in self._slots
-        ])
-
-    def collect(self) -> List[dict]:
-        """Fetch per-region results and per-worker CPU accounting."""
-        return self._call_all([
-            {"op": "shard_collect"} for _ in self._slots
-        ])
-
-    def shutdown(self) -> None:
-        for _process, conn in self._slots:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.time() + _SHUTDOWN_GRACE_S
-        for process, _conn in self._slots:
-            process.join(timeout=max(0.0, deadline - time.time()))
-            if process.is_alive():
-                process.terminate()
-                process.join()
-        for queue in self._queues:
-            queue.close()
-        self._queues = []
-        self._slots = []
 
 
 def run_campaign(

@@ -7,15 +7,16 @@ the :class:`~repro.core.injector.modifier.MessageModifier`, and returns the
 outgoing message list.  GOTOSTATE actions set the next state (Algorithm 1,
 lines 11–12); all other actions may alter the outgoing list (line 14).
 
-Fast lane (on by default, ``fast_path=False`` restores the paper's linear
-scan): at attack-load time every rule's conditional λ is lowered to a
-Python closure (:func:`~repro.core.lang.conditionals.compile_condition`)
-and each state's rules are indexed by ``(connection, coarse message
-type)``.  ``handle_message`` then only evaluates rules that can possibly
-bind and fire — the coarse type comes from a header-only byte peek, so a
-message whose type no rule constrains passes through without ever being
-decoded.  The per-message cost drops from O(|Φ|) conditional evaluations
-to O(|candidates|), with ``rules_skipped_by_index`` counting the saving.
+Rule dispatch is indexed: at attack-load time every rule's conditional λ
+is lowered to a Python closure
+(:func:`~repro.core.lang.conditionals.compile_condition`) and each state's
+rules are indexed by ``(connection, coarse message type)``.
+``handle_message`` then only evaluates rules that can possibly bind and
+fire — the coarse type comes from a header-only byte peek, so a message
+whose type no rule constrains passes through without ever being decoded.
+The per-message cost drops from the paper's O(|Φ|) conditional
+evaluations to O(|candidates|), with ``rules_skipped_by_index`` counting
+the saving.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class AttackExecutor:
         engine: SimulationEngine,
         rng: Optional[SeededRng] = None,
         syscmd_router: Optional[Callable[[str, str], None]] = None,
-        fast_path: bool = True,
     ) -> None:
         self.attack = attack
         self.engine = engine
@@ -119,7 +119,6 @@ class AttackExecutor:
         self.modifier = MessageModifier()
         self.current_state_name = attack.start            # line 2
         self.sleep_until = 0.0
-        self.fast_path = fast_path
         self._syscmd_router = syscmd_router or (lambda host, cmd: None)
         self._observers: List[ExecutorObserver] = []
         # Trace hook: None keeps every hot-path guard to one attribute
@@ -137,11 +136,10 @@ class AttackExecutor:
         # Attack-load-time lowering: compile every conditional once and
         # index every state's rules by (connection, coarse message type).
         self._dispatch: Dict[str, Dict[ConnectionKey, _ConnectionDispatch]] = {}
-        if fast_path:
-            for state in attack.states.values():
-                self._dispatch[state.name] = _build_state_dispatch(state)
-                for rule in state.rules:
-                    rule.compiled_conditional()
+        for state in attack.states.values():
+            self._dispatch[state.name] = _build_state_dispatch(state)
+            for rule in state.rules:
+                rule.compiled_conditional()
 
     # ------------------------------------------------------------------ #
     # Observers / routing
@@ -172,8 +170,6 @@ class AttackExecutor:
 
     def handle_message(self, incoming: InterposedMessage) -> List[OutgoingMessage]:
         """Process one asynchronous incoming message (lines 4–21)."""
-        if not self.fast_path:
-            return self._handle_message_linear(incoming)
         stats = self.stats
         stats["messages_processed"] += 1
         out: List[OutgoingMessage] = [OutgoingMessage(incoming)]       # line 5
@@ -218,48 +214,6 @@ class AttackExecutor:
                 if tracer is not None:
                     self._trace_drop(previous_state.name, incoming)
             stats["messages_injected"] += sum(1 for entry in out if entry.injected)
-        return out                                                     # lines 19–21
-
-    def _handle_message_linear(self, incoming: InterposedMessage) -> List[OutgoingMessage]:
-        """The paper's O(|Φ|) scan with interpreted conditionals.
-
-        Kept verbatim as the measured baseline for the fast lane
-        (``benchmarks/test_fastpath.py``) and selectable via
-        ``fast_path=False``.
-        """
-        self.stats["messages_processed"] += 1
-        out: List[OutgoingMessage] = [OutgoingMessage(incoming)]       # line 5
-        previous_state = self.current_state                            # line 6
-        eval_ctx = EvalContext(incoming, self.storage, self.engine.now,
-                               rng=self.rng)
-        action_ctx = self._action_context(eval_ctx, out)
-        tracer = self.tracer
-        for rule in previous_state.rules:                              # line 7
-            if not rule.binds(incoming.connection):
-                continue
-            self.stats["rules_evaluated"] += 1
-            fired = rule.conditional.evaluate(eval_ctx)                # line 9
-            if tracer is not None:
-                tracer.emit("rule_eval", state=previous_state.name,
-                            rule=rule.name, msg_id=incoming.msg_id,
-                            fired=bool(fired))
-            if fired:
-                self.stats["rules_fired"] += 1
-                self._notify_rule(previous_state.name, rule.name, incoming)
-                for action in rule.actions:                            # line 10
-                    if isinstance(action, GoToState):                  # lines 11–12
-                        self._goto(action.state_name)
-                    else:                                              # line 14
-                        if tracer is not None:
-                            tracer.emit("action", state=previous_state.name,
-                                        rule=rule.name,
-                                        action=type(action).__name__)
-                        self.modifier.apply(action, action_ctx)
-        if not any(entry.message is incoming for entry in out):
-            self.stats["messages_dropped"] += 1
-            if tracer is not None:
-                self._trace_drop(previous_state.name, incoming)
-        self.stats["messages_injected"] += sum(1 for entry in out if entry.injected)
         return out                                                     # lines 19–21
 
     def _action_context(

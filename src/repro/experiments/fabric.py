@@ -92,8 +92,6 @@ def fabric_config(
     table_eviction: str = "refuse",
     trace: bool = False,
     trace_capacity: int = 262_144,
-    adaptive_lookahead: bool = True,
-    exchange_codec: bool = True,
     sketch: bool = False,
     sketch_window_s: Optional[float] = None,
     detectors: Optional[Any] = None,
@@ -207,10 +205,6 @@ def fabric_config(
         "table_eviction": table_eviction,
         "trace": bool(trace),
         "trace_capacity": int(trace_capacity),
-        # Cross-shard fast-lane switches (see docs/PERFORMANCE.md): both
-        # change only how the barrier executes, never the results.
-        "adaptive_lookahead": bool(adaptive_lookahead),
-        "exchange_codec": bool(exchange_codec),
         "sketch": bool(sketch),
         "sketch_window_s": float(sketch_window_s),
         "detectors": detectors,
@@ -1001,8 +995,10 @@ def run_fabric_experiment(
     """Run one sharded fabric workload and aggregate the region results.
 
     ``shards=1`` executes every region inline; ``shards=N`` spreads the
-    regions over N pooled worker processes.  Results are byte-identical
-    either way.  ``trace`` accepts ``True`` or an existing
+    regions over N forked worker processes.  Results are byte-identical
+    either way, so where the workers cannot be forked (no ``fork`` start
+    method, or inside a daemonic campaign worker) the regions run
+    inline.  ``trace`` accepts ``True`` or an existing
     :class:`~repro.obs.TraceCollector` (the campaign runner's), which
     receives the merged, deterministically ordered per-region events.
     """
@@ -1015,9 +1011,10 @@ def run_fabric_experiment(
         fail_mode=fail_mode, seed=seed, trace=bool(trace), **config_kwargs,
     )
     plan = plan_fabric(config)
-    if shards > 1 and multiprocessing.current_process().daemon:
-        # Campaign workers are daemonic and cannot fork shard workers;
-        # fall back to inline multi-region execution (same results).
+    if shards > 1 and (
+        multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         shards = 1
     sim = ShardedSimulation(
         config,
@@ -1026,8 +1023,6 @@ def run_fabric_experiment(
         lookahead=plan.lookahead,
         horizon=config["horizon_s"],
         shards=shards,
-        adaptive=config.get("adaptive_lookahead", True),
-        codec=config.get("exchange_codec", True),
         promise=plan.promise,
     )
     payload = sim.run()

@@ -11,7 +11,7 @@ Loxi-based injector did.
 from repro.netlib.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
 from repro.netlib.ethernet import EtherType, EthernetFrame
-from repro.netlib.fastframe import FastFrame, fast_lane_enabled, set_fast_lane
+from repro.netlib.fastframe import FastFrame
 from repro.netlib.flowkey import (
     MATCH_FIELD_NAMES,
     extract_flow_base,
@@ -45,8 +45,6 @@ __all__ = [
     "decode_ethernet",
     "extract_flow_base",
     "extract_flow_key",
-    "fast_lane_enabled",
     "mac_pair_of",
     "payload_protocol_name",
-    "set_fast_lane",
 ]

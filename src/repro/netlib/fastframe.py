@@ -34,9 +34,8 @@ Set-field actions do not invalidate the whole key: ``derive_frame``
 builds the rewritten frame's key from the parent's by replacing only the
 touched field (see ``OpenFlowSwitch._rewrite_dl``/``_rewrite_nw``).
 
-``set_fast_lane(False)`` disables interning and memoization globally —
-every call falls back to a fresh single-pass extraction — which is what
-the A/B semantics tests and benchmark baselines toggle.
+Plain ``bytes`` still work everywhere: the key functions extract on
+demand for anything that is not a FastFrame.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.netlib.flowkey import (
 #: re-warms in one round-trip and the bookkeeping stays O(1) per frame.
 POOL_MAX = 4096
 
-_enabled = True
 _pool: Dict[bytes, "FastFrame"] = {}
 
 counters: Dict[str, int] = {
@@ -81,18 +79,6 @@ class FastFrame(bytes):
     _macs: Any = None  # (src, dst) | False (runt) | None (not yet parsed)
 
 
-def set_fast_lane(enabled: bool) -> None:
-    """Globally enable/disable interning + memoization (A/B switch)."""
-    global _enabled
-    _enabled = bool(enabled)
-    if not _enabled:
-        _pool.clear()
-
-
-def fast_lane_enabled() -> bool:
-    return _enabled
-
-
 def clear_pool() -> None:
     """Drop the intern pool (between experiment runs / in tests)."""
     _pool.clear()
@@ -108,10 +94,8 @@ def intern(data: bytes) -> Tuple[bytes, bool]:
 
     Returns ``(frame, pooled)`` where ``pooled`` is True when the content
     was already in the pool (a dedup win: the returned frame's caches are
-    warm).  With the fast lane off, returns ``(data, False)`` untouched.
+    warm).
     """
-    if not _enabled:
-        return data, False
     if type(data) is FastFrame:
         return data, False
     cached = _pool.get(data)
@@ -134,7 +118,7 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
     every lookup of this frame at this port number.  Raises exactly what
     ``extract_packet_fields`` raises (nothing is cached on failure).
     """
-    if _enabled and type(data) is FastFrame:
+    if type(data) is FastFrame:
         by_port = data._by_port
         if by_port is not None:
             fields = by_port.get(in_port)
@@ -162,7 +146,7 @@ def base_key(data: bytes) -> Tuple[Optional[int], ...]:
     absent fields ``None``.  Memoized on a FastFrame; raises exactly what
     ``extract_flow_base`` raises.
     """
-    if _enabled and type(data) is FastFrame:
+    if type(data) is FastFrame:
         if data._base_tuple is None:
             _memoize_base(data)
         return data._base_tuple
@@ -177,11 +161,8 @@ def share_key(data: bytes, memo: Optional[bytes]) -> bytes:
     segment of the same connection.  The caches are shared, not copied:
     what a switch memoizes for one frame at a port serves them all.
     Without a usable ``memo`` the key is extracted from ``data`` once, and
-    the returned frame can serve as the memo for the next.  With the fast
-    lane off, ``data`` is returned unchanged.
+    the returned frame can serve as the memo for the next.
     """
-    if not _enabled:
-        return data
     frame = FastFrame(data)
     if type(memo) is FastFrame:
         frame._base = memo._base
@@ -201,7 +182,7 @@ def _memoize_base(frame: FastFrame) -> Dict[str, Any]:
 
 def mac_pair(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:
     """Memoized ``(src, dst)`` MACs; ``None`` for a sub-14-byte runt."""
-    if _enabled and type(data) is FastFrame:
+    if type(data) is FastFrame:
         macs = data._macs
         if macs is None:
             base = data._base
@@ -225,7 +206,7 @@ def derive_frame(new_data: bytes, parent: bytes, field: str, value: Any) -> byte
     Only fires when the parent's key was already computed — otherwise the
     rewritten bytes go out plain and parse on demand downstream.
     """
-    if not _enabled or type(parent) is not FastFrame or parent._base is None:
+    if type(parent) is not FastFrame or parent._base is None:
         return new_data
     frame = FastFrame(new_data)
     base = dict(parent._base)

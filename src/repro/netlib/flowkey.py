@@ -9,8 +9,8 @@ reads the twelve fields with ``struct.unpack_from`` directly against the
 buffer, allocating only the two ``MacAddress``/two ``Ipv4Address`` value
 objects the key itself carries.
 
-Semantics are bit-for-bit those of the decode-based reference
-(``extract_packet_fields_reference``): every validation a layer decoder
+Semantics are bit-for-bit those of extraction through the layer
+decoders (``decode_ethernet``): every validation a layer decoder
 performs — IPv4 version/IHL/total-length/checksum, TCP data offset, UDP
 length, ICMP code and checksum — is replicated here, and a layer that
 would have failed to decode yields ``None`` fields exactly as the

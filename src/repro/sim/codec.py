@@ -35,14 +35,11 @@ Encoders/decoders are **stateful per directed worker pair**: state
 persists across the blobs of one stream and must never be shared
 between streams.  Both ends of a stream process its blobs in the same
 round order (the barrier is lock-step), which is what makes the
-mirrored state sound.  :func:`pickle_batch` / :func:`unpickle_batch`
-provide the pickled-tuple wire format for A/B byte accounting and as
-the codec-off mode of the determinism suite.
+mirrored state sound.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Dict, List, Tuple
 
@@ -226,11 +223,3 @@ class BatchDecoder:
             )
         return batch
 
-
-def pickle_batch(batch: Batch) -> bytes:
-    """Legacy wire format: one pickle over the per-message tuples."""
-    return pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpickle_batch(blob: bytes) -> Batch:
-    return pickle.loads(blob)

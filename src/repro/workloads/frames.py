@@ -8,13 +8,11 @@ buffer and then patches only the bytes that vary per packet (ports,
 addresses, ICMP ident/seq), fixing checksums incrementally per RFC 1624
 (``HC' = ~(~HC + ~m + m')``) instead of re-summing the header.
 
-Templates also keep the PR 3 flow-key caches warm: the patched field
-dict is maintained *alongside* the bytes, so :meth:`emit` can hand the
-switch a :class:`~repro.netlib.fastframe.FastFrame` whose ``_base`` is
-already populated — the first hop never parses the frame at all.  With
-the fast lane disabled (A/B runs) ``emit`` returns plain bytes and every
-hop extracts on demand; either way the bytes are identical, which the
-determinism tests pin against ``extract_flow_base``.
+Templates also keep the flow-key caches warm: the patched field dict is
+maintained *alongside* the bytes, so :meth:`emit` can hand the switch a
+:class:`~repro.netlib.fastframe.FastFrame` whose ``_base`` is already
+populated — the first hop never parses the frame at all.  The tests pin
+that key against ``extract_flow_base`` of the emitted bytes.
 
 Byte layout (no VLAN, IHL=5, offsets from frame start)::
 
@@ -29,10 +27,10 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, Union
 
-from repro.netlib import fastframe
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
 from repro.netlib.ethernet import EtherType, EthernetFrame
+from repro.netlib.fastframe import FastFrame
 from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_base, field_tuple
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
@@ -217,18 +215,15 @@ class FrameTemplate:
     def emit(self) -> bytes:
         """Freeze the current buffer into one outgoing frame.
 
-        With the fast lane on, the frame is a FastFrame born with its
-        ``_base``/``_base_tuple`` caches populated from the template's
-        live field dict and its int values — ``fastframe.intern`` passes
-        FastFrames through untouched, so no hop ever re-extracts the key.
+        The frame is a FastFrame born with its ``_base``/``_base_tuple``
+        caches populated from the template's live field dict and its int
+        values — ``fastframe.intern`` passes FastFrames through untouched,
+        so no hop ever re-extracts the key.
         """
-        data = bytes(self.buf)
-        if fastframe.fast_lane_enabled():
-            frame = fastframe.FastFrame(data)
-            frame._base = dict(self.fields)
-            frame._base_tuple = tuple(self._values)
-            return frame
-        return data
+        frame = FastFrame(self.buf)
+        frame._base = dict(self.fields)
+        frame._base_tuple = tuple(self._values)
+        return frame
 
     def __len__(self) -> int:
         return len(self.buf)

@@ -13,11 +13,9 @@ from repro.sim import SimulationEngine
 @pytest.fixture(autouse=True)
 def _fresh_fast_lane():
     """Isolate the packet fast lane's process-global state per test."""
-    fastframe.set_fast_lane(True)
     fastframe.clear_pool()
     fastframe.reset_counters()
     yield
-    fastframe.set_fast_lane(True)
     fastframe.clear_pool()
     fastframe.reset_counters()
 

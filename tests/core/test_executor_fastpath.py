@@ -1,9 +1,9 @@
 """The executor's indexed fast lane vs the paper's linear scan.
 
-The fast lane (``fast_path=True``, the default) must be observably
-identical to the linear Algorithm 1 scan — same outgoing lists, same state
-transitions, same fired rules — while skipping conditionals the
-``(connection, coarse type)`` index proves cannot fire.
+The indexed executor must be observably identical to the linear
+Algorithm 1 scan (:mod:`tests.core.executor_reference`) — same outgoing
+lists, same state transitions, same fired rules — while skipping
+conditionals the ``(connection, coarse type)`` index proves cannot fire.
 """
 
 from repro.core.injector import AttackExecutor
@@ -21,6 +21,7 @@ from repro.core.lang.properties import Direction, InterposedMessage
 from repro.core.model import gamma_no_tls
 from repro.openflow import EchoRequest, FlowMod, Hello, Match, PacketIn
 from repro.sim import SimulationEngine
+from tests.core.executor_reference import LinearAttackExecutor
 
 CONN = ("c1", "s1")
 OTHER = ("c1", "s2")
@@ -36,9 +37,9 @@ def rule(name, condition_text, actions, connections=CONN):
                 parse_condition(condition_text), actions)
 
 
-def make_executor(states, start, fast_path=True):
+def make_executor(states, start, executor_cls=AttackExecutor):
     attack = Attack("test", states, start)
-    return AttackExecutor(attack, SimulationEngine(), fast_path=fast_path)
+    return executor_cls(attack, SimulationEngine())
 
 
 def type_rules(n, condition="type = FLOW_MOD"):
@@ -92,7 +93,7 @@ class TestIndexSkipsRules:
 
     def test_linear_mode_has_no_index_stats(self):
         executor = make_executor([AttackState("s", type_rules(8))], "s",
-                                 fast_path=False)
+                                 LinearAttackExecutor)
         executor.handle_message(interposed(Hello()))
         assert executor.stats["rules_evaluated"] == 8
         assert executor.stats["rules_skipped_by_index"] == 0
@@ -126,10 +127,9 @@ class TestFastPathEquivalence:
             (FlowMod(Match(in_port=2), xid=7), CONN),
         ]
 
-    def run(self, fast_path):
+    def run(self, executor_cls):
         attack = Attack("equiv", self.scenario_states(), "one")
-        executor = AttackExecutor(attack, SimulationEngine(),
-                                  fast_path=fast_path)
+        executor = executor_cls(attack, SimulationEngine())
         trace = []
         for message, connection in self.traffic():
             out = executor.handle_message(interposed(message, connection))
@@ -140,8 +140,8 @@ class TestFastPathEquivalence:
         return trace, executor.stats
 
     def test_same_outputs_states_and_fired_rules(self):
-        fast_trace, fast_stats = self.run(fast_path=True)
-        linear_trace, linear_stats = self.run(fast_path=False)
+        fast_trace, fast_stats = self.run(AttackExecutor)
+        linear_trace, linear_stats = self.run(LinearAttackExecutor)
         assert fast_trace == linear_trace
         for key in ("messages_processed", "rules_fired", "state_transitions",
                     "messages_dropped", "messages_injected"):

@@ -21,6 +21,7 @@ from repro.openflow.constants import Port
 from repro.openflow.match import Match, extract_packet_fields, field_tuple
 from repro.dataplane.switch import FailMode, OpenFlowSwitch
 from repro.sim.engine import SimulationEngine
+from tests.netlib import plain_frames
 
 MAC_A = MacAddress("00:00:00:00:00:0a")
 MAC_B = MacAddress("00:00:00:00:00:0b")
@@ -59,12 +60,6 @@ class TestInterning:
         for index in range(fastframe.POOL_MAX + 10):
             fastframe.intern(tcp_frame(payload=index.to_bytes(4, "big")))
         assert fastframe.counters["pool_evictions"] >= 1
-
-    def test_disabled_fast_lane_is_a_passthrough(self):
-        fastframe.set_fast_lane(False)
-        raw = tcp_frame()
-        frame, hit = fastframe.intern(raw)
-        assert frame is raw and not hit
 
 
 class TestFlowKeyMemoization:
@@ -196,16 +191,19 @@ class TestSwitchFastLane:
         switch.frame_received(1, b"\x00" * 8)
         assert received[2] == [raw]
 
-    def test_fast_lane_off_produces_identical_forwarding(self):
+    def test_fast_lane_off_produces_identical_forwarding(self, monkeypatch):
         raw = tcp_frame()
         outputs = {}
-        for enabled in (True, False):
-            fastframe.set_fast_lane(enabled)
-            fastframe.clear_pool()
-            engine, switch, received = make_switch()
-            self.install(switch, raw)
-            for _ in range(3):
-                switch.frame_received(1, raw)
-            outputs[enabled] = [bytes(f) for f in received[2]]
+        for plain in (False, True):
+            with monkeypatch.context() as patch:
+                if plain:
+                    plain_frames.apply(patch)
+                engine, switch, received = make_switch()
+                self.install(switch, raw)
+                for _ in range(3):
+                    switch.frame_received(1, raw)
+            outputs[plain] = received[2]
             assert switch.stats["flow_matches"] == 3
+        assert all(type(f) is FastFrame for f in outputs[False])
+        assert all(type(f) is bytes for f in outputs[True])
         assert outputs[True] == outputs[False]

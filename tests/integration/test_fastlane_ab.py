@@ -1,46 +1,55 @@
 """A/B equivalence: the packet fast lane must be invisible to results.
 
 Runs real experiment cells — Fig. 11 suppression and Table II
-interruption — twice each, fast lane on and off, and asserts that every
-frame delivered to every host is byte-identical and that the recorded
-metrics match exactly.  The fast lane is a pure performance layer; any
-divergence here is a correctness bug, not a tuning difference.
+interruption — twice each, once as is and once with every FastFrame
+producer returning plain bytes (:mod:`tests.netlib.plain_frames`), and
+asserts that every frame delivered to every host is byte-identical and
+that the recorded metrics match exactly.  Interning and key memoization
+are a pure performance layer; any divergence here is a correctness bug,
+not a tuning difference.
 """
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-import pytest
-
-from repro.campaign.runner import _reset_run_state
+from repro.campaign import reset_run_state
 from repro.dataplane.host import Host
+from repro.dataplane.switch import OpenFlowSwitch
 from repro.experiments import run_interruption_cell, run_suppression_cell
-from repro.netlib import fastframe
+from repro.netlib.fastframe import FastFrame
+from tests.netlib import plain_frames
 
 FAST_PARAMS = {"ping_trials": 3, "iperf_trials": 1, "iperf_duration_s": 0.5,
                "iperf_gap_s": 0.5, "warmup_s": 2.0}
 
 
 def run_with_capture(monkeypatch, enabled, cell, **kwargs):
-    """Run one cell with the fast lane toggled, capturing host deliveries."""
+    """Run one cell, plain frames unless ``enabled``, capturing host
+    deliveries; checks which frame type reached hosts and switches."""
     delivered: List[Tuple[str, bytes]] = []
-    original = Host.frame_received
+    fast_arrivals = []
 
-    def capturing(self, data):
-        delivered.append((self.name, bytes(data)))
-        return original(self, data)
+    def capturing(original, record):
+        def receive(self, *args):
+            data = args[-1]
+            fast_arrivals.append(type(data) is FastFrame)
+            if record:
+                delivered.append((self.name, bytes(data)))
+            return original(self, *args)
+        return receive
 
     with monkeypatch.context() as patch:
-        patch.setattr(Host, "frame_received", capturing)
+        patch.setattr(Host, "frame_received",
+                      capturing(Host.frame_received, True))
+        patch.setattr(OpenFlowSwitch, "frame_received",
+                      capturing(OpenFlowSwitch.frame_received, False))
+        if not enabled:
+            plain_frames.apply(patch)
         # Reseed process-global counters (ICMP ids, event sequence
         # numbers, ...) exactly as the campaign worker pool does between
         # runs, so A and B start from identical state.
-        _reset_run_state()
-        fastframe.set_fast_lane(enabled)
-        fastframe.clear_pool()
-        try:
-            metrics = cell(**kwargs)
-        finally:
-            fastframe.set_fast_lane(True)
+        reset_run_state()
+        metrics = cell(**kwargs)
+    assert any(fast_arrivals) == enabled
     return metrics, delivered
 
 

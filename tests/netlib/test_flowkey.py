@@ -2,8 +2,9 @@
 
 These tests guard the fast lane's memoization against stale-key bugs:
 every frame shape the simulator (or an attack) can produce must extract
-to exactly what ``extract_packet_fields_reference`` produces — same
-fields, same ``None`` degradations, same exceptions.
+to exactly what the decode-based reference
+(:mod:`tests.netlib.flowkey_reference`) produces — same fields, same
+``None`` degradations, same exceptions.
 """
 
 import struct
@@ -29,9 +30,9 @@ from repro.netlib.flowkey import extract_flow_key, mac_pair_of
 from repro.openflow.match import (
     MATCH_FIELD_NAMES,
     extract_packet_fields,
-    extract_packet_fields_reference,
     field_tuple,
 )
+from tests.netlib.flowkey_reference import extract_packet_fields_reference
 
 MAC_A = MacAddress("00:00:00:00:00:01")
 MAC_B = MacAddress("00:00:00:00:00:02")

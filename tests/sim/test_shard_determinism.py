@@ -2,35 +2,23 @@
 
 The same fabric run must produce byte-identical merged trace exports and
 identical metrics whether its regions execute inline in one process or
-spread across any number of pool workers — and regardless of which
-exchange fast-lane features are enabled.  The full A/B matrix is
-(codec on/off) x (adaptive lookahead on/off) x (1/2/4 shards):
-the packed codec must be a pure wire-format change, and adaptive
-epoch widening must never reorder deliveries.
+spread across any number of pool workers.  The barrier's adaptive epoch
+widening is checked against the fixed lookahead grid it widens
+(:class:`FixedGridSchedule`): widening must never reorder deliveries.
 
 Suppression and interruption attacks are both exercised — the injector,
 proxies, and control-plane boundary channels all sit on the sharded path.
 """
 
-import itertools
 import os
-
-import pytest
 
 from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
+from repro.sim import shard
+from tests.golden.corpus import EXECUTION_KEYS
 
-#: ``record()`` keys that legitimately differ between executions of the
-#: same scenario: timing, CPU accounting, and the wire-level exchange
-#: counters (inline runs exchange nothing; blob sizes depend on the
-#: worker assignment).
-EXECUTION_KEYS = (
-    "shards", "wall_s", "wall_packets_per_sec", "capacity_packets_per_sec",
-    "coordinator_cpu_s", "worker_cpu_s", "exchange_bytes", "exchange_blobs",
-)
-
-#: Additionally schedule-dependent: epoch counts differ between fixed
-#: and adaptive barrier schedules (that is the point of widening).
+#: Additionally schedule-dependent: epoch counts differ between the fixed
+#: grid and the adaptive schedule (that is the point of widening).
 SCHEDULE_KEYS = ("epochs", "epochs_skipped", "epochs_widened")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
@@ -54,37 +42,58 @@ def _comparable(result, across_schedules=False):
     return metrics
 
 
-def test_fast_lane_matrix_is_byte_identical():
-    """Every (codec, adaptive, shards) combination replays the same run."""
+class FixedGridSchedule(shard.BarrierSchedule):
+    """The fixed lookahead grid: epochs end on multiples of the lookahead
+    ``L``, fast-forwarding over empty slots.  Arrivals are strictly
+    beyond ``previous boundary + L`` and can never trigger the drain
+    round."""
+
+    def advance(self, next_time, pending_arrival):
+        self.epochs += 1
+        horizon = self.horizon
+        if self._until >= horizon:
+            return pending_arrival is not None and pending_arrival <= horizon
+        wake = next_time
+        if pending_arrival is not None and (wake is None or pending_arrival < wake):
+            wake = pending_arrival
+        lookahead = self.lookahead
+        if wake is None:
+            k_next = max(self._k + 1, int(horizon / lookahead))
+            self.epochs_skipped += max(0, k_next - self._k - 1)
+            self._k = k_next
+            self._until = min((k_next + 1) * lookahead, horizon)
+            return True
+        # The epoch whose (k+1)*L boundary first covers `wake`.
+        k_next = max(self._k + 1, -int(-wake / lookahead) - 1)
+        self.epochs_skipped += max(0, k_next - self._k - 1)
+        self._k = k_next
+        self._until = min((k_next + 1) * lookahead, horizon)
+        return True
+
+
+def test_shard_counts_are_byte_identical():
+    """Inline and every pooled shard count replay the same run."""
     shard_counts = (1, 2) if QUICK else (1, 2, 4)
-    reference = None
-    epochs_by_mode = {}
-    for shards, adaptive, codec in itertools.product(
-        shard_counts, (True, False), (True, False)
-    ):
-        result = _run(shards, adaptive_lookahead=adaptive,
-                      exchange_codec=codec)
-        tag = f"shards={shards} adaptive={adaptive} codec={codec}"
-        assert result.trace_events > 0, tag
-        if reference is None:
-            reference = result
-        else:
-            assert result.trace_jsonl == reference.trace_jsonl, tag
-            assert (_comparable(result, across_schedules=True)
-                    == _comparable(reference, across_schedules=True)), tag
-        # Epoch counts depend only on the schedule mode, never on the
-        # shard count or wire format.
-        epochs = epochs_by_mode.setdefault(adaptive, result.epochs)
-        assert result.epochs == epochs, tag
+    reference = _run(shard_counts[0])
+    assert reference.trace_events > 0
+    for shards in shard_counts[1:]:
+        result = _run(shards)
+        assert result.trace_jsonl == reference.trace_jsonl, shards
+        assert _comparable(result) == _comparable(reference), shards
 
 
-def test_adaptive_lookahead_actually_widens_epochs():
-    adaptive = _run(2, adaptive_lookahead=True)
-    fixed = _run(2, adaptive_lookahead=False)
-    assert adaptive.trace_jsonl == fixed.trace_jsonl
-    assert adaptive.epochs_widened > 0
-    assert fixed.epochs_widened == 0
-    assert adaptive.epochs < fixed.epochs
+def test_adaptive_lookahead_actually_widens_epochs(monkeypatch):
+    for shards in (1, 2):
+        adaptive = _run(shards)
+        with monkeypatch.context() as patch:
+            patch.setattr(shard, "BarrierSchedule", FixedGridSchedule)
+            fixed = _run(shards)
+        assert adaptive.trace_jsonl == fixed.trace_jsonl, shards
+        assert (_comparable(adaptive, across_schedules=True)
+                == _comparable(fixed, across_schedules=True)), shards
+        assert adaptive.epochs_widened > 0, shards
+        assert fixed.epochs_widened == 0, shards
+        assert adaptive.epochs < fixed.epochs, shards
 
 
 def test_suppression_attack_is_shard_invariant():

@@ -98,10 +98,9 @@ def test_emit_snapshots_are_independent_of_later_patches():
     assert second._base["tp_src"] == 5555
 
 
-def test_emit_returns_plain_bytes_with_the_lane_off():
-    fastframe.set_fast_lane(False)
+def test_emitted_bytes_equal_the_template_buffer():
     template = _udp_template()
+    template.set_tp_dst(5001)
     frame = template.emit()
-    assert type(frame) is bytes
-    fastframe.set_fast_lane(True)
-    assert bytes(template.emit()) == frame  # identical wire bytes
+    assert type(frame) is fastframe.FastFrame
+    assert bytes(frame) == bytes(template.buf)
