@@ -20,7 +20,6 @@ import statistics
 import time
 
 from benchmarks.conftest import print_table
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
@@ -44,7 +43,6 @@ FLOOD = dict(schedule="constant:500", senders=2,
 
 
 def _overflow_run(sketch):
-    reset_run_state()
     return run_fabric_experiment(
         OVERFLOW["topology"], controller="floodlight",
         workload="table-overflow", seed=1,
@@ -104,7 +102,6 @@ def test_pktin_rate_detector_meets_score_floor(benchmark):
     """pktin-rate at 1200 PACKET_IN/s: precision/recall >= 0.9 with a
     measured window-close detection latency on packetin-flood."""
     def run():
-        reset_run_state()
         return run_fabric_experiment(
             "fat-tree-k4", controller="pox", workload="packetin-flood",
             seed=1, detectors=["pktin-rate"],

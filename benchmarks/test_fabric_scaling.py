@@ -39,7 +39,6 @@ import os
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
@@ -67,7 +66,6 @@ INTERVAL_S = 0.002
 
 
 def _run(shards, **kwargs):
-    reset_run_state()
     return run_fabric_experiment(
         FABRIC, pairs=PAIRS, packets=PACKETS, interval_s=INTERVAL_S,
         shards=shards, **kwargs,
@@ -179,13 +177,11 @@ def test_registered_attack_campaign_on_125_switch_fabric(benchmark):
     fat-tree-k10, and its trace export is shard-count invariant."""
 
     def run_pair():
-        reset_run_state()
         inline = run_fabric_experiment(
             "fat-tree-k10", controller="floodlight",
             attack="flow-mod-suppression", pairs=8, packets=2,
             shards=1, trace=True,
         )
-        reset_run_state()
         pooled = run_fabric_experiment(
             "fat-tree-k10", controller="floodlight",
             attack="flow-mod-suppression", pairs=8, packets=2,

@@ -252,7 +252,6 @@ def test_multihop_forwarding_speedup(benchmark, monkeypatch):
         send_one_baseline()
         assert baseline_delivered[0] == raw
         slow_time = median_time(send_one_baseline, iterations=500)
-    fastframe.clear_pool()
 
     speedup = slow_time / fast_time
     print_table(

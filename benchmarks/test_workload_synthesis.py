@@ -21,7 +21,6 @@ import statistics
 import time
 
 from benchmarks.conftest import print_table
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.ethernet import EtherType, EthernetFrame
@@ -122,7 +121,6 @@ else:
 def test_overflow_campaign_pressure(benchmark):
     """Distinct-key churn saturates bounded tables and sustains eviction."""
     def run():
-        reset_run_state()
         return run_fabric_experiment(
             OVERFLOW["topology"], controller="floodlight",
             workload="table-overflow", seed=1,

@@ -47,7 +47,6 @@ from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.runner import (
     CampaignRunner,
     CampaignSummary,
-    reset_run_state,
     run_campaign,
 )
 from repro.campaign.scheduler import (
@@ -91,7 +90,6 @@ __all__ = [
     "open_store",
     "partition_pending",
     "rejection_error",
-    "reset_run_state",
     "run_campaign",
     "run_id_for",
     "shard_for",

@@ -1,9 +1,10 @@
 """The campaign runner: a persistent pool of reusable worker processes.
 
 Workers are long-lived: each executes run descriptors one after another
-off a duplex pipe, resetting per-run global state (sequence counters,
-frame caches) between cells so a run behaves bit-identically to one in a
-fresh process.  Amortizing the interpreter start + import cost over many
+off a duplex pipe.  Every sequence a run draws from lives on its own
+engine (:class:`~repro.sim.engine.SimContext`), so a run behaves
+bit-identically to one in a fresh process with nothing reset between
+cells.  Amortizing the interpreter start + import cost over many
 runs is where campaign wall-clock goes on wide matrices — the summary's
 ``processes_spawned`` should come out well below the number of runs.
 
@@ -19,8 +20,8 @@ Fault semantics are unchanged from the process-per-run model:
 
 The pool loop itself lives in :mod:`repro.campaign.scheduler`;
 ``CampaignRunner`` is the one-shot facade over it, and this module keeps
-the process-level primitives (``_worker_loop``, ``reset_run_state``) the
-scheduler's workers run.
+the process-level primitive (``_worker_loop``) the scheduler's workers
+run.
 """
 
 from __future__ import annotations
@@ -42,40 +43,6 @@ _POLL_INTERVAL_S = 0.01
 _SHUTDOWN_GRACE_S = 2.0
 
 
-def reset_run_state() -> None:
-    """Reset process-global counters so repeated runs stay deterministic.
-
-    A fresh process starts every itertools sequence at its seed value;
-    a reused worker (or any caller running experiments back to back in
-    one process) must do the same before each run or frame contents
-    (ICMP identifiers, ephemeral ports, OpenFlow xids, event tie-breaks)
-    would depend on how many runs the process executed before this one.
-
-    Per-object statistics (e.g. ``FlowTable`` occupancy peaks and
-    eviction counters) are NOT process-global: every run builds fresh
-    networks, so they cannot leak between cells.  A harness pooling a
-    network across runs must additionally call each table's
-    ``reset_stats()``.
-    """
-    import itertools
-
-    from repro.core.lang.properties import InterposedMessage
-    from repro.dataplane.flowtable import FlowEntry
-    from repro.dataplane.host import Host
-    from repro.netlib import fastframe
-    from repro.openflow import messages as of_messages
-    from repro.sim.events import Event
-
-    Event._seq_counter = itertools.count()
-    FlowEntry._order = itertools.count()
-    Host._icmp_id = itertools.count(1)
-    Host._ephemeral = itertools.count(49152)
-    InterposedMessage._id_counter = itertools.count(1)
-    of_messages.reset_xid_counter()
-    fastframe.clear_pool()
-    fastframe.reset_counters()
-
-
 def _worker_loop(conn) -> None:
     """Persistent worker: execute run descriptors until told to shut down.
 
@@ -93,7 +60,6 @@ def _worker_loop(conn) -> None:
         if task is None:
             break
         descriptor, attempt, trace_enabled = task
-        reset_run_state()
         tracer = None
         if trace_enabled:
             from repro.obs import TraceCollector

@@ -161,6 +161,7 @@ class LearningSwitchApp(ControllerApp):
                 priority=behavior.priority,
                 buffer_id=flow_buffer,
                 actions=actions,
+                xid=controller.engine.ctx.next_xid(),
             )
         )
         if behavior.release_via == "packet_out":
@@ -171,6 +172,7 @@ class LearningSwitchApp(ControllerApp):
                         buffer_id=message.buffer_id,
                         in_port=in_port,
                         actions=actions,
+                        xid=controller.engine.ctx.next_xid(),
                     )
                 )
             else:
@@ -179,6 +181,7 @@ class LearningSwitchApp(ControllerApp):
                         in_port=in_port,
                         actions=actions,
                         data=message.data,
+                        xid=controller.engine.ctx.next_xid(),
                     )
                 )
         return True
@@ -190,11 +193,12 @@ class LearningSwitchApp(ControllerApp):
         if message.buffer_id != OFP_NO_BUFFER:
             session.send(
                 PacketOut(buffer_id=message.buffer_id, in_port=message.in_port,
-                          actions=actions)
+                          actions=actions, xid=controller.engine.ctx.next_xid())
             )
         else:
             session.send(
-                PacketOut(in_port=message.in_port, actions=actions, data=message.data)
+                PacketOut(in_port=message.in_port, actions=actions,
+                          data=message.data, xid=controller.engine.ctx.next_xid())
             )
 
     def switch_down(self, controller, session) -> None:
@@ -259,6 +263,7 @@ class FabricRoutingApp(ControllerApp):
                 priority=behavior.priority,
                 buffer_id=flow_buffer,
                 actions=actions,
+                xid=controller.engine.ctx.next_xid(),
             )
         )
         if behavior.release_via == "packet_out":
@@ -269,6 +274,7 @@ class FabricRoutingApp(ControllerApp):
                         buffer_id=message.buffer_id,
                         in_port=in_port,
                         actions=actions,
+                        xid=controller.engine.ctx.next_xid(),
                     )
                 )
             else:
@@ -277,6 +283,7 @@ class FabricRoutingApp(ControllerApp):
                         in_port=in_port,
                         actions=actions,
                         data=message.data,
+                        xid=controller.engine.ctx.next_xid(),
                     )
                 )
         return True

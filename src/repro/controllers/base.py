@@ -121,7 +121,7 @@ class Controller:
         session = SwitchSession(self, channel)
         self.sessions[channel] = session
         self.stats["connections_accepted"] += 1
-        session.send(Hello())
+        session.send(Hello(xid=self.engine.ctx.next_xid()))
         if not self._started_liveness:
             self._started_liveness = True
             self.engine.schedule(self.LIVENESS_TICK, self._liveness_tick)
@@ -177,14 +177,15 @@ class Controller:
         if isinstance(message, Hello):
             if session.state is SessionState.AWAIT_HELLO:
                 session.state = SessionState.AWAIT_FEATURES
-                session.send(FeaturesRequest())
+                session.send(FeaturesRequest(xid=self.engine.ctx.next_xid()))
             return
         if isinstance(message, FeaturesReply):
             if session.state is SessionState.AWAIT_FEATURES:
                 session.state = SessionState.READY
                 session.datapath_id = message.datapath_id
                 session.ports = [port.port_no for port in message.ports]
-                session.send(SetConfig(miss_send_len=self.MISS_SEND_LEN))
+                session.send(SetConfig(miss_send_len=self.MISS_SEND_LEN,
+                                       xid=self.engine.ctx.next_xid()))
                 for app in self.apps:
                     app.switch_ready(self, session)
             return
@@ -245,7 +246,8 @@ class Controller:
             elif silence >= self.ECHO_INTERVAL and not session.echo_outstanding:
                 session.echo_outstanding = True
                 self.stats["echo_requests_sent"] += 1
-                session.send(EchoRequest(payload=b"ctl-probe"))
+                session.send(EchoRequest(payload=b"ctl-probe",
+                                         xid=self.engine.ctx.next_xid()))
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -76,12 +76,12 @@ class TopologyDiscoveryApp(ControllerApp):
         if session.state.value == "closed":
             return
         for port in session.ports:
-            self._send_probe(session, port)
+            self._send_probe(controller, session, port)
         controller.engine.schedule(
             self.probe_interval, self._probe_session, controller, session
         )
 
-    def _send_probe(self, session, port: int) -> None:
+    def _send_probe(self, controller, session, port: int) -> None:
         if session.datapath_id is None:
             return
         lldp = LldpPacket(f"{self.CHASSIS_PREFIX}{session.datapath_id}", port)
@@ -98,6 +98,7 @@ class TopologyDiscoveryApp(ControllerApp):
                 in_port=Port.NONE,
                 actions=[OutputAction(port)],
                 data=frame.pack(),
+                xid=controller.engine.ctx.next_xid(),
             )
         )
 

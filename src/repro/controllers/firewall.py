@@ -94,6 +94,7 @@ class DmzFirewallApp(ControllerApp):
                 idle_timeout=self.drop_idle_timeout,
                 priority=self.drop_priority,
                 actions=[],  # no actions: matching packets are dropped
+                xid=controller.engine.ctx.next_xid(),
             )
         )
         return True  # stop the pipeline; no forwarding for blocked traffic

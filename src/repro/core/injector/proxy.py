@@ -97,6 +97,7 @@ class ConnectionProxy:
                 direction,
                 self.injector.engine.now,
                 frame,
+                ids=self.injector.engine.ctx.msg_ids,
             )
             if direction is Direction.TO_CONTROLLER:
                 self.stats["to_controller_messages"] += 1

@@ -407,7 +407,8 @@ class InjectNewMessage(AttackAction):
                 Direction(self.direction) if self.direction else incoming.direction
             )
             injected = InterposedMessage(
-                incoming.connection, direction, ctx.eval_ctx.now, payload.pack(), payload
+                incoming.connection, direction, ctx.eval_ctx.now, payload.pack(),
+                payload, ids=incoming.ids,
             )
         else:
             return

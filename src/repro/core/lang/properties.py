@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.openflow.actions import OutputAction
 from repro.openflow.match import MATCH_FIELD_NAMES, extract_packet_fields
@@ -81,15 +81,20 @@ METADATA_PROPERTIES = frozenset(
 
 
 class InterposedMessage:
-    """One control-plane message observed at the runtime injector."""
+    """One control-plane message observed at the runtime injector.
 
-    _id_counter = itertools.count(1)
+    ``msg_id`` is drawn from ``ids``, the run's message-id sequence: the
+    proxy passes its engine's ``ctx.msg_ids``, and replicas and injected
+    messages draw from the sequence of the message they came from.  A
+    message built without ``ids`` starts a sequence of its own.
+    """
 
     __slots__ = (
         "connection",
         "direction",
         "timestamp",
         "raw",
+        "ids",
         "msg_id",
         "_parsed",
         "_parse_failed",
@@ -105,12 +110,14 @@ class InterposedMessage:
         timestamp: float,
         raw: bytes,
         parsed: Optional[OpenFlowMessage] = None,
+        ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.connection = tuple(connection)
         self.direction = direction
         self.timestamp = timestamp
         self.raw = bytes(raw)
-        self.msg_id = next(InterposedMessage._id_counter)
+        self.ids = itertools.count(1) if ids is None else ids
+        self.msg_id = next(self.ids)
         self._parsed = parsed
         self._parse_failed = False
         self._coarse_type = _UNSET
@@ -207,7 +214,8 @@ class InterposedMessage:
     def copy(self) -> "InterposedMessage":
         """An independent replica (DUPLICATEMESSAGE support) with a new id."""
         replica = InterposedMessage(
-            self.connection, self.direction, self.timestamp, self.raw
+            self.connection, self.direction, self.timestamp, self.raw,
+            ids=self.ids,
         )
         replica.metadata_overrides = dict(self.metadata_overrides)
         return replica

@@ -36,9 +36,11 @@ from repro.openflow.messages import FlowMod
 
 
 class FlowEntry:
-    """One installed flow rule."""
+    """One installed flow rule.
 
-    _order = itertools.count()
+    ``order`` is the entry's place in its table's install sequence; it
+    breaks priority ties and orders LRU/FIFO eviction.
+    """
 
     __slots__ = ("match", "priority", "actions", "cookie", "idle_timeout",
                  "hard_timeout", "flags", "install_time", "last_used",
@@ -54,6 +56,8 @@ class FlowEntry:
         hard_timeout: int = 0,
         flags: int = 0,
         install_time: float = 0.0,
+        *,
+        order: int,
     ) -> None:
         self.match = match
         self.priority = priority
@@ -66,7 +70,7 @@ class FlowEntry:
         self.last_used = install_time
         self.packet_count = 0
         self.byte_count = 0
-        self.order = next(FlowEntry._order)
+        self.order = order
 
     @property
     def sends_flow_removed(self) -> bool:
@@ -171,6 +175,7 @@ class FlowTable:
             )
         self.max_entries = max_entries
         self.eviction = eviction
+        self._installs = itertools.count()
         self.reset_stats()
         self._empty()
 
@@ -194,11 +199,9 @@ class FlowTable:
         """Zero the cumulative counters (``occupancy_peak``,
         ``capacity_evictions``, lookup stats) without touching entries.
 
-        Campaign workers rebuild every :class:`FlowTable` per run, so
-        run records never inherit a previous run's peaks — but any
-        harness that *does* pool a network across runs must call this
-        alongside :func:`repro.campaign.runner.reset_run_state`, which
-        only resets process-global counters, not per-table stats.
+        Every run builds fresh tables, so run records never inherit a
+        previous run's peaks; a harness that reuses one table across
+        measurements calls this between them.
         """
         self.lookups = 0
         self.matched = 0
@@ -284,7 +287,7 @@ class FlowTable:
             flow_mod.match, flow_mod.priority, flow_mod.actions,
             cookie=flow_mod.cookie, idle_timeout=flow_mod.idle_timeout,
             hard_timeout=flow_mod.hard_timeout, flags=flow_mod.flags,
-            install_time=now,
+            install_time=now, order=next(self._installs),
         )
         self._link(entry, strict)
         if len(self._live) > self.occupancy_peak:

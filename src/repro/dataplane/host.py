@@ -10,7 +10,6 @@ trips) whose disruption the paper measures.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -389,9 +388,6 @@ class Host:
     ARP_RETRIES = 3
     ARP_TIMEOUT = 1.0
 
-    _icmp_id = itertools.count(1)
-    _ephemeral = itertools.count(49152)
-
     def __init__(
         self,
         engine: SimulationEngine,
@@ -573,7 +569,7 @@ class Host:
     ) -> _PingRun:
         """Start a ping series; returns a run whose ``done`` signal fires
         with a :class:`PingResult`."""
-        identifier = next(Host._icmp_id) & 0xFFFF
+        identifier = next(self.engine.ctx.icmp_ids) & 0xFFFF
         run = _PingRun(self, Ipv4Address(target), count, interval, timeout, identifier)
         self._ping_runs[identifier] = run
         run.start()
@@ -595,7 +591,7 @@ class Host:
         duration: float = 10.0,
     ) -> _IperfClient:
         """Start a TCP bulk transfer; ``done`` fires with an IperfResult."""
-        src_port = next(Host._ephemeral) & 0xFFFF
+        src_port = next(self.engine.ctx.ephemeral_ports) & 0xFFFF
         client = _IperfClient(self, Ipv4Address(target), port, duration, src_port)
         self._iperf_clients[src_port] = client
         client.start()

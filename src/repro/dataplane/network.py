@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.netlib import fastframe
 from repro.dataplane.control import ControlChannel, ControlEndpoint, connect_endpoints
 from repro.dataplane.host import Host
 from repro.dataplane.link import DataLink
@@ -51,10 +50,6 @@ class Network:
         table_eviction: str = "refuse",
     ) -> None:
         topology.validate()
-        # A new network is a new run: drop interned frames from earlier
-        # runs in this process so cache-hit patterns (and the switch
-        # counters observing them) are identical run to run.
-        fastframe.clear_pool()
         self.engine = engine
         self.topology = topology
         self.hosts: Dict[str, Host] = {}

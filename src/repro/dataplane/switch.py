@@ -252,7 +252,8 @@ class OpenFlowSwitch:
                 state=0 if up else int(PortState.LINK_DOWN),
             )
             self.stats["port_status_sent"] += 1
-            self._send(PortStatus(PortReason.MODIFY, port))
+            self._send(PortStatus(PortReason.MODIFY, port,
+                                  xid=self.engine.ctx.next_xid()))
 
     def phy_ports(self) -> List[PhyPort]:
         return [
@@ -298,7 +299,7 @@ class OpenFlowSwitch:
         link.last_received = self.engine.now
         link.echo_outstanding = False
         self._link_by_channel[channel] = link
-        self._send_on(link, Hello())
+        self._send_on(link, Hello(xid=self.engine.ctx.next_xid()))
         self.engine.schedule(self.HANDSHAKE_TIMEOUT, self._handshake_check,
                              link, channel)
 
@@ -397,7 +398,8 @@ class OpenFlowSwitch:
             elif silence >= self.ECHO_INTERVAL and not link.echo_outstanding:
                 link.echo_outstanding = True
                 self.stats["echo_requests_sent"] += 1
-                self._send_on(link, EchoRequest(payload=b"ovs-probe"))
+                self._send_on(link, EchoRequest(
+                    payload=b"ovs-probe", xid=self.engine.ctx.next_xid()))
 
     def _note_eviction(self, entry, reason: str) -> None:
         """Single exit point for every flow-removal path.
@@ -439,6 +441,7 @@ class OpenFlowSwitch:
                         idle_timeout=entry.idle_timeout,
                         packet_count=entry.packet_count,
                         byte_count=entry.byte_count,
+                        xid=self.engine.ctx.next_xid(),
                     )
                 )
 
@@ -530,7 +533,8 @@ class OpenFlowSwitch:
         deployment) seed switch tables directly — semantically a FLOW_MOD
         applied before the first packet, minus the control connection.
         """
-        flow_mod = FlowMod(match, priority=priority, actions=list(actions))
+        flow_mod = FlowMod(match, priority=priority, actions=list(actions),
+                           xid=self.engine.ctx.next_xid())
         removed, full = self.flow_table.apply_flow_mod(flow_mod, self.engine.now)
         if full:
             raise RuntimeError(f"flow table full on switch {self.name!r}")
@@ -563,7 +567,8 @@ class OpenFlowSwitch:
             if entry.sends_flow_removed:
                 self.stats["flow_removed_sent"] += 1
                 self._send(
-                    FlowRemoved(entry.match, entry.cookie, entry.priority, 2)
+                    FlowRemoved(entry.match, entry.cookie, entry.priority, 2,
+                                xid=self.engine.ctx.next_xid())
                 )
         if flow_mod.buffer_id != OFP_NO_BUFFER:
             # OF 1.0: a FLOW_MOD naming a buffer releases the buffered
@@ -672,7 +677,7 @@ class OpenFlowSwitch:
     def frame_received(self, port_no: int, data: bytes) -> None:
         """Entry point for frames arriving from a link on ``port_no``."""
         self.stats["rx_frames"] += 1
-        data, pooled = fastframe.intern(data)
+        data, pooled = fastframe.intern(data, self.engine.ctx.frames)
         if pooled:
             self.stats["frames_interned"] += 1
         if self.standalone_active and not self.connected:
@@ -710,6 +715,7 @@ class OpenFlowSwitch:
                 in_port=in_port,
                 reason=0,
                 data=packet_in_data,
+                xid=self.engine.ctx.next_xid(),
             )
         )
 
@@ -763,7 +769,8 @@ class OpenFlowSwitch:
                 self.stats["packet_ins_sent"] += 1
                 if self.sketches is not None:
                     self.sketches.on_packet_in(self.engine.now)
-                self._send(PacketIn(OFP_NO_BUFFER, len(data), in_port, 1, data))
+                self._send(PacketIn(OFP_NO_BUFFER, len(data), in_port, 1, data,
+                                    xid=self.engine.ctx.next_xid()))
         elif port == Port.TABLE:
             self.frame_received(in_port, data)
         elif port == Port.NORMAL:

@@ -488,8 +488,7 @@ class _FabricDataRegion(ShardRegion):
         self._drivers = []
         self._dial_instances: Dict[Tuple[str, str], int] = {}
         self._payload = b"\x00" * config["payload_len"]
-        with self.ctx:
-            self._build()
+        self._build()
 
     # -- construction -------------------------------------------------- #
 
@@ -666,8 +665,8 @@ class _FabricDataRegion(ShardRegion):
 
     # -- results ------------------------------------------------------- #
 
-    def _collect(self) -> Dict[str, Any]:
-        result = super()._collect()
+    def collect(self) -> Dict[str, Any]:
+        result = super().collect()
         self.workload["packets_synthesized"] = sum(
             driver.emitter.emitted for driver in self._drivers
         )
@@ -718,8 +717,7 @@ class _ControllerRegion(ShardRegion):
         self.config = config
         self.plan = plan
         self.tracer = None
-        with self.ctx:
-            self._build()
+        self._build()
 
     def _build(self) -> None:
         from repro.attacks import build_attack
@@ -783,8 +781,8 @@ class _ControllerRegion(ShardRegion):
         self.ctrl_sinks[chan_name] = chan
         port.channel_opened(chan)
 
-    def _collect(self) -> Dict[str, Any]:
-        result = super()._collect()
+    def collect(self) -> Dict[str, Any]:
+        result = super().collect()
         monitor = self.control_monitor
         result["control"] = {
             "packet_ins": monitor.count_of("PACKET_IN"),

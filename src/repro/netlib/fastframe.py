@@ -19,10 +19,11 @@ key alongside the payload:
 * ``_macs`` — the ``(src, dst)`` MAC pair for standalone learning and
   host NIC filtering, which need no other field.
 
-The bounded intern pool maps frame content to its ``FastFrame`` so a
+A bounded intern pool maps frame content to its ``FastFrame`` so a
 retransmitted window resolves to the *same object* — its key caches are
 already warm, and CPython's ``bytes`` hash caching makes re-hashing it
-for buffering O(1).
+for buffering O(1).  The pool belongs to the run: callers pass their
+engine's ``ctx.frames`` to :func:`intern`.
 
 Frames of one connection may share ``_base``, ``_base_tuple`` and
 ``_by_port`` (:func:`share_key`): its segments differ only in sequence
@@ -55,15 +56,6 @@ from repro.netlib.flowkey import (
 #: re-warms in one round-trip and the bookkeeping stays O(1) per frame.
 POOL_MAX = 4096
 
-_pool: Dict[bytes, "FastFrame"] = {}
-
-counters: Dict[str, int] = {
-    "flowkey_cache_hits": 0,
-    "flowkey_cache_misses": 0,
-    "frames_interned": 0,
-    "pool_evictions": 0,
-}
-
 
 class FastFrame(bytes):
     """Raw Ethernet bytes plus lazily-attached parse caches.
@@ -79,34 +71,23 @@ class FastFrame(bytes):
     _macs: Any = None  # (src, dst) | False (runt) | None (not yet parsed)
 
 
-def clear_pool() -> None:
-    """Drop the intern pool (between experiment runs / in tests)."""
-    _pool.clear()
-
-
-def reset_counters() -> None:
-    for name in counters:
-        counters[name] = 0
-
-
-def intern(data: bytes) -> Tuple[bytes, bool]:
-    """Resolve ``data`` to its pooled :class:`FastFrame`.
+def intern(data: bytes, pool: Dict[bytes, bytes]) -> Tuple[bytes, bool]:
+    """Resolve ``data`` to its :class:`FastFrame` in ``pool``.
 
     Returns ``(frame, pooled)`` where ``pooled`` is True when the content
     was already in the pool (a dedup win: the returned frame's caches are
-    warm).
+    warm).  A pool holding :data:`POOL_MAX` frames is emptied before the
+    next one is added.
     """
     if type(data) is FastFrame:
         return data, False
-    cached = _pool.get(data)
+    cached = pool.get(data)
     if cached is not None:
-        counters["frames_interned"] += 1
         return cached, True
     frame = FastFrame(data)
-    if len(_pool) >= POOL_MAX:
-        _pool.clear()
-        counters["pool_evictions"] += 1
-    _pool[frame] = frame
+    if len(pool) >= POOL_MAX:
+        pool.clear()
+    pool[frame] = frame
     return frame, False
 
 
@@ -123,14 +104,12 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         if by_port is not None:
             fields = by_port.get(in_port)
             if fields is not None:
-                counters["flowkey_cache_hits"] += 1
                 return fields, True
         else:
             by_port = data._by_port = {}
         base = data._base
         if base is None:
             base = _memoize_base(data)
-        counters["flowkey_cache_misses"] += 1
         fields = dict(base)
         fields["in_port"] = in_port
         fields[TUPLE_KEY] = (in_port,) + data._base_tuple

@@ -29,8 +29,6 @@ from repro.openflow.constants import (
 from repro.openflow.match import MATCH_SIZE, Match
 
 _HEADER = struct.Struct("!BBHI")
-_XID_MAX = 0xFFFFFFFF
-_xid_next = 1
 
 #: Header type byte -> MessageType name, for header-only peeks.
 _TYPE_NAME_BY_ID: Dict[int, str] = {int(t): t.name for t in MessageType}
@@ -38,30 +36,6 @@ _TYPE_NAME_BY_ID: Dict[int, str] = {int(t): t.name for t in MessageType}
 
 class OpenFlowDecodeError(Exception):
     """Raised when bytes cannot be decoded as an OpenFlow 1.0 message."""
-
-
-def next_xid() -> int:
-    """Allocate a fresh transaction id in [1, 2^32 - 1].
-
-    xid 0 is reserved for unsolicited messages, so the counter wraps back
-    to 1 instead of masking (a masked ``count & 0xFFFFFFFF`` would emit 0
-    once every 2^32 allocations).
-    """
-    global _xid_next
-    xid = _xid_next
-    _xid_next = 1 if xid >= _XID_MAX else xid + 1
-    return xid
-
-
-def reset_xid_counter() -> None:
-    """Restart xid allocation at 1 (pooled-worker run isolation).
-
-    A reused campaign worker must allocate the same xids a fresh process
-    would, or message bytes — and therefore traces — depend on how many
-    runs the worker executed before this one.
-    """
-    global _xid_next
-    _xid_next = 1
 
 
 def peek_xid(data: bytes) -> Optional[int]:
@@ -96,7 +70,12 @@ def peek_message_type_name(data: bytes) -> Optional[str]:
 
 
 class OpenFlowMessage:
-    """Base class: 8-byte OpenFlow header + type-specific body."""
+    """Base class: 8-byte OpenFlow header + type-specific body.
+
+    ``xid`` defaults to 0, which OpenFlow reserves for unsolicited
+    messages.  Simulated devices pass ``engine.ctx.next_xid()``, so a
+    run's transaction ids depend on that run alone.
+    """
 
     message_type: ClassVar[MessageType]
     _registry: ClassVar[Dict[int, Type["OpenFlowMessage"]]] = {}
@@ -106,8 +85,8 @@ class OpenFlowMessage:
         if hasattr(cls, "message_type"):
             OpenFlowMessage._registry[int(cls.message_type)] = cls
 
-    def __init__(self, xid: Optional[int] = None) -> None:
-        self.xid = next_xid() if xid is None else int(xid)
+    def __init__(self, xid: int = 0) -> None:
+        self.xid = int(xid)
 
     def __setattr__(self, name: str, value) -> None:
         # Any direct field mutation invalidates the packed-bytes cache.
@@ -220,7 +199,7 @@ class BarrierReply(_EmptyBodyMessage):
 
 
 class _EchoMessage(OpenFlowMessage):
-    def __init__(self, payload: bytes = b"", xid: Optional[int] = None) -> None:
+    def __init__(self, payload: bytes = b"", xid: int = 0) -> None:
         super().__init__(xid=xid)
         self.payload = bytes(payload)
 
@@ -254,7 +233,7 @@ class ErrorMessage(OpenFlowMessage):
         error_type: int,
         code: int,
         data: bytes = b"",
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.error_type = int(error_type)
@@ -282,7 +261,7 @@ class VendorMessage(OpenFlowMessage):
 
     message_type = MessageType.VENDOR
 
-    def __init__(self, vendor: int, data: bytes = b"", xid: Optional[int] = None) -> None:
+    def __init__(self, vendor: int, data: bytes = b"", xid: int = 0) -> None:
         super().__init__(xid=xid)
         self.vendor = int(vendor)
         self.data = bytes(data)
@@ -306,7 +285,7 @@ class _SwitchConfigMessage(OpenFlowMessage):
         self,
         flags: int = ConfigFlags.FRAG_NORMAL,
         miss_send_len: int = 128,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.flags = int(flags)
@@ -406,7 +385,7 @@ class FeaturesReply(OpenFlowMessage):
         capabilities: int = 0,
         actions: int = 0xFFF,
         ports: Optional[List[PhyPort]] = None,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.datapath_id = int(datapath_id)
@@ -463,7 +442,7 @@ class PacketIn(OpenFlowMessage):
         in_port: int,
         reason: int,
         data: bytes = b"",
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.buffer_id = int(buffer_id)
@@ -506,7 +485,7 @@ class PacketOut(OpenFlowMessage):
         in_port: int = Port.NONE,
         actions: Optional[List[Action]] = None,
         data: bytes = b"",
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.buffer_id = int(buffer_id)
@@ -560,7 +539,7 @@ class FlowMod(OpenFlowMessage):
         out_port: int = Port.NONE,
         flags: int = 0,
         actions: Optional[List[Action]] = None,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.match = match
@@ -642,7 +621,7 @@ class FlowRemoved(OpenFlowMessage):
         idle_timeout: int = 0,
         packet_count: int = 0,
         byte_count: int = 0,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.match = match
@@ -708,7 +687,7 @@ class PortStatus(OpenFlowMessage):
 
     message_type = MessageType.PORT_STATUS
 
-    def __init__(self, reason: int, port: PhyPort, xid: Optional[int] = None) -> None:
+    def __init__(self, reason: int, port: PhyPort, xid: int = 0) -> None:
         super().__init__(xid=xid)
         self.reason = PortReason(reason)
         self.port = port
@@ -741,7 +720,7 @@ class StatsRequest(OpenFlowMessage):
         stats_type: int,
         body: bytes = b"",
         flags: int = 0,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.stats_type = StatsType(stats_type)
@@ -770,7 +749,7 @@ class StatsReply(OpenFlowMessage):
         stats_type: int,
         body: bytes = b"",
         flags: int = 0,
-        xid: Optional[int] = None,
+        xid: int = 0,
     ) -> None:
         super().__init__(xid=xid)
         self.stats_type = StatsType(stats_type)

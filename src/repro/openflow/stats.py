@@ -151,7 +151,7 @@ def flow_stats_request(
     match: Match = None,
     table_id: int = 0xFF,
     out_port: int = Port.NONE,
-    xid=None,
+    xid: int = 0,
 ) -> StatsRequest:
     """Build an OFPST_FLOW request (default: all tables, all flows)."""
     match = match if match is not None else Match.wildcard_all()
@@ -171,7 +171,7 @@ def parse_flow_stats_request(request: StatsRequest):
     return match, table_id, out_port
 
 
-def flow_stats_reply(entries: List[FlowStatsEntry], xid=None) -> StatsReply:
+def flow_stats_reply(entries: List[FlowStatsEntry], xid: int = 0) -> StatsReply:
     """Build an OFPST_FLOW reply from entries."""
     body = b"".join(entry.pack() for entry in entries)
     return StatsReply(StatsType.FLOW, body, xid=xid)
@@ -190,7 +190,7 @@ def parse_flow_stats_reply(reply: StatsReply) -> List[FlowStatsEntry]:
 
 
 def aggregate_stats_reply(
-    packet_count: int, byte_count: int, flow_count: int, xid=None
+    packet_count: int, byte_count: int, flow_count: int, xid: int = 0
 ) -> StatsReply:
     """Build an OFPST_AGGREGATE reply."""
     body = _AGGREGATE_REPLY.pack(packet_count, byte_count, flow_count)

@@ -8,12 +8,11 @@ traces, which is what makes the security metrics in the evaluation
 unit-testable.
 """
 
-from repro.sim.engine import SimulationEngine, SimulationError
+from repro.sim.engine import SimContext, SimulationEngine, SimulationError
 from repro.sim.events import Event, EventCancelled
 from repro.sim.process import Process, Signal, sleep
 from repro.sim.rng import SeededRng
 from repro.sim.shard import (
-    RegionContext,
     ShardRegion,
     ShardedSimulation,
     assign_regions,
@@ -23,11 +22,11 @@ __all__ = [
     "Event",
     "EventCancelled",
     "Process",
-    "RegionContext",
     "SeededRng",
     "ShardRegion",
     "ShardedSimulation",
     "Signal",
+    "SimContext",
     "SimulationEngine",
     "SimulationError",
     "assign_regions",

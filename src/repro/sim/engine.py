@@ -3,13 +3,47 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+import itertools
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, MESSAGE_PRIORITY
 
 
 class SimulationError(Exception):
     """Raised for invalid engine operations (e.g. scheduling in the past)."""
+
+
+class SimContext:
+    """Everything one run draws its sequences from.
+
+    Each :class:`SimulationEngine` owns one (``engine.ctx``), and every
+    component reaches it through the engine it already holds.  No run
+    reads a sequence another run advanced, so a run's bytes do not depend
+    on what else the process ran before it or runs beside it.
+
+    * :meth:`next_xid` — OpenFlow transaction ids.  0 is reserved for
+      unsolicited messages, so the sequence wraps from 2^32 - 1 to 1.
+    * ``msg_ids`` — the injector's message identifiers (MESSAGEID).
+    * ``icmp_ids`` — ping identifiers.
+    * ``ephemeral_ports`` — TCP client source ports.
+    * ``frames`` — the FastFrame intern pool
+      (:func:`repro.netlib.fastframe.intern`).
+    """
+
+    __slots__ = ("msg_ids", "icmp_ids", "ephemeral_ports", "frames", "_xid")
+
+    def __init__(self) -> None:
+        self._xid = 1
+        self.msg_ids = itertools.count(1)
+        self.icmp_ids = itertools.count(1)
+        self.ephemeral_ports = itertools.count(49152)
+        self.frames: Dict[bytes, bytes] = {}
+
+    def next_xid(self) -> int:
+        """The next transaction id, in [1, 2^32 - 1]."""
+        xid = self._xid
+        self._xid = 1 if xid >= 0xFFFFFFFF else xid + 1
+        return xid
 
 
 class SimulationEngine:
@@ -47,8 +81,10 @@ class SimulationEngine:
     COMPACT_LIVE_DEN = 2
 
     def __init__(self) -> None:
+        self.ctx = SimContext()
         self._now = 0.0
         self._queue: List[Tuple[float, int, Any, Event]] = []
+        self._seq = itertools.count()
         self._running = False
         self._processed = 0
         self._live = 0
@@ -142,9 +178,10 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before current time t={self._now!r}"
             )
-        event = Event(time, callback, args, priority=priority)
+        seq = next(self._seq)
+        event = Event(time, callback, args, priority=priority, seq=seq)
         event._engine = self
-        heapq.heappush(self._queue, (event.time, priority, event.seq, event))
+        heapq.heappush(self._queue, (event.time, priority, seq, event))
         self._live += 1
         return event
 
@@ -159,7 +196,7 @@ class SimulationEngine:
 
         The event sorts in the :data:`MESSAGE_PRIORITY` band under ``seq``
         (a message-identity tuple such as ``(channel, sender_seq)``) and
-        does **not** consume the engine's event sequence counter.  Region
+        does **not** consume the engine's event sequence.  Region
         execution therefore produces identical event orderings no matter
         how the barrier grouped deliveries into epochs — the invariant that
         lets adaptive lookahead stay byte-identical to fixed-width epochs.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional, Tuple
 
 
@@ -24,15 +23,14 @@ MESSAGE_PRIORITY = 1 << 30
 class Event:
     """A scheduled callback at a point in simulated time.
 
-    Events are ordered by ``(time, priority, seq)``.  The monotonically
-    increasing sequence number guarantees a deterministic total order even
-    for events scheduled at exactly the same simulated instant, which is
-    essential for reproducible attack traces.  The key is precomputed once
-    at construction (``self.key``) so heap maintenance compares native
-    tuples instead of calling back into Python per comparison.
+    Events are ordered by ``(time, priority, seq)``.  ``seq`` comes from
+    the scheduling engine's own increasing sequence and guarantees a
+    deterministic total order even for events scheduled at exactly the
+    same simulated instant, which is essential for reproducible attack
+    traces.  The key is precomputed once at construction (``self.key``)
+    so heap maintenance compares native tuples instead of calling back
+    into Python per comparison.
     """
-
-    _seq_counter = itertools.count()
 
     __slots__ = ("time", "priority", "seq", "key", "callback", "args", "cancelled", "_engine")
 
@@ -42,14 +40,13 @@ class Event:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         priority: int = 0,
-        seq: Any = None,
+        *,
+        seq: Any,
     ) -> None:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time!r}")
         self.time = float(time)
         self.priority = priority
-        if seq is None:
-            seq = next(Event._seq_counter)
         self.seq = seq
         self.key = (self.time, priority, seq)
         self.callback = callback

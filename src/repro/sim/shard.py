@@ -4,10 +4,10 @@ The monolithic engine runs every device of a fabric on one event heap.
 For generated fabrics (hundreds of switches) this module splits the
 simulation into *regions* — disjoint device groups produced by
 :func:`repro.dataplane.fabrics.partition_topology` — each with its own
-:class:`~repro.sim.engine.SimulationEngine`, its own isolated copies of
-every process-global counter, and its own slice of the device graph.
-Regions exchange frames and control-plane bytes as explicit messages at
-conservative epoch barriers.
+:class:`~repro.sim.engine.SimulationEngine` (and with it its own
+:class:`~repro.sim.engine.SimContext`) and its own slice of the device
+graph.  Regions exchange frames and control-plane bytes as explicit
+messages at conservative epoch barriers.
 
 Determinism contract
 --------------------
@@ -17,9 +17,10 @@ region count; the *shard count* (how many worker processes execute the
 regions) only groups regions onto execution units.  Every source of
 nondeterminism is region-local:
 
-* each region has a private event heap and private sequence counters
-  (:class:`RegionContext`), so event tie-breaking never depends on what
-  other regions did;
+* each region has a private engine: its event heap, its event sequence
+  and every sequence its devices draw from (xids, ICMP identifiers,
+  message ids, the FastFrame intern pool) live on that engine, so event
+  tie-breaking never depends on what other regions did;
 * cross-region messages are delivered through
   :meth:`~repro.sim.engine.SimulationEngine.schedule_message` with a
   canonical ``(arrival, MESSAGE_PRIORITY, (channel, seq))`` heap key that
@@ -83,88 +84,6 @@ OP_FRAME = "frame"   # a data-plane frame crossing a boundary link
 OP_DATA = "data"     # control-plane stream bytes
 OP_OPEN = "open"     # control-plane dial
 OP_CLOSE = "close"   # control-plane teardown
-
-
-class RegionContext:
-    """Region-private instances of every process-global counter.
-
-    The simulation's determinism leans on process-global sequences (event
-    tie-breaks, ICMP identifiers, OpenFlow xids, the FastFrame intern
-    pool).  Sharding gives each region its own copies and swaps them into
-    place around every slice of region execution, so the sequences a
-    region observes depend only on that region's own history.
-    """
-
-    #: Lazily bound targets of the swap — resolving the imports once per
-    #: process instead of on every enter/exit keeps the per-epoch context
-    #: switch down to a handful of attribute assignments.
-    _targets: Optional[tuple] = None
-
-    @classmethod
-    def _resolve_targets(cls) -> tuple:
-        if cls._targets is None:
-            from repro.core.lang.properties import InterposedMessage
-            from repro.dataplane.flowtable import FlowEntry
-            from repro.dataplane.host import Host
-            from repro.openflow import messages as of_messages
-            from repro.sim.events import Event
-
-            cls._targets = (
-                Event, FlowEntry, Host, InterposedMessage, of_messages)
-        return cls._targets
-
-    def __init__(self) -> None:
-        self.event_seq = itertools.count()
-        self.flow_order = itertools.count()
-        self.icmp_id = itertools.count(1)
-        self.ephemeral = itertools.count(49152)
-        self.msg_id = itertools.count(1)
-        self.xid_next = 1
-        self.frame_pool: Dict[bytes, object] = {}
-        self.frame_counters: Dict[str, int] = {key: 0 for key in fastframe.counters}
-        self._saved: Optional[tuple] = None
-
-    def __enter__(self) -> "RegionContext":
-        Event, FlowEntry, Host, InterposedMessage, of_messages = (
-            self._resolve_targets())
-        if self._saved is not None:
-            raise RuntimeError("RegionContext is not re-entrant")
-        self._saved = (
-            Event._seq_counter,
-            FlowEntry._order,
-            Host._icmp_id,
-            Host._ephemeral,
-            InterposedMessage._id_counter,
-            of_messages._xid_next,
-            fastframe._pool,
-            fastframe.counters,
-        )
-        Event._seq_counter = self.event_seq
-        FlowEntry._order = self.flow_order
-        Host._icmp_id = self.icmp_id
-        Host._ephemeral = self.ephemeral
-        InterposedMessage._id_counter = self.msg_id
-        of_messages._xid_next = self.xid_next
-        fastframe._pool = self.frame_pool
-        fastframe.counters = self.frame_counters
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        Event, FlowEntry, Host, InterposedMessage, of_messages = (
-            self._resolve_targets())
-        # xids are a plain module int, so read the advanced value back.
-        self.xid_next = of_messages._xid_next
-        (
-            Event._seq_counter,
-            FlowEntry._order,
-            Host._icmp_id,
-            Host._ephemeral,
-            InterposedMessage._id_counter,
-            of_messages._xid_next,
-            fastframe._pool,
-            fastframe.counters,
-        ) = self._saved
-        self._saved = None
 
 
 # --------------------------------------------------------------------- #
@@ -308,13 +227,12 @@ class ShardRegion:
     """Base for one shard-executable region of a simulation.
 
     Subclasses (the fabric builder in :mod:`repro.experiments.fabric`)
-    populate the engine/devices inside ``self.ctx``; this base carries the
-    message plumbing every region shares.
+    populate the engine/devices; this base carries the message plumbing
+    every region shares.
     """
 
     def __init__(self, rid: int, total_regions: int) -> None:
         self.rid = rid
-        self.ctx = RegionContext()
         self.engine = SimulationEngine()
         self.engine.shards = total_regions
         self.engine.shard_id = rid
@@ -352,10 +270,6 @@ class ShardRegion:
         the deliveries can influence region execution, so no pre-sort is
         needed.
         """
-        with self.ctx:
-            self._deliver_locked(messages)
-
-    def _deliver_locked(self, messages: Sequence[ShardMessage]) -> None:
         engine = self.engine
         dispatch = self._dispatch
         for arrival, chan, seq, op, payload in messages:
@@ -368,7 +282,7 @@ class ShardRegion:
             # Re-intern into this region's pool: repeated payloads (the
             # steady state of any flow) resolve to the same warm FastFrame
             # and are never parsed twice.
-            frame, _ = fastframe.intern(payload)
+            frame, _ = fastframe.intern(payload, self.engine.ctx.frames)
             self.link_sinks[chan].deliver(frame)
             return
         if op == OP_OPEN:
@@ -395,15 +309,13 @@ class ShardRegion:
         until: float,
         messages: Optional[Sequence[ShardMessage]] = None,
     ) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
-        """Deliver ``messages`` and advance to ``until`` in one context."""
-        with self.ctx:
-            if messages:
-                self._deliver_locked(messages)
-            self.engine.run(until=until)
-            out = self.outbox
-            self.outbox = []
-            next_time = self.engine.next_event_time()
-        return out, next_time
+        """Deliver ``messages``, advance to ``until``, drain the outbox."""
+        if messages:
+            self.deliver(messages)
+        self.engine.run(until=until)
+        out = self.outbox
+        self.outbox = []
+        return out, self.engine.next_event_time()
 
     def run_until(self, until: float) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
         """Advance this region's clock to ``until``; drain the outbox."""
@@ -411,10 +323,6 @@ class ShardRegion:
 
     def collect(self) -> Dict[str, Any]:
         """Region results (metrics, workload counters, trace events)."""
-        with self.ctx:
-            return self._collect()
-
-    def _collect(self) -> Dict[str, Any]:
         return {"engine": self.engine.metrics()}
 
 

@@ -2,20 +2,15 @@
 
 Two contracts ride together here: (1) ``--trace`` campaigns persist one
 JSONL artifact per run next to the store and stamp the record with it;
-(2) the pool's per-run state reset covers *everything* a trace can see —
-a trace from a reused worker is byte-identical to one from a cold
-process, which is a strictly stronger check than comparing metrics
-(xids and message ids leak through traces but not through metrics).
+(2) nothing a trace can see outlives a run — a trace from a reused
+worker is byte-identical to one from a cold process, which is a strictly
+stronger check than comparing metrics (xids and message ids leak through
+traces but not through metrics).
 """
 
 import json
 
-from repro.campaign import (
-    CampaignSpec,
-    ResultStore,
-    reset_run_state,
-    run_campaign,
-)
+from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executors import execute_descriptor
 from repro.obs import TraceCollector, load_events
 
@@ -72,21 +67,10 @@ def test_pooled_worker_trace_matches_cold_run(tmp_path):
     assert summary.processes_spawned == 1
     for descriptor in spec.expand():
         pooled = store.trace_path(descriptor.run_id).read_text()
-        reset_run_state()
         tracer = TraceCollector()
         execute_descriptor(descriptor.to_dict(), tracer=tracer)
         assert tracer.to_jsonl() == pooled, (
             f"stale worker state leaked into {descriptor.run_id}")
-
-
-def test_reset_run_state_restarts_the_xid_sequence():
-    from repro.openflow.messages import Hello, next_xid
-
-    Hello()  # advance the process-global xid counter
-    first = next_xid()
-    reset_run_state()
-    assert next_xid() == 1
-    assert first >= 1
 
 
 def test_executor_skips_trace_for_unsupported_experiments():

@@ -1,8 +1,8 @@
-"""The persistent worker pool: process reuse, accounting, and state reset.
+"""The persistent worker pool: process reuse, accounting, and run isolation.
 
 The original runner spawned one process per run; the pool keeps workers
-alive across runs and reseeds process-global state between cells.  These
-tests pin down the new contracts: fewer spawns than runs, per-worker run
+alive across runs, and each run draws its sequences from its own engine,
+so nothing carries over between cells.  These tests pin down the new contracts: fewer spawns than runs, per-worker run
 accounting in the summary / store / CLI, and bit-identical metrics from a
 reused worker vs. a fresh process.
 """
@@ -75,8 +75,8 @@ def test_crashed_worker_slot_is_respawned(tmp_path):
 
 
 def test_reused_worker_matches_fresh_process_metrics(tmp_path):
-    """State reset between runs: run N in a reused worker equals run N
-    in a brand-new process (the reproducibility claim survives reuse)."""
+    """Run isolation: run N in a reused worker equals run N in a
+    brand-new process (the reproducibility claim survives reuse)."""
     params = {"ping_trials": 3, "iperf_trials": 1, "iperf_duration_s": 0.5,
               "iperf_gap_s": 0.5, "warmup_s": 2.0}
     spec = CampaignSpec.from_dict({

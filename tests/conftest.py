@@ -6,18 +6,7 @@ import pytest
 
 from repro.controllers import FloodlightController
 from repro.dataplane import Network, Topology
-from repro.netlib import fastframe
 from repro.sim import SimulationEngine
-
-
-@pytest.fixture(autouse=True)
-def _fresh_fast_lane():
-    """Isolate the packet fast lane's process-global state per test."""
-    fastframe.clear_pool()
-    fastframe.reset_counters()
-    yield
-    fastframe.clear_pool()
-    fastframe.reset_counters()
 
 
 @pytest.fixture

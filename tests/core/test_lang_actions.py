@@ -1,5 +1,7 @@
 """Unit tests for attack actions and the message modifier semantics."""
 
+import itertools
+
 import pytest
 
 from repro.core.injector.modifier import MessageModifier
@@ -101,6 +103,15 @@ class TestCapabilityActions:
         assert all(e.injected for e in h.out[1:])
         assert h.out[1].message.raw == h.out[0].message.raw
         assert h.out[1].message.msg_id != h.out[0].message.msg_id
+
+    def test_new_messages_draw_ids_from_the_incoming_sequence(self):
+        ids = itertools.count(1)
+        h = Harness(InterposedMessage(CONN, Direction.TO_SWITCH, 0.0,
+                                      Hello().pack(), ids=ids))
+        DuplicateMessage().apply(h.ctx)
+        InjectNewMessage(EchoRequest(payload=b"new", xid=5)).apply(h.ctx)
+        assert [entry.message.msg_id for entry in h.out] == [1, 2, 3]
+        assert next(ids) == 4
 
     def test_duplicate_requires_positive_copies(self):
         with pytest.raises(ValueError):

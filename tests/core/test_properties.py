@@ -1,5 +1,7 @@
 """Unit tests for message properties and the interposed-message wrapper."""
 
+import itertools
+
 import pytest
 
 from repro.core.lang.properties import (
@@ -68,7 +70,12 @@ class TestIdentityProperties:
         assert isinstance(msg.get_property(MessageProperty.ID), int)
 
     def test_ids_unique(self):
-        assert interpose(Hello()).msg_id != interpose(Hello()).msg_id
+        ids = itertools.count(1)
+        first, second = (
+            InterposedMessage(CONN, Direction.TO_SWITCH, 0.0, Hello().pack(), ids=ids)
+            for _ in range(2))
+        assert first.msg_id != second.msg_id
+        assert first.copy().msg_id not in (first.msg_id, second.msg_id)
 
     def test_metadata_override(self):
         msg = interpose(Hello())

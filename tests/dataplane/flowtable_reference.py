@@ -9,6 +9,7 @@ from the OF 1.0 rules alone; the tuple-space :class:`FlowTable` must give
 the same ones.
 """
 
+import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataplane.flowtable import FlowEntry
@@ -22,6 +23,7 @@ class ReferenceFlowTable:
         self.max_entries = max_entries
         self.eviction = eviction
         self.entries: List[FlowEntry] = []
+        self._installs = itertools.count()
         self.lookups = 0
         self.matched = 0
         self.capacity_evictions = 0
@@ -57,7 +59,7 @@ class ReferenceFlowTable:
             flow_mod.match, flow_mod.priority, flow_mod.actions,
             cookie=flow_mod.cookie, idle_timeout=flow_mod.idle_timeout,
             hard_timeout=flow_mod.hard_timeout, flags=flow_mod.flags,
-            install_time=now,
+            install_time=now, order=next(self._installs),
         ))
         self.occupancy_peak = max(self.occupancy_peak, len(self.entries))
         return evicted, False

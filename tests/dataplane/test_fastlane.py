@@ -37,34 +37,38 @@ def tcp_frame(payload=b"x" * 64) -> bytes:
 
 class TestInterning:
     def test_identical_content_interns_to_one_object(self):
-        first, hit1 = fastframe.intern(tcp_frame())
-        second, hit2 = fastframe.intern(tcp_frame())
+        pool = {}
+        first, hit1 = fastframe.intern(tcp_frame(), pool)
+        second, hit2 = fastframe.intern(tcp_frame(), pool)
         assert not hit1 and hit2
         assert first is second
         assert type(first) is FastFrame
 
     def test_interned_frame_passes_through_unchanged(self):
-        frame, _ = fastframe.intern(tcp_frame())
-        again, hit = fastframe.intern(frame)
+        pool = {}
+        frame, _ = fastframe.intern(tcp_frame(), pool)
+        again, hit = fastframe.intern(frame, pool)
         assert again is frame and not hit
 
     def test_intern_preserves_bytes_semantics(self):
         raw = tcp_frame()
-        frame, _ = fastframe.intern(raw)
+        frame, _ = fastframe.intern(raw, {})
         assert frame == raw
         assert bytes(frame) == raw
         assert hash(frame) == hash(raw)
         assert len(frame) == len(raw)
 
     def test_pool_is_bounded(self):
+        pool = {}
         for index in range(fastframe.POOL_MAX + 10):
-            fastframe.intern(tcp_frame(payload=index.to_bytes(4, "big")))
-        assert fastframe.counters["pool_evictions"] >= 1
+            fastframe.intern(tcp_frame(payload=index.to_bytes(4, "big")), pool)
+            assert len(pool) <= fastframe.POOL_MAX
+        assert len(pool) == 10  # emptied once, at the full pool's next add
 
 
 class TestFlowKeyMemoization:
     def test_key_computed_once_per_port(self):
-        frame, _ = fastframe.intern(tcp_frame())
+        frame, _ = fastframe.intern(tcp_frame(), {})
         fields1, hit1 = fastframe.flow_key(frame, 1)
         fields2, hit2 = fastframe.flow_key(frame, 1)
         assert not hit1 and hit2
@@ -72,14 +76,14 @@ class TestFlowKeyMemoization:
 
     def test_key_matches_plain_extraction(self):
         raw = tcp_frame()
-        frame, _ = fastframe.intern(raw)
+        frame, _ = fastframe.intern(raw, {})
         fields, _ = fastframe.flow_key(frame, 3)
         expected = extract_packet_fields(raw, 3)
         assert {k: fields[k] for k in expected} == expected
         assert field_tuple(fields) == field_tuple(expected)
 
     def test_distinct_ports_get_distinct_keys(self):
-        frame, _ = fastframe.intern(tcp_frame())
+        frame, _ = fastframe.intern(tcp_frame(), {})
         fields1, _ = fastframe.flow_key(frame, 1)
         fields2, hit = fastframe.flow_key(frame, 2)
         assert not hit
@@ -87,7 +91,7 @@ class TestFlowKeyMemoization:
         assert field_tuple(fields1) != field_tuple(fields2)
 
     def test_memoized_tuple_equals_field_tuple(self):
-        frame, _ = fastframe.intern(tcp_frame())
+        frame, _ = fastframe.intern(tcp_frame(), {})
         fields, _ = fastframe.flow_key(frame, 7)
         memo = fields[fastframe.TUPLE_KEY]
         stripped = {k: v for k, v in fields.items() if k != fastframe.TUPLE_KEY}
@@ -100,7 +104,7 @@ class TestFlowKeyMemoization:
         assert fastframe.TUPLE_KEY not in fields
 
     def test_mac_pair_memoized(self):
-        frame, _ = fastframe.intern(tcp_frame())
+        frame, _ = fastframe.intern(tcp_frame(), {})
         assert fastframe.mac_pair(frame) == (MAC_A, MAC_B)
         assert frame._macs == (MAC_A, MAC_B)
         assert fastframe.mac_pair(b"\x00" * 5) is None
@@ -108,7 +112,7 @@ class TestFlowKeyMemoization:
 
 class TestDeriveFrame:
     def test_set_dl_dst_replaces_only_that_field(self):
-        parent, _ = fastframe.intern(tcp_frame())
+        parent, _ = fastframe.intern(tcp_frame(), {})
         parent_fields, _ = fastframe.flow_key(parent, 1)
         new_mac = MacAddress("00:00:00:00:00:99")
         frame = EthernetFrame.unpack(parent)
@@ -122,7 +126,7 @@ class TestDeriveFrame:
         assert derived_fields["dl_src"] == parent_fields["dl_src"]
 
     def test_unparsed_parent_passes_through(self):
-        parent, _ = fastframe.intern(tcp_frame())  # key never computed
+        parent, _ = fastframe.intern(tcp_frame(), {})  # key never computed
         derived = fastframe.derive_frame(b"\x00" * 60, parent, "dl_dst", MAC_A)
         assert type(derived) is bytes
 

@@ -1,13 +1,13 @@
 """FlowTable stat hygiene across back-to-back runs on one worker.
 
-``reset_run_state`` resets process-global counters; per-table stats
-(``occupancy_peak``, ``capacity_evictions``, lookup counters) live on
-:class:`FlowTable` instances that every run rebuilds — these tests pin
-both halves: the explicit ``reset_stats`` API, and that two cells run
-back-to-back in one process report stats independent of run order.
+Per-table stats (``occupancy_peak``, ``capacity_evictions``, lookup
+counters) live on :class:`FlowTable` instances that every run rebuilds —
+these tests pin both halves: the explicit ``reset_stats`` API, and that
+two cells run back-to-back in one process report stats independent of
+run order.
 """
 
-from repro.campaign import ResultStore, reset_run_state
+from repro.campaign import ResultStore
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.runner import run_campaign
 from repro.dataplane.flowtable import FlowTable
@@ -54,7 +54,6 @@ LIGHT = dict(workload="table-overflow", topology="fat-tree-k4",
 
 
 def _cell(params):
-    reset_run_state()
     record = run_cell(**params)
     return (record["table_occupancy_peak"], record["evictions_capacity"],
             record["evictions_idle"], record["table_misses"])

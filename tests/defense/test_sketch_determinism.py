@@ -12,14 +12,12 @@ import os
 
 import pytest
 
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
 
 def _run(shards, topology="fat-tree-k8"):
-    reset_run_state()
     return run_fabric_experiment(
         topology,
         controller="pox",
@@ -60,14 +58,12 @@ def test_sketches_byte_identical_across_shard_counts():
 def test_sketch_tap_does_not_perturb_the_run():
     """Telemetry is observation only: traces and metrics match a
     sketch-free run exactly."""
-    reset_run_state()
     base = run_fabric_experiment(
         "fat-tree-k4", controller="pox", workload="packetin-flood",
         workload_params={"schedule": "constant:400", "senders": 2,
                          "duration_s": 0.2},
         horizon_s=0.5, trace=True, shards=1,
     )
-    reset_run_state()
     tapped = run_fabric_experiment(
         "fat-tree-k4", controller="pox", workload="packetin-flood",
         workload_params={"schedule": "constant:400", "senders": 2,

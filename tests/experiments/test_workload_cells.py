@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultStore, reset_run_state, run_campaign
+from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executors import execute_descriptor
 from repro.campaign.report import build_report
 from repro.experiments.fabric import fabric_config, run_fabric_experiment
@@ -41,7 +41,6 @@ def test_config_rejects_unknown_workloads_and_bad_params():
 # --------------------------------------------------------------------- #
 
 def test_benign_mix_delivers_over_proactive_routes():
-    reset_run_state()
     result = run_fabric_experiment(
         "fat-tree-k4", workload="benign-mix", seed=1,
         workload_params={"schedule": "constant:300", "duration_s": 0.4,
@@ -53,7 +52,6 @@ def test_benign_mix_delivers_over_proactive_routes():
 
 
 def test_table_overflow_fills_and_evicts():
-    reset_run_state()
     result = run_fabric_experiment(
         "fat-tree-k4", controller="floodlight", workload="table-overflow",
         seed=3, table_capacity=64, table_eviction="lru",
@@ -73,7 +71,6 @@ def test_table_overflow_fills_and_evicts():
 
 def test_workload_runs_are_shard_invariant():
     def run(shards):
-        reset_run_state()
         return run_fabric_experiment(
             "fat-tree-k4", controller="floodlight",
             workload="packetin-flood", seed=7, shards=shards,
@@ -101,7 +98,6 @@ def test_workload_runs_are_shard_invariant():
 # --------------------------------------------------------------------- #
 
 def test_run_cell_hoists_flat_source_params():
-    reset_run_state()
     record = run_workload_cell(
         controller="floodlight", topology="fat-tree-k4",
         workload="table-overflow", seed=2,
@@ -120,7 +116,6 @@ def test_run_cell_rejects_unknown_sources():
 
 
 def test_execute_descriptor_routes_workload_cells():
-    reset_run_state()
     record = execute_descriptor({
         "experiment": "workload",
         "topology": "fat-tree-k4",

@@ -12,7 +12,7 @@ A cell must reproduce its digests in every execution order:
 
 * ``fresh`` — each cell first in a fresh interpreter;
 * ``sequential`` — every cell back to back in this process, with
-  ``reset_run_state()`` before each;
+  nothing reset between them;
 * ``campaign`` — every cell through one reused campaign worker process,
   traced.
 
@@ -141,12 +141,11 @@ def digest(trace_jsonl: str, record: dict) -> Digests:
 
 
 def run_in_process(cell: Cell) -> Digests:
-    """Run ``cell`` here, after rewinding the process-global counters."""
-    from repro.campaign import reset_run_state
+    """Run ``cell`` here.  Nothing is reset first: a run draws every
+    sequence from its own engine, so what ran before cannot leak in."""
     from repro.campaign.executors import execute_descriptor
     from repro.obs import TraceCollector
 
-    reset_run_state()
     tracer = TraceCollector()
     record = execute_descriptor(cell.descriptor().identity(), tracer=tracer)
     return digest(tracer.to_jsonl(), record)

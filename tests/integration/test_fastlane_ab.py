@@ -11,7 +11,6 @@ not a tuning difference.
 
 from typing import List, Tuple
 
-from repro.campaign import reset_run_state
 from repro.dataplane.host import Host
 from repro.dataplane.switch import OpenFlowSwitch
 from repro.experiments import run_interruption_cell, run_suppression_cell
@@ -44,10 +43,6 @@ def run_with_capture(monkeypatch, enabled, cell, **kwargs):
                       capturing(OpenFlowSwitch.frame_received, False))
         if not enabled:
             plain_frames.apply(patch)
-        # Reseed process-global counters (ICMP ids, event sequence
-        # numbers, ...) exactly as the campaign worker pool does between
-        # runs, so A and B start from identical state.
-        reset_run_state()
         metrics = cell(**kwargs)
     assert any(fast_arrivals) == enabled
     return metrics, delivered

@@ -14,7 +14,7 @@ from repro.netlib import fastframe
 from repro.workloads.frames import FrameTemplate
 
 
-def _intern(data: bytes) -> Tuple[bytes, bool]:
+def _intern(data: bytes, pool: dict) -> Tuple[bytes, bool]:
     return data, False
 
 

@@ -9,7 +9,6 @@ sim timestamps inside the experiment's probe window.
 
 import pytest
 
-from repro.campaign import reset_run_state
 from repro.dataplane import FailMode
 from repro.experiments import (
     run_interruption_experiment,
@@ -23,9 +22,6 @@ SUPPRESSION_FAST = dict(ping_trials=3, iperf_trials=1, iperf_duration_s=0.5,
 
 
 def traced_interruption(seed=0, fail_mode=FailMode.SECURE):
-    # Byte-identical traces require the per-process counter reset every
-    # fresh worker gets (msg ids and xids are process-global sequences).
-    reset_run_state()
     tracer = TraceCollector()
     result = run_interruption_experiment("pox", fail_mode, seed=seed,
                                          trace=tracer)
@@ -51,7 +47,6 @@ def test_different_seeds_share_structure_not_bytes():
 def test_suppression_trace_is_deterministic_too():
     exports = []
     for _ in range(2):
-        reset_run_state()
         tracer = TraceCollector()
         run_suppression_experiment("pox", attacked=True, seed=5,
                                    trace=tracer, **SUPPRESSION_FAST)
@@ -62,7 +57,6 @@ def test_suppression_trace_is_deterministic_too():
 def test_untraced_run_has_no_collector_attached():
     """trace=None must leave every tracer attribute None (the zero-
     overhead configuration) and produce identical experiment results."""
-    reset_run_state()
     baseline = run_interruption_experiment("pox", FailMode.SECURE, seed=0)
     tracer, traced = traced_interruption(seed=0)
     assert tracer.events_total > 0
@@ -125,7 +119,6 @@ def test_interruption_forensics_from_the_trace_alone():
 
 
 def test_ring_capacity_bounds_a_traced_run():
-    reset_run_state()
     tracer = TraceCollector(capacity=64)
     run_interruption_experiment("pox", FailMode.SECURE, seed=0, trace=tracer)
     assert len(tracer) == 64

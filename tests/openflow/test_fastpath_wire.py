@@ -45,7 +45,7 @@ from repro.openflow.messages import (
     VendorMessage,
     peek_message_type_name,
 )
-import repro.openflow.messages as messages_module
+from repro.sim.engine import SimContext
 
 
 def _port(no=1):
@@ -176,16 +176,13 @@ class TestFrameExtraction:
 
 class TestXidAllocation:
     def test_wraparound_skips_zero(self):
-        original = messages_module._xid_next
-        try:
-            messages_module._xid_next = 0xFFFFFFFE
-            xids = [messages_module.next_xid() for _ in range(4)]
-            assert xids == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
-        finally:
-            messages_module._xid_next = original
+        ctx = SimContext()
+        ctx._xid = 0xFFFFFFFE  # start at the top of the 32-bit range
+        xids = [ctx.next_xid() for _ in range(4)]
+        assert xids == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
 
     def test_xids_monotonic_in_normal_range(self):
-        first = messages_module.next_xid()
-        second = messages_module.next_xid()
-        assert second == first + 1
-        assert 0 not in (first, second)
+        ctx = SimContext()
+        first = ctx.next_xid()
+        second = ctx.next_xid()
+        assert (first, second) == (1, 2)

@@ -221,8 +221,11 @@ class TestDecodeErrors:
 
 
 class TestXid:
-    def test_xids_unique_when_not_given(self):
-        assert Hello().xid != Hello().xid
+    def test_xid_defaults_to_zero_when_not_given(self):
+        # 0 is the unsolicited-message xid; simulated devices pass their
+        # run's next xid (SimContext.next_xid) instead.
+        assert Hello().xid == 0
+        assert parse_message(Hello(xid=7).pack()).xid == 7
 
     def test_message_type_tags(self):
         assert Hello.message_type == MessageType.HELLO

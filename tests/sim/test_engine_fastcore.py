@@ -86,10 +86,10 @@ class TestMessageBand:
         assert fired == ["a9", "b1", "b2"]
 
     def test_message_does_not_consume_event_seq_counter(self, engine):
-        before = next(Event._seq_counter)
+        before = engine.schedule(1.0, lambda: None)
         engine.schedule_message(1.0, ("chan", 0), lambda: None)
-        after = next(Event._seq_counter)
-        assert after == before + 1  # only our probes drew from the counter
+        after = engine.schedule(1.0, lambda: None)
+        assert after.seq == before.seq + 1  # the message drew no seq
         engine.run()
 
     def test_message_in_past_rejected(self, engine):
@@ -165,9 +165,9 @@ class TestPrecomputedKeys:
         assert event.key == event.sort_key()
 
     def test_event_comparison_uses_key(self):
-        early = Event(1.0, lambda: None)
-        late = Event(2.0, lambda: None)
+        early = Event(1.0, lambda: None, seq=1)
+        late = Event(2.0, lambda: None, seq=0)
         assert early < late
-        tie_a = Event(3.0, lambda: None)
-        tie_b = Event(3.0, lambda: None)
-        assert tie_a < tie_b  # FIFO via the seq counter
+        tie_a = Event(3.0, lambda: None, seq=2)
+        tie_b = Event(3.0, lambda: None, seq=3)
+        assert tie_a < tie_b  # FIFO via the seq

@@ -7,37 +7,37 @@ from repro.sim.events import Event, EventCancelled, Timer
 
 
 def test_event_ordering_by_time():
-    a = Event(1.0, lambda: None)
-    b = Event(2.0, lambda: None)
+    a = Event(1.0, lambda: None, seq=1)
+    b = Event(2.0, lambda: None, seq=0)
     assert a < b
 
 
 def test_event_ordering_by_seq_on_tie():
-    a = Event(1.0, lambda: None)
-    b = Event(1.0, lambda: None)
-    assert a < b  # a was created first
+    a = Event(1.0, lambda: None, seq=0)
+    b = Event(1.0, lambda: None, seq=1)
+    assert a < b  # a was scheduled first
 
 
 def test_event_ordering_by_priority_on_tie():
-    a = Event(1.0, lambda: None, priority=5)
-    b = Event(1.0, lambda: None, priority=-5)
+    a = Event(1.0, lambda: None, priority=5, seq=0)
+    b = Event(1.0, lambda: None, priority=-5, seq=1)
     assert b < a
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        Event(-1.0, lambda: None)
+        Event(-1.0, lambda: None, seq=0)
 
 
 def test_fire_invokes_callback_with_args():
     seen = []
-    event = Event(0.0, lambda x, y: seen.append((x, y)), args=(1, 2))
+    event = Event(0.0, lambda x, y: seen.append((x, y)), args=(1, 2), seq=0)
     event.fire()
     assert seen == [(1, 2)]
 
 
 def test_fire_cancelled_event_raises():
-    event = Event(0.0, lambda: None)
+    event = Event(0.0, lambda: None, seq=0)
     event.cancel()
     with pytest.raises(EventCancelled):
         event.fire()

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import repro.sim
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -22,13 +21,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SPAWN_SCRIPT = """
 import hashlib, json, multiprocessing
 multiprocessing.set_start_method("spawn", force=True)
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 from tests.golden.corpus import digest
 
 runs = {}
 for shards in (1, 2):
-    reset_run_state()
     result = run_fabric_experiment("fat-tree-k4", controller="floodlight",
                                    pairs=4, packets=3, shards=shards,
                                    trace=True)
@@ -58,7 +55,6 @@ def test_spawn_default_start_method_still_uses_the_mesh():
 def test_without_fork_a_pooled_run_executes_inline(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn", "forkserver"])
-    reset_run_state()
     result = run_fabric_experiment("fat-tree-k4", pairs=4, packets=10,
                                    shards=2)
     assert result.shards == 1

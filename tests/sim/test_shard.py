@@ -1,4 +1,4 @@
-"""Sharded-execution machinery: contexts, boundaries, packing, barriers."""
+"""Sharded-execution machinery: isolation, boundaries, packing, barriers."""
 
 import pytest
 
@@ -7,55 +7,27 @@ from repro.sim.shard import (
     OP_FRAME,
     BoundaryHalf,
     BoundaryTx,
-    RegionContext,
     ShardRegion,
     assign_regions,
 )
 
 
 # --------------------------------------------------------------------- #
-# RegionContext
+# Region isolation
 # --------------------------------------------------------------------- #
 
-def test_region_context_isolates_event_sequence():
-    from repro.sim.events import Event
-
-    outer = SimulationEngine()
-    outer.schedule(1.0, lambda: None)
-    outer_seq = Event._seq_counter
-
-    ctx = RegionContext()
-    with ctx:
-        inner = SimulationEngine()
-        first = inner.schedule(1.0, lambda: None)
-        second = inner.schedule(1.0, lambda: None)
-        # A fresh context starts its sequence from zero, regardless of
-        # how many events the outer simulation has created.
-        assert first.seq == 0
-        assert second.seq == 1
-    assert Event._seq_counter is outer_seq
-
-
-def test_region_context_isolates_xids():
-    from repro.openflow import messages as of_messages
-
-    before = of_messages._xid_next
-    ctx = RegionContext()
-    with ctx:
-        of_messages.next_xid()
-        of_messages.next_xid()
-    assert of_messages._xid_next == before
-    # The context remembers its own progress across entries.
-    assert ctx.xid_next == 3
-    with ctx:
-        assert of_messages.next_xid() == 3
-
-
-def test_region_context_is_not_reentrant():
-    ctx = RegionContext()
-    with ctx:
-        with pytest.raises(RuntimeError):
-            ctx.__enter__()
+def test_regions_draw_from_their_own_engine_sequences():
+    busy, idle = ShardRegion(0, 2), ShardRegion(1, 2)
+    for _ in range(5):
+        busy.engine.schedule(1.0, lambda: None)
+        busy.engine.ctx.next_xid()
+        next(busy.engine.ctx.msg_ids)
+    # However far one region has advanced, the other starts at the top.
+    assert busy.engine.ctx is not idle.engine.ctx
+    assert idle.engine.schedule(1.0, lambda: None).seq == 0
+    assert idle.engine.ctx.next_xid() == 1
+    assert next(idle.engine.ctx.msg_ids) == 1
+    assert idle.engine.ctx.frames == {}
 
 
 # --------------------------------------------------------------------- #
@@ -71,9 +43,8 @@ def _region_with_boundary():
 
 def test_boundary_tx_emits_instead_of_delivering():
     region, tx = _region_with_boundary()
-    with region.ctx:
-        assert tx.transmit(b"x" * 100)
-        region.engine.run(until=0.01)
+    assert tx.transmit(b"x" * 100)
+    region.engine.run(until=0.01)
     assert len(region.outbox) == 1
     dest, (arrival, chan, seq, op, payload) = region.outbox[0]
     assert dest == 1
@@ -87,12 +58,11 @@ def test_boundary_tx_emits_instead_of_delivering():
 
 def test_boundary_tx_queue_drains_like_a_local_link():
     region, tx = _region_with_boundary()
-    with region.ctx:
-        for _ in range(5):
-            assert tx.transmit(b"y" * 50)
-        assert tx.queued == 5
-        region.engine.run(until=0.05)
-        assert tx.queued == 0
+    for _ in range(5):
+        assert tx.transmit(b"y" * 50)
+    assert tx.queued == 5
+    region.engine.run(until=0.05)
+    assert tx.queued == 0
     assert len(region.outbox) == 5
     arrivals = [message[0] for _, message in region.outbox]
     assert arrivals == sorted(arrivals)
@@ -119,8 +89,7 @@ def test_region_delivers_sorted_messages_to_sinks():
         (0.004, "link:000001:b", 1, OP_FRAME, b"late"),
         (0.002, "link:000001:b", 0, OP_FRAME, b"early"),
     ])
-    with region.ctx:
-        region.engine.run(until=0.01)
+    region.engine.run(until=0.01)
     assert received == [b"early", b"late"]
     assert region.messages_received == 2
 

@@ -12,7 +12,6 @@ proxies, and control-plane boundary channels all sit on the sharded path.
 
 import os
 
-from repro.campaign import reset_run_state
 from repro.experiments.fabric import run_fabric_experiment
 from repro.sim import shard
 from tests.golden.corpus import EXECUTION_KEYS
@@ -25,7 +24,6 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
 
 def _run(shards, **kwargs):
-    reset_run_state()
     return run_fabric_experiment(
         "fat-tree-k4", controller="floodlight", pairs=4, packets=3,
         shards=shards, trace=True, **kwargs,
@@ -132,10 +130,8 @@ def test_unattacked_controller_run_is_shard_invariant():
 
 
 def test_controllerless_udp_run_is_shard_invariant():
-    reset_run_state()
     inline = run_fabric_experiment("fat-tree-k4", pairs=4, packets=10,
                                    shards=1, trace=True)
-    reset_run_state()
     pooled = run_fabric_experiment("fat-tree-k4", pairs=4, packets=10,
                                    shards=2, trace=True)
     assert inline.trace_jsonl == pooled.trace_jsonl
