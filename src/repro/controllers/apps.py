@@ -9,10 +9,9 @@ instantiate it with their documented parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.netlib.addresses import MacAddress
-from repro.netlib.packet import DecodedPacket
+from repro.netlib.flowkey import MATCH_FIELD_NAMES
 from repro.openflow.actions import OutputAction
 from repro.openflow.constants import OFP_NO_BUFFER, Port
 from repro.openflow.match import Match
@@ -26,6 +25,26 @@ from repro.openflow.messages import (
 )
 
 
+#: A PACKET_IN's flow key: ``(in_port,)`` plus the frame's
+#: ``fastframe.base_key``, in ``MATCH_FIELD_NAMES`` order — addresses as
+#: ints, absent fields ``None``.
+FlowKey = Tuple[Optional[int], ...]
+
+#: Flow-key positions the apps read.
+IN_PORT, DL_SRC, DL_DST, DL_TYPE, NW_SRC, NW_DST = (
+    MATCH_FIELD_NAMES.index(name)
+    for name in ("in_port", "dl_src", "dl_dst", "dl_type", "nw_src", "nw_dst")
+)
+
+#: The nine fields an ``l2`` match leaves wildcarded.
+_L2_WILDCARDS = (None,) * 9
+
+
+def _is_group_mac(mac: int) -> bool:
+    """True for a broadcast or multicast MAC (its I/G bit is set)."""
+    return bool(mac >> 40 & 1)
+
+
 class ControllerApp:
     """Base class for controller applications (no-op hooks)."""
 
@@ -35,9 +54,9 @@ class ControllerApp:
     def switch_down(self, controller, session) -> None:
         """A switch connection was lost."""
 
-    def packet_in(self, controller, session, message: PacketIn,
-                  fields: Dict[str, Any], decoded: DecodedPacket) -> bool:
-        """Handle a PACKET_IN; return True to stop the pipeline."""
+    def packet_in(self, controller, session, message: PacketIn, key: FlowKey) -> bool:
+        """Handle a PACKET_IN whose packet has flow key ``key``; return
+        True to stop the pipeline."""
         return False
 
     def flow_removed(self, controller, session, message: FlowRemoved) -> None:
@@ -88,28 +107,11 @@ class LearningSwitchBehavior:
         if self.release_via not in ("flow_mod", "packet_out"):
             raise ValueError(f"bad release_via {self.release_via!r}")
 
-    def build_match(self, fields: Dict[str, Any]) -> Match:
+    def build_match(self, key: FlowKey) -> Match:
         """Construct this controller's flow-mod match for a packet."""
         if self.match_granularity == "l2":
-            return Match(
-                in_port=fields["in_port"],
-                dl_src=fields["dl_src"],
-                dl_dst=fields["dl_dst"],
-            )
-        return Match(
-            in_port=fields["in_port"],
-            dl_src=fields["dl_src"],
-            dl_dst=fields["dl_dst"],
-            dl_vlan=fields["dl_vlan"],
-            dl_vlan_pcp=fields["dl_vlan_pcp"],
-            dl_type=fields["dl_type"],
-            nw_tos=fields["nw_tos"],
-            nw_proto=fields["nw_proto"],
-            nw_src=fields["nw_src"],
-            nw_dst=fields["nw_dst"],
-            tp_src=fields["tp_src"],
-            tp_dst=fields["tp_dst"],
-        )
+            return Match.from_key(key[:3] + _L2_WILDCARDS)
+        return Match.from_key(key)
 
 
 class LearningSwitchApp(ControllerApp):
@@ -128,78 +130,28 @@ class LearningSwitchApp(ControllerApp):
         self.flows_installed = 0
         self.floods = 0
 
-    def _mac_table(self, session) -> Dict[MacAddress, int]:
+    def _mac_table(self, session) -> Dict[int, int]:
+        """``MAC (as int) -> port`` for one switch."""
         return session.app_state.setdefault(self.STATE_KEY, {})
 
-    def packet_in(self, controller, session, message: PacketIn,
-                  fields: Dict[str, Any], decoded: DecodedPacket) -> bool:
+    def packet_in(self, controller, session, message: PacketIn, key: FlowKey) -> bool:
         table = self._mac_table(session)
-        src: MacAddress = fields["dl_src"]
-        dst: MacAddress = fields["dl_dst"]
-        in_port: int = fields["in_port"]
+        in_port, src, dst = key[IN_PORT], key[DL_SRC], key[DL_DST]
         table[src] = in_port
 
         out_port: Optional[int] = table.get(dst)
-        if dst.is_broadcast or dst.is_multicast or out_port is None:
+        if _is_group_mac(dst) or out_port is None:
             self._flood(controller, session, message)
             return True
         if out_port == in_port:
             return True  # destination is behind the ingress port: drop
-
-        behavior = self.behavior
-        actions = [OutputAction(out_port)]
-        flow_buffer = (
-            message.buffer_id if behavior.release_via == "flow_mod" else OFP_NO_BUFFER
-        )
-        controller.stats["flow_mods_sent"] += 1
         self.flows_installed += 1
-        session.send(
-            FlowMod(
-                behavior.build_match(fields),
-                idle_timeout=behavior.idle_timeout,
-                hard_timeout=behavior.hard_timeout,
-                priority=behavior.priority,
-                buffer_id=flow_buffer,
-                actions=actions,
-                xid=controller.engine.ctx.next_xid(),
-            )
-        )
-        if behavior.release_via == "packet_out":
-            controller.stats["packet_outs_sent"] += 1
-            if message.buffer_id != OFP_NO_BUFFER:
-                session.send(
-                    PacketOut(
-                        buffer_id=message.buffer_id,
-                        in_port=in_port,
-                        actions=actions,
-                        xid=controller.engine.ctx.next_xid(),
-                    )
-                )
-            else:
-                session.send(
-                    PacketOut(
-                        in_port=in_port,
-                        actions=actions,
-                        data=message.data,
-                        xid=controller.engine.ctx.next_xid(),
-                    )
-                )
+        _install_flow(self.behavior, controller, session, message, key, out_port)
         return True
 
     def _flood(self, controller, session, message: PacketIn) -> None:
         self.floods += 1
-        controller.stats["packet_outs_sent"] += 1
-        actions = [OutputAction(Port.FLOOD)]
-        if message.buffer_id != OFP_NO_BUFFER:
-            session.send(
-                PacketOut(buffer_id=message.buffer_id, in_port=message.in_port,
-                          actions=actions, xid=controller.engine.ctx.next_xid())
-            )
-        else:
-            session.send(
-                PacketOut(in_port=message.in_port, actions=actions,
-                          data=message.data, xid=controller.engine.ctx.next_xid())
-            )
+        _release(controller, session, message, [OutputAction(Port.FLOOD)])
 
     def switch_down(self, controller, session) -> None:
         session.app_state.pop(self.STATE_KEY, None)
@@ -216,7 +168,7 @@ class FabricRoutingApp(ControllerApp):
     precomputed from the fabric graph, unknown or broadcast destinations
     are dropped, and nothing is ever flooded.
 
-    ``routes`` maps ``datapath_id -> {dst MacAddress -> out_port}``.  The
+    ``routes`` maps ``datapath_id -> {dst MAC as int -> out_port}``.  The
     installed flows use the same behavior knobs (match granularity,
     timeouts, buffered-packet release) as the learning switch, so attack
     semantics — which control messages matter, what a dropped FLOW_MOD
@@ -225,7 +177,7 @@ class FabricRoutingApp(ControllerApp):
 
     def __init__(
         self,
-        routes: Dict[int, Dict[MacAddress, int]],
+        routes: Dict[int, Dict[int, int]],
         behavior: LearningSwitchBehavior,
     ) -> None:
         self.routes = routes
@@ -233,10 +185,9 @@ class FabricRoutingApp(ControllerApp):
         self.flows_installed = 0
         self.dropped_unroutable = 0
 
-    def packet_in(self, controller, session, message: PacketIn,
-                  fields: Dict[str, Any], decoded: DecodedPacket) -> bool:
-        dst: MacAddress = fields["dl_dst"]
-        if dst.is_broadcast or dst.is_multicast:
+    def packet_in(self, controller, session, message: PacketIn, key: FlowKey) -> bool:
+        dst = key[DL_DST]
+        if _is_group_mac(dst):
             self.dropped_unroutable += 1
             return True
         table = self.routes.get(session.datapath_id)
@@ -244,46 +195,48 @@ class FabricRoutingApp(ControllerApp):
         if out_port is None:
             self.dropped_unroutable += 1
             return True
-        in_port: int = fields["in_port"]
-        if out_port == in_port:
+        if out_port == key[IN_PORT]:
             return True  # destination is behind the ingress port: drop
-
-        behavior = self.behavior
-        actions = [OutputAction(out_port)]
-        flow_buffer = (
-            message.buffer_id if behavior.release_via == "flow_mod" else OFP_NO_BUFFER
-        )
-        controller.stats["flow_mods_sent"] += 1
         self.flows_installed += 1
-        session.send(
-            FlowMod(
-                behavior.build_match(fields),
-                idle_timeout=behavior.idle_timeout,
-                hard_timeout=behavior.hard_timeout,
-                priority=behavior.priority,
-                buffer_id=flow_buffer,
-                actions=actions,
-                xid=controller.engine.ctx.next_xid(),
-            )
-        )
-        if behavior.release_via == "packet_out":
-            controller.stats["packet_outs_sent"] += 1
-            if message.buffer_id != OFP_NO_BUFFER:
-                session.send(
-                    PacketOut(
-                        buffer_id=message.buffer_id,
-                        in_port=in_port,
-                        actions=actions,
-                        xid=controller.engine.ctx.next_xid(),
-                    )
-                )
-            else:
-                session.send(
-                    PacketOut(
-                        in_port=in_port,
-                        actions=actions,
-                        data=message.data,
-                        xid=controller.engine.ctx.next_xid(),
-                    )
-                )
+        _install_flow(self.behavior, controller, session, message, key, out_port)
         return True
+
+
+def _install_flow(behavior: LearningSwitchBehavior, controller, session,
+                  message: PacketIn, key: FlowKey, out_port: int) -> None:
+    """Install ``behavior``'s flow for ``key`` out of ``out_port`` and
+    release the packet the way ``behavior`` does."""
+    actions = [OutputAction(out_port)]
+    flow_buffer = (
+        message.buffer_id if behavior.release_via == "flow_mod" else OFP_NO_BUFFER
+    )
+    controller.stats["flow_mods_sent"] += 1
+    session.send(
+        FlowMod(
+            behavior.build_match(key),
+            idle_timeout=behavior.idle_timeout,
+            hard_timeout=behavior.hard_timeout,
+            priority=behavior.priority,
+            buffer_id=flow_buffer,
+            actions=actions,
+            xid=controller.engine.ctx.next_xid(),
+        )
+    )
+    if behavior.release_via == "packet_out":
+        _release(controller, session, message, actions)
+
+
+def _release(controller, session, message: PacketIn, actions) -> None:
+    """PACKET_OUT ``message``'s packet with ``actions``: by its buffer id
+    when the switch buffered it, else with its bytes."""
+    controller.stats["packet_outs_sent"] += 1
+    buffered = message.buffer_id != OFP_NO_BUFFER
+    session.send(
+        PacketOut(
+            buffer_id=message.buffer_id,
+            in_port=message.in_port,
+            actions=actions,
+            data=b"" if buffered else message.data,
+            xid=controller.engine.ctx.next_xid(),
+        )
+    )

@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional
 
+from repro.controllers.apps import DL_TYPE
 from repro.dataplane.control import ControlChannel
+from repro.netlib.ethernet import EtherType, FrameDecodeError
+from repro.netlib.fastframe import base_key
 from repro.netlib.packet import decode_ethernet
 from repro.openflow.connection import MessageFramer
-from repro.openflow.match import extract_packet_fields
 from repro.openflow.messages import (
     EchoReply,
     EchoRequest,
@@ -218,13 +220,16 @@ class Controller:
             return
 
     def _dispatch_packet_in(self, session: SwitchSession, message: PacketIn) -> None:
+        """Hand the apps the packet's flow key (``apps.FlowKey``)."""
+        data = message.data
         try:
-            decoded = decode_ethernet(message.data)
-            fields = extract_packet_fields(message.data, message.in_port)
-        except Exception:
+            key = (message.in_port,) + base_key(data)
+            if key[DL_TYPE] == EtherType.LLDP:
+                decode_ethernet(data)  # a malformed LLDP body is undecodable too
+        except (FrameDecodeError, ValueError):
             return  # undecodable packet-in (e.g. truncated below Ethernet)
         for app in self.apps:
-            handled = app.packet_in(self, session, message, fields, decoded)
+            handled = app.packet_in(self, session, message, key)
             if handled:
                 break
 

@@ -17,17 +17,17 @@ PACKET_IN poisons :attr:`TopologyDiscoveryApp.links`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.netlib.addresses import MacAddress
-from repro.netlib.ethernet import EtherType, EthernetFrame
+from repro.netlib.ethernet import EtherType, EthernetFrame, FrameDecodeError
 from repro.netlib.lldp import LldpPacket
 from repro.netlib.addresses import LLDP_MULTICAST_MAC
-from repro.netlib.packet import DecodedPacket
+from repro.netlib.packet import decode_ethernet
 from repro.openflow.actions import OutputAction
 from repro.openflow.constants import OFP_NO_BUFFER, Port
 from repro.openflow.messages import PacketIn, PacketOut
-from repro.controllers.apps import ControllerApp
+from repro.controllers.apps import DL_TYPE, ControllerApp, FlowKey
 
 LinkKey = Tuple[int, int, int, int]  # (src_dpid, src_port, dst_dpid, dst_port)
 
@@ -106,11 +106,13 @@ class TopologyDiscoveryApp(ControllerApp):
     # Learning
     # ------------------------------------------------------------------ #
 
-    def packet_in(self, controller, session, message: PacketIn,
-                  fields: Dict[str, Any], decoded: DecodedPacket) -> bool:
-        if fields.get("dl_type") != EtherType.LLDP:
+    def packet_in(self, controller, session, message: PacketIn, key: FlowKey) -> bool:
+        if key[DL_TYPE] != EtherType.LLDP:
             return False
-        lldp = decoded.l3
+        try:
+            lldp = decode_ethernet(message.data).l3
+        except (FrameDecodeError, ValueError):
+            lldp = None
         if not isinstance(lldp, LldpPacket):
             self.malformed_probes += 1
             return True  # consume: LLDP must not reach the learning switch

@@ -18,36 +18,36 @@ fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Optional
+from typing import FrozenSet, Optional, SupportsInt
 
 from repro.netlib.addresses import Ipv4Address
 from repro.netlib.ethernet import EtherType
-from repro.netlib.packet import DecodedPacket
 from repro.openflow.messages import FlowMod, PacketIn
-from repro.controllers.apps import ControllerApp, LearningSwitchBehavior
+from repro.controllers.apps import (DL_TYPE, NW_DST, NW_SRC, ControllerApp, FlowKey,
+                                    LearningSwitchBehavior)
 
 
 @dataclass(frozen=True)
 class FirewallPolicy:
-    """Source/destination IP sets whose traffic is blocked at the DMZ."""
+    """Source/destination IP sets (as ints) whose traffic is blocked at the DMZ."""
 
-    blocked_sources: FrozenSet[Ipv4Address]
-    protected_destinations: FrozenSet[Ipv4Address]
+    blocked_sources: FrozenSet[int]
+    protected_destinations: FrozenSet[int]
 
     @classmethod
     def isolate(cls, external_ips, internal_ips) -> "FirewallPolicy":
         """Block the given external sources from the given internal hosts."""
         return cls(
-            blocked_sources=frozenset(Ipv4Address(ip) for ip in external_ips),
-            protected_destinations=frozenset(Ipv4Address(ip) for ip in internal_ips),
+            blocked_sources=frozenset(int(Ipv4Address(ip)) for ip in external_ips),
+            protected_destinations=frozenset(int(Ipv4Address(ip)) for ip in internal_ips),
         )
 
-    def blocks(self, src: Optional[Ipv4Address], dst: Optional[Ipv4Address]) -> bool:
+    def blocks(self, src: Optional[SupportsInt], dst: Optional[SupportsInt]) -> bool:
         return (
             src is not None
             and dst is not None
-            and src in self.blocked_sources
-            and dst in self.protected_destinations
+            and int(src) in self.blocked_sources
+            and int(dst) in self.protected_destinations
         )
 
 
@@ -77,20 +77,19 @@ class DmzFirewallApp(ControllerApp):
         self.blocked_packets = 0
         self.drop_rules_installed = 0
 
-    def packet_in(self, controller, session, message: PacketIn,
-                  fields: Dict[str, Any], decoded: DecodedPacket) -> bool:
+    def packet_in(self, controller, session, message: PacketIn, key: FlowKey) -> bool:
         if session.datapath_id not in self.enforcement_dpids:
             return False
-        if fields.get("dl_type") != EtherType.IPV4:
+        if key[DL_TYPE] != EtherType.IPV4:
             return False  # ARP/LLDP pass through to the learning switch
-        if not self.policy.blocks(fields.get("nw_src"), fields.get("nw_dst")):
+        if not self.policy.blocks(key[NW_SRC], key[NW_DST]):
             return False
         self.blocked_packets += 1
         self.drop_rules_installed += 1
         controller.stats["flow_mods_sent"] += 1
         session.send(
             FlowMod(
-                self.behavior.build_match(fields),
+                self.behavior.build_match(key),
                 idle_timeout=self.drop_idle_timeout,
                 priority=self.drop_priority,
                 actions=[],  # no actions: matching packets are dropped

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, FrozenSet, List, Optional, Union
 
-from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.openflow.match import MATCH_FIELD_NAMES
 from repro.openflow.messages import FlowMod, FlowRemoved, OpenFlowMessage, PacketIn, PacketOut
 from repro.core.lang.conditionals import EvalContext, Expression
@@ -313,9 +312,6 @@ class ModifyMessage(AttackAction):
         )
         message = incoming.parsed
         if self._set_field(message, self.field_path, value):
-            # Nested edits (match fields, action ports) bypass the message's
-            # __setattr__ cache invalidation — drop the stale pack cache.
-            message.invalidate_packed()
             incoming.replace_payload(message)
             ctx.record(
                 "modify_message",
@@ -328,7 +324,9 @@ class ModifyMessage(AttackAction):
         if head == "match" and rest and isinstance(message, (FlowMod, FlowRemoved)):
             if rest not in MATCH_FIELD_NAMES:
                 return False
-            setattr(message.match, rest, _coerce_match_value(rest, value))
+            # The match's field setters take addresses in any form their
+            # constructors accept and everything else as an int.
+            setattr(message.match, rest, value)
             return True
         if head == "output_port" and isinstance(message, (FlowMod, PacketOut)):
             # Rewrite every OUTPUT action's port — the black-hole primitive:
@@ -359,16 +357,6 @@ class ModifyMessage(AttackAction):
 
     def __repr__(self) -> str:
         return f"ModifyMessage({self.field_path!r}, {self.value!r})"
-
-
-def _coerce_match_value(field_name: str, value: Any):
-    if value is None:
-        return None
-    if field_name in ("dl_src", "dl_dst"):
-        return MacAddress(value) if not isinstance(value, MacAddress) else value
-    if field_name in ("nw_src", "nw_dst"):
-        return Ipv4Address(value) if not isinstance(value, Ipv4Address) else value
-    return int(value)
 
 
 MessageSource = Union[Expression, OpenFlowMessage, Callable[[ActionContext], Any]]

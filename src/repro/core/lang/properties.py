@@ -17,6 +17,7 @@ from typing import Any, Iterator, Optional, Tuple
 from repro.openflow.actions import OutputAction
 from repro.openflow.match import MATCH_FIELD_NAMES, extract_packet_fields
 from repro.openflow.messages import (
+    BODY_CHECKED_TYPES,
     EchoReply,
     EchoRequest,
     ErrorMessage,
@@ -32,6 +33,7 @@ from repro.openflow.messages import (
     StatsRequest,
     parse_message,
     peek_message_type_name,
+    valid_type_name,
 )
 
 _UNSET = object()
@@ -99,6 +101,7 @@ class InterposedMessage:
         "_parsed",
         "_parse_failed",
         "_coarse_type",
+        "_type_name",
         "payload_replaced",
         "metadata_overrides",
     )
@@ -121,6 +124,7 @@ class InterposedMessage:
         self._parsed = parsed
         self._parse_failed = False
         self._coarse_type = _UNSET
+        self._type_name = _UNSET
         self.payload_replaced = False
         self.metadata_overrides: dict = {}
 
@@ -172,10 +176,18 @@ class InterposedMessage:
 
     @property
     def message_type_name(self) -> Optional[str]:
-        message = self.parsed
-        if message is None:
-            return None
-        return message.message_type.name
+        """TYPE: the message type if the bytes decode, else None.  The
+        :data:`BODY_CHECKED_TYPES` need no decode (:func:`valid_type_name`);
+        any other type is decoded once and the decode kept."""
+        name = self._type_name
+        if name is _UNSET:
+            if self._parsed is None and self.coarse_type_name in BODY_CHECKED_TYPES:
+                name = valid_type_name(self.raw)
+            else:
+                message = self.parsed
+                name = None if message is None else message.message_type.name
+            self._type_name = name
+        return name
 
     @property
     def coarse_type_name(self) -> Optional[str]:
@@ -202,12 +214,14 @@ class InterposedMessage:
         self._parsed = None
         self._parse_failed = False
         self._coarse_type = _UNSET
+        self._type_name = _UNSET
 
     def replace_payload(self, message: OpenFlowMessage) -> None:
         """Swap in a modified payload (MODIFYMESSAGE support)."""
         self._parsed = message
         self._parse_failed = False
         self._coarse_type = _UNSET
+        self._type_name = _UNSET
         self.payload_replaced = True
         self.raw = message.pack()
 

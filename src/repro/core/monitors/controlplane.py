@@ -1,10 +1,14 @@
-"""Control-plane monitor: logs interposed messages and rule notifications.
+"""Control-plane monitor: counts interposed messages and rule notifications.
 
 The paper's runtime injector "logged all control plane connections, all
 messages sent across such connections, and rule notifications (when
 actuated)" (Section VII-A2).  This monitor plugs into the runtime injector
 as an observer and provides the counters the experiments report (e.g. the
-control-plane traffic amplification of the suppression attack).
+control-plane traffic amplification of the suppression attack).  Its
+per-message records (``message``, ``rule_fired``, ``state_changed``,
+``action:*``) are built only while a tracer is attached: the trace
+(``--trace``, :mod:`repro.obs`) is this reproduction's form of the paper's
+control-plane log, and nothing else reads them.
 """
 
 from __future__ import annotations
@@ -45,35 +49,39 @@ class ControlPlaneMonitor(RecordingMonitor):
         survived = any(entry.message is message for entry in outgoing)
         if not survived:
             self.dropped_by_type[type_name] = self.dropped_by_type.get(type_name, 0) + 1
-        self.record(
-            now,
-            "message",
-            {
-                "connection": key,
-                "direction": message.direction.value,
-                "type": type_name,
-                "length": len(message.raw),
-                "forwarded": survived,
-                "injected_count": sum(1 for entry in outgoing if entry.injected),
-            },
-        )
+        if self.tracer is not None:
+            self.record(
+                now,
+                "message",
+                {
+                    "connection": key,
+                    "direction": message.direction.value,
+                    "type": type_name,
+                    "length": len(message.raw),
+                    "forwarded": survived,
+                    "injected_count": sum(1 for entry in outgoing if entry.injected),
+                },
+            )
 
     # -- ExecutorObserver hooks ------------------------------------------ #
 
     def rule_fired(self, state: str, rule_name: str, message: InterposedMessage) -> None:
         self.rule_notifications.append((message.timestamp, state, rule_name))
-        self.record(
-            message.timestamp,
-            "rule_fired",
-            {"state": state, "rule": rule_name, "message_id": message.msg_id},
-        )
+        if self.tracer is not None:
+            self.record(
+                message.timestamp,
+                "rule_fired",
+                {"state": state, "rule": rule_name, "message_id": message.msg_id},
+            )
 
     def state_changed(self, previous: str, current: str, at: float) -> None:
         self.state_transitions.append((at, previous, current))
-        self.record(at, "state_changed", {"from": previous, "to": current})
+        if self.tracer is not None:
+            self.record(at, "state_changed", {"from": previous, "to": current})
 
     def action_record(self, kind: str, data: dict, at: float) -> None:
-        self.record(at, f"action:{kind}", data)
+        if self.tracer is not None:
+            self.record(at, f"action:{kind}", data)
 
     # -- Queries ----------------------------------------------------------- #
 

@@ -105,9 +105,8 @@ class FlowEntry:
         )
 
 
-#: Tuple positions of ``nw_src``/``nw_dst`` and their prefix attributes.
-_PREFIX_OF = {MATCH_FIELD_NAMES.index(name): name + "_prefix"
-              for name in ("nw_src", "nw_dst")}
+_NW_SRC = MATCH_FIELD_NAMES.index("nw_src")
+_NW_DST = MATCH_FIELD_NAMES.index("nw_dst")
 
 
 def _mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Any, ...]]:
@@ -117,16 +116,17 @@ def _mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[A
     an exact field, the prefix netmask for a CIDR ``nw_src``/``nw_dst``.
     A /0 prefix constrains nothing, as in :meth:`Match.matches_fields`.
     """
+    key = match.key
+    prefixes = {_NW_SRC: match.nw_src_prefix, _NW_DST: match.nw_dst_prefix}
     mask = []
-    values: List[Any] = [None] * len(MATCH_FIELD_NAMES)
-    for pos, name in enumerate(MATCH_FIELD_NAMES):
-        value = getattr(match, name)
-        prefix = getattr(match, _PREFIX_OF[pos]) if pos in _PREFIX_OF else 32
+    values: List[Any] = [None] * len(key)
+    for pos, value in enumerate(key):
+        prefix = prefixes.get(pos, 32)
         if value is None or prefix == 0:
             continue
         netmask = -1 if prefix == 32 else ((1 << prefix) - 1) << (32 - prefix)
         mask.append((pos, netmask))
-        values[pos] = int(value) & netmask
+        values[pos] = value & netmask
     return tuple(mask), tuple(values)
 
 

@@ -351,14 +351,14 @@ def _switch_path(
     return path
 
 
-def controller_routes(topo: Topology) -> Dict[int, Dict[Any, int]]:
+def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
     """Full next-hop tables for :class:`FabricRoutingApp`:
-    ``datapath_id -> {host MAC -> out_port}`` toward every host."""
+    ``datapath_id -> {host MAC as int -> out_port}`` toward every host."""
     adjacency = _switch_adjacency(topo)
     ports = _port_map(topo)
     attach = _host_attach(topo)
     dpid = {name: spec.datapath_id for name, spec in topo.switches.items()}
-    routes: Dict[int, Dict[Any, int]] = {d: {} for d in dpid.values()}
+    routes: Dict[int, Dict[int, int]] = {d: {} for d in dpid.values()}
     by_edge: Dict[str, List[str]] = {}
     for host, edge in attach.items():
         by_edge.setdefault(edge, []).append(host)
@@ -368,14 +368,14 @@ def controller_routes(topo: Topology) -> Dict[int, Dict[Any, int]]:
             mac = topo.hosts[host].mac
             for switch in topo.switches:
                 if switch == edge:
-                    routes[dpid[switch]][mac] = ports[(edge, host)]
+                    routes[dpid[switch]][int(mac)] = ports[(edge, host)]
                 elif switch in parents:
                     # Per-(switch, destination) ECMP: every hop strictly
                     # decreases the distance to the edge, so independent
                     # per-switch choices still compose into loop-free
                     # paths.
                     choice = _ecmp_pick(parents[switch], switch, str(mac))
-                    routes[dpid[switch]][mac] = ports[(switch, choice)]
+                    routes[dpid[switch]][int(mac)] = ports[(switch, choice)]
     return routes
 
 

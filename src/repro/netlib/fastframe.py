@@ -46,6 +46,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.netlib.addresses import MacAddress
 from repro.netlib.flowkey import (
     FIELD_TUPLE_KEY as TUPLE_KEY,
+    extract_base_key,
     extract_flow_base,
     extract_flow_key,
     field_tuple,
@@ -122,14 +123,15 @@ def base_key(data: bytes) -> Tuple[Optional[int], ...]:
     """The eleven port-independent key fields of ``data`` as ints.
 
     ``field_tuple`` order without ``in_port``: addresses as integers,
-    absent fields ``None``.  Memoized on a FastFrame; raises exactly what
-    ``extract_flow_base`` raises.
+    absent fields ``None``.  Memoized on a FastFrame; plain bytes go to
+    ``extract_base_key``, which builds no address object.  Raises exactly
+    what ``extract_flow_base`` raises.
     """
     if type(data) is FastFrame:
         if data._base_tuple is None:
             _memoize_base(data)
         return data._base_tuple
-    return field_tuple(extract_flow_base(data))[1:]
+    return extract_base_key(data)
 
 
 def share_key(data: bytes, memo: Optional[bytes]) -> bytes:

@@ -6,8 +6,9 @@ needs from a frame, yet the historical extraction route built full
 ``EthernetFrame``/``Ipv4Packet``/``TcpSegment`` objects — three payload
 copies, enum constructions, and range re-validation per hop.  This module
 reads the twelve fields with ``struct.unpack_from`` directly against the
-buffer, allocating only the two ``MacAddress``/two ``Ipv4Address`` value
-objects the key itself carries.
+buffer.  :func:`extract_base_key` returns them as ints and allocates no
+address object; :func:`extract_flow_base` is its field-dict view, with
+``MacAddress``/``Ipv4Address`` values.
 
 Semantics are bit-for-bit those of extraction through the layer
 decoders (``decode_ethernet``): every validation a layer decoder
@@ -72,11 +73,12 @@ def field_tuple(fields: Dict[str, Any]) -> Tuple[Optional[int], ...]:
                  for name in MATCH_FIELD_NAMES)
 
 
-_ETH = struct.Struct("!6s6sH")
-_IP = struct.Struct("!BBHHHBBH4s4s")
+_ETH = struct.Struct("!HIHIH")  # dst and src MACs as (high 16, low 32) bits
+# version/IHL, total length, protocol, source, destination
+_IP = struct.Struct("!BxH5xB2xII")
 _TCP_PORTS = struct.Struct("!HH")
-_UDP = struct.Struct("!HHHH")
-_ICMP = struct.Struct("!BBHHH")
+_UDP = struct.Struct("!HHH")  # ports and length
+_ICMP = struct.Struct("!BB")  # type and code
 
 _ETH_SIZE = _ETH.size          # 14
 _IP_SIZE = _IP.size            # 20
@@ -87,40 +89,51 @@ _ICMP_MIN = 8
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_ARP = 0x0806
 
-_ARP = struct.Struct("!HHBBH6s4s6s4s")
+_ARP = struct.Struct("!HHBBH6sI6sI")
 _ARP_ETH_IPV4 = (1, 0x0800, 6, 4)
 
+#: The L3/L4 fields of a frame without (decodable) IPv4 or ARP.
+_NO_L3 = (None, None, None, None, None, None)
 
-def extract_flow_base(data: bytes) -> Dict[str, Any]:
-    """Extract the port-independent eleven fields of the flow key.
+#: :func:`extract_base_key`'s field names: the flow key without ``in_port``.
+BASE_FIELD_NAMES = MATCH_FIELD_NAMES[1:]
 
-    Raises :class:`FrameDecodeError` for frames shorter than an Ethernet
-    header, and mirrors the layer decoders' ``ValueError`` for the two
-    constructor-level rejections (unknown ICMP echo type, unknown ARP
-    opcode) so the fast and reference routes fail identically.
+
+def extract_base_key(data: bytes) -> Tuple[Optional[int], ...]:
+    """The port-independent eleven fields of the flow key, as ints.
+
+    :data:`BASE_FIELD_NAMES` order: addresses as their integer values,
+    absent fields ``None``, so ``(in_port,) + extract_base_key(data)`` is
+    the frame's :func:`field_tuple`.  Raises :class:`FrameDecodeError` for
+    frames shorter than an Ethernet header, and mirrors the layer
+    decoders' ``ValueError`` for the two constructor-level rejections
+    (unknown ICMP echo type, unknown ARP opcode) so the fast and reference
+    routes fail identically.
     """
     if len(data) < _ETH_SIZE:
         raise FrameDecodeError(
             f"ethernet frame too short: {len(data)} < {_ETH_SIZE} bytes"
         )
-    dst, src, ethertype = _ETH.unpack_from(data)
-    fields: Dict[str, Any] = {
-        "dl_src": MacAddress(src),
-        "dl_dst": MacAddress(dst),
-        "dl_vlan": VLAN_NONE,
-        "dl_vlan_pcp": 0,
-        "dl_type": ethertype,
-        "nw_tos": None,
-        "nw_proto": None,
-        "nw_src": None,
-        "nw_dst": None,
-        "tp_src": None,
-        "tp_dst": None,
-    }
+    dst_hi, dst_lo, src_hi, src_lo, ethertype = _ETH.unpack_from(data)
     if ethertype == _ETHERTYPE_IPV4:
-        _extract_ipv4(data, fields)
+        l3 = _ipv4_fields(data)
     elif ethertype == _ETHERTYPE_ARP:
-        _extract_arp(data, fields)
+        l3 = _arp_fields(data)
+    else:
+        l3 = _NO_L3
+    return (src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, VLAN_NONE, 0,
+            ethertype) + l3
+
+
+def extract_flow_base(data: bytes) -> Dict[str, Any]:
+    """:func:`extract_base_key` as a field dict, addresses as
+    :class:`MacAddress`/:class:`Ipv4Address` values."""
+    fields = dict(zip(BASE_FIELD_NAMES, extract_base_key(data)))
+    fields["dl_src"] = MacAddress(fields["dl_src"])
+    fields["dl_dst"] = MacAddress(fields["dl_dst"])
+    if fields["nw_src"] is not None:  # IPv4 and ARP set both addresses
+        fields["nw_src"] = Ipv4Address(fields["nw_src"])
+        fields["nw_dst"] = Ipv4Address(fields["nw_dst"])
     return fields
 
 
@@ -131,85 +144,61 @@ def extract_flow_key(data: bytes, in_port: int) -> Dict[str, Any]:
     return fields
 
 
-def _extract_ipv4(data: bytes, fields: Dict[str, Any]) -> None:
+def _ipv4_fields(data: bytes) -> Tuple[Optional[int], ...]:
+    """``(nw_tos, nw_proto, nw_src, nw_dst, tp_src, tp_dst)`` of an IPv4 frame."""
     payload_len = len(data) - _ETH_SIZE
     if payload_len < _IP_SIZE:
-        return
-    (
-        version_ihl,
-        _tos,
-        total_length,
-        _identification,
-        _flags_frag,
-        _ttl,
-        protocol,
-        _checksum,
-        nw_src,
-        nw_dst,
-    ) = _IP.unpack_from(data, _ETH_SIZE)
+        return _NO_L3
+    version_ihl, total_length, protocol, nw_src, nw_dst = _IP.unpack_from(data, _ETH_SIZE)
     # Mirror Ipv4Packet.unpack's rejections: wrong version, options,
     # overlong total_length, bad header checksum -> no L3/L4 fields.
     if version_ihl != 0x45:
-        return
+        return _NO_L3
     if total_length > payload_len:
-        return
+        return _NO_L3
     if internet_checksum(data[_ETH_SIZE : _ETH_SIZE + _IP_SIZE]) != 0:
-        return
+        return _NO_L3
     # Ipv4Packet does not model TOS (packs it as zero), so the extracted
     # key reads 0 regardless of the wire byte — same as the reference.
-    fields["nw_tos"] = 0
-    fields["nw_proto"] = protocol
-    fields["nw_src"] = Ipv4Address(nw_src)
-    fields["nw_dst"] = Ipv4Address(nw_dst)
+    l3 = (0, protocol, nw_src, nw_dst)
     l4_offset = _ETH_SIZE + _IP_SIZE
     l4_len = total_length - _IP_SIZE
     if protocol == 6:  # TCP
-        if l4_len < _TCP_MIN:
-            return
         # TcpSegment.unpack rejects options (data offset != 5).
-        if data[l4_offset + 12] >> 4 != 5:
-            return
-        tp_src, tp_dst = _TCP_PORTS.unpack_from(data, l4_offset)
-        fields["tp_src"] = tp_src
-        fields["tp_dst"] = tp_dst
+        if l4_len >= _TCP_MIN and data[l4_offset + 12] >> 4 == 5:
+            return l3 + _TCP_PORTS.unpack_from(data, l4_offset)
     elif protocol == 17:  # UDP
-        if l4_len < _UDP_MIN:
-            return
-        tp_src, tp_dst, length, _cks = _UDP.unpack_from(data, l4_offset)
-        if length < _UDP_MIN or length > l4_len:
-            return
-        fields["tp_src"] = tp_src
-        fields["tp_dst"] = tp_dst
+        if l4_len >= _UDP_MIN:
+            tp_src, tp_dst, length = _UDP.unpack_from(data, l4_offset)
+            if _UDP_MIN <= length <= l4_len:
+                return l3 + (tp_src, tp_dst)
     elif protocol == 1:  # ICMP
-        if l4_len < _ICMP_MIN:
-            return
-        icmp_type, code, _cks, _ident, _seq = _ICMP.unpack_from(data, l4_offset)
-        if code != 0:
-            return
-        if internet_checksum(data[l4_offset : _ETH_SIZE + total_length]) != 0:
-            return
-        if icmp_type not in (0, 8):
-            # IcmpEcho refuses non-echo types at construction time with a
-            # ValueError (not a decode error); keep the routes identical.
-            raise ValueError(f"unsupported ICMP type {icmp_type!r}")
-        fields["tp_src"] = icmp_type
-        fields["tp_dst"] = 0
+        if l4_len >= _ICMP_MIN:
+            icmp_type, code = _ICMP.unpack_from(data, l4_offset)
+            if code == 0 and internet_checksum(
+                    data[l4_offset : _ETH_SIZE + total_length]) == 0:
+                if icmp_type not in (0, 8):
+                    # IcmpEcho refuses non-echo types at construction time
+                    # with a ValueError (not a decode error); keep the
+                    # routes identical.
+                    raise ValueError(f"unsupported ICMP type {icmp_type!r}")
+                return l3 + (icmp_type, 0)
+    return l3 + (None, None)
 
 
-def _extract_arp(data: bytes, fields: Dict[str, Any]) -> None:
+def _arp_fields(data: bytes) -> Tuple[Optional[int], ...]:
+    """``(nw_tos, nw_proto, nw_src, nw_dst, tp_src, tp_dst)`` of an ARP frame."""
     if len(data) - _ETH_SIZE < _ARP.size:
-        return
+        return _NO_L3
     htype, ptype, hlen, plen, opcode, _smac, sip, _tmac, tip = _ARP.unpack_from(
         data, _ETH_SIZE
     )
     if (htype, ptype, hlen, plen) != _ARP_ETH_IPV4:
-        return
+        return _NO_L3
     if opcode not in (1, 2):
         # ArpPacket refuses unknown opcodes with a ValueError; mirror it.
         raise ValueError(f"unsupported ARP opcode {opcode!r}")
-    fields["nw_proto"] = opcode
-    fields["nw_src"] = Ipv4Address(sip)
-    fields["nw_dst"] = Ipv4Address(tip)
+    return (None, opcode, sip, tip, None, None)
 
 
 def mac_pair_of(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:

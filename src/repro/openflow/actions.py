@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import ClassVar, Iterator, List, Optional, Tuple
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.openflow.constants import ActionType
@@ -17,6 +17,7 @@ class Action:
     """Base class for flow actions; subclasses register by ``ActionType``."""
 
     action_type: ActionType
+    body_size: ClassVar[Optional[int]] = None  # fixed body length, if any
     _registry: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -40,25 +41,53 @@ class Action:
             )
         return struct.pack("!HH", int(self.action_type), length) + body
 
+    @classmethod
+    def check_size(cls, body: bytes) -> None:
+        """Raise :class:`ActionDecodeError` unless ``body`` fits ``body_size``."""
+        if cls.body_size is not None and len(body) != cls.body_size:
+            raise ActionDecodeError(
+                f"bad {cls.action_type.name} body length {len(body)}"
+            )
+
     @staticmethod
-    def unpack_list(data: bytes) -> List["Action"]:
-        """Decode a contiguous action list (as found in FLOW_MOD/PACKET_OUT)."""
-        actions: List[Action] = []
-        offset = 0
-        while offset < len(data):
-            if offset + 4 > len(data):
+    def walk(data: bytes) -> Iterator[Tuple[int, Optional[type], bytes]]:
+        """Each ``(action_type, class or None, body)`` of an action list.
+
+        Raises :class:`ActionDecodeError` at the first TLV without a whole
+        header, with a length under 8, not a multiple of 8 or past the end
+        of ``data``, or with a body that fails :meth:`check_size`.
+        """
+        offset, end = 0, len(data)
+        while offset < end:
+            if offset + 4 > end:
                 raise ActionDecodeError("truncated action header")
             action_type, length = struct.unpack_from("!HH", data, offset)
-            if length < 8 or length % 8 or offset + length > len(data):
+            if length < 8 or length % 8 or offset + length > end:
                 raise ActionDecodeError(f"bad action length {length}")
             body = data[offset + 4 : offset + length]
             cls = Action._registry.get(action_type)
-            if cls is None:
-                actions.append(UnknownAction(action_type, body))
-            else:
-                actions.append(cls.unpack_body(body))
+            if cls is not None:
+                cls.check_size(body)
+            yield action_type, cls, body
             offset += length
-        return actions
+
+    @staticmethod
+    def valid_list(data: bytes) -> bool:
+        """True when :meth:`unpack_list` would decode ``data``."""
+        try:
+            for _ in Action.walk(data):
+                pass
+        except ActionDecodeError:
+            return False
+        return True
+
+    @staticmethod
+    def unpack_list(data: bytes) -> List["Action"]:
+        """Decode a contiguous action list (as found in FLOW_MOD/PACKET_OUT)."""
+        return [
+            UnknownAction(action_type, body) if cls is None else cls.unpack_body(body)
+            for action_type, cls, body in Action.walk(data)
+        ]
 
     @staticmethod
     def pack_list(actions: List["Action"]) -> bytes:
@@ -77,6 +106,7 @@ class OutputAction(Action):
     """Send the packet out a port (``ofp_action_output``)."""
 
     action_type = ActionType.OUTPUT
+    body_size = 4
 
     def __init__(self, port: int, max_len: int = 0xFFFF) -> None:
         self.port = int(port)
@@ -87,8 +117,7 @@ class OutputAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes) -> "OutputAction":
-        if len(body) != 4:
-            raise ActionDecodeError(f"bad OUTPUT body length {len(body)}")
+        cls.check_size(body)
         port, max_len = struct.unpack("!HH", body)
         return cls(port, max_len)
 
@@ -115,6 +144,8 @@ class StripVlanAction(Action):
 class _SetDlAction(Action):
     """Common base for dl_src/dl_dst rewrites (``ofp_action_dl_addr``)."""
 
+    body_size = 12
+
     def __init__(self, address: MacAddress) -> None:
         self.address = MacAddress(address)
 
@@ -123,8 +154,7 @@ class _SetDlAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        if len(body) != 12:
-            raise ActionDecodeError(f"bad SET_DL body length {len(body)}")
+        cls.check_size(body)
         return cls(MacAddress(body[:6]))
 
     def __repr__(self) -> str:
@@ -142,6 +172,8 @@ class SetDlDstAction(_SetDlAction):
 class _SetNwAction(Action):
     """Common base for nw_src/nw_dst rewrites (``ofp_action_nw_addr``)."""
 
+    body_size = 4
+
     def __init__(self, address: Ipv4Address) -> None:
         self.address = Ipv4Address(address)
 
@@ -150,8 +182,7 @@ class _SetNwAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        if len(body) != 4:
-            raise ActionDecodeError(f"bad SET_NW body length {len(body)}")
+        cls.check_size(body)
         return cls(Ipv4Address(body))
 
     def __repr__(self) -> str:
@@ -169,6 +200,8 @@ class SetNwDstAction(_SetNwAction):
 class _SetTpAction(Action):
     """Common base for tp_src/tp_dst rewrites (``ofp_action_tp_port``)."""
 
+    body_size = 4
+
     def __init__(self, port: int) -> None:
         if not 0 <= port <= 0xFFFF:
             raise ValueError(f"transport port out of range: {port!r}")
@@ -179,8 +212,7 @@ class _SetTpAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        if len(body) != 4:
-            raise ActionDecodeError(f"bad SET_TP body length {len(body)}")
+        cls.check_size(body)
         (port,) = struct.unpack("!H", body[:2])
         return cls(port)
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.flowkey import (
     MATCH_FIELD_NAMES,
+    extract_base_key,
     extract_flow_key,
     field_tuple,
 )
@@ -20,53 +21,81 @@ from repro.openflow.constants import (
     Wildcards,
 )
 
-_MATCH = struct.Struct("!IH6s6sHBxHBBxx4s4sHH")
+#: Each MAC as (high 16, low 32) bits and each IPv4 address as one int,
+#: so a packed match maps onto the flow key field by field.
+_MATCH = struct.Struct("!IHHIHIHBxHBBxxIIHH")
 MATCH_SIZE = _MATCH.size  # 40 bytes
 
 OFP_VLAN_NONE = 0xFFFF
 
-#: Field name -> wildcard flag for the simple (non-CIDR) fields.
-_SIMPLE_WILDCARDS: Dict[str, Wildcards] = {
-    "in_port": Wildcards.IN_PORT,
-    "dl_vlan": Wildcards.DL_VLAN,
-    "dl_src": Wildcards.DL_SRC,
-    "dl_dst": Wildcards.DL_DST,
-    "dl_type": Wildcards.DL_TYPE,
-    "nw_proto": Wildcards.NW_PROTO,
-    "tp_src": Wildcards.TP_SRC,
-    "tp_dst": Wildcards.TP_DST,
-    "dl_vlan_pcp": Wildcards.DL_VLAN_PCP,
-    "nw_tos": Wildcards.NW_TOS,
-}
+_NW_SRC = MATCH_FIELD_NAMES.index("nw_src")
+_NW_DST = MATCH_FIELD_NAMES.index("nw_dst")
+
+#: (key position, wildcard flag) of the ten fields without a CIDR prefix;
+#: each flag is named after its field.
+_SIMPLE_WILDCARDS: Tuple[Tuple[int, int], ...] = tuple(
+    (MATCH_FIELD_NAMES.index(flag.name.lower()), int(flag)) for flag in Wildcards
+)
 
 # MATCH_FIELD_NAMES and field_tuple are re-exported from
 # repro.netlib.flowkey (imported above) — the single-pass extractor and
 # this module must agree on the tuple order.
 
 
+def _field(pos: int, to_int: Callable[[Any], int] = int,
+           wrap: Optional[Callable[[int], Any]] = None) -> property:
+    """The match field at key position ``pos``: it reads as ``wrap`` of
+    the key's int (the int itself without ``wrap``), and a value set is
+    stored as ``to_int`` of it."""
+    def get(self: "Match") -> Any:
+        value = self.key[pos]
+        return value if value is None or wrap is None else wrap(value)
+
+    def set_(self: "Match", value: Any) -> None:
+        key = self.key
+        stored = None if value is None else to_int(value)
+        self.key = key[:pos] + (stored,) + key[pos + 1:]
+
+    return property(get, set_, doc=f"``{MATCH_FIELD_NAMES[pos]}`` (None: wildcarded)")
+
+
+def _mac_int(value: Any) -> int:
+    return int(MacAddress(value))
+
+
+def _ip_int(value: Any) -> int:
+    return int(Ipv4Address(value))
+
+
 class Match:
     """A flow match where ``None`` fields are wildcarded.
+
+    The match is stored as its flow key: ``key`` holds the twelve fields
+    in :data:`MATCH_FIELD_NAMES` order, addresses as their integer
+    values, wildcarded fields as ``None`` — the form
+    :func:`field_tuple` gives a packet.  The field names are properties
+    over it: ``dl_src``/``dl_dst`` read as :class:`MacAddress` and
+    ``nw_src``/``nw_dst`` as :class:`Ipv4Address`, and each accepts
+    whatever its address constructor accepts.
 
     ``nw_src``/``nw_dst`` may carry an optional prefix length via
     ``nw_src_prefix``/``nw_dst_prefix`` (default 32 = exact host match).
     """
 
-    __slots__ = (
-        "in_port",
-        "dl_src",
-        "dl_dst",
-        "dl_vlan",
-        "dl_vlan_pcp",
-        "dl_type",
-        "nw_tos",
-        "nw_proto",
-        "nw_src",
-        "nw_src_prefix",
-        "nw_dst",
-        "nw_dst_prefix",
-        "tp_src",
-        "tp_dst",
-    )
+    __slots__ = ("key", "nw_src_prefix", "nw_dst_prefix")
+
+    in_port = _field(0)
+    dl_src = _field(1, _mac_int, MacAddress)
+    dl_dst = _field(2, _mac_int, MacAddress)
+    dl_vlan = _field(3)
+    dl_vlan_pcp = _field(4)
+    dl_type = _field(5)
+    nw_tos = _field(6)
+    nw_proto = _field(7)
+    nw_src = _field(_NW_SRC, _ip_int, Ipv4Address)
+    nw_dst = _field(_NW_DST, _ip_int, Ipv4Address)
+    tp_src = _field(10)
+    tp_dst = _field(11)
 
     def __init__(
         self,
@@ -85,18 +114,20 @@ class Match:
         nw_src_prefix: int = 32,
         nw_dst_prefix: int = 32,
     ) -> None:
-        self.in_port = in_port
-        self.dl_src = MacAddress(dl_src) if dl_src is not None else None
-        self.dl_dst = MacAddress(dl_dst) if dl_dst is not None else None
-        self.dl_vlan = dl_vlan
-        self.dl_vlan_pcp = dl_vlan_pcp
-        self.dl_type = dl_type
-        self.nw_tos = nw_tos
-        self.nw_proto = nw_proto
-        self.nw_src = Ipv4Address(nw_src) if nw_src is not None else None
-        self.nw_dst = Ipv4Address(nw_dst) if nw_dst is not None else None
-        self.tp_src = tp_src
-        self.tp_dst = tp_dst
+        self.key = (
+            None if in_port is None else int(in_port),
+            None if dl_src is None else _mac_int(dl_src),
+            None if dl_dst is None else _mac_int(dl_dst),
+            None if dl_vlan is None else int(dl_vlan),
+            None if dl_vlan_pcp is None else int(dl_vlan_pcp),
+            None if dl_type is None else int(dl_type),
+            None if nw_tos is None else int(nw_tos),
+            None if nw_proto is None else int(nw_proto),
+            None if nw_src is None else _ip_int(nw_src),
+            None if nw_dst is None else _ip_int(nw_dst),
+            None if tp_src is None else int(tp_src),
+            None if tp_dst is None else int(tp_dst),
+        )
         for name, prefix in (("nw_src_prefix", nw_src_prefix), ("nw_dst_prefix", nw_dst_prefix)):
             if not 0 <= prefix <= 32:
                 raise ValueError(f"{name} out of range: {prefix!r}")
@@ -106,6 +137,15 @@ class Match:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_key(cls, key: Tuple[Optional[int], ...]) -> "Match":
+        """The exact match on a twelve-field flow key, taken as is."""
+        match = cls.__new__(cls)
+        match.key = key
+        match.nw_src_prefix = 32
+        match.nw_dst_prefix = 32
+        return match
 
     @classmethod
     def wildcard_all(cls) -> "Match":
@@ -119,21 +159,7 @@ class Match:
         This mirrors OVS's flow-key extraction: every field the packet
         defines becomes an exact-match field.
         """
-        fields = extract_packet_fields(data, in_port)
-        return cls(
-            in_port=fields["in_port"],
-            dl_src=fields["dl_src"],
-            dl_dst=fields["dl_dst"],
-            dl_vlan=fields["dl_vlan"],
-            dl_vlan_pcp=fields["dl_vlan_pcp"],
-            dl_type=fields["dl_type"],
-            nw_tos=fields["nw_tos"],
-            nw_proto=fields["nw_proto"],
-            nw_src=fields["nw_src"],
-            nw_dst=fields["nw_dst"],
-            tp_src=fields["tp_src"],
-            tp_dst=fields["tp_dst"],
-        )
+        return cls.from_key((in_port,) + extract_base_key(data))
 
     # ------------------------------------------------------------------ #
     # Matching semantics
@@ -141,37 +167,11 @@ class Match:
 
     def matches_packet(self, data: bytes, in_port: int) -> bool:
         """True if a raw packet arriving on ``in_port`` satisfies this match."""
-        return self.matches_fields(extract_packet_fields(data, in_port))
+        return self.subsumes(Match.from_key((in_port,) + extract_base_key(data)))
 
     def matches_fields(self, fields: Dict[str, Any]) -> bool:
         """True if an extracted packet-field dict satisfies this match."""
-        for name in ("in_port", "dl_vlan", "dl_vlan_pcp", "dl_type", "nw_tos",
-                     "nw_proto", "tp_src", "tp_dst"):
-            wanted = getattr(self, name)
-            if wanted is not None and fields.get(name) != wanted:
-                return False
-        for name in ("dl_src", "dl_dst"):
-            wanted = getattr(self, name)
-            if wanted is not None and fields.get(name) != wanted:
-                return False
-        if not self._prefix_matches(self.nw_src, self.nw_src_prefix, fields.get("nw_src")):
-            return False
-        if not self._prefix_matches(self.nw_dst, self.nw_dst_prefix, fields.get("nw_dst")):
-            return False
-        return True
-
-    @staticmethod
-    def _prefix_matches(
-        wanted: Optional[Ipv4Address], prefix: int, actual: Optional[Ipv4Address]
-    ) -> bool:
-        if wanted is None or prefix == 0:
-            return True
-        if actual is None:
-            return False
-        if prefix == 32:
-            return wanted == actual
-        mask = ((1 << prefix) - 1) << (32 - prefix)
-        return (int(wanted) & mask) == (int(actual) & mask)
+        return self.subsumes(Match.from_key(field_tuple(fields)))
 
     def is_strict_equal(self, other: "Match") -> bool:
         """Strict flow-mod comparison: identical fields and wildcards."""
@@ -182,24 +182,20 @@ class Match:
 
         Used for non-strict DELETE/MODIFY flow-mod semantics.
         """
-        for name in MATCH_FIELD_NAMES:
-            if name in ("nw_src", "nw_dst"):
+        mine, theirs = self.key, other.key
+        for pos, _flag in _SIMPLE_WILDCARDS:
+            if mine[pos] is not None and mine[pos] != theirs[pos]:
+                return False
+        for pos, my_prefix, their_prefix in (
+            (_NW_SRC, self.nw_src_prefix, other.nw_src_prefix),
+            (_NW_DST, self.nw_dst_prefix, other.nw_dst_prefix),
+        ):
+            if mine[pos] is None or my_prefix == 0:
                 continue
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            if mine is not None and (theirs is None or mine != theirs):
+            if theirs[pos] is None or their_prefix < my_prefix:
                 return False
-        for ip_name, prefix_name in (("nw_src", "nw_src_prefix"), ("nw_dst", "nw_dst_prefix")):
-            mine = getattr(self, ip_name)
-            my_prefix = getattr(self, prefix_name) if mine is not None else 0
-            theirs = getattr(other, ip_name)
-            their_prefix = getattr(other, prefix_name) if theirs is not None else 0
-            if my_prefix == 0:
-                continue
-            if their_prefix < my_prefix:
-                return False
-            if not self._prefix_matches(mine, my_prefix, theirs):
-                return False
+            if (mine[pos] ^ theirs[pos]) >> (32 - my_prefix):
+                return False  # they differ within the prefix
         return True
 
     # ------------------------------------------------------------------ #
@@ -209,75 +205,42 @@ class Match:
     @property
     def wildcards(self) -> int:
         """Compute the ``ofp_flow_wildcards`` word for the current fields."""
+        key = self.key
         word = 0
-        for name, flag in _SIMPLE_WILDCARDS.items():
-            if getattr(self, name) is None:
-                word |= int(flag)
-        src_wild = 32 if self.nw_src is None else 32 - self.nw_src_prefix
-        dst_wild = 32 if self.nw_dst is None else 32 - self.nw_dst_prefix
+        for pos, flag in _SIMPLE_WILDCARDS:
+            if key[pos] is None:
+                word |= flag
+        src_wild = 32 if key[_NW_SRC] is None else 32 - self.nw_src_prefix
+        dst_wild = 32 if key[_NW_DST] is None else 32 - self.nw_dst_prefix
         word |= min(src_wild, 63) << NW_SRC_SHIFT
         word |= min(dst_wild, 63) << NW_DST_SHIFT
         return word
 
     def pack(self) -> bytes:
-        return _MATCH.pack(
-            self.wildcards,
-            self.in_port or 0,
-            (self.dl_src.packed if self.dl_src else b"\x00" * 6),
-            (self.dl_dst.packed if self.dl_dst else b"\x00" * 6),
-            self.dl_vlan if self.dl_vlan is not None else 0,
-            self.dl_vlan_pcp or 0,
-            self.dl_type or 0,
-            self.nw_tos or 0,
-            self.nw_proto or 0,
-            (self.nw_src.packed if self.nw_src else b"\x00" * 4),
-            (self.nw_dst.packed if self.nw_dst else b"\x00" * 4),
-            self.tp_src or 0,
-            self.tp_dst or 0,
-        )
+        in_port, dl_src, dl_dst, *rest = [value or 0 for value in self.key]
+        return _MATCH.pack(self.wildcards, in_port, dl_src >> 32, dl_src & 0xFFFFFFFF,
+                           dl_dst >> 32, dl_dst & 0xFFFFFFFF, *rest)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Match":
         if len(data) < MATCH_SIZE:
             raise ValueError(f"match too short: {len(data)} < {MATCH_SIZE}")
-        (
-            wildcards,
-            in_port,
-            dl_src,
-            dl_dst,
-            dl_vlan,
-            dl_vlan_pcp,
-            dl_type,
-            nw_tos,
-            nw_proto,
-            nw_src,
-            nw_dst,
-            tp_src,
-            tp_dst,
-        ) = _MATCH.unpack_from(data)
+        wildcards, in_port, src_hi, src_lo, dst_hi, dst_lo, *rest = _MATCH.unpack_from(data)
+        key = [in_port, src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, *rest]
         wildcards &= OFPFW_ALL
-
-        def simple(flag: Wildcards, value: Any) -> Optional[Any]:
-            return None if wildcards & int(flag) else value
-
+        for pos, flag in _SIMPLE_WILDCARDS:
+            if wildcards & flag:
+                key[pos] = None
         src_wild = min((wildcards & NW_SRC_MASK) >> NW_SRC_SHIFT, 32)
         dst_wild = min((wildcards & NW_DST_MASK) >> NW_DST_SHIFT, 32)
-        return cls(
-            in_port=simple(Wildcards.IN_PORT, in_port),
-            dl_src=simple(Wildcards.DL_SRC, MacAddress(dl_src)),
-            dl_dst=simple(Wildcards.DL_DST, MacAddress(dl_dst)),
-            dl_vlan=simple(Wildcards.DL_VLAN, dl_vlan),
-            dl_vlan_pcp=simple(Wildcards.DL_VLAN_PCP, dl_vlan_pcp),
-            dl_type=simple(Wildcards.DL_TYPE, dl_type),
-            nw_tos=simple(Wildcards.NW_TOS, nw_tos),
-            nw_proto=simple(Wildcards.NW_PROTO, nw_proto),
-            nw_src=None if src_wild >= 32 else Ipv4Address(nw_src),
-            nw_dst=None if dst_wild >= 32 else Ipv4Address(nw_dst),
-            tp_src=simple(Wildcards.TP_SRC, tp_src),
-            tp_dst=simple(Wildcards.TP_DST, tp_dst),
-            nw_src_prefix=32 - src_wild if src_wild < 32 else 32,
-            nw_dst_prefix=32 - dst_wild if dst_wild < 32 else 32,
-        )
+        if src_wild == 32:
+            key[_NW_SRC] = None
+        if dst_wild == 32:
+            key[_NW_DST] = None
+        match = cls.from_key(tuple(key))
+        match.nw_src_prefix = 32 - src_wild if src_wild < 32 else 32
+        match.nw_dst_prefix = 32 - dst_wild if dst_wild < 32 else 32
+        return match
 
     # ------------------------------------------------------------------ #
     # Introspection

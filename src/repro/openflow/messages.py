@@ -8,10 +8,10 @@ this module.
 from __future__ import annotations
 
 import struct
-from typing import ClassVar, Dict, List, Optional, Type
+from typing import Callable, ClassVar, Dict, List, Optional, Type
 
 from repro.netlib.addresses import MacAddress
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, ActionDecodeError
 from repro.openflow.constants import (
     OFP_HEADER_SIZE,
     OFP_NO_BUFFER,
@@ -29,6 +29,9 @@ from repro.openflow.constants import (
 from repro.openflow.match import MATCH_SIZE, Match
 
 _HEADER = struct.Struct("!BBHI")
+
+_PACKET_IN_REASONS = frozenset(int(reason) for reason in PacketInReason)
+_FLOW_MOD_COMMANDS = frozenset(int(command) for command in FlowModCommand)
 
 #: Header type byte -> MessageType name, for header-only peeks.
 _TYPE_NAME_BY_ID: Dict[int, str] = {int(t): t.name for t in MessageType}
@@ -88,19 +91,6 @@ class OpenFlowMessage:
     def __init__(self, xid: int = 0) -> None:
         self.xid = int(xid)
 
-    def __setattr__(self, name: str, value) -> None:
-        # Any direct field mutation invalidates the packed-bytes cache.
-        # Nested mutation (match fields, action ports) cannot be seen here;
-        # the message modifier calls invalidate_packed() explicitly.
-        d = self.__dict__
-        if "_packed" in d:
-            del d["_packed"]
-        d[name] = value
-
-    def invalidate_packed(self) -> None:
-        """Drop the cached wire bytes after a nested-field mutation."""
-        self.__dict__.pop("_packed", None)
-
     # -- wire format --------------------------------------------------- #
 
     def pack_body(self) -> bytes:
@@ -110,21 +100,14 @@ class OpenFlowMessage:
     def unpack_body(cls, body: bytes, xid: int) -> "OpenFlowMessage":
         raise NotImplementedError
 
+    #: ``valid_body(body) -> bool``, True exactly when :meth:`unpack_body`
+    #: would succeed, on the :data:`BODY_CHECKED_TYPES`.
+    valid_body: ClassVar[Optional[Callable[[bytes], bool]]] = None
+
     def pack(self) -> bytes:
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            body = self.pack_body()
-            packed = (
-                _HEADER.pack(
-                    OFP_VERSION,
-                    int(self.message_type),
-                    OFP_HEADER_SIZE + len(body),
-                    self.xid,
-                )
-                + body
-            )
-            self.__dict__["_packed"] = packed
-        return packed
+        body = self.pack_body()
+        length = OFP_HEADER_SIZE + len(body)
+        return _HEADER.pack(OFP_VERSION, int(self.message_type), length, self.xid) + body
 
     def __len__(self) -> int:
         return OFP_HEADER_SIZE + len(self.pack_body())
@@ -142,7 +125,8 @@ class OpenFlowMessage:
 
 
 def parse_message(data: bytes) -> OpenFlowMessage:
-    """Decode one complete OpenFlow message from bytes."""
+    """Decode one complete OpenFlow message from bytes; bytes that do not
+    decode raise :class:`OpenFlowDecodeError` and nothing else."""
     if len(data) < OFP_HEADER_SIZE:
         raise OpenFlowDecodeError(f"message shorter than header: {len(data)} bytes")
     version, msg_type, length, xid = _HEADER.unpack_from(data)
@@ -158,10 +142,37 @@ def parse_message(data: bytes) -> OpenFlowMessage:
         raise OpenFlowDecodeError(f"unknown OpenFlow message type {msg_type}")
     try:
         return cls.unpack_body(body, xid)
-    except (struct.error, ValueError) as exc:
-        # ValueError covers out-of-range enum fields — what fuzzed
+    except (struct.error, ValueError, ActionDecodeError) as exc:
+        # Out-of-range enum fields and bad action TLVs are what fuzzed
         # (FUZZMESSAGE) bytes typically produce.
         raise OpenFlowDecodeError(f"malformed {cls.__name__} body: {exc}") from exc
+
+
+#: The types whose classes define ``valid_body``.
+BODY_CHECKED_TYPES = frozenset({"FLOW_MOD", "PACKET_IN", "PACKET_OUT"})
+
+
+def valid_type_name(data: bytes) -> Optional[str]:
+    """The message type name if :func:`parse_message` would succeed on
+    ``data``, else ``None``.
+
+    FLOW_MOD, PACKET_IN and PACKET_OUT (:data:`BODY_CHECKED_TYPES`) get
+    a structural check (body size, ``command``/``reason`` range, action
+    TLV lengths) that builds no message; anything else is parsed.
+    """
+    if len(data) >= OFP_HEADER_SIZE:
+        version, msg_type, length, _xid = _HEADER.unpack_from(data)
+        cls = OpenFlowMessage._registry.get(msg_type)
+        if (cls is not None and cls.valid_body is not None
+                and version == OFP_VERSION
+                and OFP_HEADER_SIZE <= length <= len(data)):
+            if cls.valid_body(data[OFP_HEADER_SIZE:length]):
+                return cls.message_type.name
+            return None
+    try:
+        return parse_message(data).message_type.name
+    except OpenFlowDecodeError:
+        return None
 
 
 # ---------------------------------------------------------------------- #
@@ -467,6 +478,10 @@ class PacketIn(OpenFlowMessage):
         buffer_id, total_len, in_port, reason = struct.unpack_from("!IHHBx", body)
         return cls(buffer_id, total_len, in_port, reason, body[10:], xid=xid)
 
+    @staticmethod
+    def valid_body(body: bytes) -> bool:
+        return len(body) >= 10 and body[8] in _PACKET_IN_REASONS
+
     def __repr__(self) -> str:
         return (
             f"<PacketIn in_port={self.in_port} reason={self.reason.name} "
@@ -509,6 +524,13 @@ class PacketOut(OpenFlowMessage):
             raise OpenFlowDecodeError("PACKET_OUT actions overflow body")
         actions = Action.unpack_list(body[8:actions_end])
         return cls(buffer_id, in_port, actions, body[actions_end:], xid=xid)
+
+    @staticmethod
+    def valid_body(body: bytes) -> bool:
+        if len(body) < 8:
+            return False
+        actions_end = 8 + int.from_bytes(body[6:8], "big")
+        return actions_end <= len(body) and Action.valid_list(body[8:actions_end])
 
     def __repr__(self) -> str:
         return (
@@ -596,6 +618,15 @@ class FlowMod(OpenFlowMessage):
             flags,
             actions,
             xid=xid,
+        )
+
+    @staticmethod
+    def valid_body(body: bytes) -> bool:
+        return (
+            len(body) >= MATCH_SIZE + 24
+            and int.from_bytes(body[MATCH_SIZE + 8 : MATCH_SIZE + 10], "big")
+            in _FLOW_MOD_COMMANDS
+            and Action.valid_list(body[MATCH_SIZE + 24 :])
         )
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ from repro.attacks import (
 )
 from repro.core.injector import AttackExecutor
 from repro.core.lang.properties import Direction, InterposedMessage
+from repro.experiments.suppression import run_cell
 from repro.netlib import Ipv4Address
 from repro.openflow import EchoRequest, FlowMod, Hello, Match
 from repro.sim import SimulationEngine
@@ -199,6 +200,18 @@ class TestDelayAndFuzzBuilders:
         message = EchoRequest(payload=b"untouched")
         out = executor.handle_message(interposed(message))
         assert out[0].message.raw == message.pack()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fuzzed_flow_mods_do_not_crash_the_run(self, seed):
+        """A switch drops the connection on a FLOW_MOD whose fuzzed
+        action list does not decode, instead of ending the run."""
+        record = run_cell(
+            "floodlight", attack="fuzzing", seed=seed,
+            attack_params={"condition_text": "type = FLOW_MOD", "bit_flips": 16},
+            ping_trials=3, iperf_trials=1, iperf_duration_s=0.5,
+            iperf_gap_s=0.5, warmup_s=2.0,
+        )
+        assert record["attacked"]
 
 
 class TestPassthrough:

@@ -111,16 +111,13 @@ class TestTopologyDiscovery:
                                   EtherType.LLDP, b"\xff\xff\xff")
         message = PacketIn(0xFFFFFFFF, len(bad_frame.pack()), 1, 0,
                            bad_frame.pack())
-        from repro.openflow.match import extract_packet_fields
-        from repro.netlib.packet import decode_ethernet
+        from repro.netlib.fastframe import base_key
 
         class FakeSession:
             datapath_id = 1
 
         handled = disco.packet_in(
-            None, FakeSession(), message,
-            extract_packet_fields(message.data, 1),
-            decode_ethernet(message.data),
+            None, FakeSession(), message, (1,) + base_key(message.data),
         )
         assert handled  # consumed
         assert disco.malformed_probes == 1

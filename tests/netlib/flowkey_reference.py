@@ -4,10 +4,11 @@
 ``EthernetFrame``/``Ipv4Packet``/L4 object graph with ``decode_ethernet``
 and reads the OpenFlow twelve-tuple off it.
 ``repro.netlib.flowkey.extract_flow_key`` must agree with it on every
-frame — same fields, same ``None`` degradations, same exceptions.
+frame — same fields, same ``None`` degradations, same exceptions — and
+the controller's PACKET_IN key with :func:`packet_in_key_reference`.
 """
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 from repro.netlib.ethernet import EtherType
 from repro.netlib.icmp import IcmpEcho
@@ -15,7 +16,7 @@ from repro.netlib.ipv4 import Ipv4Packet
 from repro.netlib.packet import decode_ethernet
 from repro.netlib.tcp import TcpSegment
 from repro.netlib.udp import UdpDatagram
-from repro.openflow.match import OFP_VLAN_NONE
+from repro.openflow.match import OFP_VLAN_NONE, field_tuple
 
 
 def extract_packet_fields_reference(data: bytes, in_port: int) -> Dict[str, Any]:
@@ -54,3 +55,17 @@ def extract_packet_fields_reference(data: bytes, in_port: int) -> Dict[str, Any]
         fields["nw_src"] = l3.sender_ip
         fields["nw_dst"] = l3.target_ip
     return fields
+
+
+def packet_in_key_reference(data: bytes, in_port: int) -> Optional[Tuple[Optional[int], ...]]:
+    """The flow key a controller hands its apps for a PACKET_IN, by the
+    decode route: ``decode_ethernet`` and the twelve-tuple read off it.
+
+    ``None`` where either raises, which is when the controller drops the
+    PACKET_IN (a malformed LLDP body included).
+    """
+    try:
+        fields = extract_packet_fields_reference(data, in_port)
+    except Exception:
+        return None
+    return field_tuple(fields)

@@ -7,8 +7,8 @@ Three invariants keep the lazy-decode path sound:
   the original frame bytes;
 * the header-only type peek agrees with the full decode whenever the full
   decode succeeds;
-* the packed-bytes cache on ``OpenFlowMessage`` is invalidated by field
-  mutation (and by ``invalidate_packed()`` for nested edits).
+* ``pack()`` encodes the message as it is now, so every edit — direct,
+  nested, or made by a mutating attack action — reaches the wire.
 """
 
 import pytest
@@ -39,12 +39,17 @@ from repro.openflow import (
     StatsType,
     parse_message,
 )
+from repro.core.lang import EvalContext, FuzzMessage, ModifyMessage, StorageSet
+from repro.core.lang.actions import ActionContext, OutgoingMessage
+from repro.core.lang.properties import Direction, InterposedMessage
 from repro.openflow.connection import MessageFramer
 from repro.openflow.messages import (
     OpenFlowMessage,
     VendorMessage,
     peek_message_type_name,
+    valid_type_name,
 )
+from repro.sim import SeededRng
 from repro.sim.engine import SimContext
 
 
@@ -100,10 +105,6 @@ class TestRegistryRoundTrip:
 
 
 class TestPackedCache:
-    def test_pack_is_cached(self):
-        message = Hello(xid=5)
-        assert message.pack() is message.pack()
-
     def test_direct_field_mutation_invalidates(self):
         message = EchoRequest(payload=b"a", xid=5)
         before = message.pack()
@@ -118,14 +119,67 @@ class TestPackedCache:
         message.xid = 6
         assert parse_message(message.pack()).xid == 6
 
-    def test_nested_mutation_needs_explicit_invalidate(self):
+    def test_nested_mutation_reaches_the_wire(self):
         flow_mod = FlowMod(Match(in_port=1), actions=[OutputAction(2)])
-        stale = flow_mod.pack()
+        before = flow_mod.pack()
         flow_mod.actions[0].port = 7
-        flow_mod.invalidate_packed()
-        fresh = flow_mod.pack()
-        assert fresh != stale
-        assert parse_message(fresh).actions[0].port == 7
+        flow_mod.match.nw_dst = "10.0.0.7"
+        after = flow_mod.pack()
+        assert after != before
+        decoded = parse_message(after)
+        assert decoded.actions[0].port == 7
+        assert str(decoded.match.nw_dst) == "10.0.0.7"
+
+    @pytest.mark.parametrize("action, message, check", [
+        (ModifyMessage("match.nw_src", "10.0.0.9"),
+         FlowMod(Match(in_port=1, nw_src="10.0.0.1"), actions=[OutputAction(2)]),
+         lambda m: str(m.match.nw_src) == "10.0.0.9"),
+        (ModifyMessage("match.dl_dst", "00:00:00:00:00:0b"),
+         FlowMod(Match(in_port=1), actions=[OutputAction(2)]),
+         lambda m: str(m.match.dl_dst) == "00:00:00:00:00:0b"),
+        (ModifyMessage("match.tp_dst", 443),
+         FlowMod(Match(tp_dst=80), actions=[OutputAction(2)]),
+         lambda m: m.match.tp_dst == 443),
+        (ModifyMessage("output_port", 9),
+         FlowMod(Match(in_port=1), actions=[OutputAction(2), OutputAction(3)]),
+         lambda m: [a.port for a in m.actions] == [9, 9]),
+        (ModifyMessage("output_port", 4),
+         PacketOut(in_port=2, actions=[OutputAction(3)], data=b"\x01" * 16),
+         lambda m: m.actions[0].port == 4),
+        (ModifyMessage("idle_timeout", 0),
+         FlowMod(Match(in_port=1), idle_timeout=5, actions=[OutputAction(2)]),
+         lambda m: m.idle_timeout == 0),
+        (ModifyMessage("buffer_id", 77),
+         PacketIn.no_match(7, 3, b"\x00" * 24),
+         lambda m: m.buffer_id == 77),
+    ], ids=["match-ip", "match-mac", "match-int", "output-flowmod",
+            "output-packetout", "numeric-flowmod", "numeric-packetin"])
+    def test_mutating_actions_ship_their_edit(self, action, message, check):
+        incoming = InterposedMessage(("c1", "s1"), Direction.TO_SWITCH, 0.0,
+                                     message.pack())
+        assert incoming.parsed is not None  # decoded before the edit
+        action.apply(_action_context(incoming))
+        assert incoming.payload_replaced
+        assert incoming.message_type_name == message.message_type.name
+        assert check(parse_message(incoming.raw))
+
+    def test_fuzz_ships_the_flipped_bytes(self):
+        message = FlowMod(Match(in_port=1), actions=[OutputAction(2)])
+        incoming = InterposedMessage(("c1", "s1"), Direction.TO_SWITCH, 0.0,
+                                     message.pack())
+        assert incoming.message_type_name == "FLOW_MOD"
+        FuzzMessage(bit_flips=16).apply(_action_context(incoming))
+        assert incoming.raw != message.pack()
+        assert incoming.raw[:8] == message.pack()[:8]  # header preserved
+        # The cached type was dropped with the old bytes.
+        assert incoming.message_type_name == valid_type_name(incoming.raw)
+
+
+def _action_context(incoming):
+    out = [OutgoingMessage(incoming)]
+    return ActionContext(EvalContext(incoming, StorageSet(), 0.0), out,
+                         goto=None, sleep=None, syscmd=None,
+                         record=lambda kind, data: None, rng=SeededRng(3))
 
 
 class TestHeaderPeek:
