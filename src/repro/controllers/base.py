@@ -225,9 +225,11 @@ class Controller:
         try:
             key = (message.in_port,) + base_key(data)
             if key[DL_TYPE] == EtherType.LLDP:
-                decode_ethernet(data)  # a malformed LLDP body is undecodable too
+                # LldpPacket still refuses an empty or non-ASCII chassis
+                # id with a ValueError: such a probe is undecodable too.
+                decode_ethernet(data)
         except (FrameDecodeError, ValueError):
-            return  # undecodable packet-in (e.g. truncated below Ethernet)
+            return  # a runt, or an LLDP body that does not decode
         for app in self.apps:
             handled = app.packet_in(self, session, message, key)
             if handled:

@@ -39,12 +39,15 @@ class FlowEntry:
     """One installed flow rule.
 
     ``order`` is the entry's place in its table's install sequence; it
-    breaks priority ties and orders LRU/FIFO eviction.
+    breaks priority ties and orders LRU/FIFO eviction.  ``out`` is the
+    action list compiled for the switch's hit path: the port number when
+    the list is exactly one OUTPUT to a physical port, else ``None``.
+    Assigning ``actions`` recompiles it.
     """
 
-    __slots__ = ("match", "priority", "actions", "cookie", "idle_timeout",
-                 "hard_timeout", "flags", "install_time", "last_used",
-                 "packet_count", "byte_count", "order")
+    __slots__ = ("match", "priority", "_actions", "out", "cookie",
+                 "idle_timeout", "hard_timeout", "flags", "install_time",
+                 "last_used", "packet_count", "byte_count", "order")
 
     def __init__(
         self,
@@ -61,7 +64,7 @@ class FlowEntry:
     ) -> None:
         self.match = match
         self.priority = priority
-        self.actions = list(actions)
+        self.actions = actions
         self.cookie = cookie
         self.idle_timeout = idle_timeout
         self.hard_timeout = hard_timeout
@@ -71,6 +74,19 @@ class FlowEntry:
         self.packet_count = 0
         self.byte_count = 0
         self.order = order
+
+    @property
+    def actions(self) -> List[Action]:
+        return self._actions
+
+    @actions.setter
+    def actions(self, actions: List[Action]) -> None:
+        self._actions = list(actions)
+        self.out = None
+        if len(self._actions) == 1:
+            action = self._actions[0]
+            if isinstance(action, OutputAction) and action.port < Port.MAX:
+                self.out = action.port
 
     @property
     def sends_flow_removed(self) -> bool:
@@ -331,7 +347,7 @@ class FlowTable:
         if not selected:
             return self._add(flow_mod, now)
         for entry in selected:
-            entry.actions = list(flow_mod.actions)
+            entry.actions = flow_mod.actions
             entry.cookie = flow_mod.cookie
         return [], False
 

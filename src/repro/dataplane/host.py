@@ -1,4 +1,4 @@
-"""End hosts with a small ARP/ICMP/TCP network stack.
+"""End hosts with a small ARP/ICMP/TCP/UDP network stack.
 
 Hosts are the workload generators of the evaluation: ``ping`` (ICMP echo
 with per-trial RTT and loss accounting) and an ``iperf``-style TCP bulk
@@ -17,12 +17,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.netlib import fastframe
 from repro.netlib.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
-from repro.netlib.ethernet import EtherType, EthernetFrame
-from repro.netlib.icmp import IcmpEcho
+from repro.netlib.ethernet import EtherType, EthernetFrame, FrameDecodeError
+from repro.netlib.icmp import IcmpType, pack_echo
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
 from repro.netlib.packet import decode_ethernet
 from repro.netlib.tcp import TcpFlags, pack_header
-from repro.netlib.udp import UdpDatagram
+from repro.netlib.udp import pack_datagram
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import Signal
 
@@ -34,7 +34,22 @@ _ACK = TcpFlags.ACK.value
 #: From byte 16 of an Ethernet/IPv4/TCP frame: the IPv4 total length,
 #: then the TCP sequence number, ack number and flags.
 _TCP_FIELDS = struct.Struct("!H20xIIxB")
-_TCP_FIELDS_AT = 16
+#: From byte 16 of an Ethernet/IPv4/UDP frame: the IPv4 total length,
+#: then the UDP length.
+_UDP_FIELDS = struct.Struct("!H20xH")
+#: From byte 16 of an Ethernet/IPv4/ICMP echo frame: the IPv4 total
+#: length, then the echo identifier and sequence number.
+_ECHO_FIELDS = struct.Struct("!H20xHH")
+_FIELDS_AT = 16
+#: Where the IPv4 header, the L4 header and the payload after an 8-byte
+#: UDP or ICMP echo header start in an Ethernet/IPv4 frame.
+_IP_AT = 14
+_L4_AT = 34
+_L4_PAYLOAD_AT = 42
+
+_ECHO_REQUEST = IcmpType.ECHO_REQUEST.value
+_ECHO_REPLY = IcmpType.ECHO_REPLY.value
+_PING_PAYLOAD = bytes(48)
 
 
 @dataclass
@@ -128,6 +143,7 @@ class _PingRun:
         self._sent_at: Dict[int, float] = {}
         self._answered: set = set()
         self._finished = False
+        self._sender = _Sender(host, target, IpProtocol.ICMP)
 
     def start(self) -> None:
         for seq in range(self.count):
@@ -139,8 +155,8 @@ class _PingRun:
         self.result.sent += 1
         self.result.rtts.append(None)
         self._sent_at[seq] = self.host.engine.now
-        echo = IcmpEcho.request(self.identifier, seq, b"\x00" * 48)
-        self.host.send_ip(self.target, IpProtocol.ICMP, echo.pack())
+        self._sender.send(pack_echo(_ECHO_REQUEST, self.identifier, seq,
+                                    _PING_PAYLOAD))
 
     def reply_received(self, seq: int) -> None:
         if seq in self._answered or seq not in self._sent_at:
@@ -160,13 +176,15 @@ class _PingRun:
         self.done.fire(self.result)
 
 
-class _TcpSender:
-    """Sends one side of a TCP connection as pre-keyed frames.
+class _Sender:
+    """Sends one flow's packets as pre-keyed frames.
 
-    The 34-byte Ethernet+IPv4 prefix depends only on the peer's MAC and
-    the IPv4 total length, so it is packed through the codecs once per
-    pair; each segment packs only its TCP header.  Nothing is patched per
-    segment: this stack sends a zero TCP checksum, and the IPv4 header,
+    A sender belongs to one flow: a peer, an IP protocol and the L4 pair
+    the flow key reads, which is the ports for TCP and UDP and the type
+    and code for ICMP.  Its owner packs each packet's L4 bytes with that
+    pair.  The 34-byte Ethernet+IPv4 prefix depends only on the peer's
+    MAC and the IPv4 total length, so it is packed through the codecs
+    once per pair.  Nothing is patched per packet: the IPv4 header,
     checksum included, is constant for a given length.  The frames share
     one flow-key memo (``fastframe.share_key``), so no switch hop parses
     them.  An unresolved peer still queues through ``Host.send_ip``; an
@@ -174,38 +192,35 @@ class _TcpSender:
     the memo.
     """
 
-    __slots__ = ("host", "peer", "src_port", "dst_port", "_mac", "_prefixes", "_memo")
+    __slots__ = ("host", "peer", "protocol", "_mac", "_prefixes", "_memo")
 
-    def __init__(self, host: "Host", peer: Ipv4Address, src_port: int,
-                 dst_port: int) -> None:
+    def __init__(self, host: "Host", peer: Ipv4Address, protocol: int) -> None:
         self.host = host
         self.peer = peer
-        self.src_port = src_port
-        self.dst_port = dst_port
+        self.protocol = protocol
         self._mac: Optional[MacAddress] = None
         self._prefixes: Dict[int, bytes] = {}
         self._memo: Optional[bytes] = None
 
-    def send(self, flags: int, seq: int, ack: int, length: int = 0) -> None:
-        """Send one segment with ``length`` zero bytes of payload."""
+    def send(self, l4: bytes) -> None:
+        """Send one packet whose IPv4 payload is ``l4``."""
         host = self.host
-        segment = pack_header(self.src_port, self.dst_port, seq, ack,
-                              flags) + bytes(length)
         mac = host.arp_table.get(self.peer)
         if mac is None:
-            host.send_ip(self.peer, IpProtocol.TCP, segment)
+            host.send_ip(self.peer, self.protocol, l4)
             return
         if mac is not self._mac:
             self._mac = mac
             self._prefixes = {}
             self._memo = None
+        length = len(l4)
         prefix = self._prefixes.get(length)
         if prefix is None:
-            packet = Ipv4Packet(host.ip, self.peer, IpProtocol.TCP, segment)
+            packet = Ipv4Packet(host.ip, self.peer, self.protocol, l4)
             prefix = EthernetFrame(mac, host.mac, EtherType.IPV4,
                                    packet.pack()[:20]).pack()
             self._prefixes[length] = prefix
-        frame = fastframe.share_key(prefix + segment, self._memo)
+        frame = fastframe.share_key(prefix + l4, self._memo)
         self._memo = frame
         host.inject_frame(frame)
 
@@ -219,26 +234,29 @@ class _IperfServer:
         # keyed by (client_ip, client_port) as ints -> rcv_nxt
         self.sessions: Dict[Tuple[int, int], int] = {}
         self.bytes_received: Dict[Tuple[int, int], int] = {}
-        self._senders: Dict[Tuple[int, int], _TcpSender] = {}
+        self._senders: Dict[Tuple[int, int], _Sender] = {}
 
     def segment_received(self, src_ip: int, src_port: int, seq: int, ack: int,
                          flags: int, length: int) -> None:
         key = (src_ip, src_port)
         sender = self._senders.get(key)
         if sender is None:
-            sender = self._senders[key] = _TcpSender(
-                self.host, Ipv4Address(src_ip), self.port, src_port)
+            sender = self._senders[key] = _Sender(
+                self.host, Ipv4Address(src_ip), IpProtocol.TCP)
+        port = self.port
         if flags & _SYN:
             self.sessions[key] = (seq + 1) & 0xFFFFFFFF
             self.bytes_received[key] = 0
-            sender.send(_SYN | _ACK, 0, self.sessions[key])
+            sender.send(pack_header(port, src_port, 0, self.sessions[key],
+                                    _SYN | _ACK))
             return
         rcv_nxt = self.sessions.get(key)
         if rcv_nxt is None:
-            sender.send(_RST, 0, 0)
+            sender.send(pack_header(port, src_port, 0, 0, _RST))
             return
         if flags & _FIN:
-            sender.send(_FIN | _ACK, 1, (rcv_nxt + 1) & 0xFFFFFFFF)
+            sender.send(pack_header(port, src_port, 1,
+                                    (rcv_nxt + 1) & 0xFFFFFFFF, _FIN | _ACK))
             self.sessions.pop(key, None)
             return
         if length:
@@ -247,7 +265,7 @@ class _IperfServer:
                 self.sessions[key] = rcv_nxt
                 self.bytes_received[key] += length
             # Cumulative ack either way (duplicate ack on out-of-order).
-            sender.send(_ACK, 1, rcv_nxt)
+            sender.send(pack_header(port, src_port, 1, rcv_nxt, _ACK))
 
 
 class _IperfClient:
@@ -283,10 +301,15 @@ class _IperfClient:
         self._deadline: Optional[float] = None
         self._rto_event = None
         self._give_up_event = None
-        self._sender = _TcpSender(host, target, src_port, port)
+        self._sender = _Sender(host, target, IpProtocol.TCP)
 
     def start(self) -> None:
         self._send_syn()
+
+    def _send(self, flags: int, seq: int, ack: int, length: int = 0) -> None:
+        """Send one segment with ``length`` zero bytes of payload."""
+        self._sender.send(pack_header(self.src_port, self.port, seq, ack, flags)
+                          + bytes(length))
 
     def _send_syn(self) -> None:
         if self.established or self.finished:
@@ -295,7 +318,7 @@ class _IperfClient:
             self._finish()
             return
         self._syn_attempts += 1
-        self._sender.send(_SYN, 0, 0)
+        self._send(_SYN, 0, 0)
         self.host.engine.schedule(self.SYN_TIMEOUT, self._send_syn)
 
     def segment_received(self, src_ip: int, src_port: int, seq: int, ack: int,
@@ -328,7 +351,7 @@ class _IperfClient:
         now = self.host.engine.now
         if self._deadline is not None and now >= self._deadline:
             if self.snd_una >= self.snd_max:
-                self._sender.send(_FIN | _ACK, self.snd_max + 1, 1)
+                self._send(_FIN | _ACK, self.snd_max + 1, 1)
                 self._finish()
             else:
                 # Past the deadline with unacked data: retransmit the
@@ -336,13 +359,13 @@ class _IperfClient:
                 limit = min(self.snd_una + self.WINDOW, self.snd_max)
                 while self.snd_nxt < limit:
                     chunk = min(self.MSS, limit - self.snd_nxt)
-                    self._sender.send(_ACK, self.snd_nxt + 1, 1, chunk)
+                    self._send(_ACK, self.snd_nxt + 1, 1, chunk)
                     self.snd_nxt += chunk
                 if self._rto_event is None:
                     self._restart_rto()
             return
         while self.snd_nxt - self.snd_una < self.WINDOW:
-            self._sender.send(_ACK, self.snd_nxt + 1, 1, self.MSS)
+            self._send(_ACK, self.snd_nxt + 1, 1, self.MSS)
             self.snd_nxt += self.MSS
             self.snd_max = max(self.snd_max, self.snd_nxt)
         if self._rto_event is None:
@@ -399,6 +422,9 @@ class Host:
         self.name = name
         self.mac = MacAddress(mac)
         self.ip = Ipv4Address(ip)
+        # The NIC's addresses as the flow key holds them.
+        self._mac_value = int(self.mac)
+        self._ip_value = int(self.ip)
         self._transmit: Optional[Callable[[bytes], None]] = None
 
         self.arp_table: Dict[Ipv4Address, MacAddress] = {}
@@ -408,7 +434,9 @@ class Host:
         self._ping_runs: Dict[int, _PingRun] = {}
         self._iperf_servers: Dict[int, _IperfServer] = {}
         self._iperf_clients: Dict[int, _IperfClient] = {}
-        self._udp_handlers: Dict[int, Callable[[Ipv4Address, UdpDatagram], None]] = {}
+        self._udp_handlers: Dict[int, Callable[[int, int, bytes], None]] = {}
+        self._udp_senders: Dict[Tuple[Ipv4Address, int, int], _Sender] = {}
+        self._echo_senders: Dict[int, _Sender] = {}
 
         self.stats: Dict[str, int] = {
             "tx_frames": 0,
@@ -417,6 +445,7 @@ class Host:
             "arp_replies_sent": 0,
             "icmp_requests_answered": 0,
             "arp_resolution_failures": 0,
+            "dropped_runts": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -436,8 +465,8 @@ class Host:
         The traffic-generator subsystem synthesizes frames from templates
         (``repro.workloads``) — including spoofed source MACs/IPs the
         normal stack would never emit — so they bypass ARP resolution and
-        EthernetFrame re-packing entirely.  The TCP senders use it for
-        their pre-keyed segment frames.
+        EthernetFrame re-packing entirely.  The stack's senders use it for
+        their pre-keyed frames.
         """
         if self._transmit is None:
             raise RuntimeError(f"host {self.name} is not attached to a link")
@@ -485,42 +514,65 @@ class Host:
     def frame_received(self, data: bytes) -> None:
         """Entry point for frames arriving from the access link.
 
-        TCP is demultiplexed from the flow key, which the first switch
-        hop (or the sender) already memoized on the frame: one unpack
-        reads what the iperf endpoints need.  ARP, ICMP and UDP decode.
+        TCP, UDP and ICMP echo are demultiplexed from the flow key, which
+        the first switch hop (or the sender) already memoized on the
+        frame: one unpack reads what the endpoint needs.  Only ARP is
+        decoded.  A frame shorter than an Ethernet header is dropped.
         """
         self.stats["rx_frames"] += 1
-        # NIC filter without a full decode: flooded unicast for some
-        # other host is the common case on learning-switch topologies,
-        # and the MAC pair is already memoized on interned frames.
-        macs = fastframe.mac_pair(data)
-        if macs is not None:
-            dst = macs[1]
-            if dst != self.mac and not dst.is_broadcast and not dst.is_multicast:
+        try:
+            # (dl_src, dl_dst, dl_vlan, dl_vlan_pcp, dl_type, nw_tos,
+            #  nw_proto, nw_src, nw_dst, tp_src, tp_dst)
+            key = fastframe.base_key(data)
+        except FrameDecodeError:
+            self.stats["dropped_runts"] += 1
+            return
+        # NIC filter: unicast for another host is dropped; the group bit
+        # covers broadcast and multicast.
+        dst = key[1]
+        if dst != self._mac_value and not dst >> 40 & 1:
+            return
+        if key[4] == 0x0800:
+            # nw_dst is None when the IPv4 header would not decode, and
+            # tp_dst, which no endpoint listens on, when the L4 header
+            # would not.
+            if key[8] != self._ip_value:
                 return
-        # (dl_src, dl_dst, dl_vlan, dl_vlan_pcp, dl_type, nw_tos,
-        #  nw_proto, nw_src, nw_dst, tp_src, tp_dst); raises on a runt
-        # exactly as decode_ethernet does.
-        key = fastframe.base_key(data)
-        if key[6] == 6 and key[4] == 0x0800:  # TCP over IPv4
-            # tp_dst is None, which no endpoint listens on, when the TCP
-            # header would not decode.
-            if key[8] == int(self.ip):
+            protocol = key[6]
+            if protocol == 6:
                 endpoint = self._iperf_servers.get(key[10])
                 if endpoint is None:
                     endpoint = self._iperf_clients.get(key[10])
                 if endpoint is not None:
                     total, seq, ack, flags = _TCP_FIELDS.unpack_from(
-                        data, _TCP_FIELDS_AT)
+                        data, _FIELDS_AT)
                     endpoint.segment_received(key[7], key[9], seq, ack, flags,
                                               total - 40)
+            elif protocol == 17:
+                handler = self._udp_handlers.get(key[10])
+                if handler is not None:
+                    _, length = _UDP_FIELDS.unpack_from(data, _FIELDS_AT)
+                    handler(key[7], key[9], data[_L4_PAYLOAD_AT:_L4_AT + length])
+            elif protocol == 1 and key[9] is not None:
+                self._echo_received(key[7], key[9], data)
             return
-        decoded = decode_ethernet(data)
-        l3 = decoded.l3
-        if isinstance(l3, ArpPacket):
-            self._handle_arp(l3)
-        elif isinstance(l3, Ipv4Packet) and l3.dst == self.ip:
-            self._handle_ip(l3, decoded.l4)
+        if key[4] == 0x0806 and key[6] is not None:
+            self._handle_arp(decode_ethernet(data).l3)
+
+    def _echo_received(self, src_ip: int, icmp_type: int, data: bytes) -> None:
+        total, identifier, sequence = _ECHO_FIELDS.unpack_from(data, _FIELDS_AT)
+        if icmp_type == _ECHO_REQUEST:
+            self.stats["icmp_requests_answered"] += 1
+            sender = self._echo_senders.get(src_ip)
+            if sender is None:
+                sender = self._echo_senders[src_ip] = _Sender(
+                    self, Ipv4Address(src_ip), IpProtocol.ICMP)
+            sender.send(pack_echo(_ECHO_REPLY, identifier, sequence,
+                                  data[_L4_PAYLOAD_AT:_IP_AT + total]))
+        else:
+            run = self._ping_runs.get(identifier)
+            if run is not None:
+                run.reply_received(sequence)
 
     def _handle_arp(self, arp: ArpPacket) -> None:
         # Opportunistic learning from both requests and replies.
@@ -541,20 +593,6 @@ class Host:
             return
         for packet_bytes in pending:
             self._send_frame(EthernetFrame(mac, self.mac, EtherType.IPV4, packet_bytes))
-
-    def _handle_ip(self, packet: Ipv4Packet, l4) -> None:
-        if isinstance(l4, IcmpEcho):
-            if l4.is_request:
-                self.stats["icmp_requests_answered"] += 1
-                self.send_ip(packet.src, IpProtocol.ICMP, l4.reply().pack())
-            elif l4.is_reply:
-                run = self._ping_runs.get(l4.identifier)
-                if run is not None:
-                    run.reply_received(l4.sequence)
-        elif isinstance(l4, UdpDatagram):
-            handler = self._udp_handlers.get(l4.dst_port)
-            if handler is not None:
-                handler(packet.src, l4)
 
     # ------------------------------------------------------------------ #
     # Workloads
@@ -598,13 +636,19 @@ class Host:
         return client
 
     def register_udp_handler(
-        self, port: int, handler: Callable[[Ipv4Address, UdpDatagram], None]
+        self, port: int, handler: Callable[[int, int, bytes], None]
     ) -> None:
+        """Call ``handler(src_ip, src_port, payload)`` for each datagram
+        to ``port``; the source IPv4 address is an int."""
         self._udp_handlers[port] = handler
 
     def send_udp(self, dst_ip: Ipv4Address, src_port: int, dst_port: int, payload: bytes) -> None:
-        datagram = UdpDatagram(src_port, dst_port, payload)
-        self.send_ip(dst_ip, IpProtocol.UDP, datagram.pack())
+        flow = (dst_ip, src_port, dst_port)
+        sender = self._udp_senders.get(flow)
+        if sender is None:
+            sender = self._udp_senders[flow] = _Sender(
+                self, Ipv4Address(dst_ip), IpProtocol.UDP)
+        sender.send(pack_datagram(src_port, dst_port, payload))
 
     def __repr__(self) -> str:
         return f"<Host {self.name} {self.ip}({self.mac})>"

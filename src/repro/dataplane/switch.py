@@ -157,8 +157,8 @@ class OpenFlowSwitch:
         self._buffers: "OrderedDict[int, tuple]" = OrderedDict()
         self._next_buffer_id = 1
 
-        # Standalone / NORMAL-action MAC learning table
-        self._mac_table: Dict[MacAddress, int] = {}
+        # Standalone / NORMAL-action MAC learning table, MACs as ints
+        self._mac_table: Dict[int, int] = {}
 
         # Statistics the monitors scrape
         self.stats: Dict[str, int] = {
@@ -178,6 +178,7 @@ class OpenFlowSwitch:
             "evictions_delete": 0,
             "dropped_no_controller": 0,
             "dropped_no_buffer_release": 0,
+            "dropped_runts": 0,
             "standalone_forwards": 0,
             "echo_requests_sent": 0,
             "port_status_sent": 0,
@@ -683,7 +684,11 @@ class OpenFlowSwitch:
         if self.standalone_active and not self.connected:
             self._standalone_forward(port_no, data)
             return
-        fields, cached = fastframe.flow_key(data, port_no)
+        try:
+            fields, cached = fastframe.flow_key(data, port_no)
+        except FrameDecodeError:  # shorter than an Ethernet header
+            self.stats["dropped_runts"] += 1
+            return
         if cached:
             self.stats["flowkey_cache_hits"] += 1
         if self.sketches is not None:
@@ -692,7 +697,11 @@ class OpenFlowSwitch:
         if entry is not None:
             self.stats["flow_matches"] += 1
             entry.record_use(self.engine.now, len(data))
-            self._execute_actions(entry.actions, data, port_no)
+            out = entry.out
+            if out is None:
+                self._execute_actions(entry.actions, data, port_no)
+            elif out != port_no:
+                self._transmit(out, data)
             return
         self.stats["table_misses"] += 1
         self._table_miss(port_no, data)
@@ -722,15 +731,16 @@ class OpenFlowSwitch:
     def _standalone_forward(self, in_port: int, data: bytes) -> None:
         """Fail-safe behaviour: autonomous MAC-learning forwarding."""
         self.stats["standalone_forwards"] += 1
-        # Only the address pair matters here; mac_pair mirrors
-        # EthernetFrame.unpack's accept/reject (length check only).
-        macs = fastframe.mac_pair(data)
-        if macs is None:
+        try:
+            key = fastframe.base_key(data)
+        except FrameDecodeError:
+            self.stats["dropped_runts"] += 1
             return
-        src, dst = macs
+        src, dst = key[0], key[1]
         self._mac_table[src] = in_port
         out_port = self._mac_table.get(dst)
-        if dst.is_broadcast or dst.is_multicast or out_port is None:
+        # The group bit covers broadcast and multicast.
+        if dst >> 40 & 1 or out_port is None:
             self._flood(in_port, data)
         elif out_port != in_port:
             self._transmit(out_port, data)

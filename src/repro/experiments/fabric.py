@@ -660,7 +660,7 @@ class _FabricDataRegion(ShardRegion):
         self.workload["udp_sent"] += 1
         host.send_udp(dst_ip, UDP_SRC_PORT, UDP_DST_PORT, self._payload)
 
-    def _udp_received(self, src_ip, datagram) -> None:
+    def _udp_received(self, src_ip: int, src_port: int, payload: bytes) -> None:
         self.workload["udp_received"] += 1
 
     # -- results ------------------------------------------------------- #

@@ -16,7 +16,6 @@ from repro.netlib.flowkey import (
     MATCH_FIELD_NAMES,
     extract_flow_base,
     extract_flow_key,
-    mac_pair_of,
 )
 from repro.netlib.icmp import IcmpEcho, IcmpType
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
@@ -45,6 +44,5 @@ __all__ = [
     "decode_ethernet",
     "extract_flow_base",
     "extract_flow_key",
-    "mac_pair_of",
     "payload_protocol_name",
 ]

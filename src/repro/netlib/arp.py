@@ -92,6 +92,8 @@ class ArpPacket:
                 f"unsupported ARP hardware/protocol combination "
                 f"({htype}, 0x{ptype:04x}, {hlen}, {plen})"
             )
+        if opcode not in (OP_REQUEST, OP_REPLY):
+            raise FrameDecodeError(f"unsupported ARP opcode {opcode}")
         return cls(opcode, MacAddress(smac), Ipv4Address(sip), MacAddress(tmac), Ipv4Address(tip))
 
     def __eq__(self, other: object) -> bool:

@@ -16,8 +16,6 @@ key alongside the payload:
 * ``_by_port`` — per-ingress-port field dicts (the base plus
   ``in_port``), each carrying its all-int ``"__tuple__"`` flow key
   (``field_tuple``'s value), which :meth:`FlowTable.lookup` probes with.
-* ``_macs`` — the ``(src, dst)`` MAC pair for standalone learning and
-  host NIC filtering, which need no other field.
 
 A bounded intern pool maps frame content to its ``FastFrame`` so a
 retransmitted window resolves to the *same object* — its key caches are
@@ -25,11 +23,14 @@ already warm, and CPython's ``bytes`` hash caching makes re-hashing it
 for buffering O(1).  The pool belongs to the run: callers pass their
 engine's ``ctx.frames`` to :func:`intern`.
 
-Frames of one connection may share ``_base``, ``_base_tuple`` and
-``_by_port`` (:func:`share_key`): its segments differ only in sequence
-numbers, flags, length and payload, none of which is a key field, so a
-key one switch computes for one segment at a port serves every later
-segment at that port number.  Such frames bypass the pool.
+Frames of one flow may share ``_base``, ``_base_tuple`` and
+``_by_port`` (:func:`share_key`): a host sends a flow's packets with
+the same addresses, protocol and L4 pair (ports, or ICMP type and code),
+so they differ only in lengths, payloads, TCP sequence numbers and
+flags, and ICMP identifiers and sequence numbers, none of which is a key
+field.  A key one switch computes for one packet at a port serves every
+later packet of the flow at that port number.  Such frames bypass the
+pool.
 
 Set-field actions do not invalidate the whole key: ``derive_frame``
 builds the rewritten frame's key from the parent's by replacing only the
@@ -43,14 +44,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.netlib.addresses import MacAddress
 from repro.netlib.flowkey import (
     FIELD_TUPLE_KEY as TUPLE_KEY,
     extract_base_key,
     extract_flow_base,
     extract_flow_key,
     field_tuple,
-    mac_pair_of,
 )
 
 #: Intern pool size bound.  Eviction is wholesale (``clear``): the pool
@@ -69,7 +68,6 @@ class FastFrame(bytes):
     _base: Optional[Dict[str, Any]] = None
     _base_tuple: Optional[Tuple[Optional[int], ...]] = None
     _by_port: Optional[Dict[int, Dict[str, Any]]] = None
-    _macs: Any = None  # (src, dst) | False (runt) | None (not yet parsed)
 
 
 def intern(data: bytes, pool: Dict[bytes, bytes]) -> Tuple[bytes, bool]:
@@ -139,7 +137,7 @@ def share_key(data: bytes, memo: Optional[bytes]) -> bytes:
 
     ``memo`` is ``None`` or an earlier result of this function for a frame
     with the same eleven port-independent key fields, such as an earlier
-    segment of the same connection.  The caches are shared, not copied:
+    packet of the same flow.  The caches are shared, not copied:
     what a switch memoizes for one frame at a port serves them all.
     Without a usable ``memo`` the key is extracted from ``data`` once, and
     the returned frame can serve as the memo for the next.
@@ -159,23 +157,6 @@ def _memoize_base(frame: FastFrame) -> Dict[str, Any]:
     base = frame._base = extract_flow_base(frame)
     frame._base_tuple = field_tuple(base)[1:]  # all but in_port
     return base
-
-
-def mac_pair(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:
-    """Memoized ``(src, dst)`` MACs; ``None`` for a sub-14-byte runt."""
-    if type(data) is FastFrame:
-        macs = data._macs
-        if macs is None:
-            base = data._base
-            if base is not None:
-                macs = (base["dl_src"], base["dl_dst"])
-            else:
-                macs = mac_pair_of(data)
-                if macs is None:
-                    macs = False
-            data._macs = macs
-        return macs or None
-    return mac_pair_of(data)
 
 
 def derive_frame(new_data: bytes, parent: bytes, field: str, value: Any) -> bytes:

@@ -13,9 +13,9 @@ address object; :func:`extract_flow_base` is its field-dict view, with
 Semantics are bit-for-bit those of extraction through the layer
 decoders (``decode_ethernet``): every validation a layer decoder
 performs — IPv4 version/IHL/total-length/checksum, TCP data offset, UDP
-length, ICMP code and checksum — is replicated here, and a layer that
-would have failed to decode yields ``None`` fields exactly as the
-``decode_ethernet`` route does.  ``tests/netlib/test_flowkey.py`` holds
+length, ICMP type, code and checksum, ARP opcode — is replicated here,
+and a layer that would have failed to decode yields ``None`` fields
+exactly as the ``decode_ethernet`` route does.  ``tests/netlib/test_flowkey.py`` holds
 the equivalence suite (truncated headers, bad checksums, non-IP
 ethertypes, ICMP type/code edge cases).
 """
@@ -105,10 +105,10 @@ def extract_base_key(data: bytes) -> Tuple[Optional[int], ...]:
     :data:`BASE_FIELD_NAMES` order: addresses as their integer values,
     absent fields ``None``, so ``(in_port,) + extract_base_key(data)`` is
     the frame's :func:`field_tuple`.  Raises :class:`FrameDecodeError` for
-    frames shorter than an Ethernet header, and mirrors the layer
-    decoders' ``ValueError`` for the two constructor-level rejections
-    (unknown ICMP echo type, unknown ARP opcode) so the fast and reference
-    routes fail identically.
+    frames shorter than an Ethernet header and for nothing else: an ICMP
+    type other than echo keeps its IPv4 fields and has no ``tp_*``
+    fields, and an ARP opcode other than request or reply has no L3
+    fields, as ``decode_ethernet`` leaves those layers opaque.
     """
     if len(data) < _ETH_SIZE:
         raise FrameDecodeError(
@@ -175,13 +175,8 @@ def _ipv4_fields(data: bytes) -> Tuple[Optional[int], ...]:
     elif protocol == 1:  # ICMP
         if l4_len >= _ICMP_MIN:
             icmp_type, code = _ICMP.unpack_from(data, l4_offset)
-            if code == 0 and internet_checksum(
-                    data[l4_offset : _ETH_SIZE + total_length]) == 0:
-                if icmp_type not in (0, 8):
-                    # IcmpEcho refuses non-echo types at construction time
-                    # with a ValueError (not a decode error); keep the
-                    # routes identical.
-                    raise ValueError(f"unsupported ICMP type {icmp_type!r}")
+            if (icmp_type in (0, 8) and code == 0 and internet_checksum(
+                    data[l4_offset : _ETH_SIZE + total_length]) == 0):
                 return l3 + (icmp_type, 0)
     return l3 + (None, None)
 
@@ -193,22 +188,7 @@ def _arp_fields(data: bytes) -> Tuple[Optional[int], ...]:
     htype, ptype, hlen, plen, opcode, _smac, sip, _tmac, tip = _ARP.unpack_from(
         data, _ETH_SIZE
     )
-    if (htype, ptype, hlen, plen) != _ARP_ETH_IPV4:
+    if (htype, ptype, hlen, plen) != _ARP_ETH_IPV4 or opcode not in (1, 2):
         return _NO_L3
-    if opcode not in (1, 2):
-        # ArpPacket refuses unknown opcodes with a ValueError; mirror it.
-        raise ValueError(f"unsupported ARP opcode {opcode!r}")
     return (None, opcode, sip, tip, None, None)
 
-
-def mac_pair_of(data: bytes) -> Optional[Tuple[MacAddress, MacAddress]]:
-    """``(src, dst)`` MAC addresses, or ``None`` for a sub-header runt.
-
-    The length-check-only contract matches ``EthernetFrame.unpack``: the
-    callers that used a try/except around a full unpack just to learn two
-    addresses (standalone MAC learning, host NIC filtering) get the same
-    accept/reject behaviour without building the frame object.
-    """
-    if len(data) < _ETH_SIZE:
-        return None
-    return (MacAddress(data[6:12]), MacAddress(data[0:6]))

@@ -17,6 +17,14 @@ class IcmpType(IntEnum):
 _HEADER = struct.Struct("!BBHHH")
 
 
+def pack_echo(icmp_type: int, identifier: int, sequence: int,
+              payload: bytes) -> bytes:
+    """The bytes :meth:`IcmpEcho.pack` writes, checksum included."""
+    header = _HEADER.pack(icmp_type, 0, 0, identifier, sequence)
+    checksum = internet_checksum(header + payload)
+    return _HEADER.pack(icmp_type, 0, checksum, identifier, sequence) + payload
+
+
 class IcmpEcho:
     """An ICMP echo request or reply."""
 
@@ -59,10 +67,8 @@ class IcmpEcho:
         return self.icmp_type is IcmpType.ECHO_REPLY
 
     def pack(self) -> bytes:
-        header = _HEADER.pack(int(self.icmp_type), 0, 0, self.identifier, self.sequence)
-        checksum = internet_checksum(header + self.payload)
-        header = _HEADER.pack(int(self.icmp_type), 0, checksum, self.identifier, self.sequence)
-        return header + self.payload
+        return pack_echo(int(self.icmp_type), self.identifier, self.sequence,
+                         self.payload)
 
     @classmethod
     def unpack(cls, data: bytes) -> "IcmpEcho":
@@ -73,6 +79,10 @@ class IcmpEcho:
             raise FrameDecodeError(f"unsupported ICMP code {code}")
         if internet_checksum(data) != 0:
             raise FrameDecodeError(f"ICMP checksum mismatch (got 0x{checksum:04x})")
+        if icmp_type not in (IcmpType.ECHO_REQUEST, IcmpType.ECHO_REPLY):
+            # Destination unreachable, time exceeded, ...: forwarded as
+            # opaque IPv4 payload, not a reason to stop the run.
+            raise FrameDecodeError(f"unsupported ICMP type {icmp_type}")
         return cls(icmp_type, identifier, sequence, data[_HEADER.size :])
 
     def __eq__(self, other: object) -> bool:

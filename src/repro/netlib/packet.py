@@ -32,9 +32,10 @@ class DecodedPacket(NamedTuple):
 def decode_ethernet(data: bytes) -> DecodedPacket:
     """Decode raw bytes into Ethernet + known upper layers.
 
-    Unknown EtherTypes or IP protocols leave the corresponding layer as
-    ``None`` rather than raising: the data plane must forward traffic it
-    does not understand.
+    Unknown EtherTypes or IP protocols, ICMP messages other than echo and
+    ARP opcodes other than request and reply leave the corresponding
+    layer as ``None`` rather than raising: the data plane must forward
+    traffic it does not understand.
     """
     frame = EthernetFrame.unpack(data)
     l3: Optional[L3Packet] = None

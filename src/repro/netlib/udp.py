@@ -9,6 +9,11 @@ from repro.netlib.ethernet import FrameDecodeError
 _HEADER = struct.Struct("!HHHH")
 
 
+def pack_datagram(src_port: int, dst_port: int, payload: bytes) -> bytes:
+    """The bytes :meth:`UdpDatagram.pack` writes (checksum zero)."""
+    return _HEADER.pack(src_port, dst_port, _HEADER.size + len(payload), 0) + payload
+
+
 class UdpDatagram:
     """A UDP datagram (checksum omitted, as permitted over IPv4)."""
 
@@ -27,7 +32,7 @@ class UdpDatagram:
         return _HEADER.size + len(self.payload)
 
     def pack(self) -> bytes:
-        return _HEADER.pack(self.src_port, self.dst_port, self.length, 0) + self.payload
+        return pack_datagram(self.src_port, self.dst_port, self.payload)
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpDatagram":

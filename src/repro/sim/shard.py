@@ -68,7 +68,8 @@ import itertools
 import math
 import struct
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.link import _Direction
 from repro.netlib import fastframe
@@ -95,15 +96,22 @@ class BoundaryTx(_Direction):
 
     Reuses the stock direction's serialization timeline (busy_until,
     drop-tail queue) byte for byte, but the computed arrival becomes a
-    cross-region message instead of a local delivery; a local no-op at
-    the arrival instant keeps the queue-occupancy dynamics identical to
-    an unsharded link.  Payloads are flattened to plain ``bytes`` at the
-    boundary — the receiving region re-interns them into its own
-    FastFrame pool at dispatch, so inline and pooled execution observe
-    the identical pool history.
+    cross-region message instead of a local delivery.  No local event
+    marks the departure: the arrival times wait in a FIFO, and a transmit
+    first retires every one at or before its instant, decrementing the
+    queue count once for each as a local link's arrivals do.  Arrivals
+    are non-decreasing, so retirement pops from the front; the idle reset
+    leaves the FIFO alone, since a local link's in-flight arrivals still
+    decrement (clamped at zero) after it.  The one difference from a
+    local link is a departure at exactly the transmit's instant: here it
+    always counts as done, there only if its event fired first.
+    Payloads are flattened to plain ``bytes`` at the boundary — the
+    receiving region re-interns them into its own FastFrame pool at
+    dispatch, so inline and pooled execution observe the identical pool
+    history.
     """
 
-    __slots__ = ("emit", "chan")
+    __slots__ = ("emit", "chan", "_arrivals")
 
     def __init__(
         self,
@@ -118,17 +126,22 @@ class BoundaryTx(_Direction):
         self.emit = emit
         self.chan = chan
         self.deliver = self._no_local_delivery  # satisfies transmit()'s guard
+        self._arrivals: Deque[float] = deque()
 
     @staticmethod
     def _no_local_delivery(data: bytes) -> None:  # pragma: no cover
         raise AssertionError("boundary direction delivers remotely")
 
+    def transmit(self, data: bytes) -> bool:
+        arrivals, now = self._arrivals, self.engine.now
+        while arrivals and arrivals[0] <= now:
+            arrivals.popleft()
+            self.queued = max(0, self.queued - 1)
+        return _Direction.transmit(self, data)
+
     def _schedule_arrival(self, arrival: float, data: bytes) -> None:
         self.emit(self.chan, arrival, OP_FRAME, bytes(data))
-        self.engine.schedule_at(arrival, self._depart)
-
-    def _depart(self) -> None:
-        self.queued = max(0, self.queued - 1)
+        self._arrivals.append(arrival)
 
 
 class BoundaryHalf:

@@ -103,12 +103,6 @@ class TestFlowKeyMemoization:
         assert not hit
         assert fastframe.TUPLE_KEY not in fields
 
-    def test_mac_pair_memoized(self):
-        frame, _ = fastframe.intern(tcp_frame(), {})
-        assert fastframe.mac_pair(frame) == (MAC_A, MAC_B)
-        assert frame._macs == (MAC_A, MAC_B)
-        assert fastframe.mac_pair(b"\x00" * 5) is None
-
 
 class TestDeriveFrame:
     def test_set_dl_dst_replaces_only_that_field(self):

@@ -9,11 +9,13 @@ from repro.netlib import (
     ArpPacket,
     EtherType,
     EthernetFrame,
+    IcmpEcho,
     IpProtocol,
     Ipv4Address,
     Ipv4Packet,
     MacAddress,
     TcpSegment,
+    UdpDatagram,
     decode_ethernet,
     fastframe,
 )
@@ -188,11 +190,11 @@ class TestUdp:
         engine = SimulationEngine()
         h1, h2 = make_pair(engine)
         received = []
-        h2.register_udp_handler(9999, lambda src, dgram: received.append(
-            (str(src), dgram.payload)))
+        h2.register_udp_handler(9999, lambda src, port, payload: received.append(
+            (str(Ipv4Address(src)), port, payload)))
         h1.send_udp(h2.ip, 1234, 9999, b"hello")
         engine.run(until=10.0)
-        assert received == [("10.0.0.1", b"hello")]
+        assert received == [("10.0.0.1", 1234, b"hello")]
 
     def test_unregistered_port_ignored(self):
         engine = SimulationEngine()
@@ -237,7 +239,7 @@ def assert_keyed(frame):
     decoded = decode_ethernet(raw)
     ip = decoded.l3
     rebuilt = EthernetFrame(decoded.ethernet.dst, decoded.ethernet.src, EtherType.IPV4,
-                            Ipv4Packet(ip.src, ip.dst, IpProtocol.TCP,
+                            Ipv4Packet(ip.src, ip.dst, ip.protocol,
                                        decoded.l4.pack()).pack()).pack()
     assert rebuilt == raw
 
@@ -352,6 +354,75 @@ class TestKeyedSegments:
         memos = [{id(frame._by_port) for frame in frames} for frames in phases]
         assert all(len(ids) == 1 for ids in memos)
         assert len(set.union(*memos)) == 3
+
+
+def capture_datagrams(monkeypatch):
+    """Record ``(host name, frame)`` for every UDP and ICMP frame a host
+    puts on the wire."""
+    sent = []
+    original = Host.inject_frame
+
+    def capturing(self, data):
+        l4 = decode_ethernet(bytes(data)).l4
+        if isinstance(l4, (UdpDatagram, IcmpEcho)):
+            sent.append((self.name, data))
+        return original(self, data)
+
+    monkeypatch.setattr(Host, "inject_frame", capturing)
+    return sent
+
+
+class TestKeyedDatagrams:
+    """UDP and ICMP echo go out as pre-keyed frames too: each frame's
+    flow-key memo must equal a fresh parse of its bytes, and its bytes
+    what the layer codecs build."""
+
+    def test_two_host_ping_and_udp(self, monkeypatch):
+        engine = SimulationEngine()
+        h1, h2 = make_pair(engine)
+        sent = capture_datagrams(monkeypatch)
+        # Before resolution the senders queue through send_ip, whose
+        # frames are plain bytes.
+        h1.send_udp(h2.ip, 1234, 9999, b"early")
+        engine.run(until=1.0)
+        assert [type(frame) for _, frame in sent] == [bytes]
+        sent.clear()
+
+        h1.ping(h2.ip, count=3, interval=0.01)
+        for payload in (b"a", b"bb" * 40, b"a"):
+            h1.send_udp(h2.ip, 1234, 9999, payload)
+        h1.send_udp(h2.ip, 1235, 9999, b"other flow")
+        h2.send_udp(h1.ip, 9999, 1234, b"back")
+        engine.run(until=2.0)
+
+        flows = {}
+        for name, frame in sent:
+            assert_keyed(frame)
+            l4 = decode_ethernet(bytes(frame)).l4
+            pair = ((l4.src_port, l4.dst_port) if isinstance(l4, UdpDatagram)
+                    else (int(l4.icmp_type), 0))
+            flows.setdefault((name, pair), set()).add(id(frame._by_port))
+        # Echo requests, echo replies and three UDP flows, one memo each.
+        assert sorted(flows) == [
+            ("h1", (8, 0)), ("h1", (1234, 9999)), ("h1", (1235, 9999)),
+            ("h2", (0, 0)), ("h2", (9999, 1234))]
+        assert all(len(memos) == 1 for memos in flows.values())
+        assert len(set.union(*flows.values())) == len(flows)
+
+    def test_fabric_frames_and_switch_memos(self, monkeypatch):
+        from repro.experiments import run_fabric_experiment
+
+        sent = capture_datagrams(monkeypatch)
+        udp = run_fabric_experiment("fat-tree-k4", pairs=4, packets=5)
+        assert udp.packets_delivered == udp.packets_sent == 20
+        ping = run_fabric_experiment("fat-tree-k4", controller="floodlight",
+                                     workload="ping", pairs=4, packets=3)
+        assert ping.ping_received == ping.ping_sent == 12
+        assert len(sent) == 20 + 2 * 12
+        # Every switch hop on the path filled the shared per-port memo.
+        assert all(frame._by_port for _, frame in sent)
+        for _, frame in sent:
+            assert_keyed(frame)
 
 
 def test_tcp_segments_skip_decode_and_parse_once_per_connection(monkeypatch):

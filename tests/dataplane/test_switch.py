@@ -271,3 +271,40 @@ class TestValidation:
         switch = OpenFlowSwitch(engine, "s1", 1)
         with pytest.raises(ValueError):
             switch.attach_port(int(Port.FLOOD), lambda data: None)
+
+
+def test_packet_out_of_unmodelled_frames_completes_the_run():
+    """An injected PACKET_OUT carrying an ICMP destination unreachable, an
+    ARP frame with opcode 3 or a runt must not end the run at the next
+    switch: the flow table forwards the first two like any frame it does
+    not understand, and the runt is dropped and counted."""
+    from repro.dataplane.link import DataLink
+    from repro.netlib import ArpPacket, IpProtocol, Ipv4Address, Ipv4Packet
+    from repro.netlib.ipv4 import internet_checksum
+
+    engine = SimulationEngine()
+    s1 = OpenFlowSwitch(engine, "s1", 1)
+    s2 = OpenFlowSwitch(engine, "s2", 2)
+    link = DataLink(engine, 1e9, 0.001)
+    s1.attach_port(1, link.send_from_a)
+    s2.attach_port(1, link.send_from_b)
+    link.attach_a(lambda data: s1.frame_received(1, data))
+    link.attach_b(lambda data: s2.frame_received(1, data))
+    forwarded = []
+    s2.attach_port(2, forwarded.append)
+    s2.preinstall_flow(Match(), [OutputAction(2)])
+
+    ip_a, ip_b = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
+    icmp = bytearray(b"\x03\x00" + bytes(34))  # type 3, code 0, zero checksum
+    icmp[2:4] = internet_checksum(bytes(icmp)).to_bytes(2, "big")
+    unreachable = EthernetFrame(MAC_B, MAC_A, EtherType.IPV4, Ipv4Packet(
+        ip_a, ip_b, IpProtocol.ICMP, bytes(icmp)).pack()).pack()
+    arp = bytearray(EthernetFrame(
+        MAC_B, MAC_A, EtherType.ARP, ArpPacket.request(MAC_A, ip_a, ip_b).pack()).pack())
+    arp[21] = 3  # opcode 3 (RARP request)
+    frames = [unreachable, bytes(arp), b"\x00" * 10]
+    for data in frames:
+        s1._handle_packet_out(PacketOut(actions=[OutputAction(1)], data=data))
+    engine.run()
+    assert [bytes(data) for data in forwarded] == frames[:2]
+    assert s2.stats["dropped_runts"] == 1

@@ -26,7 +26,7 @@ from repro.netlib import (
     UdpDatagram,
 )
 from repro.netlib.ethernet import FrameDecodeError
-from repro.netlib.flowkey import extract_flow_key, mac_pair_of
+from repro.netlib.flowkey import extract_flow_key
 from repro.openflow.match import (
     MATCH_FIELD_NAMES,
     extract_packet_fields,
@@ -156,9 +156,10 @@ def test_icmp_nonzero_code_degrades_to_no_l4():
     assert fields["nw_proto"] == 1 and fields["tp_src"] is None
 
 
-def test_icmp_unknown_type_raises_like_reference():
-    # Type 13 (timestamp) passes code+checksum checks but IcmpEcho's
-    # constructor rejects it with ValueError; the fast route must too.
+def test_icmp_unknown_type_degrades_like_reference():
+    # Type 13 (timestamp) passes the code and checksum checks, but only
+    # echo is modelled: both routes keep the IPv4 fields and leave the
+    # ICMP fields out, as for any L4 header that does not decode.
     frame = bytearray(icmp_frame())
     frame[34] = 13
     # Fix the ICMP checksum for the new type byte (type went 8 -> 13).
@@ -166,8 +167,9 @@ def test_icmp_unknown_type_raises_like_reference():
     fixed = checksum - (13 - 8) * 256
     struct.pack_into("!H", frame, 36, fixed & 0xFFFF)
     assert_equivalent(bytes(frame))
-    with pytest.raises(ValueError):
-        extract_flow_key(bytes(frame), 1)
+    fields = extract_flow_key(bytes(frame), 1)
+    assert fields["nw_proto"] == 1 and fields["nw_dst"] == IP_B
+    assert fields["tp_src"] is None and fields["tp_dst"] is None
 
 
 def test_icmp_bad_checksum_degrades_to_no_l4():
@@ -222,12 +224,15 @@ def test_arp_maps_into_nw_fields():
     assert fields["tp_src"] is None
 
 
-def test_arp_unknown_opcode_raises_like_reference():
+def test_arp_unknown_opcode_degrades_like_reference():
+    # Only requests and replies are modelled: both routes leave every L3
+    # field out, as for an ARP body that does not decode.
     broken = bytearray(arp_frame(1))
     struct.pack_into("!H", broken, 14 + 6, 9)  # opcode 9
     assert_equivalent(bytes(broken))
-    with pytest.raises(ValueError):
-        extract_flow_key(bytes(broken), 1)
+    fields = extract_flow_key(bytes(broken), 1)
+    assert fields["dl_type"] == EtherType.ARP
+    assert fields["nw_proto"] is None and fields["nw_src"] is None
 
 
 def test_field_tuple_covers_all_twelve_fields():
@@ -236,7 +241,3 @@ def test_field_tuple_covers_all_twelve_fields():
     assert len(values) == len(MATCH_FIELD_NAMES) == 12
     assert values[0] == 5  # in_port leads
 
-
-def test_mac_pair_of():
-    assert mac_pair_of(tcp_frame()) == (MAC_A, MAC_B)
-    assert mac_pair_of(b"\x00" * 13) is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataplane.link import DataLink
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import (
     OP_FRAME,
@@ -56,17 +57,41 @@ def test_boundary_tx_emits_instead_of_delivering():
     assert region.engine.cross_shard_messages == 1
 
 
-def test_boundary_tx_queue_drains_like_a_local_link():
-    region, tx = _region_with_boundary()
-    for _ in range(5):
-        assert tx.transmit(b"y" * 50)
-    assert tx.queued == 5
-    region.engine.run(until=0.05)
-    assert tx.queued == 0
-    assert len(region.outbox) == 5
-    arrivals = [message[0] for _, message in region.outbox]
-    assert arrivals == sorted(arrivals)
-    assert len(set(arrivals)) == 5  # back-to-back serialization, no overlap
+def test_boundary_tx_drops_like_a_local_link_when_backlogged():
+    """A boundary direction and a local link direction with the same
+    bandwidth, latency and queue limit accept and drop the same frames,
+    and the boundary emits each accepted frame for the instant the local
+    link delivers it: bursts past the limit, sends while earlier frames
+    are in flight, and sends after the link has gone idle."""
+    bandwidth, latency, limit = 1e6, 0.0005, 4
+    # (time, frames): 100-byte frames serialize in 0.8 ms each.
+    schedule = [(0.0, 6), (0.0011, 3), (0.0031, 2), (0.0047, 5),
+                (0.05, 7), (0.0509, 2), (0.0527, 4)]
+
+    def run(send, direction, engine):
+        accepted = []
+        for when, frames in schedule:
+            engine.schedule_at(when, lambda n=frames: accepted.extend(
+                send(b"z" * 100) for _ in range(n)))
+        engine.run()
+        return accepted, direction.dropped_frames
+
+    region, _ = _region_with_boundary()
+    tx = BoundaryTx(region.engine, bandwidth, latency, limit, region.emit,
+                    "link:000000:a")
+    boundary = run(tx.transmit, tx, region.engine)
+
+    engine = SimulationEngine()
+    link = DataLink(engine, bandwidth, latency, queue_limit=limit)
+    delivered = []
+    link.attach_b(lambda data: delivered.append(engine.now))
+    local = run(link.send_from_a, link._a_to_b, engine)
+
+    assert boundary == local
+    accepted, dropped = boundary
+    assert dropped == accepted.count(False) > 0
+    assert [message[0] for _, message in region.outbox] == delivered
+    assert len(delivered) == accepted.count(True)
 
 
 def test_boundary_half_routes_inbound_to_attached_receiver():
