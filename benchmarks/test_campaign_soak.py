@@ -4,8 +4,9 @@ Three claims behind the campaign-as-a-service work, each asserted:
 
 * **Cold resume is O(new records), not O(ledger)** — resuming a fully
   completed 10k-run matrix against the sharded + checkpointed store is
-  >= 5x faster than the unsharded full-re-read baseline (a fresh
-  ``ResultStore`` must parse every line to learn the completed set).
+  >= 5x faster than the full-re-read baseline: the same records in a
+  single-file ledger, which ``ResultStore`` reads through without a
+  checkpoint and so must parse every line to learn the completed set.
 * **Streaming is (almost) free** — the scheduler's per-record work
   (subscriber fan-out, events tail, aggregation, checkpoints) costs
   < 5% of a real pooled campaign's wall-clock.
@@ -17,6 +18,7 @@ runs for CI smoke; the committed ``BENCH_campaign.json`` comes from the
 full-scale run.
 """
 
+import json
 import os
 import statistics
 import time
@@ -27,9 +29,7 @@ from repro.campaign import (
     CampaignScheduler,
     CampaignSpec,
     ResultStore,
-    ShardedResultStore,
     make_record,
-    stream_path_for,
 )
 from repro.campaign.spec import RunDescriptor
 
@@ -68,12 +68,21 @@ def fill(store, runs, checkpoint_every=None):
             store.checkpoint()
 
 
-def median_resume(open_store_fn, expected, rounds=RESUME_ROUNDS):
+def write_ledger(path, runs):
+    """The soak records as one file, as stores wrote them before sharding."""
+    with path.open("w", encoding="utf-8") as handle:
+        for seed in range(runs):
+            record = dict(soak_record(soak_descriptor(seed), seed),
+                          recorded_at=round(time.time(), 3))
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def median_resume(make_store, expected, rounds=RESUME_ROUNDS):
     """Median cold-resume time: fresh store object -> completed set."""
     samples = []
     for _ in range(rounds):
         start = time.perf_counter()
-        completed = open_store_fn().completed_ids()
+        completed = make_store().completed_ids()
         samples.append(time.perf_counter() - start)
         assert len(completed) == expected
     return statistics.median(samples)
@@ -81,23 +90,23 @@ def median_resume(open_store_fn, expected, rounds=RESUME_ROUNDS):
 
 def test_soak_resume_sharded_vs_full_reread(tmp_path_factory, benchmark):
     """Fully-completed 10k-run matrix: checkpointed resume >= 5x faster
-    than the unsharded full re-read."""
+    than a full re-read of the same records as a single-file ledger."""
     root = tmp_path_factory.mktemp("soak")
     plain_path = root / "plain.jsonl"
     sharded_path = root / "sharded.jsonl"
-    fill(ResultStore(plain_path), SOAK_RUNS)
-    sharded = ShardedResultStore(sharded_path, shards=8)
+    write_ledger(plain_path, SOAK_RUNS)
+    sharded = ResultStore(sharded_path, shards=8)
     fill(sharded, SOAK_RUNS, checkpoint_every=256)
     sharded.checkpoint()
 
     plain_s = median_resume(lambda: ResultStore(plain_path), SOAK_RUNS)
     sharded_s = median_resume(
-        lambda: ShardedResultStore(sharded_path), SOAK_RUNS)
+        lambda: ResultStore(sharded_path), SOAK_RUNS)
     speedup = plain_s / sharded_s
     plain_bytes = plain_path.stat().st_size
     sharded_bytes = sharded.stats()["bytes"]
     # Incremental warm resume: K late appends cost O(K), not O(ledger).
-    warm = ShardedResultStore(sharded_path)
+    warm = ResultStore(sharded_path)
     warm.completed_ids()
     for seed in range(SOAK_RUNS, SOAK_RUNS + 64):
         warm.append(soak_record(soak_descriptor(seed), seed))
@@ -109,7 +118,7 @@ def test_soak_resume_sharded_vs_full_reread(tmp_path_factory, benchmark):
         f"Campaign soak — cold resume of a completed {SOAK_RUNS}-run store",
         ("store", "bytes", "resume", "speedup"),
         [
-            ("unsharded full re-read", f"{plain_bytes:>10,}",
+            ("single-file full re-read", f"{plain_bytes:>10,}",
              f"{plain_s * 1e3:8.2f} ms", "1.0x"),
             ("sharded + checkpoint", f"{sharded_bytes:>10,}",
              f"{sharded_s * 1e3:8.2f} ms", f"{speedup:.1f}x"),
@@ -121,7 +130,7 @@ def test_soak_resume_sharded_vs_full_reread(tmp_path_factory, benchmark):
     assert incremental_s < plain_s
 
     result = benchmark.pedantic(
-        lambda: ShardedResultStore(sharded_path).completed_ids(),
+        lambda: ResultStore(sharded_path).completed_ids(),
         rounds=RESUME_ROUNDS, iterations=1)
     assert len(result) == SOAK_RUNS + 64
     benchmark.extra_info["soak_runs"] = SOAK_RUNS
@@ -137,7 +146,7 @@ def test_scheduler_streaming_overhead(tmp_path_factory, benchmark):
     on a real pooled campaign (records flow through the full path:
     store append -> subscribers -> events tail -> digests -> checkpoint)."""
     root = tmp_path_factory.mktemp("svc")
-    store = ShardedResultStore(root / "results.jsonl", shards=8)
+    store = ResultStore(root / "results.jsonl", shards=8)
     spec = CampaignSpec.from_dict({
         "name": "soak-svc",
         "experiment": "selfcheck",
@@ -151,7 +160,7 @@ def test_scheduler_streaming_overhead(tmp_path_factory, benchmark):
         aggregator = CampaignAggregator()
         scheduler = CampaignScheduler(
             store, workers=2, aggregator=aggregator,
-            stream_path=stream_path_for(store), checkpoint_every=64)
+            stream_path=store.events_path, checkpoint_every=64)
         scheduler.subscribe(seen.append)
         started = time.perf_counter()
         try:
@@ -182,7 +191,7 @@ def test_scheduler_streaming_overhead(tmp_path_factory, benchmark):
     )
     assert overhead < OVERHEAD_CEILING, f"{overhead * 100:.2f}%"
     # The stream tail carries every record the campaign produced.
-    events = stream_path_for(store)
+    events = store.events_path
     assert len(events.read_text().splitlines()) == POOLED_RUNS
     benchmark.extra_info["pooled_runs"] = POOLED_RUNS
     benchmark.extra_info["wall_s"] = round(wall, 3)
@@ -194,7 +203,7 @@ def test_soak_compaction_reclaims_churn(tmp_path_factory, benchmark):
     """Heavy re-run churn: compaction shrinks the ledger back to its
     resume-equivalent minimum and the resume set survives unchanged."""
     root = tmp_path_factory.mktemp("compact")
-    store = ShardedResultStore(root / "results.jsonl", shards=8)
+    store = ResultStore(root / "results.jsonl", shards=8)
     churn = max(1, SOAK_RUNS // 10)
     fill(store, churn)
     # Every run re-executes four more times (parameter sweeps, flaky
@@ -223,7 +232,7 @@ def test_soak_compaction_reclaims_churn(tmp_path_factory, benchmark):
     assert reclaim > 0.5
     # Resume state is exactly preserved, both warm and cold.
     assert store.completed_ids() == completed_before
-    assert ShardedResultStore(root / "results.jsonl").completed_ids() \
+    assert ResultStore(root / "results.jsonl").completed_ids() \
         == completed_before
     benchmark.extra_info["churn_runs"] = churn
     benchmark.extra_info["records_before"] = before["records"]

@@ -19,14 +19,12 @@ Fault semantics are unchanged from the process-per-run model:
 * the parent is the only writer to the result store.
 
 The pool loop itself lives in :mod:`repro.campaign.scheduler`;
-``CampaignRunner`` is the one-shot facade over it, and this module keeps
-the process-level primitive (``_worker_loop``) the scheduler's workers
-run.
+``run_campaign`` is its one-shot use, and this module keeps the
+process-level primitive (``_worker_loop``) the scheduler's workers run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -43,13 +41,20 @@ _POLL_INTERVAL_S = 0.01
 _SHUTDOWN_GRACE_S = 2.0
 
 
-def _worker_loop(conn) -> None:
+def _worker_loop(conn, inherited) -> None:
     """Persistent worker: execute run descriptors until told to shut down.
 
     Each task is a ``(descriptor, attempt, trace_enabled)`` tuple that
     runs one campaign cell to completion; ``None`` ends the loop.
+    ``inherited`` holds the scheduler's pipe ends the fork copied into
+    this worker (its own and those of older workers).  Closing them lets
+    ``recv`` see EOF as soon as the scheduler dies, so a worker outlives
+    a killed scheduler by at most its current run.
     """
     from repro.campaign.executors import execute_descriptor
+
+    for end in inherited:
+        end.close()
 
     runs_executed = 0
     while True:
@@ -121,64 +126,6 @@ class CampaignSummary:
         )
 
 
-class CampaignRunner:
-    """Schedules a spec's pending runs over a persistent process pool.
-
-    One-shot facade over :class:`~repro.campaign.scheduler.
-    CampaignScheduler`: ``run()`` submits the spec as a single job,
-    drains it, and shuts the pool down.  Service users (multiple specs,
-    streaming, aggregation) drive the scheduler directly.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        store: ResultStore,
-        workers: int = 1,
-        timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        progress: Optional[Callable[[str], None]] = None,
-        mp_context: Optional[str] = None,
-        trace: bool = False,
-        preflight: bool = True,
-    ) -> None:
-        self.spec = spec
-        self.store = store
-        self.workers = max(1, int(workers))
-        self.timeout_s = float(timeout_s if timeout_s is not None
-                               else spec.timeout_s)
-        self.retries = int(retries if retries is not None else spec.retries)
-        self.trace = bool(trace)
-        self.preflight = bool(preflight)
-        self._progress = progress or (lambda line: None)
-        self._ctx = multiprocessing.get_context(mp_context)
-
-    # ------------------------------------------------------------------ #
-    # Scheduling
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> CampaignSummary:
-        from repro.campaign.scheduler import CampaignScheduler
-
-        started = time.time()
-        scheduler = CampaignScheduler(
-            self.store, workers=self.workers, mp_context=self._ctx,
-            progress=self._progress,
-        )
-        try:
-            job = scheduler.submit(
-                self.spec, timeout_s=self.timeout_s, retries=self.retries,
-                trace=self.trace, preflight=self.preflight)
-            scheduler.run_until_idle()
-        finally:
-            scheduler.shutdown()
-        summary = job.summary
-        summary.processes_spawned = scheduler.processes_spawned
-        summary.worker_runs = dict(scheduler.worker_runs)
-        summary.duration_s = time.time() - started
-        return summary
-
-
 def run_campaign(
     spec: CampaignSpec,
     store: ResultStore,
@@ -189,9 +136,25 @@ def run_campaign(
     trace: bool = False,
     preflight: bool = True,
 ) -> CampaignSummary:
-    """Convenience wrapper: build a :class:`CampaignRunner` and run it."""
-    return CampaignRunner(
-        spec, store, workers=workers, timeout_s=timeout_s,
-        retries=retries, progress=progress, trace=trace,
-        preflight=preflight,
-    ).run()
+    """Run a spec's pending runs over a fresh persistent pool.
+
+    Submits the spec to a :class:`~repro.campaign.scheduler.
+    CampaignScheduler` as a single job, drains it, and shuts the pool
+    down.  Service users (multiple specs, streaming, aggregation) drive
+    the scheduler directly.
+    """
+    from repro.campaign.scheduler import CampaignScheduler
+
+    started = time.time()
+    scheduler = CampaignScheduler(store, workers=workers, progress=progress)
+    try:
+        job = scheduler.submit(spec, timeout_s=timeout_s, retries=retries,
+                               trace=trace, preflight=preflight)
+        scheduler.run_until_idle()
+    finally:
+        scheduler.shutdown()
+    summary = job.summary
+    summary.processes_spawned = scheduler.processes_spawned
+    summary.worker_runs = dict(scheduler.worker_runs)
+    summary.duration_s = time.time() - started
+    return summary

@@ -1,8 +1,8 @@
 """Long-lived campaign scheduler: the service shape of the runner.
 
 :class:`CampaignScheduler` owns the persistent worker pool that
-:class:`~repro.campaign.runner.CampaignRunner` previously drove for a
-single spec, and generalises it to service use:
+:func:`~repro.campaign.runner.run_campaign` drives for a single spec,
+and generalises it to service use:
 
 * **submit while running** — new specs join the queue without draining
   the pool; workers stay warm across campaigns;
@@ -12,9 +12,8 @@ single spec, and generalises it to service use:
 * **incremental aggregation** — an optional
   :class:`~repro.campaign.aggregate.CampaignAggregator` folds each
   record into per-cell digests, so serving never re-reads the ledger;
-* **checkpointing** — sharded stores get a resume-index checkpoint (and
-  a tombstone-policy compaction probe) every ``checkpoint_every``
-  records.
+* **checkpointing** — the store gets a resume-index checkpoint (and a
+  tombstone-policy compaction probe) every ``checkpoint_every`` records.
 
 Fault handling is the runner's, with two long-service bugs fixed here:
 a worker whose idle hand-off fails is fully reaped (``join`` + parent
@@ -27,6 +26,7 @@ those records; only ``"ok"`` marks a run complete.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -40,22 +40,13 @@ from repro.campaign.runner import (
     _worker_loop,
 )
 from repro.campaign.spec import CampaignSpec, RunDescriptor, load_spec
-from repro.campaign.store import make_record
+from repro.campaign.store import _terminate_tail, make_record
 
 #: Sleep between idle serve-loop sweeps (inbox scan + pool poll).
 _SERVE_IDLE_POLL_S = 0.05
 
 #: Spec file suffixes the serve inbox accepts.
 _SPEC_SUFFIXES = {".xml", ".json", ".py"}
-
-
-def stream_path_for(store) -> Path:
-    """Default follow-mode events file for a store (either flavour)."""
-    events = getattr(store, "events_path", None)
-    if events is not None:
-        return Path(events)
-    path = Path(store.path)
-    return path.with_name(path.name + ".events.jsonl")
 
 
 @dataclass
@@ -105,7 +96,6 @@ class CampaignScheduler:
         self,
         store,
         workers: int = 1,
-        mp_context=None,
         progress: Optional[Callable[[str], None]] = None,
         trace: bool = False,
         preflight: bool = True,
@@ -113,8 +103,6 @@ class CampaignScheduler:
         stream_path=None,
         checkpoint_every: int = 64,
     ) -> None:
-        import multiprocessing
-
         self.store = store
         self.workers = max(1, int(workers))
         self.trace = bool(trace)
@@ -122,10 +110,6 @@ class CampaignScheduler:
         self.aggregator = aggregator
         self.checkpoint_every = int(checkpoint_every)
         self._progress = progress or (lambda line: None)
-        if mp_context is None or isinstance(mp_context, str):
-            self._ctx = multiprocessing.get_context(mp_context)
-        else:
-            self._ctx = mp_context
         self._queue: Deque[_JobTask] = deque()
         self._slots: List[_WorkerSlot] = []
         self._jobs: List[CampaignJob] = []
@@ -366,9 +350,10 @@ class CampaignScheduler:
                 f"attempt {task.attempt} started (pid {slot.process.pid})")
 
     def _spawn(self) -> _WorkerSlot:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_loop, args=(child_conn,), daemon=True,
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        inherited = [parent_conn] + [slot.conn for slot in self._slots]
+        process = multiprocessing.Process(
+            target=_worker_loop, args=(child_conn, inherited), daemon=True,
         )
         process.start()
         child_conn.close()  # parent keeps only its own end
@@ -515,10 +500,10 @@ class CampaignScheduler:
         if self._stream_path is not None:
             if self._stream_handle is None:
                 self._stream_path.parent.mkdir(parents=True, exist_ok=True)
-                self._stream_handle = self._stream_path.open(
-                    "a", encoding="utf-8")
+                self._stream_handle = self._stream_path.open("a+b")
+                _terminate_tail(self._stream_handle)
             self._stream_handle.write(
-                json.dumps(payload, sort_keys=True) + "\n")
+                (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
             self._stream_handle.flush()
         if self.aggregator is not None:
             self.aggregator.fold(payload)
@@ -531,10 +516,7 @@ class CampaignScheduler:
 
     def _checkpoint_store(self) -> None:
         self._records_since_checkpoint = 0
-        checkpoint = getattr(self.store, "checkpoint", None)
-        if checkpoint is None:
-            return
-        checkpoint()
+        self.store.checkpoint()
         compacted = self.store.maybe_compact()
         if compacted is not None:
             self._progress(
@@ -582,6 +564,4 @@ class CampaignScheduler:
         if self._stream_handle is not None:
             self._stream_handle.close()
             self._stream_handle = None
-        checkpoint = getattr(self.store, "checkpoint", None)
-        if checkpoint is not None:
-            checkpoint()
+        self.store.checkpoint()

@@ -444,18 +444,13 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 
 
-def _campaign_store(args: argparse.Namespace, default_sharded=None):
+def _campaign_store(args: argparse.Namespace):
     from pathlib import Path
 
-    from repro.campaign import open_store
+    from repro.campaign import ResultStore
 
-    sharded = getattr(args, "sharded", None)
-    if sharded is None:
-        sharded = default_sharded  # None: auto-detect an existing layout
-    if args.store:
-        return open_store(args.store, sharded=sharded)
-    return open_store(Path(args.spec).with_suffix(".results.jsonl"),
-                      sharded=sharded)
+    return ResultStore(args.store
+                       or Path(args.spec).with_suffix(".results.jsonl"))
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -559,9 +554,8 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     from repro.campaign import (
         CampaignAggregator,
         CampaignScheduler,
+        ResultStore,
         load_spec,
-        open_store,
-        stream_path_for,
     )
 
     if args.store:
@@ -572,10 +566,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
         print("campaign serve: pass at least one spec or --store "
               "(required with --inbox-only serving)", file=sys.stderr)
         return 2
-    # Service mode defaults to the sharded layout; a pre-existing plain
-    # ledger at the same path is read through and migrated on compact.
-    sharded = args.sharded if args.sharded is not None else True
-    store = open_store(store_path, sharded=sharded, shards=args.shards)
+    store = ResultStore(store_path, shards=args.shards)
     progress = None if args.quiet else (
         lambda line: print(line, file=sys.stderr, flush=True))
     workers = args.workers if args.workers is not None \
@@ -583,7 +574,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     aggregator = CampaignAggregator()
     scheduler = CampaignScheduler(
         store, workers=workers, progress=progress,
-        aggregator=aggregator, stream_path=stream_path_for(store),
+        aggregator=aggregator, stream_path=store.events_path,
         trace=bool(args.trace), preflight=not args.no_preflight,
     )
     stopping = {"flag": False}
@@ -612,7 +603,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({
             "store": str(store.path),
-            "stream": str(stream_path_for(store)),
+            "stream": str(store.events_path),
             "jobs": [{
                 "campaign": job.summary.campaign,
                 "total": job.summary.total,
@@ -641,14 +632,12 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     path = Path(args.path)
-    if path.is_dir():
-        tail_path = path / "events.jsonl"
-    elif path.name == "events.jsonl" or path.name.endswith(".events.jsonl"):
+    if path.name == "events.jsonl" or path.name.endswith(".events.jsonl"):
         tail_path = path
     else:
-        from repro.campaign import open_store, stream_path_for
+        from repro.campaign import ResultStore
 
-        tail_path = stream_path_for(open_store(path))
+        tail_path = ResultStore(path).events_path  # the store or its .d
     deadline = time.time() + args.timeout if args.timeout else None
     offset = 0
     if not args.from_start and tail_path.exists():
@@ -1059,12 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
     def _common_campaign_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("spec", help="campaign spec file (.xml/.json/.py)")
         sub.add_argument("--store",
-                         help="result store JSONL path "
-                              "(default: <spec>.results.jsonl)")
-        sub.add_argument("--sharded", action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="use the sharded <store>.d layout (default: "
-                              "auto-detect an existing one)")
+                         help="result store path (default: "
+                              "<spec>.results.jsonl; records live in "
+                              "<store>.d/)")
         sub.add_argument("--json", action="store_true",
                          help="machine-readable output")
 
@@ -1082,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="suppress per-run progress on stderr")
     campaign_run.add_argument("--trace", action="store_true",
                               help="collect per-run control-plane traces "
-                                   "into <store>.traces/<run_id>.jsonl")
+                                   "into <store>.d/traces/<run_id>.jsonl")
     campaign_run.add_argument("--no-preflight", action="store_true",
                               help="skip the lint pre-flight that rejects "
                                    "defective attack cells before workers "
@@ -1109,15 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="campaign spec files to submit at start")
     campaign_serve.add_argument("--store",
                                 help="result store path (default: "
-                                     "<first spec>.results.jsonl)")
-    campaign_serve.add_argument("--sharded",
-                                action=argparse.BooleanOptionalAction,
-                                default=None,
-                                help="sharded <store>.d layout "
-                                     "(default for serve: on)")
+                                     "<first spec>.results.jsonl; records "
+                                     "live in <store>.d/)")
     campaign_serve.add_argument("--shards", type=int, default=None,
                                 help="shard fan-out when creating a new "
-                                     "sharded store (default: 8)")
+                                     "store (default: 8)")
     campaign_serve.add_argument("--inbox", metavar="DIR",
                                 help="spool directory scanned for new spec "
                                      "files while serving")
@@ -1133,7 +1115,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_serve.add_argument("--retries", type=int, default=None,
                                 help="extra attempts after a worker failure")
     campaign_serve.add_argument("--trace", action="store_true",
-                                help="collect per-run control-plane traces")
+                                help="collect per-run control-plane traces "
+                                     "into <store>.d/traces/<run_id>.jsonl")
     campaign_serve.add_argument("--no-preflight", action="store_true",
                                 help="skip the lint pre-flight")
     campaign_serve.add_argument("--quiet", action="store_true",

@@ -65,11 +65,11 @@ def test_resume_skips_completed_runs(tmp_path):
 
 def test_interrupted_store_reruns_only_missing(tmp_path):
     spec = selfcheck_spec(range(6))
-    store = ResultStore(tmp_path / "runs.jsonl")
+    store = ResultStore(tmp_path / "runs.jsonl", shards=1)
     assert run_campaign(spec, store, workers=3).succeeded == 6
     # Simulate an interrupt that lost half the ledger (plus a torn line).
     records = list(store.records())
-    store.path.write_text(
+    (store.root / "shard-00.jsonl").write_text(
         "\n".join(json.dumps(r) for r in records[:3]) + '\n{"torn": ')
     summary = run_campaign(spec, store, workers=3)
     assert summary.skipped == 3

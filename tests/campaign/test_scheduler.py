@@ -3,7 +3,7 @@
 Covers what the single-spec runner never exercised: specs submitted
 while the pool is mid-campaign, per-record streaming to subscribers and
 the events tail, the serve-loop spec inbox, checkpoint/compaction
-integration with the sharded store — and the two long-service
+integration with the store — and the two long-service
 regressions (zombie workers on a failed idle hand-off, lost retry
 wall-clock) that motivated the scheduler in the first place.
 """
@@ -18,8 +18,6 @@ from repro.campaign import (
     CampaignScheduler,
     CampaignSpec,
     ResultStore,
-    ShardedResultStore,
-    stream_path_for,
 )
 from repro.cli import main
 
@@ -96,6 +94,28 @@ def test_records_stream_to_subscribers_and_events_file(tmp_path):
     assert streamed == sorted(seen, key=streamed.index)
     assert {r["run_id"] for r in streamed} == store.completed_ids()
     assert scheduler.stream_seconds >= 0.0
+
+
+def test_events_stream_heals_a_torn_tail(tmp_path):
+    """A stream left torn by a killed parent: the first new record
+    starts on a line of its own, so the fragment is the only casualty
+    and ``watch`` sees every record of the next campaign."""
+    torn = '{"run_id": "deadbeef", "status": "o'
+    store = ResultStore(tmp_path / "runs.jsonl")
+    store.events_path.parent.mkdir(parents=True)
+    store.events_path.write_text(torn)
+    scheduler = CampaignScheduler(store, workers=1,
+                                  stream_path=store.events_path)
+    try:
+        scheduler.submit(selfcheck_spec(range(2)))
+        scheduler.run_until_idle()
+    finally:
+        scheduler.shutdown()
+    first, *streamed = store.events_path.read_text().splitlines()
+    assert first == torn
+    assert len(streamed) == 2
+    assert {json.loads(line)["run_id"] for line in streamed} \
+        == store.completed_ids()
 
 
 def test_killed_idle_worker_is_reaped_not_leaked(tmp_path):
@@ -191,7 +211,7 @@ def test_aggregator_folds_every_streamed_record(tmp_path):
 
 
 def test_sharded_store_is_checkpointed_while_serving(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     scheduler = CampaignScheduler(store, workers=2, checkpoint_every=2)
     try:
         scheduler.submit(selfcheck_spec(range(5)))
@@ -200,7 +220,7 @@ def test_sharded_store_is_checkpointed_while_serving(tmp_path):
     finally:
         scheduler.shutdown()
     # A cold open resumes from the checkpoint, not a full re-read.
-    reopened = ShardedResultStore(tmp_path / "runs.jsonl")
+    reopened = ResultStore(tmp_path / "runs.jsonl")
     assert reopened._seeded is True
     assert len(reopened.completed_ids()) == 5
 
@@ -254,7 +274,7 @@ def test_submit_resumes_against_existing_records(tmp_path):
 
 def test_cli_serve_then_watch_round_trip(tmp_path, capsys):
     """End-to-end service smoke through the CLI entry point: serve a
-    spec into a sharded store, then watch replays the streamed tail."""
+    spec into a store, then watch replays the streamed tail."""
     spec_path = tmp_path / "svc.json"
     spec_path.write_text(json.dumps(spec_payload("svc", [0, 1, 2])))
     store_path = tmp_path / "results.jsonl"
@@ -265,8 +285,8 @@ def test_cli_serve_then_watch_round_trip(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["jobs"][0]["succeeded"] == 3
     assert payload["store"] == str(store_path)
-    # serve defaults to the sharded layout and streams into it.
-    events = stream_path_for(ShardedResultStore(store_path))
+    # serve streams into the store's layout directory.
+    events = ResultStore(store_path).events_path
     assert payload["stream"] == str(events)
     assert len(events.read_text().splitlines()) == 3
     code = main(["campaign", "watch", str(store_path.with_name(

@@ -1,26 +1,29 @@
-"""The sharded result store: fan-out, checkpoint resume, compaction.
+"""The result store's shard layout: fan-out, checkpoint resume, compaction.
 
-The sharded store must be a drop-in for the single-file ledger (same
-reader contract, same torn-line tolerance) while adding what service
-mode needs: O(new records) cold resume via a persisted checkpoint, a
-round-tripping manifest, legacy read-through, and tombstone-policy
-compaction that never loses resume state.
+The store keeps one reader contract (completed IDs, latest record per
+run, latest ok per run, record count) whatever its shard count, checked
+here against a dict model, and adds what service mode needs: O(new
+records) cold resume via a persisted checkpoint, a round-tripping
+manifest, read-through of single-file ledgers written before the
+layout existed, and tombstone-policy compaction that never loses resume
+state.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     ResultStore,
     RunDescriptor,
-    ShardedResultStore,
-    is_sharded_path,
     make_record,
-    open_store,
     shard_for,
 )
-from repro.campaign.shardstore import shard_name
+from repro.campaign.store import shard_name
 
 
 def descriptor(seed=0, attack="passthrough"):
@@ -35,8 +38,15 @@ def ok(run, **metrics):
                        campaign="c")
 
 
+def write_legacy(path, records):
+    """A single-file ledger as stores wrote it before the shard layout."""
+    path.write_text("".join(
+        json.dumps(dict(record, recorded_at=1000.0), sort_keys=True) + "\n"
+        for record in records))
+
+
 def test_records_fan_out_by_run_id_hash(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     runs = [descriptor(seed=s) for s in range(16)]
     for run in runs:
         store.append(ok(run))
@@ -57,7 +67,7 @@ def test_records_fan_out_by_run_id_hash(tmp_path):
 def test_all_records_for_one_run_share_a_shard(tmp_path):
     """Per-run ordering: retries/re-runs append to the same shard, so
     'later supersedes earlier' survives sharding."""
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=8)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=8)
     run = descriptor(seed=3)
     store.append(make_record(run.to_dict(), "retried", None,
                              attempts=1, error="flake"))
@@ -73,44 +83,101 @@ def test_all_records_for_one_run_share_a_shard(tmp_path):
     assert latest["metrics"] == {"v": 2.0}
 
 
-def test_reader_contract_matches_plain_store(tmp_path):
-    """Same append sequence -> identical completed/latest/ok views."""
-    plain = ResultStore(tmp_path / "plain.jsonl")
-    sharded = ShardedResultStore(tmp_path / "sharded.jsonl", shards=4)
-    runs = [descriptor(seed=s) for s in range(6)]
-    sequence = (
-        [make_record(runs[0].to_dict(), "failed", None, error="x")]
-        + [ok(run, v=float(i)) for i, run in enumerate(runs)]
-        + [ok(runs[2], v=99.0)]  # re-run supersedes
-    )
-    for record in sequence:
-        plain.append(dict(record))
-        sharded.append(dict(record))
-    assert sharded.completed_ids() == plain.completed_ids()
-    assert len(sharded) == len(plain) == len(sequence)
-    plain_latest = {k: v["metrics"] for k, v in plain.latest_by_run().items()}
-    shard_latest = {k: v["metrics"]
-                    for k, v in sharded.latest_by_run().items()}
-    assert shard_latest == plain_latest
-    assert ({r["run_id"]: r["metrics"] for r in sharded.ok_records()}
-            == {r["run_id"]: r["metrics"] for r in plain.ok_records()})
+#: The oracle's run pool: few enough that run IDs repeat.
+ORACLE_RUNS = [descriptor(seed=s) for s in range(6)]
+
+
+def model_views(sequence, shards):
+    """What the reader contract promises for ``sequence``, from dicts."""
+    latest, ok_at = {}, {}
+    for position, record in enumerate(sequence):
+        latest[record["run_id"]] = record
+        if record["status"] == "ok":
+            ok_at[record["run_id"]] = position
+    order = sorted(ok_at, key=lambda r: (shard_for(r, shards), ok_at[r]))
+    return {
+        "completed": set(ok_at),
+        "latest": latest,
+        "ok": [sequence[ok_at[run_id]] for run_id in order],
+    }
+
+
+def store_views(store):
+    return {
+        "completed": store.completed_ids(),
+        "latest": store.latest_by_run(),
+        "ok": store.ok_records(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shards=st.integers(min_value=1, max_value=8),
+    appends=st.lists(
+        st.tuples(st.integers(0, len(ORACLE_RUNS) - 1),
+                  st.sampled_from(("ok", "failed", "retried"))),
+        max_size=24),
+)
+def test_reader_contract_matches_a_dict_model(shards, appends):
+    """Any append sequence, at any shard count: completed IDs, latest
+    record per run, ok records (shard-major, each shard in latest-ok
+    order) and length match a dict model — warm, cold, checkpointed,
+    and compacted."""
+    sequence = [
+        dict(make_record(ORACLE_RUNS[run].to_dict(), status,
+                         {"n": n} if status == "ok" else None,
+                         error=None if status == "ok" else "x"),
+             recorded_at=float(n))
+        for n, (run, status) in enumerate(appends)
+    ]
+    expected = model_views(sequence, shards)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        warm = ResultStore(path, shards=shards)
+        half = len(sequence) // 2
+        for record in sequence[:half]:
+            warm.append(record)
+        assert store_views(warm) == model_views(sequence[:half], shards)
+        for record in sequence[half:]:
+            warm.append(record)
+        assert store_views(warm) == expected
+        assert len(warm) == len(sequence)
+
+        cold = ResultStore(path)
+        assert store_views(cold) == expected
+        assert len(cold) == len(sequence)
+
+        cold.checkpoint()
+        seeded = ResultStore(path)
+        assert seeded._seeded
+        assert store_views(seeded) == expected
+        assert len(seeded) == len(sequence)
+
+        final = {record["run_id"]: n for n, record in enumerate(sequence)}
+        ok_at = {record["run_id"]: n for n, record in enumerate(sequence)
+                 if record["status"] == "ok"}
+        kept = len(set(final.values()) | set(ok_at.values()))
+        seeded.compact()
+        for compacted in (seeded, ResultStore(path)):
+            assert store_views(compacted) == expected
+            assert len(compacted) == kept
 
 
 def test_manifest_shard_count_round_trips(tmp_path):
-    first = ShardedResultStore(tmp_path / "runs.jsonl", shards=3)
+    first = ResultStore(tmp_path / "runs.jsonl", shards=3)
     first.append(ok(descriptor(seed=1)))
     manifest = json.loads(first.manifest_path.read_text())
     assert manifest["shards"] == 3
     # Re-opening without the shard count (or with a conflicting one)
     # adopts the manifest's value: the hash placement must not move.
-    assert ShardedResultStore(tmp_path / "runs.jsonl").shards == 3
-    assert ShardedResultStore(tmp_path / "runs.jsonl", shards=16).shards == 3
-    reopened = ShardedResultStore(tmp_path / "runs.jsonl")
+    assert ResultStore(tmp_path / "runs.jsonl").shards == 3
+    assert ResultStore(tmp_path / "runs.jsonl", shards=16).shards == 3
+    reopened = ResultStore(tmp_path / "runs.jsonl")
     assert reopened.completed_ids() == {descriptor(seed=1).run_id}
 
 
 def test_heal_repairs_torn_tails_per_shard(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     runs = [descriptor(seed=s) for s in range(8)]
     for run in runs:
         store.append(ok(run))
@@ -131,7 +198,7 @@ def test_resume_after_mid_append_kill_in_a_shard(tmp_path):
     """A parent killed while appending to shard-NN tears only that
     line; a fresh open neither mis-skips the torn run nor loses the
     healthy shards, and the next append heals the tail."""
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     runs = [descriptor(seed=s) for s in range(8)]
     for run in runs:
         store.append(ok(run))
@@ -139,7 +206,7 @@ def test_resume_after_mid_append_kill_in_a_shard(tmp_path):
     shard_path = store.root / shard_name(shard_for(victim.run_id, 4))
     with shard_path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(ok(victim))[:25])  # torn: no newline
-    resumed = ShardedResultStore(tmp_path / "runs.jsonl")
+    resumed = ResultStore(tmp_path / "runs.jsonl")
     completed = resumed.completed_ids()
     assert victim.run_id not in completed  # torn record never resurrects
     assert completed == {run.run_id for run in runs}
@@ -160,7 +227,7 @@ def _parses(line):
 
 
 def test_checkpoint_makes_cold_resume_incremental(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     runs = [descriptor(seed=s) for s in range(10)]
     for run in runs:
         store.append(ok(run))
@@ -169,20 +236,20 @@ def test_checkpoint_makes_cold_resume_incremental(tmp_path):
     assert index["shards"] == 4
     assert set(index["completed"]) == {run.run_id for run in runs}
     # The checkpointed open seeds the index instead of re-reading shards.
-    reopened = ShardedResultStore(tmp_path / "runs.jsonl")
+    reopened = ResultStore(tmp_path / "runs.jsonl")
     assert reopened._seeded is True
     assert reopened.completed_ids() == {run.run_id for run in runs}
     # Records appended after the checkpoint are still picked up (the
     # tails resume from the recorded offsets, not from EOF).
     late = descriptor(seed=77)
     store.append(ok(late))
-    fresh = ShardedResultStore(tmp_path / "runs.jsonl")
+    fresh = ResultStore(tmp_path / "runs.jsonl")
     assert fresh._seeded is True
     assert late.run_id in fresh.completed_ids()
 
 
 def test_stale_checkpoint_is_rejected_not_trusted(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=4)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=4)
     runs = [descriptor(seed=s) for s in range(6)]
     for run in runs:
         store.append(ok(run))
@@ -194,22 +261,20 @@ def test_stale_checkpoint_is_rejected_not_trusted(tmp_path):
     surviving = populated.read_text().splitlines()[:-1]
     dropped = json.loads(populated.read_text().splitlines()[-1])["run_id"]
     populated.write_text("".join(line + "\n" for line in surviving))
-    reopened = ShardedResultStore(tmp_path / "runs.jsonl")
+    reopened = ResultStore(tmp_path / "runs.jsonl")
     completed = reopened.completed_ids()
     assert dropped not in completed
     assert completed == {run.run_id for run in runs} - {dropped}
 
 
 def test_legacy_single_file_reads_through(tmp_path):
-    """An existing single-file ledger keeps working unchanged when the
-    store is opened sharded: its records come first, count toward
-    resume, and a re-run's shard record supersedes the legacy one."""
+    """An existing single-file ledger keeps working unchanged under the
+    shard layout: its records come first, count toward resume, and a
+    re-run's shard record supersedes the legacy one."""
     path = tmp_path / "runs.jsonl"
-    legacy = ResultStore(path)
     old_runs = [descriptor(seed=s) for s in range(4)]
-    for run in old_runs:
-        legacy.append(ok(run, v=1.0))
-    store = ShardedResultStore(path, shards=4)
+    write_legacy(path, [ok(run, v=1.0) for run in old_runs])
+    store = ResultStore(path, shards=4)
     assert store.completed_ids() == {run.run_id for run in old_runs}
     new_run = descriptor(seed=50)
     store.append(ok(new_run, v=2.0))
@@ -224,7 +289,7 @@ def test_legacy_single_file_reads_through(tmp_path):
 
 
 def test_compaction_keeps_resume_equivalent_minimum(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=2)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=2)
     flaky, failed, clean = (descriptor(seed=s) for s in (1, 2, 3))
     store.append(make_record(flaky.to_dict(), "retried", None,
                              attempts=1, error="flake"))
@@ -252,17 +317,15 @@ def test_compaction_keeps_resume_equivalent_minimum(tmp_path):
     audit = [json.loads(l) for l in archived[0].read_text().splitlines()]
     assert {r["status"] for r in audit} == {"retried", "ok"}
     # A fresh open of the compacted layout agrees.
-    assert ShardedResultStore(tmp_path / "runs.jsonl").completed_ids() \
+    assert ResultStore(tmp_path / "runs.jsonl").completed_ids() \
         == before[0]
 
 
 def test_compaction_migrates_the_legacy_ledger(tmp_path):
     path = tmp_path / "runs.jsonl"
-    legacy = ResultStore(path)
     runs = [descriptor(seed=s) for s in range(5)]
-    for run in runs:
-        legacy.append(ok(run))
-    store = ShardedResultStore(path, shards=4)
+    write_legacy(path, [ok(run) for run in runs])
+    store = ResultStore(path, shards=4)
     result = store.compact()
     assert result["migrated"] == 5
     assert not path.exists()  # parked under archive/, not deleted
@@ -277,7 +340,7 @@ def test_compaction_migrates_the_legacy_ledger(tmp_path):
 
 
 def test_auto_compaction_policy_needs_floor_and_ratio(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=2)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=2)
     run = descriptor(seed=1)
     # Below the absolute floor: plenty stale by ratio, but too small to
     # be worth a rewrite.
@@ -295,36 +358,28 @@ def test_auto_compaction_policy_needs_floor_and_ratio(tmp_path):
     assert store.maybe_compact() is None
 
 
-def test_open_store_autodetects_layout(tmp_path):
-    plain_path = tmp_path / "plain.jsonl"
-    assert isinstance(open_store(plain_path), ResultStore)
-    assert not is_sharded_path(plain_path)
-    sharded_path = tmp_path / "svc.jsonl"
-    created = open_store(sharded_path, sharded=True, shards=4)
-    assert isinstance(created, ShardedResultStore)
+def test_layout_directory_names_the_store(tmp_path):
+    store_path = tmp_path / "svc.jsonl"
+    created = ResultStore(store_path, shards=4)
     created.append(ok(descriptor(seed=1)))
-    # Once the manifest exists, a bare open finds the sharded layout.
-    assert is_sharded_path(sharded_path)
-    auto = open_store(sharded_path)
-    assert isinstance(auto, ShardedResultStore)
-    assert auto.shards == 4
-    # The .d directory itself also names the store (watch-friendly).
-    from_dir = open_store(tmp_path / "svc.jsonl.d")
-    assert isinstance(from_dir, ShardedResultStore)
-    assert from_dir.path == sharded_path
-    # sharded=False forces the legacy flavour even beside a layout.
-    assert isinstance(open_store(sharded_path, sharded=False), ResultStore)
+    # The .d directory itself names the store (watch-friendly), and
+    # the manifest's shard count is adopted.
+    from_dir = ResultStore(tmp_path / "svc.jsonl.d")
+    assert from_dir.path == store_path
+    assert from_dir.root == created.root
+    assert from_dir.shards == 4
+    assert from_dir.completed_ids() == {descriptor(seed=1).run_id}
 
 
 def test_shard_count_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="shard"):
-        ShardedResultStore(tmp_path / "runs.jsonl", shards=-1)
+        ResultStore(tmp_path / "runs.jsonl", shards=-1)
     # Zero means "unspecified" and falls back to the default fan-out.
-    assert ShardedResultStore(tmp_path / "runs.jsonl", shards=0).shards > 0
+    assert ResultStore(tmp_path / "runs.jsonl", shards=0).shards > 0
 
 
 def test_trace_artifacts_live_under_the_layout(tmp_path):
-    store = ShardedResultStore(tmp_path / "runs.jsonl", shards=2)
+    store = ResultStore(tmp_path / "runs.jsonl", shards=2)
     path = store.write_trace("abc123", '{"kind":"message","seq":1}')
     assert path == store.trace_path("abc123")
     assert path.parent == store.root / "traces"

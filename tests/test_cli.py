@@ -322,7 +322,7 @@ def test_campaign_run_trace_flag(tmp_path, capsys):
                  "--workers", "1", "--quiet", "--json", "--trace"]) == 0
     capsys.readouterr()
     store_path = spec_path.with_suffix(".results.jsonl")
-    traces = sorted(store_path.parent.glob("*.traces/*.jsonl"))
+    traces = sorted(store_path.parent.glob("*.d/traces/*.jsonl"))
     assert len(traces) == 1
     # The stored artifact renders through the same CLI front door.
     assert main(["trace", str(traces[0]), "--summary-only"]) == 0
