@@ -55,11 +55,11 @@ INDEX_SCHEMA = "attain.campaign.index.v1"
 #: scan is negligible.
 DEFAULT_SHARDS = 8
 
-#: Auto-compaction policy (mirrors the simulator's heap tombstone
-#: sweep): rewrite once superseded records both clear an absolute floor
-#: and outnumber the live ones.
-_COMPACT_MIN_SUPERSEDED = 64
-_COMPACT_RATIO = 0.5
+#: Auto-compaction policy: rewrite once superseded records both clear an
+#: absolute floor and outnumber the live ones, so each rewrite drops at
+#: least as many lines as it keeps.
+_MIN_SUPERSEDED = 64
+_SUPERSEDED_RATIO = 0.5
 
 #: Key for the legacy single-file ledger in the checkpoint offsets map.
 _LEGACY_KEY = "__legacy__"
@@ -627,9 +627,9 @@ class ResultStore:
             return self.compact()
         stats = self.stats()
         stale = stats["superseded"]
-        if stale < _COMPACT_MIN_SUPERSEDED:
+        if stale < _MIN_SUPERSEDED:
             return None
-        if stale <= stats["records"] * _COMPACT_RATIO:
+        if stale <= stats["records"] * _SUPERSEDED_RATIO:
             return None
         return self.compact()
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -847,6 +848,15 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sim_seconds(text: str) -> float:
+    """argparse type for a span of simulated seconds: finite and positive."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number of seconds, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -863,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="use the paper's full 60-ping/30-iperf timing")
     suppression.add_argument("--ping-trials", type=int, default=10)
     suppression.add_argument("--iperf-trials", type=int, default=2)
-    suppression.add_argument("--iperf-duration", type=float, default=2.0)
+    suppression.add_argument("--iperf-duration", type=_sim_seconds, default=2.0)
     suppression.add_argument("--seed", type=int, default=0,
                              help="root seed for the run's random streams")
     suppression.add_argument("--json", action="store_true",
@@ -932,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="communicating host pairs")
     fabric_run.add_argument("--packets", type=int, default=None,
                             help="packets (or pings) per pair")
-    fabric_run.add_argument("--horizon", type=float, default=None,
+    fabric_run.add_argument("--horizon", type=_sim_seconds, default=None,
                             help="simulated seconds to run")
     fabric_run.add_argument("--trace", metavar="PATH", default=None,
                             help="write the merged region trace to PATH")
@@ -975,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "onoff:PPS:ON:OFF")
     workload_run.add_argument("--senders", type=int, default=None,
                               help="sending hosts (default: fabric pairs)")
-    workload_run.add_argument("--duration", type=float, default=None,
+    workload_run.add_argument("--duration", type=_sim_seconds, default=None,
                               help="emission window in simulated seconds")
     workload_run.add_argument("--keys", type=int, default=None,
                               help="distinct flow keys (table-overflow)")
@@ -1024,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="rate schedule (see `workload run`)")
     detect_run.add_argument("--senders", type=int, default=None,
                             help="sending hosts (default: fabric pairs)")
-    detect_run.add_argument("--duration", type=float, default=None,
+    detect_run.add_argument("--duration", type=_sim_seconds, default=None,
                             help="emission window in simulated seconds")
     detect_run.add_argument("--threshold-pps", type=float, default=None,
                             help="pktin-rate alarm threshold (PACKET_IN/s)")

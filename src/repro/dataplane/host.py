@@ -299,8 +299,12 @@ class _IperfClient:
         self.snd_max = 0  # highest byte ever sent (survives go-back-N resets)
         self._syn_attempts = 0
         self._deadline: Optional[float] = None
-        self._rto_event = None
-        self._give_up_event = None
+        # The retransmit timer expires at _rto_deadline.  At most one RTO
+        # event is in the engine (_rto_armed); an advancing ACK only moves
+        # the deadline, and an event that fires before it re-arms itself
+        # there, so a timeout still comes exactly RTO after the last ACK.
+        self._rto_deadline = 0.0
+        self._rto_armed = False
         self._sender = _Sender(host, target, IpProtocol.TCP)
 
     def start(self) -> None:
@@ -332,9 +336,8 @@ class _IperfClient:
             self.established = True
             self.result.connected = True
             self._deadline = self.host.engine.now + self.duration
-            self._give_up_event = self.host.engine.schedule(
-                self.duration + 10.0, self._finish
-            )
+            # Runs after the transfer too; _finish ignores a second call.
+            self.host.engine.schedule(self.duration + 10.0, self._finish)
             self._try_send()
             return
         if flags & _ACK and self.established:
@@ -361,25 +364,29 @@ class _IperfClient:
                     chunk = min(self.MSS, limit - self.snd_nxt)
                     self._send(_ACK, self.snd_nxt + 1, 1, chunk)
                     self.snd_nxt += chunk
-                if self._rto_event is None:
+                if not self._rto_armed:
                     self._restart_rto()
             return
         while self.snd_nxt - self.snd_una < self.WINDOW:
             self._send(_ACK, self.snd_nxt + 1, 1, self.MSS)
             self.snd_nxt += self.MSS
             self.snd_max = max(self.snd_max, self.snd_nxt)
-        if self._rto_event is None:
+        if not self._rto_armed:
             self._restart_rto()
 
     def _restart_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.host.engine.schedule(self.RTO, self._rto_fired)
+        self._rto_deadline = self.host.engine.now + self.RTO
+        if not self._rto_armed:
+            self._rto_armed = True
+            self.host.engine.schedule_at(self._rto_deadline, self._rto_fired)
 
     def _rto_fired(self) -> None:
-        self._rto_event = None
-        if self.finished or not self.established:
+        if self.finished:
             return
+        if self.host.engine.now < self._rto_deadline:
+            self.host.engine.schedule_at(self._rto_deadline, self._rto_fired)
+            return
+        self._rto_armed = False
         if self.snd_una < self.snd_max:
             # Go-back-N: retransmit the window from the last cumulative ack.
             self.result.retransmits += 1
@@ -394,10 +401,6 @@ class _IperfClient:
         if self.finished:
             return
         self.finished = True
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        if self._give_up_event is not None:
-            self._give_up_event.cancel()
         if self._deadline is not None:
             elapsed = min(self.duration, max(1e-9, self.host.engine.now - (self._deadline - self.duration)))
             self.result.duration_s = max(elapsed, 1e-9) if elapsed > 0 else self.duration

@@ -6,10 +6,14 @@ runtime injector itself) are processes scheduled on a single simulated
 clock.  Identical seeds and identical scenarios produce identical event
 traces, which is what makes the security metrics in the evaluation
 unit-testable.
+
+Every scheduled event is one plain ``(time, band, seq, callback, args)``
+tuple on the engine's heap.  The engine cannot cancel an event: a
+component that may stop wanting a callback guards it itself, with a flag
+or a deadline the callback checks when it fires.
 """
 
 from repro.sim.engine import SimContext, SimulationEngine, SimulationError
-from repro.sim.events import Event, EventCancelled
 from repro.sim.process import Process, Signal, sleep
 from repro.sim.rng import SeededRng
 from repro.sim.shard import (
@@ -19,8 +23,6 @@ from repro.sim.shard import (
 )
 
 __all__ = [
-    "Event",
-    "EventCancelled",
     "Process",
     "SeededRng",
     "ShardRegion",

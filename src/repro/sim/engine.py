@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.events import Event, MESSAGE_PRIORITY
+#: Priority band reserved for cross-shard message dispatch events.  All
+#: locally scheduled events sit in band 0; dispatch events scheduled by
+#: :meth:`SimulationEngine.schedule_message` sort after every local event
+#: at the same instant and carry tuple sequence keys that are pure
+#: functions of the message identity — never drawn from the region's event
+#: counter.  Keeping the bands disjoint means integer and tuple sequence
+#: numbers are never compared against each other, and region execution
+#: cannot observe how the barrier windowed its message deliveries.
+MESSAGE_PRIORITY = 1 << 30
+
+#: One scheduled event as the heap holds it:
+#: ``(time, band, seq, callback, args)``.
+Entry = Tuple[float, int, Any, Callable[..., Any], Tuple[Any, ...]]
 
 
 class SimulationError(Exception):
@@ -51,50 +64,31 @@ class SimulationEngine:
 
     All network elements in the reproduction share one engine instance.  The
     engine guarantees a deterministic total order over events: ties on
-    simulated time are broken first by priority and then by scheduling
+    simulated time are broken first by band and then by scheduling
     sequence number.  This mirrors the paper's single-threaded, centralized
     runtime injector, which "imposes a total ordering on messages seen by
     the runtime injector" (Section VI-C).
 
-    The heap holds flat ``(time, priority, seq, event)`` entries rather than
-    ``Event`` objects, so every sift during push/pop compares native tuples
-    in C instead of invoking ``Event.__lt__``.  Sequence numbers are unique
-    within a priority band (monotone integers for local events, message-key
-    tuples in the :data:`MESSAGE_PRIORITY` band), so the trailing event
-    object is never reached by a comparison.
-    """
+    Each scheduled event is one plain :data:`Entry` tuple
+    ``(time, band, seq, callback, args)`` on a binary heap, so every sift
+    compares native tuples in C.  Sequence numbers are unique within a
+    band (the engine's counter in band 0, message-key tuples in the
+    :data:`MESSAGE_PRIORITY` band), so a comparison never reaches the
+    callback.  Times are stored as floats, so the clock a callback reads
+    is a float even when its caller scheduled at an int.
 
-    #: Tombstone compaction thresholds: compact when the heap holds at
-    #: least the current floor of events and fewer than half are live.
-    #: Below the floor a compaction saves nothing; above it the 50% rule
-    #: keeps total compaction work amortized O(1) per cancel (each
-    #: compaction removes at least as many tombstones as live events
-    #: retained).  The floor itself scales with the live-event count: a
-    #: large fabric legitimately holds tens of thousands of live timers,
-    #: and a fixed floor of 64 would re-heapify that entire population on
-    #: nearly every cancel.  After each sweep the floor is raised to twice
-    #: the surviving live count (never below COMPACT_MIN_QUEUE), so the
-    #: next sweep happens only after the tombstones again outnumber the
-    #: live events.
-    COMPACT_MIN_QUEUE = 64
-    COMPACT_LIVE_NUM = 1
-    COMPACT_LIVE_DEN = 2
+    Nothing is cancelled: once scheduled, an event fires.  A component
+    that may stop wanting a callback guards it itself, with a flag or a
+    deadline the callback checks when it runs.
+    """
 
     def __init__(self) -> None:
         self.ctx = SimContext()
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Any, Event]] = []
+        self._queue: List[Entry] = []
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
-        self._live = 0
-        self._compact_min = self.COMPACT_MIN_QUEUE
-        self.heap_compactions = 0
-        #: Tombstones physically removed from the heap so far, whether by a
-        #: compaction sweep or popped at the head by step/run/_peek.  Along
-        #: with ``_live`` this keeps ``pending_events`` exact at all times:
-        #: heap_size == pending_events + (tombstones created - swept).
-        self.heap_tombstones_swept = 0
         #: Sharded execution bookkeeping (see :mod:`repro.sim.shard`).  A
         #: standalone engine is its own single shard; a region engine run
         #: under a ShardedSimulation is stamped with its place in the
@@ -111,79 +105,33 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still in the queue.
-
-        Maintained as a counter on schedule/cancel/fire — O(1), not a queue
-        scan, so metrics snapshots stay cheap on large simulations.
-        """
-        return self._live
-
-    def _event_cancelled(self) -> None:
-        # Called by Event.cancel(); the tombstone stays heap-resident until
-        # popped or compacted away, but stops counting as pending
-        # immediately.
-        self._live -= 1
-        queue = self._queue
-        if (
-            len(queue) >= self._compact_min
-            and self._live * self.COMPACT_LIVE_DEN
-            < len(queue) * self.COMPACT_LIVE_NUM
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events and re-heapify.
-
-        In-place (``queue[:] =``) so the local heap alias held by a
-        ``run()`` in progress keeps seeing the compacted list; cancel-heavy
-        workloads (liveness probes, expiry timers) otherwise degrade every
-        heap operation with dead weight.
-        """
-        queue = self._queue
-        before = len(queue)
-        queue[:] = [entry for entry in queue if not entry[3].cancelled]
-        heapq.heapify(queue)
-        self.heap_compactions += 1
-        self.heap_tombstones_swept += before - len(queue)
-        # Scale the floor with the surviving population (and let it decay
-        # back toward the static minimum as the simulation empties out).
-        self._compact_min = max(self.COMPACT_MIN_QUEUE, 2 * self._live)
+        """Number of events still in the queue."""
+        return len(self._queue)
 
     @property
     def processed_events(self) -> int:
-        """Total number of events fired so far."""
+        """Total number of events fired so far.
+
+        ``run()`` adds its events when it returns (one store per call, not
+        one per event), so a callback reading this mid-run sees the count
+        as of that run's start.
+        """
         return self._processed
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        heapq.heappush(
+            self._queue, (float(self._now + delay), 0, next(self._seq), callback, args))
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time!r} before current time t={self._now!r}"
             )
-        seq = next(self._seq)
-        event = Event(time, callback, args, priority=priority, seq=seq)
-        event._engine = self
-        heapq.heappush(self._queue, (event.time, priority, seq, event))
-        self._live += 1
-        return event
+        heapq.heappush(self._queue, (float(time), 0, next(self._seq), callback, args))
 
     def schedule_message(
         self,
@@ -191,7 +139,7 @@ class SimulationEngine:
         seq: Any,
         callback: Callable[..., Any],
         *args: Any,
-    ) -> Event:
+    ) -> None:
         """Schedule a cross-shard message delivery with a canonical key.
 
         The event sorts in the :data:`MESSAGE_PRIORITY` band under ``seq``
@@ -201,31 +149,21 @@ class SimulationEngine:
         how the barrier grouped deliveries into epochs — the invariant that
         lets adaptive lookahead stay byte-identical to fixed-width epochs.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot deliver at t={time!r} before current time t={self._now!r}"
             )
-        event = Event(time, callback, args, priority=MESSAGE_PRIORITY, seq=seq)
-        event._engine = self
-        heapq.heappush(self._queue, (event.time, MESSAGE_PRIORITY, seq, event))
-        self._live += 1
-        return event
+        heapq.heappush(self._queue, (float(time), MESSAGE_PRIORITY, seq, callback, args))
 
-    def step(self) -> Optional[Event]:
-        """Fire the single next non-cancelled event; return it (or None)."""
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)[3]
-            if event.cancelled:
-                self.heap_tombstones_swept += 1
-                continue
-            self._live -= 1
-            event._engine = None  # late cancel() must not re-decrement
-            self._now = event.time
-            self._processed += 1
-            event.fire()
-            return event
-        return None
+    def step(self) -> Optional[Entry]:
+        """Fire the single next event and return its entry (None if idle)."""
+        if not self._queue:
+            return None
+        entry = heapq.heappop(self._queue)
+        self._now = entry[0]
+        self._processed += 1
+        entry[3](*entry[4])
+        return entry
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` passes, or the budget ends.
@@ -237,6 +175,8 @@ class SimulationEngine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until t=nan")
         self._running = True
         queue = self._queue
         heappop = heapq.heappop
@@ -245,8 +185,7 @@ class SimulationEngine:
         fired = 0
         try:
             while queue:
-                entry = queue[0]
-                t = entry[0]
+                t = queue[0][0]
                 if t > limit or fired >= budget:
                     # Beyond the horizon (or out of budget): leave the head
                     # in place — the heap is only ever popped for events
@@ -256,74 +195,37 @@ class SimulationEngine:
                 # within the batch, so the horizon needs no re-test.
                 self._now = t
                 while True:
-                    heappop(queue)
-                    event = entry[3]
-                    if event.cancelled:
-                        self.heap_tombstones_swept += 1
-                    else:
-                        self._live -= 1
-                        event._engine = None  # late cancel() must not re-decrement
-                        self._processed += 1
-                        event.callback(*event.args)
-                        fired += 1
-                        if fired >= budget:
-                            break
-                    if not queue:
-                        break
-                    entry = queue[0]
-                    if entry[0] != t:
+                    entry = heappop(queue)
+                    fired += 1
+                    entry[3](*entry[4])
+                    if fired >= budget or not queue or queue[0][0] != t:
                         break
             if until is not None and until > self._now:
                 self._now = until
         finally:
+            self._processed += fired
             self._running = False
         return fired
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next live event without firing it (drops cancelled).
-
-        Tombstones popped here are credited to ``heap_tombstones_swept``,
-        the same ledger the compaction sweep uses, so ``pending_events``
-        and the heap-size metrics stay exact regardless of which path
-        removed a cancelled entry.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[3].cancelled:
-                heapq.heappop(queue)
-                self.heap_tombstones_swept += 1
-                continue
-            return entry[3]
-        return None
-
     def next_event_time(self) -> Optional[float]:
-        """The time of the next live event, or None when the queue is empty.
+        """The time of the next event, or None when the queue is empty.
 
         Used by the sharded coordinator to fast-forward epoch barriers
         over globally idle stretches of simulated time.
         """
-        event = self._peek()
-        return event.time if event is not None else None
-
-    def drain(self, horizon: float = 1e9, max_events: int = 10_000_000) -> int:
-        """Run to completion with a generous safety budget (for tests)."""
-        return self.run(until=horizon, max_events=max_events)
+        return self._queue[0][0] if self._queue else None
 
     def snapshot(self) -> Tuple[float, int, int]:
         """Return ``(now, pending, processed)`` for debugging/metrics."""
-        return (self._now, self.pending_events, self._processed)
+        return (self._now, len(self._queue), self._processed)
 
     def metrics(self) -> dict:
         """Engine health counters for metrics snapshots and reports."""
         return {
             "now": self._now,
-            "pending_events": self._live,
+            "pending_events": len(self._queue),
             "processed_events": self._processed,
             "heap_size": len(self._queue),
-            "heap_tombstones": len(self._queue) - self._live,
-            "heap_compactions": self.heap_compactions,
-            "heap_tombstones_swept": self.heap_tombstones_swept,
             "shards": self.shards,
             "shard_id": self.shard_id,
             "cross_shard_messages": self.cross_shard_messages,
@@ -331,6 +233,6 @@ class SimulationEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SimulationEngine t={self._now:.6f} pending={self.pending_events} "
+            f"<SimulationEngine t={self._now:.6f} pending={len(self._queue)} "
             f"processed={self._processed}>"
         )

@@ -1,5 +1,7 @@
 """Unit tests for the host network stack (ARP, ICMP, TCP workloads)."""
 
+import hashlib
+
 import pytest
 
 import repro.dataplane.host as host_module
@@ -354,6 +356,71 @@ class TestKeyedSegments:
         memos = [{id(frame._by_port) for frame in frames} for frames in phases]
         assert all(len(ids) == 1 for ids in memos)
         assert len(set.union(*memos)) == 3
+
+
+class TestRetransmitTimer:
+    """The sender keeps one retransmit deadline: a timeout fires exactly
+    RTO after the last advancing ACK, and no timer outlives the sender."""
+
+    #: sha256 of the (time, seq, ack, flags, length) rows of every TCP
+    #: segment of the lossy transfer below.
+    LOSSY_SEGMENTS_SHA256 = (
+        "f9cf0b8fa897eb894697f0860a9714f0052c2a64968b20d1f7cd0eaf512bf929")
+
+    def test_lossy_transfer_segment_timing(self, monkeypatch):
+        sent = capture_tcp_frames(monkeypatch)
+        engine = SimulationEngine()
+
+        # Black-hole h1's data twice: early on, so ACKs stop while the
+        # timer armed at the first send is still pending, and around the
+        # client's deadline (established + 0.51 s), so the second timeout
+        # retransmits without sending new data.
+        def deliver(data):
+            segment = tcp_of(data)
+            now = engine.now
+            return not (segment and segment.payload
+                        and (1.002 <= now <= 1.003 or 1.509 <= now <= 1.512))
+
+        h1, h2 = resolved_pair(engine, deliver)
+        h2.start_iperf_server()
+        run = h1.run_iperf_client(h2.ip, duration=0.51)
+        engine.run(until=30.0)
+        assert run.finished and run.result.retransmits == 2
+
+        # Each timeout comes RTO after the last ACK reached h1 (h2 sends
+        # nothing in between), not RTO after the send that armed it.
+        rto = host_module._IperfClient.RTO
+        data = [(time, tcp_of(frame).seq) for name, time, frame in sent
+                if name == "h1" and tcp_of(frame).payload]
+        go_back = [time for (time, seq), (_, prev) in zip(data[1:], data)
+                   if seq < prev]
+        assert len(go_back) == 2
+        for time in go_back:
+            last_ack = max(t for name, t, _ in sent if name == "h2" and t < time)
+            assert time == pytest.approx(last_ack + 0.0001 + rto)
+
+        rows = [(time, segment.seq, segment.ack, int(segment.flags),
+                 len(segment.payload))
+                for _, time, frame in sent for segment in [tcp_of(frame)]]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+            self.LOSSY_SEGMENTS_SHA256
+
+    def test_no_frame_or_done_after_finish(self, monkeypatch):
+        sent = capture_tcp_frames(monkeypatch)
+        engine = SimulationEngine()
+        h1, h2 = resolved_pair(engine)
+        h2.start_iperf_server()
+        duration = 0.01
+        run = h1.run_iperf_client(h2.ip, duration=duration)
+        while not run.finished:
+            assert engine.step() is not None
+        frames = len(sent)
+        # Past the give-up time (established + duration + 10 s): the
+        # pending retransmit and give-up events fire and do nothing.
+        engine.run(until=engine.now + duration + 11.0)
+        assert [name for name, _, _ in sent[frames:]] == ["h2"]  # its FIN
+        assert run.done.fire_count == 1
+        assert engine.pending_events == 0
 
 
 def capture_datagrams(monkeypatch):

@@ -35,14 +35,6 @@ def test_same_time_events_fire_in_schedule_order(engine):
     assert fired == list(range(10))
 
 
-def test_priority_breaks_time_ties(engine):
-    fired = []
-    engine.schedule(1.0, fired.append, "normal", priority=0)
-    engine.schedule(1.0, fired.append, "urgent", priority=-1)
-    engine.run()
-    assert fired == ["urgent", "normal"]
-
-
 def test_run_until_stops_before_later_events(engine):
     fired = []
     engine.schedule(1.0, fired.append, "in")
@@ -74,25 +66,25 @@ def test_events_scheduled_during_run_are_processed(engine):
     assert engine.now == 3.0
 
 
-def test_cancelled_events_do_not_fire(engine):
-    fired = []
-    event = engine.schedule(1.0, fired.append, "cancelled")
-    engine.schedule(2.0, fired.append, "kept")
-    event.cancel()
-    engine.run()
-    assert fired == ["kept"]
-
-
-def test_cancelled_events_not_counted_as_pending(engine):
-    event = engine.schedule(1.0, lambda: None)
-    assert engine.pending_events == 1
-    event.cancel()
-    assert engine.pending_events == 0
-
-
 def test_negative_delay_rejected(engine):
     with pytest.raises(SimulationError):
         engine.schedule(-0.1, lambda: None)
+
+
+def test_nan_times_rejected(engine):
+    # A NaN key would compare false both ways and break the heap order.
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        engine.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule_at(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule_message(nan, ("chan", 0), lambda: None)
+    engine.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.run(until=nan)
+    assert engine.pending_events == 1
+    assert engine.now == 0.0
 
 
 def test_schedule_at_in_past_rejected(engine):
@@ -117,9 +109,11 @@ def test_max_events_budget(engine):
 
 def test_step_returns_event_or_none(engine):
     assert engine.step() is None
-    engine.schedule(1.0, lambda: None)
-    event = engine.step()
-    assert event is not None
+    fired = []
+    engine.schedule(1.0, fired.append, "x")
+    # The fired event is its heap entry: (time, band, seq, callback, args).
+    assert engine.step() == (1.0, 0, 0, fired.append, ("x",))
+    assert fired == ["x"]
     assert engine.step() is None
 
 

@@ -1,16 +1,17 @@
-"""Semantics of the allocation-lean event core.
+"""Semantics of the event core.
 
-The engine's hot loop batches same-timestamp dispatch, keeps flat
-``(time, priority, seq, event)`` heap entries, and pops head tombstones
-in ``_peek``.  None of that may be observable: these tests pin the
-ordering, cancellation, and accounting contracts the rest of the
-simulator (and the cross-shard determinism proof) relies on.
+The engine's hot loop batches same-timestamp dispatch over plain
+``(time, band, seq, callback, args)`` heap entries.  None of that may be
+observable: these tests pin the ordering and accounting contracts the
+rest of the simulator (and the cross-shard determinism proof) relies on.
 """
+
+import random
 
 import pytest
 
 from repro.sim import SimulationEngine, SimulationError
-from repro.sim.events import MESSAGE_PRIORITY, Event
+from repro.sim.engine import MESSAGE_PRIORITY
 
 
 @pytest.fixture
@@ -31,21 +32,6 @@ class TestBatchedDispatch:
         engine.run()
         assert fired == ["first", "second", "nested"]
         assert engine.now == 1.0
-
-    def test_cancel_same_timestamp_event_mid_batch(self, engine):
-        fired = []
-        victim = engine.schedule(1.0, fired.append, "victim")
-
-        def assassin():
-            fired.append("assassin")
-            victim.cancel()
-
-        # The assassin was scheduled after the victim but runs first via
-        # priority; the victim's heap entry is already popped-adjacent.
-        engine.schedule(1.0, assassin, priority=-1)
-        engine.run()
-        assert fired == ["assassin"]
-        assert engine.pending_events == 0
 
     def test_budget_stops_inside_a_timestamp_batch(self, engine):
         fired = []
@@ -86,10 +72,11 @@ class TestMessageBand:
         assert fired == ["a9", "b1", "b2"]
 
     def test_message_does_not_consume_event_seq_counter(self, engine):
-        before = engine.schedule(1.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
         engine.schedule_message(1.0, ("chan", 0), lambda: None)
-        after = engine.schedule(1.0, lambda: None)
-        assert after.seq == before.seq + 1  # the message drew no seq
+        engine.schedule(1.0, lambda: None)
+        before, after = engine.step(), engine.step()
+        assert after[2] == before[2] + 1  # the message drew no seq
         engine.run()
 
     def test_message_in_past_rejected(self, engine):
@@ -99,75 +86,40 @@ class TestMessageBand:
             engine.schedule_message(1.0, ("chan", 0), lambda: None)
 
     def test_message_band_sorts_after_any_local_priority(self, engine):
+        # Even a local event scheduled at the instant by a callback that
+        # fires at it sorts before the message.
         fired = []
+
+        def local():
+            fired.append("local")
+            engine.schedule(0.0, fired.append, "nested")
+
         engine.schedule_message(1.0, ("chan", 0), fired.append, "message")
-        engine.schedule_at(1.0, fired.append, "low", priority=1000)
+        engine.schedule_at(1.0, local)
         engine.run()
-        assert fired == ["low", "message"]
-        assert MESSAGE_PRIORITY > 1000
-
-
-class TestTombstoneAccounting:
-    def test_peek_pops_head_tombstones_and_credits_sweep(self, engine):
-        cancelled = engine.schedule(1.0, lambda: None)
-        live = engine.schedule(2.0, lambda: None)
-        cancelled.cancel()
-        swept_before = engine.heap_tombstones_swept
-        assert engine.next_event_time() == 2.0
-        assert engine.heap_tombstones_swept == swept_before + 1
-        metrics = engine.metrics()
-        assert metrics["heap_size"] == 1
-        assert metrics["heap_tombstones"] == 0
-        assert metrics["pending_events"] == 1
-        live.cancel()
-
-    def test_sweep_ledger_is_consistent_across_paths(self, engine):
-        # Interleave cancels swept by _peek, step, run, and _compact; at
-        # every observation point the derived tombstone figure must match
-        # the heap-size / live-count gap exactly.
-        events = [engine.schedule(float(i % 7), lambda: None)
-                  for i in range(200)]
-        for event in events[::3]:
-            event.cancel()
-        metrics = engine.metrics()
-        assert metrics["heap_tombstones"] == (
-            metrics["heap_size"] - metrics["pending_events"]
-        )
-        engine.next_event_time()
-        engine.step()
-        engine.run(until=3.0)
-        metrics = engine.metrics()
-        assert metrics["heap_tombstones"] == (
-            metrics["heap_size"] - metrics["pending_events"]
-        )
-        engine.run()
-        metrics = engine.metrics()
-        assert metrics["heap_size"] == metrics["pending_events"] == 0
-        assert metrics["heap_tombstones"] == 0
-
-    def test_run_skips_tombstones_without_counting_them(self, engine):
-        fired = []
-        doomed = [engine.schedule(1.0, fired.append, f"doomed{i}")
-                  for i in range(3)]
-        engine.schedule(1.0, fired.append, "kept")
-        for event in doomed:
-            event.cancel()
-        count = engine.run()
-        assert count == 1
-        assert fired == ["kept"]
-        assert engine.processed_events == 1
+        assert fired == ["local", "nested", "message"]
+        assert MESSAGE_PRIORITY > 0
 
 
 class TestPrecomputedKeys:
     def test_event_key_matches_heap_entry(self, engine):
-        event = engine.schedule_at(3.5, lambda: None, priority=2)
-        assert event.sort_key() == (3.5, 2, event.seq)
-        assert event.key == event.sort_key()
+        fired = []
+        engine.schedule(0.5, lambda: None)
+        engine.schedule_at(3.5, fired.append, "x")
+        engine.step()
+        assert engine.step() == (3.5, 0, 1, fired.append, ("x",))
+        assert fired == ["x"]
 
-    def test_event_comparison_uses_key(self):
-        early = Event(1.0, lambda: None, seq=1)
-        late = Event(2.0, lambda: None, seq=0)
-        assert early < late
-        tie_a = Event(3.0, lambda: None, seq=2)
-        tie_b = Event(3.0, lambda: None, seq=3)
-        assert tie_a < tie_b  # FIFO via the seq
+    def test_event_comparison_uses_key(self, engine):
+        # Entries come off the heap in ascending tuple order: time, then
+        # band, then seq; the callback is never compared.
+        rng = random.Random(0)
+        for index in range(50):
+            time = rng.choice((1.0, 2.0, 3.0))
+            if index % 5 == 0:
+                engine.schedule_message(time, ("chan", rng.random()), lambda: None)
+            else:
+                engine.schedule_at(time, lambda: None)
+        keys = [engine.step()[:3] for _ in range(50)]
+        assert keys == sorted(keys)
+        assert engine.step() is None

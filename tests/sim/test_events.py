@@ -1,80 +1,51 @@
-"""Unit tests for event and timer primitives."""
+"""Unit tests for events as heap entries: ``(time, band, seq, callback, args)``.
+
+``step()`` returns the entry it fired, so these read the key each event
+was given and the order the entries come off the heap.
+"""
 
 import pytest
 
-from repro.sim import SimulationEngine
-from repro.sim.events import Event, EventCancelled, Timer
+from repro.sim import SimulationEngine, SimulationError
+from repro.sim.engine import MESSAGE_PRIORITY
 
 
-def test_event_ordering_by_time():
-    a = Event(1.0, lambda: None, seq=1)
-    b = Event(2.0, lambda: None, seq=0)
-    assert a < b
+@pytest.fixture
+def engine():
+    return SimulationEngine()
 
 
-def test_event_ordering_by_seq_on_tie():
-    a = Event(1.0, lambda: None, seq=0)
-    b = Event(1.0, lambda: None, seq=1)
-    assert a < b  # a was scheduled first
+def test_event_ordering_by_time(engine):
+    engine.schedule_at(2.0, lambda: None)  # seq 0
+    engine.schedule_at(1.0, lambda: None)  # seq 1, but earlier
+    assert engine.step()[:3] == (1.0, 0, 1)
+    assert engine.step()[:3] == (2.0, 0, 0)
 
 
-def test_event_ordering_by_priority_on_tie():
-    a = Event(1.0, lambda: None, priority=5, seq=0)
-    b = Event(1.0, lambda: None, priority=-5, seq=1)
-    assert b < a
+def test_event_ordering_by_seq_on_tie(engine):
+    engine.schedule_at(1.0, lambda: None)
+    engine.schedule_at(1.0, lambda: None)
+    assert engine.step()[:3] == (1.0, 0, 0)  # scheduled first
+    assert engine.step()[:3] == (1.0, 0, 1)
 
 
-def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        Event(-1.0, lambda: None, seq=0)
+def test_event_ordering_by_priority_on_tie(engine):
+    # The band is the key's priority: it decides a tie on time before
+    # any sequence number is compared.
+    engine.schedule_message(1.0, ("chan", 0), lambda: None)
+    engine.schedule_at(1.0, lambda: None)
+    assert engine.step()[:3] == (1.0, 0, 0)
+    assert engine.step()[:3] == (1.0, MESSAGE_PRIORITY, ("chan", 0))
 
 
-def test_fire_invokes_callback_with_args():
+def test_negative_time_rejected(engine):
+    with pytest.raises(SimulationError):
+        engine.schedule_at(-1.0, lambda: None)
+    assert engine.pending_events == 0
+
+
+def test_fire_invokes_callback_with_args(engine):
     seen = []
-    event = Event(0.0, lambda x, y: seen.append((x, y)), args=(1, 2), seq=0)
-    event.fire()
+    engine.schedule(0.0, lambda x, y: seen.append((x, y)), 1, 2)
+    engine.step()
     assert seen == [(1, 2)]
-
-
-def test_fire_cancelled_event_raises():
-    event = Event(0.0, lambda: None, seq=0)
-    event.cancel()
-    with pytest.raises(EventCancelled):
-        event.fire()
-
-
-class TestTimer:
-    def test_fires_after_delay(self):
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine, lambda: fired.append(engine.now))
-        timer.start(2.0)
-        engine.run()
-        assert fired == [2.0]
-
-    def test_restart_pushes_deadline(self):
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine, lambda: fired.append(engine.now))
-        timer.start(2.0)
-        engine.schedule(1.0, timer.start, 3.0)  # restart at t=1 -> fires t=4
-        engine.run()
-        assert fired == [4.0]
-
-    def test_cancel_prevents_firing(self):
-        engine = SimulationEngine()
-        fired = []
-        timer = Timer(engine, lambda: fired.append(1))
-        timer.start(2.0)
-        timer.cancel()
-        engine.run()
-        assert fired == []
-
-    def test_pending_reflects_state(self):
-        engine = SimulationEngine()
-        timer = Timer(engine, lambda: None)
-        assert not timer.pending
-        timer.start(1.0)
-        assert timer.pending
-        engine.run()
-        assert not timer.pending

@@ -25,7 +25,8 @@ def test_regions_draw_from_their_own_engine_sequences():
         next(busy.engine.ctx.msg_ids)
     # However far one region has advanced, the other starts at the top.
     assert busy.engine.ctx is not idle.engine.ctx
-    assert idle.engine.schedule(1.0, lambda: None).seq == 0
+    idle.engine.schedule(1.0, lambda: None)
+    assert idle.engine.step()[2] == 0  # the first seq of its own counter
     assert idle.engine.ctx.next_xid() == 1
     assert next(idle.engine.ctx.msg_ids) == 1
     assert idle.engine.ctx.frames == {}

@@ -53,6 +53,30 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+SIM_SECONDS_FLAGS = (
+    (["suppression"], "--iperf-duration", "iperf_duration"),
+    (["fabric", "run", "fat-tree-k4"], "--horizon", "horizon"),
+    (["workload", "run", "packetin-flood"], "--duration", "duration"),
+    (["detect", "run", "packetin-flood"], "--duration", "duration"),
+)
+
+
+@pytest.mark.parametrize("command,flag,dest", SIM_SECONDS_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_simulated_durations_must_be_finite_and_positive(command, flag, dest,
+                                                         value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(command + [flag, value])
+    assert exit_info.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,dest", SIM_SECONDS_FLAGS)
+def test_simulated_durations_parse_as_seconds(command, flag, dest):
+    args = build_parser().parse_args(command + [flag, "0.25"])
+    assert getattr(args, dest) == 0.25
+
+
 def test_compliance_command(capsys):
     assert main(["compliance"]) == 0
     out = capsys.readouterr().out
