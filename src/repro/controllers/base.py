@@ -176,6 +176,12 @@ class Controller:
         if session.state is SessionState.CLOSED:
             return
         self.stats["messages_received"] += 1
+        if isinstance(message, PacketIn):
+            # The one message of the steady state, so it is tested first.
+            if session.state is SessionState.READY:
+                self.stats["packet_ins_handled"] += 1
+                self._dispatch_packet_in(session, message)
+            return
         if isinstance(message, Hello):
             if session.state is SessionState.AWAIT_HELLO:
                 session.state = SessionState.AWAIT_FEATURES
@@ -201,10 +207,6 @@ class Controller:
                 app.error_received(self, session, message)
             return
         if session.state is not SessionState.READY:
-            return
-        if isinstance(message, PacketIn):
-            self.stats["packet_ins_handled"] += 1
-            self._dispatch_packet_in(session, message)
             return
         if isinstance(message, FlowRemoved):
             for app in self.apps:

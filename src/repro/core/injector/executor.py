@@ -60,16 +60,13 @@ class _ConnectionDispatch:
     OpenFlow 1.0 message-type set.
     """
 
-    __slots__ = ("annotated", "wildcard", "_by_type")
+    __slots__ = ("annotated", "bound_count", "wildcard", "_by_type")
 
     def __init__(self, annotated: Sequence[Tuple[Rule, Optional[frozenset]]]) -> None:
         self.annotated = tuple(annotated)
+        self.bound_count = len(self.annotated)
         self.wildcard = tuple(rule for rule, types in annotated if types is None)
         self._by_type: Dict[Optional[str], Tuple[Rule, ...]] = {}
-
-    @property
-    def bound_count(self) -> int:
-        return len(self.annotated)
 
     def candidates(self, type_name: Optional[str]) -> Tuple[Rule, ...]:
         """Rules that could fire for a message of ``type_name`` (in order)."""
@@ -173,8 +170,8 @@ class AttackExecutor:
         stats = self.stats
         stats["messages_processed"] += 1
         out: List[OutgoingMessage] = [OutgoingMessage(incoming)]       # line 5
-        previous_state = self.current_state                            # line 6
-        dispatch = self._dispatch[previous_state.name].get(incoming.connection)
+        state = self.current_state_name                                # line 6
+        dispatch = self._dispatch[state].get(incoming.connection)
         if dispatch is None:
             return out
         candidates = dispatch.candidates(incoming.coarse_type_name)
@@ -191,12 +188,11 @@ class AttackExecutor:
             stats["rules_evaluated"] += 1
             fired = rule.compiled_conditional()(eval_ctx)              # line 9
             if tracer is not None:
-                tracer.emit("rule_eval", state=previous_state.name,
-                            rule=rule.name, msg_id=incoming.msg_id,
-                            fired=bool(fired))
+                tracer.emit("rule_eval", state=state, rule=rule.name,
+                            msg_id=incoming.msg_id, fired=bool(fired))
             if fired:
                 stats["rules_fired"] += 1
-                self._notify_rule(previous_state.name, rule.name, incoming)
+                self._notify_rule(state, rule.name, incoming)
                 if action_ctx is None:
                     action_ctx = self._action_context(eval_ctx, out)
                 for action in rule.actions:                            # line 10
@@ -204,16 +200,20 @@ class AttackExecutor:
                         self._goto(action.state_name)
                     else:                                              # line 14
                         if tracer is not None:
-                            tracer.emit("action", state=previous_state.name,
-                                        rule=rule.name,
+                            tracer.emit("action", state=state, rule=rule.name,
                                         action=type(action).__name__)
                         self.modifier.apply(action, action_ctx)
         if action_ctx is not None:
-            if not any(entry.message is incoming for entry in out):
+            survived = False
+            for entry in out:
+                if entry.message is incoming:
+                    survived = True
+                if entry.injected:
+                    stats["messages_injected"] += 1
+            if not survived:
                 stats["messages_dropped"] += 1
                 if tracer is not None:
-                    self._trace_drop(previous_state.name, incoming)
-            stats["messages_injected"] += sum(1 for entry in out if entry.injected)
+                    self._trace_drop(state, incoming)
         return out                                                     # lines 19–21
 
     def _action_context(

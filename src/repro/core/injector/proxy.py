@@ -36,9 +36,12 @@ class ConnectionProxy:
         self.connection = tuple(connection)
         self.switch_channel: Optional[ControlChannel] = None
         self.controller_channel: Optional[ControlChannel] = None
-        self._to_controller_framer = MessageFramer()
-        self._to_switch_framer = MessageFramer()
-        self._interposed = bool(injector.attack_model.gamma(connection))
+        # One framer per direction while that stream is interposed; None
+        # forwards its chunks raw: no attacker on the connection, or a
+        # stream that stopped framing.
+        interposed = bool(injector.attack_model.gamma(connection))
+        self._to_controller_framer = MessageFramer() if interposed else None
+        self._to_switch_framer = MessageFramer() if interposed else None
         self.tracer = getattr(injector, "tracer", None)
         self.closed = False
         self.stats: Dict[str, int] = {
@@ -72,37 +75,36 @@ class ConnectionProxy:
             framer = self._to_switch_framer
         else:
             return
-        if not self._interposed:
-            # No attacker on this connection: forward raw bytes untouched.
-            peer = self._peer_channel(direction)
+        if framer is not None:
+            try:
+                # Frame on the header length field only — no body decode.
+                # The executor's dispatch peeks the type from the header;
+                # the full parse happens lazily iff an evaluated
+                # conditional reads the payload, and pass-through reuses
+                # these exact wire bytes.
+                frames = framer.feed_frames(data)
+            except OpenFlowDecodeError:
+                # Give up interposing a corrupt stream: from this chunk on
+                # its bytes pass through, so the endpoints see the same
+                # garbage a real TCP proxy would, and no framer keeps them.
+                if direction is Direction.TO_CONTROLLER:
+                    self._to_controller_framer = None
+                else:
+                    self._to_switch_framer = None
+                framer = None
+        if framer is None:
+            peer = self.channel_for(direction)
             if peer is not None:
                 peer.send(data)
             return
-        try:
-            # Frame on the header length field only — no body decode.  The
-            # executor's dispatch peeks the type from the header; the full
-            # parse happens lazily iff an evaluated conditional reads the
-            # payload, and pass-through reuses these exact wire bytes.
-            frames = framer.feed_frames(data)
-        except OpenFlowDecodeError:
-            # Give up interposing a corrupt stream: pass bytes through so
-            # the endpoints see the same garbage a real TCP proxy would.
-            peer = self._peer_channel(direction)
-            if peer is not None:
-                peer.send(data)
-            return
+        injector = self.injector
+        engine = injector.engine
+        stat = ("to_controller_messages" if direction is Direction.TO_CONTROLLER
+                else "to_switch_messages")
         for frame in frames:
-            interposed = InterposedMessage(
-                self.connection,
-                direction,
-                self.injector.engine.now,
-                frame,
-                ids=self.injector.engine.ctx.msg_ids,
-            )
-            if direction is Direction.TO_CONTROLLER:
-                self.stats["to_controller_messages"] += 1
-            else:
-                self.stats["to_switch_messages"] += 1
+            interposed = InterposedMessage(self.connection, direction, engine.now, frame,
+                                           ids=engine.ctx.msg_ids)
+            self.stats[stat] += 1
             if self.tracer is not None:
                 self.tracer.emit(
                     "message",
@@ -113,7 +115,7 @@ class ConnectionProxy:
                     length=len(frame),
                     msg_id=interposed.msg_id,
                 )
-            self.injector.submit(self, interposed)
+            injector.submit(self, interposed)
 
     def channel_closed(self, channel: ControlChannel) -> None:
         self.close()
@@ -126,42 +128,42 @@ class ConnectionProxy:
         """Send the executor's outgoing list to the proper sides."""
         if self.closed:
             return
-        self.stats["forwarded"] += len(outgoing)
+        stats = self.stats
+        stats["forwarded"] += len(outgoing)
+        route = self.injector.route
         for entry in outgoing:
+            message = entry.message
             if entry.injected:
-                self.stats["injected"] += 1
+                stats["injected"] += 1
             else:
                 # Fast-lane accounting for interposed originals: a message
                 # no rule decoded ships without ever being parsed, and one
                 # whose payload was never replaced re-uses its wire bytes.
-                message = entry.message
                 if message._parsed is None and not message._parse_failed:
-                    self.stats["decode_avoided"] += 1
+                    stats["decode_avoided"] += 1
                 if not message.payload_replaced:
-                    self.stats["repack_avoided"] += 1
-            target = self.injector.route(self, entry)
+                    stats["repack_avoided"] += 1
+            target = route(self, entry)
             if target is None:
                 continue
             if entry.delay > 0:
-                self.stats["delayed"] += 1
+                stats["delayed"] += 1
                 self.injector.engine.schedule(
-                    entry.delay, self._send_if_open, target, entry.message.raw
+                    entry.delay, self._send_if_open, target, message.raw
                 )
-            else:
-                self._send_if_open(target, entry.message.raw)
+            elif target.open:
+                target.send(message.raw)
 
     @staticmethod
     def _send_if_open(channel: ControlChannel, data: bytes) -> None:
         if channel.open:
             channel.send(data)
 
-    def _peer_channel(self, direction: Direction) -> Optional[ControlChannel]:
+    def channel_for(self, direction: Direction) -> Optional[ControlChannel]:
+        """The channel that carries messages travelling ``direction``."""
         if direction is Direction.TO_CONTROLLER:
             return self.controller_channel
         return self.switch_channel
-
-    def channel_for(self, direction: Direction) -> Optional[ControlChannel]:
-        return self._peer_channel(direction)
 
     def close(self) -> None:
         if self.closed:

@@ -51,6 +51,8 @@ class RuntimeInjector:
         self._ports: Dict[ConnectionKey, ProxyPort] = {}
         self.active_proxies: Dict[ConnectionKey, ConnectionProxy] = {}
         self._observers: List = []
+        #: The observers' ``message_interposed`` hooks, bound once.
+        self._interposed_hooks: List[Callable] = []
         self.tracer = None
         self.stats: Dict[str, int] = {
             "messages_interposed": 0,
@@ -109,6 +111,9 @@ class RuntimeInjector:
     def add_observer(self, observer) -> None:
         """Register a monitor for executor and message events."""
         self._observers.append(observer)
+        hook = getattr(observer, "message_interposed", None)
+        if hook is not None:
+            self._interposed_hooks.append(hook)
         if self.executor is not None:
             self.executor.add_observer(observer)
 
@@ -163,51 +168,54 @@ class RuntimeInjector:
         SLEEP actions hold up state execution: messages arriving during a
         sleep are deferred (in order) until it elapses.
         """
-        if self.executor is None:
-            self.stats["messages_interposed"] += 1
-            outgoing = [OutgoingMessage(message)]
-            for observer in self._observers:
-                handler = getattr(observer, "message_interposed", None)
-                if handler is not None:
-                    handler(message, outgoing, self.engine.now)
-            proxy.deliver(outgoing)
-            return
-        if self.executor.sleeping(self.engine.now):
+        executor = self.executor
+        if executor is not None and self.engine.now < executor.sleep_until:
             self.stats["messages_deferred"] += 1
-            self.engine.schedule_at(
-                self.executor.sleep_until, self._process, proxy, message
-            )
+            self.engine.schedule_at(executor.sleep_until, self._process, proxy, message)
             return
-        self._process(proxy, message)
+        self._interpose(proxy, message)
 
     def _process(self, proxy: ConnectionProxy, message: InterposedMessage) -> None:
-        if self.executor is not None and self.executor.sleeping(self.engine.now):
+        """Run a deferred message once its SLEEP has elapsed."""
+        executor = self.executor
+        if self.engine.now < executor.sleep_until:
             # A SLEEP landed while this message waited; defer again.
-            self.engine.schedule_at(
-                self.executor.sleep_until, self._process, proxy, message
-            )
+            self.engine.schedule_at(executor.sleep_until, self._process, proxy, message)
             return
+        self._interpose(proxy, message)
+
+    def _interpose(self, proxy: ConnectionProxy, message: InterposedMessage) -> None:
         self.stats["messages_interposed"] += 1
-        assert self.executor is not None
-        outgoing = self.executor.handle_message(message)
-        for observer in self._observers:
-            handler = getattr(observer, "message_interposed", None)
-            if handler is not None:
-                handler(message, outgoing, self.engine.now)
+        executor = self.executor
+        if executor is None:
+            outgoing = [OutgoingMessage(message)]
+        else:
+            outgoing = executor.handle_message(message)
+        self.notify_interposed(message, outgoing)
         proxy.deliver(outgoing)
+
+    def notify_interposed(self, message: InterposedMessage,
+                          outgoing: List[OutgoingMessage]) -> None:
+        """Hand every observer one message and its outgoing list."""
+        if self._interposed_hooks:
+            now = self.engine.now
+            for hook in self._interposed_hooks:
+                hook(message, outgoing, now)
 
     def route(self, proxy: ConnectionProxy, entry: OutgoingMessage):
         """Pick the output channel for one outgoing message.
 
         Honors MODIFYMESSAGEMETADATA destination rewrites when the new
-        destination names a device with an active interposed connection.
+        destination names a device with an active interposed connection;
+        without one the message's direction decides.
         """
         message = entry.message
-        override = message.metadata_overrides.get("destination")
-        if override and override != message.natural_destination:
-            redirected = self._channel_for_destination(override, message.direction)
-            if redirected is not None:
-                return redirected
+        if message.metadata_overrides:
+            override = message.metadata_overrides.get("destination")
+            if override and override != message.natural_destination:
+                redirected = self._channel_for_destination(override, message.direction)
+                if redirected is not None:
+                    return redirected
         return proxy.channel_for(message.direction)
 
     def _channel_for_destination(self, destination: str, direction: Direction):

@@ -46,7 +46,11 @@ class ControlPlaneMonitor(RecordingMonitor):
         self.message_counts[type_name] = self.message_counts.get(type_name, 0) + 1
         key = message.connection
         self.per_connection[key] = self.per_connection.get(key, 0) + 1
-        survived = any(entry.message is message for entry in outgoing)
+        survived = False
+        for entry in outgoing:
+            if entry.message is message:
+                survived = True
+                break
         if not survived:
             self.dropped_by_type[type_name] = self.dropped_by_type.get(type_name, 0) + 1
         if self.tracer is not None:

@@ -6,7 +6,8 @@ Every structure here obeys the same three-part contract:
   sight of a flow key.  The tap layer (:mod:`repro.defense.tap`) hands
   each sketch a *normalized key* — the OpenFlow twelve-tuple with every
   field coerced to a plain int (``None`` becomes ``-1``) — plus a
-  precomputed row-index tuple, so no sketch ever touches packet bytes.
+  precomputed row-index tuple and window bucket, so no sketch ever
+  touches packet bytes.
 * **Hashing is process-stable.**  Python's ``hash()`` is salted per
   process, which would make pooled shard workers disagree with an
   inline run; row indices instead derive from an FNV-1a fold of the
@@ -54,10 +55,15 @@ def fold_key(key: Tuple[int, ...]) -> int:
 
 
 def row_indices(h: int, width: int, depth: int) -> Tuple[int, ...]:
-    """``depth`` row indices from one 64-bit digest via double hashing."""
+    """``depth`` row indices from one 64-bit digest via double hashing:
+    ``(h1 + i * h2) % width`` for each row ``i``."""
     h1 = h & 0xFFFFFFFF
     h2 = ((h >> 32) | 1) & 0xFFFFFFFF
-    return tuple([(h1 + i * h2) % width for i in range(depth)])
+    indices = []
+    for _ in range(depth):
+        indices.append(h1 % width)
+        h1 += h2
+    return tuple(indices)
 
 
 class CountMinSketch:
@@ -234,7 +240,10 @@ class PortRates:
         self._state: Dict[Tuple[str, int], List] = {}
 
     def update(self, switch: str, port: int, now: float) -> None:
-        bucket = int(now / self.window_s)
+        self.update_bucket(switch, port, int(now / self.window_s))
+
+    def update_bucket(self, switch: str, port: int, bucket: int) -> None:
+        """:meth:`update` for a packet in window ``bucket``."""
         state = self._state.get((switch, port))
         if state is None:
             self._state[(switch, port)] = [bucket, 1, 1, 0.0]
@@ -360,7 +369,10 @@ class WindowSeries:
         self.buckets: Dict[int, int] = {}
 
     def add(self, now: float, count: int = 1) -> None:
-        idx = int(now / self.window_s)
+        self.add_bucket(int(now / self.window_s), count)
+
+    def add_bucket(self, idx: int, count: int = 1) -> None:
+        """:meth:`add` ``count`` to window ``idx``."""
         self.buckets[idx] = self.buckets.get(idx, 0) + count
 
     def to_dict(self) -> Dict[str, Any]:

@@ -9,7 +9,8 @@ both PACKET_IN emission sites (table miss, OUTPUT:CONTROLLER).
 
 Per-key work (int-fold hash, count-min row indices, normalization) is
 memoized in a bounded dict keyed by the flow-key tuple itself, so steady
-traffic pays one dict hit plus a handful of array increments per frame.
+traffic pays one dict hit, one window-bucket division and a handful of
+array increments per frame.
 The memo evicts wholesale like the FastFrame intern pool: O(1)
 bookkeeping, one re-warm round trip after a clear.
 
@@ -92,12 +93,14 @@ class SketchTap:
         else:
             self.counters["memo_hits"] += 1
         norm, indices = cached
+        # One window bucket serves every per-window series.
+        bucket = int(now / self.window_s)
         before = self.cms.update(indices)
         if before == 0:
-            self.new_keys.add(now)
+            self.new_keys.add_bucket(bucket)
         self.topk.update(norm, before + 1)
-        self.ports.update(switch, port_no, now)
-        self.frames.add(now)
+        self.ports.update_bucket(switch, port_no, bucket)
+        self.frames.add_bucket(bucket)
         self.counters["frames"] += 1
 
     def on_packet_in(self, now: float) -> None:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import struct
-from typing import ClassVar, Iterator, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.openflow.constants import ActionType
+
+_TLV = struct.Struct("!HH")
+_OUTPUT = struct.Struct("!HHHH")
+_OUTPUT_BODY = struct.Struct("!HH")
+_OUTPUT_TYPE = int(ActionType.OUTPUT)
 
 
 class ActionDecodeError(Exception):
@@ -39,59 +44,62 @@ class Action:
             raise ActionDecodeError(
                 f"action length must be a multiple of 8, got {length}"
             )
-        return struct.pack("!HH", int(self.action_type), length) + body
+        return _TLV.pack(int(self.action_type), length) + body
 
     @classmethod
-    def check_size(cls, body: bytes) -> None:
-        """Raise :class:`ActionDecodeError` unless ``body`` fits ``body_size``."""
-        if cls.body_size is not None and len(body) != cls.body_size:
-            raise ActionDecodeError(
-                f"bad {cls.action_type.name} body length {len(body)}"
-            )
+    def check_size(cls, size: int) -> None:
+        """Raise :class:`ActionDecodeError` unless a body of ``size``
+        bytes fits ``body_size``."""
+        if cls.body_size is not None and size != cls.body_size:
+            raise ActionDecodeError(f"bad {cls.action_type.name} body length {size}")
 
     @staticmethod
-    def walk(data: bytes) -> Iterator[Tuple[int, Optional[type], bytes]]:
-        """Each ``(action_type, class or None, body)`` of an action list.
+    def walk(data: bytes, start: int = 0,
+             end: Optional[int] = None) -> List[Tuple[int, Optional[type], int, int]]:
+        """Each ``(action_type, class or None, body start, body end)`` of
+        the action list in ``data[start:end]`` (``end`` defaults to the end
+        of ``data``).
 
         Raises :class:`ActionDecodeError` at the first TLV without a whole
-        header, with a length under 8, not a multiple of 8 or past the end
-        of ``data``, or with a body that fails :meth:`check_size`.
+        header, with a length under 8, not a multiple of 8 or past ``end``,
+        or with a body :meth:`check_size` refuses.
         """
-        offset, end = 0, len(data)
+        if end is None:
+            end = len(data)
+        tlvs = []
+        offset, unpack, registry = start, _TLV.unpack_from, Action._registry
         while offset < end:
             if offset + 4 > end:
                 raise ActionDecodeError("truncated action header")
-            action_type, length = struct.unpack_from("!HH", data, offset)
+            action_type, length = unpack(data, offset)
             if length < 8 or length % 8 or offset + length > end:
                 raise ActionDecodeError(f"bad action length {length}")
-            body = data[offset + 4 : offset + length]
-            cls = Action._registry.get(action_type)
+            cls = registry.get(action_type)
             if cls is not None:
-                cls.check_size(body)
-            yield action_type, cls, body
+                cls.check_size(length - 4)
+            tlvs.append((action_type, cls, offset + 4, offset + length))
             offset += length
+        return tlvs
 
     @staticmethod
-    def valid_list(data: bytes) -> bool:
-        """True when :meth:`unpack_list` would decode ``data``."""
+    def valid_list(data: bytes, start: int = 0, end: Optional[int] = None) -> bool:
+        """True when :meth:`unpack_list` would decode the same bytes."""
         try:
-            for _ in Action.walk(data):
-                pass
+            Action.walk(data, start, end)
         except ActionDecodeError:
             return False
         return True
 
     @staticmethod
-    def unpack_list(data: bytes) -> List["Action"]:
+    def unpack_list(data: bytes, start: int = 0, end: Optional[int] = None) -> List["Action"]:
         """Decode a contiguous action list (as found in FLOW_MOD/PACKET_OUT)."""
-        return [
-            UnknownAction(action_type, body) if cls is None else cls.unpack_body(body)
-            for action_type, cls, body in Action.walk(data)
-        ]
+        return [UnknownAction(action_type, data[lo:hi]) if cls is None
+                else cls.unpack_body(data[lo:hi])
+                for action_type, cls, lo, hi in Action.walk(data, start, end)]
 
     @staticmethod
     def pack_list(actions: List["Action"]) -> bytes:
-        return b"".join(action.pack() for action in actions)
+        return b"".join([action.pack() for action in actions])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Action):
@@ -112,14 +120,13 @@ class OutputAction(Action):
         self.port = int(port)
         self.max_len = int(max_len)
 
-    def pack_body(self) -> bytes:
-        return struct.pack("!HH", self.port, self.max_len)
+    def pack(self) -> bytes:
+        return _OUTPUT.pack(_OUTPUT_TYPE, _OUTPUT.size, self.port, self.max_len)
 
     @classmethod
     def unpack_body(cls, body: bytes) -> "OutputAction":
-        cls.check_size(body)
-        port, max_len = struct.unpack("!HH", body)
-        return cls(port, max_len)
+        cls.check_size(len(body))
+        return cls(*_OUTPUT_BODY.unpack(body))
 
     def __repr__(self) -> str:
         return f"OutputAction(port={self.port})"
@@ -154,7 +161,7 @@ class _SetDlAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        cls.check_size(body)
+        cls.check_size(len(body))
         return cls(MacAddress(body[:6]))
 
     def __repr__(self) -> str:
@@ -182,7 +189,7 @@ class _SetNwAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        cls.check_size(body)
+        cls.check_size(len(body))
         return cls(Ipv4Address(body))
 
     def __repr__(self) -> str:
@@ -212,7 +219,7 @@ class _SetTpAction(Action):
 
     @classmethod
     def unpack_body(cls, body: bytes):
-        cls.check_size(body)
+        cls.check_size(len(body))
         (port,) = struct.unpack("!H", body[:2])
         return cls(port)
 
@@ -236,7 +243,7 @@ class UnknownAction(Action):
         self.body = bytes(body)
 
     def pack(self) -> bytes:
-        return struct.pack("!HH", self.raw_type, 4 + len(self.body)) + self.body
+        return _TLV.pack(self.raw_type, 4 + len(self.body)) + self.body
 
     def pack_body(self) -> bytes:  # pragma: no cover - pack() overridden
         return self.body

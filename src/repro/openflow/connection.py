@@ -14,6 +14,8 @@ from typing import List
 from repro.openflow.constants import OFP_HEADER_SIZE
 from repro.openflow.messages import OpenFlowDecodeError, OpenFlowMessage, parse_message
 
+_LENGTH = struct.Struct("!H")
+
 
 class MessageFramer:
     """Reassembles OpenFlow messages from an in-order byte stream."""
@@ -36,34 +38,50 @@ class MessageFramer:
         messages can be forwarded byte-identical without ever decoding (or
         re-encoding) the body.  Callers that need the decoded message use
         :func:`parse_message` lazily.
+
+        With nothing buffered (every sender writes whole messages) a chunk
+        that is one message is returned as its frame, and only a partial
+        tail is copied into the buffer.  A decode error leaves the buffer
+        holding the stream from the failing header on.
         """
         self.bytes_received += len(data)
-        self._buffer.extend(data)
-        if len(self._buffer) > self._max_buffer:
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        elif type(data) is not bytes:
+            data = bytes(data)
+        size = len(data)
+        if size > self._max_buffer:
+            if data is not buffer:
+                buffer += data
             raise OpenFlowDecodeError(
-                f"framer buffer overflow ({len(self._buffer)} bytes); "
+                f"framer buffer overflow ({size} bytes); "
                 "peer is sending garbage or an unterminated message"
             )
+        if (data is not buffer and size >= OFP_HEADER_SIZE
+                and _LENGTH.unpack_from(data, 2)[0] == size):
+            self.messages_decoded += 1
+            return [data]
         frames: List[bytes] = []
-        while True:
-            frame = self._try_extract_frame()
-            if frame is None:
-                break
-            frames.append(frame)
+        offset = 0
+        try:
+            while size - offset >= OFP_HEADER_SIZE:
+                (length,) = _LENGTH.unpack_from(data, offset + 2)
+                if length < OFP_HEADER_SIZE:
+                    raise OpenFlowDecodeError(f"header claims impossible length {length}")
+                end = offset + length
+                if end > size:
+                    break
+                frames.append(bytes(data[offset:end]))
+                offset = end
+        finally:
+            self.messages_decoded += len(frames)
+            if data is buffer:
+                del buffer[:offset]
+            elif offset < size:
+                buffer += data[offset:]
         return frames
-
-    def _try_extract_frame(self):
-        if len(self._buffer) < OFP_HEADER_SIZE:
-            return None
-        (length,) = struct.unpack_from("!H", self._buffer, 2)
-        if length < OFP_HEADER_SIZE:
-            raise OpenFlowDecodeError(f"header claims impossible length {length}")
-        if len(self._buffer) < length:
-            return None
-        frame = bytes(self._buffer[:length])
-        del self._buffer[:length]
-        self.messages_decoded += 1
-        return frame
 
     @property
     def pending_bytes(self) -> int:

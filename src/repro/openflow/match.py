@@ -21,9 +21,11 @@ from repro.openflow.constants import (
     Wildcards,
 )
 
-#: Each MAC as (high 16, low 32) bits and each IPv4 address as one int,
-#: so a packed match maps onto the flow key field by field.
-_MATCH = struct.Struct("!IHHIHIHBxHBBxxIIHH")
+#: ``ofp_match``: the wildcard word, then each MAC as (high 16, low 32)
+#: bits and each IPv4 address as one int, so a packed match maps onto the
+#: flow key field by field.  FLOW_MOD's layout embeds it.
+MATCH_FORMAT = "IHHIHIHBxHBBxxIIHH"
+_MATCH = struct.Struct("!" + MATCH_FORMAT)
 MATCH_SIZE = _MATCH.size  # 40 bytes
 
 OFP_VLAN_NONE = 0xFFFF
@@ -216,18 +218,36 @@ class Match:
         word |= min(dst_wild, 63) << NW_DST_SHIFT
         return word
 
+    def wire_fields(self) -> Tuple[int, ...]:
+        """The values :data:`MATCH_FORMAT` packs, wildcarded fields as 0."""
+        key = self.key
+        if None in key:
+            wildcards = self.wildcards
+            key = [0 if value is None else value for value in key]
+        else:
+            wildcards = ((32 - self.nw_src_prefix) << NW_SRC_SHIFT
+                         | (32 - self.nw_dst_prefix) << NW_DST_SHIFT)
+        dl_src, dl_dst = key[1], key[2]
+        return (wildcards, key[0], dl_src >> 32, dl_src & 0xFFFFFFFF,
+                dl_dst >> 32, dl_dst & 0xFFFFFFFF, *key[3:])
+
     def pack(self) -> bytes:
-        in_port, dl_src, dl_dst, *rest = [value or 0 for value in self.key]
-        return _MATCH.pack(self.wildcards, in_port, dl_src >> 32, dl_src & 0xFFFFFFFF,
-                           dl_dst >> 32, dl_dst & 0xFFFFFFFF, *rest)
+        return _MATCH.pack(*self.wire_fields())
 
     @classmethod
     def unpack(cls, data: bytes) -> "Match":
         if len(data) < MATCH_SIZE:
             raise ValueError(f"match too short: {len(data)} < {MATCH_SIZE}")
-        wildcards, in_port, src_hi, src_lo, dst_hi, dst_lo, *rest = _MATCH.unpack_from(data)
-        key = [in_port, src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, *rest]
+        return cls.from_wire_fields(*_MATCH.unpack_from(data))
+
+    @classmethod
+    def from_wire_fields(cls, wildcards: int, in_port: int, src_hi: int, src_lo: int,
+                         dst_hi: int, dst_lo: int, *rest: int) -> "Match":
+        """The match :meth:`wire_fields` gave these values."""
         wildcards &= OFPFW_ALL
+        if not wildcards:
+            return cls.from_key((in_port, src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, *rest))
+        key = [in_port, src_hi << 32 | src_lo, dst_hi << 32 | dst_lo, *rest]
         for pos, flag in _SIMPLE_WILDCARDS:
             if wildcards & flag:
                 key[pos] = None

@@ -26,12 +26,26 @@ from repro.openflow.constants import (
     PortReason,
     StatsType,
 )
-from repro.openflow.match import MATCH_SIZE, Match
+from repro.openflow.match import MATCH_FORMAT, MATCH_SIZE, Match
 
 _HEADER = struct.Struct("!BBHI")
+_U16 = struct.Struct("!H")
 
-_PACKET_IN_REASONS = frozenset(int(reason) for reason in PacketInReason)
-_FLOW_MOD_COMMANDS = frozenset(int(command) for command in FlowModCommand)
+#: The header and fixed body of each message of the PACKET_IN round trip
+#: as one struct: a pack is one call plus the variable tail, a parse one
+#: ``unpack_from`` after :func:`parse_message`'s header checks.
+_PACKET_IN = struct.Struct("!BBHIIHHBx")
+_PACKET_OUT = struct.Struct("!BBHIIHH")
+_FLOW_MOD = struct.Struct("!BBHI" + MATCH_FORMAT + "QHHHHIHH")
+#: End of the match's 15 values in a FLOW_MOD unpack (after the
+#: header's four), and the byte offset of its command field.
+_MATCH_END = 4 + 15
+_COMMAND_OFFSET = OFP_HEADER_SIZE + MATCH_SIZE + 8
+
+#: Enum value -> member; a value missing here goes through the enum
+#: constructor, whose ``ValueError`` :func:`parse_message` maps.
+_PACKET_IN_REASON: Dict[int, PacketInReason] = {int(r): r for r in PacketInReason}
+_FLOW_MOD_COMMAND: Dict[int, FlowModCommand] = {int(c): c for c in FlowModCommand}
 
 #: Header type byte -> MessageType name, for header-only peeks.
 _TYPE_NAME_BY_ID: Dict[int, str] = {int(t): t.name for t in MessageType}
@@ -92,6 +106,9 @@ class OpenFlowMessage:
         self.xid = int(xid)
 
     # -- wire format --------------------------------------------------- #
+    # ``pack`` and :func:`parse_message` are the only entry points; each
+    # class encodes in ``_encode`` and decodes in ``_decode``, by default
+    # the header around ``pack_body`` and ``unpack_body``.
 
     def pack_body(self) -> bytes:
         raise NotImplementedError
@@ -100,17 +117,25 @@ class OpenFlowMessage:
     def unpack_body(cls, body: bytes, xid: int) -> "OpenFlowMessage":
         raise NotImplementedError
 
-    #: ``valid_body(body) -> bool``, True exactly when :meth:`unpack_body`
-    #: would succeed, on the :data:`BODY_CHECKED_TYPES`.
-    valid_body: ClassVar[Optional[Callable[[bytes], bool]]] = None
+    #: ``valid_body(data, length) -> bool`` on the
+    #: :data:`BODY_CHECKED_TYPES`: True exactly when :func:`parse_message`
+    #: decodes ``data``, whose header is sound and says ``length``.
+    valid_body: ClassVar[Optional[Callable[[bytes, int], bool]]] = None
 
     def pack(self) -> bytes:
+        return self._encode()
+
+    def _encode(self) -> bytes:
         body = self.pack_body()
         length = OFP_HEADER_SIZE + len(body)
         return _HEADER.pack(OFP_VERSION, int(self.message_type), length, self.xid) + body
 
+    @classmethod
+    def _decode(cls, data: bytes, length: int, xid: int) -> "OpenFlowMessage":
+        return cls.unpack_body(data[OFP_HEADER_SIZE:length], xid)
+
     def __len__(self) -> int:
-        return OFP_HEADER_SIZE + len(self.pack_body())
+        return len(self._encode())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, OpenFlowMessage):
@@ -127,21 +152,19 @@ class OpenFlowMessage:
 def parse_message(data: bytes) -> OpenFlowMessage:
     """Decode one complete OpenFlow message from bytes; bytes that do not
     decode raise :class:`OpenFlowDecodeError` and nothing else."""
-    if len(data) < OFP_HEADER_SIZE:
-        raise OpenFlowDecodeError(f"message shorter than header: {len(data)} bytes")
+    size = len(data)
+    if size < OFP_HEADER_SIZE:
+        raise OpenFlowDecodeError(f"message shorter than header: {size} bytes")
     version, msg_type, length, xid = _HEADER.unpack_from(data)
     if version != OFP_VERSION:
         raise OpenFlowDecodeError(f"unsupported OpenFlow version 0x{version:02x}")
-    if length < OFP_HEADER_SIZE or length > len(data):
-        raise OpenFlowDecodeError(
-            f"header length {length} inconsistent with buffer {len(data)}"
-        )
-    body = data[OFP_HEADER_SIZE:length]
+    if length < OFP_HEADER_SIZE or length > size:
+        raise OpenFlowDecodeError(f"header length {length} inconsistent with buffer {size}")
     cls = OpenFlowMessage._registry.get(msg_type)
     if cls is None:
         raise OpenFlowDecodeError(f"unknown OpenFlow message type {msg_type}")
     try:
-        return cls.unpack_body(body, xid)
+        return cls._decode(data, length, xid)
     except (struct.error, ValueError, ActionDecodeError) as exc:
         # Out-of-range enum fields and bad action TLVs are what fuzzed
         # (FUZZMESSAGE) bytes typically produce.
@@ -158,17 +181,17 @@ def valid_type_name(data: bytes) -> Optional[str]:
 
     FLOW_MOD, PACKET_IN and PACKET_OUT (:data:`BODY_CHECKED_TYPES`) get
     a structural check (body size, ``command``/``reason`` range, action
-    TLV lengths) that builds no message; anything else is parsed.
+    TLV lengths) that reads fields in place and builds no message;
+    anything else is parsed.
     """
-    if len(data) >= OFP_HEADER_SIZE:
+    size = len(data)
+    if size >= OFP_HEADER_SIZE:
         version, msg_type, length, _xid = _HEADER.unpack_from(data)
         cls = OpenFlowMessage._registry.get(msg_type)
         if (cls is not None and cls.valid_body is not None
                 and version == OFP_VERSION
-                and OFP_HEADER_SIZE <= length <= len(data)):
-            if cls.valid_body(data[OFP_HEADER_SIZE:length]):
-                return cls.message_type.name
-            return None
+                and OFP_HEADER_SIZE <= length <= size):
+            return _TYPE_NAME_BY_ID[msg_type] if cls.valid_body(data, length) else None
     try:
         return parse_message(data).message_type.name
     except OpenFlowDecodeError:
@@ -455,11 +478,12 @@ class PacketIn(OpenFlowMessage):
         data: bytes = b"",
         xid: int = 0,
     ) -> None:
-        super().__init__(xid=xid)
+        self.xid = int(xid)
         self.buffer_id = int(buffer_id)
         self.total_len = int(total_len)
         self.in_port = int(in_port)
-        self.reason = PacketInReason(reason)
+        member = _PACKET_IN_REASON.get(reason)
+        self.reason = PacketInReason(reason) if member is None else member
         self.data = bytes(data)
 
     @classmethod
@@ -467,20 +491,22 @@ class PacketIn(OpenFlowMessage):
         """Build the flow-table-miss PACKET_IN the attacks key on."""
         return cls(buffer_id, len(data), in_port, PacketInReason.NO_MATCH, data)
 
-    def pack_body(self) -> bytes:
-        return (
-            struct.pack("!IHHBx", self.buffer_id, self.total_len, self.in_port, int(self.reason))
-            + self.data
-        )
+    def _encode(self) -> bytes:
+        data = self.data
+        return _PACKET_IN.pack(OFP_VERSION, self.message_type, _PACKET_IN.size + len(data),
+                               self.xid, self.buffer_id, self.total_len, self.in_port,
+                               self.reason) + data
 
     @classmethod
-    def unpack_body(cls, body: bytes, xid: int) -> "PacketIn":
-        buffer_id, total_len, in_port, reason = struct.unpack_from("!IHHBx", body)
-        return cls(buffer_id, total_len, in_port, reason, body[10:], xid=xid)
+    def _decode(cls, data: bytes, length: int, xid: int) -> "PacketIn":
+        if length < _PACKET_IN.size:
+            raise ValueError(f"PACKET_IN of {length} bytes")
+        _v, _t, _l, _x, buffer_id, total_len, in_port, reason = _PACKET_IN.unpack_from(data)
+        return cls(buffer_id, total_len, in_port, reason, data[_PACKET_IN.size:length], xid)
 
     @staticmethod
-    def valid_body(body: bytes) -> bool:
-        return len(body) >= 10 and body[8] in _PACKET_IN_REASONS
+    def valid_body(data: bytes, length: int) -> bool:
+        return length >= _PACKET_IN.size and data[_PACKET_IN.size - 2] in _PACKET_IN_REASON
 
     def __repr__(self) -> str:
         return (
@@ -502,35 +528,36 @@ class PacketOut(OpenFlowMessage):
         data: bytes = b"",
         xid: int = 0,
     ) -> None:
-        super().__init__(xid=xid)
+        self.xid = int(xid)
         self.buffer_id = int(buffer_id)
         self.in_port = int(in_port)
         self.actions = list(actions or [])
         self.data = bytes(data)
 
-    def pack_body(self) -> bytes:
-        packed_actions = Action.pack_list(self.actions)
-        return (
-            struct.pack("!IHH", self.buffer_id, self.in_port, len(packed_actions))
-            + packed_actions
-            + self.data
-        )
+    def _encode(self) -> bytes:
+        actions = Action.pack_list(self.actions)
+        data = self.data
+        return _PACKET_OUT.pack(OFP_VERSION, self.message_type,
+                                _PACKET_OUT.size + len(actions) + len(data), self.xid,
+                                self.buffer_id, self.in_port, len(actions)) + actions + data
 
     @classmethod
-    def unpack_body(cls, body: bytes, xid: int) -> "PacketOut":
-        buffer_id, in_port, actions_len = struct.unpack_from("!IHH", body)
-        actions_end = 8 + actions_len
-        if actions_end > len(body):
+    def _decode(cls, data: bytes, length: int, xid: int) -> "PacketOut":
+        if length < _PACKET_OUT.size:
+            raise ValueError(f"PACKET_OUT of {length} bytes")
+        _v, _t, _l, _x, buffer_id, in_port, actions_len = _PACKET_OUT.unpack_from(data)
+        actions_end = _PACKET_OUT.size + actions_len
+        if actions_end > length:
             raise OpenFlowDecodeError("PACKET_OUT actions overflow body")
-        actions = Action.unpack_list(body[8:actions_end])
-        return cls(buffer_id, in_port, actions, body[actions_end:], xid=xid)
+        actions = Action.unpack_list(data, _PACKET_OUT.size, actions_end)
+        return cls(buffer_id, in_port, actions, data[actions_end:length], xid)
 
     @staticmethod
-    def valid_body(body: bytes) -> bool:
-        if len(body) < 8:
+    def valid_body(data: bytes, length: int) -> bool:
+        if length < _PACKET_OUT.size:
             return False
-        actions_end = 8 + int.from_bytes(body[6:8], "big")
-        return actions_end <= len(body) and Action.valid_list(body[8:actions_end])
+        actions_end = _PACKET_OUT.size + _U16.unpack_from(data, _PACKET_OUT.size - 2)[0]
+        return actions_end <= length and Action.valid_list(data, _PACKET_OUT.size, actions_end)
 
     def __repr__(self) -> str:
         return (
@@ -563,9 +590,10 @@ class FlowMod(OpenFlowMessage):
         actions: Optional[List[Action]] = None,
         xid: int = 0,
     ) -> None:
-        super().__init__(xid=xid)
+        self.xid = int(xid)
         self.match = match
-        self.command = FlowModCommand(command)
+        member = _FLOW_MOD_COMMAND.get(command)
+        self.command = FlowModCommand(command) if member is None else member
         self.cookie = int(cookie)
         self.idle_timeout = int(idle_timeout)
         self.hard_timeout = int(hard_timeout)
@@ -575,58 +603,31 @@ class FlowMod(OpenFlowMessage):
         self.flags = int(flags)
         self.actions = list(actions or [])
 
-    def pack_body(self) -> bytes:
-        return (
-            self.match.pack()
-            + struct.pack(
-                "!QHHHHIHH",
-                self.cookie,
-                int(self.command),
-                self.idle_timeout,
-                self.hard_timeout,
-                self.priority,
-                self.buffer_id,
-                self.out_port,
-                self.flags,
-            )
-            + Action.pack_list(self.actions)
-        )
+    def _encode(self) -> bytes:
+        actions = Action.pack_list(self.actions)
+        return _FLOW_MOD.pack(OFP_VERSION, self.message_type, _FLOW_MOD.size + len(actions),
+                              self.xid, *self.match.wire_fields(), self.cookie,
+                              self.command, self.idle_timeout, self.hard_timeout,
+                              self.priority, self.buffer_id, self.out_port,
+                              self.flags) + actions
 
     @classmethod
-    def unpack_body(cls, body: bytes, xid: int) -> "FlowMod":
-        match = Match.unpack(body[:MATCH_SIZE])
-        (
-            cookie,
-            command,
-            idle_timeout,
-            hard_timeout,
-            priority,
-            buffer_id,
-            out_port,
-            flags,
-        ) = struct.unpack_from("!QHHHHIHH", body, MATCH_SIZE)
-        actions = Action.unpack_list(body[MATCH_SIZE + 24 :])
-        return cls(
-            match,
-            command,
-            cookie,
-            idle_timeout,
-            hard_timeout,
-            priority,
-            buffer_id,
-            out_port,
-            flags,
-            actions,
-            xid=xid,
-        )
+    def _decode(cls, data: bytes, length: int, xid: int) -> "FlowMod":
+        if length < _FLOW_MOD.size:
+            raise ValueError(f"FLOW_MOD of {length} bytes")
+        fields = _FLOW_MOD.unpack_from(data)
+        (cookie, command, idle_timeout, hard_timeout, priority, buffer_id, out_port,
+         flags) = fields[_MATCH_END:]
+        return cls(Match.from_wire_fields(*fields[4:_MATCH_END]), command, cookie,
+                   idle_timeout, hard_timeout, priority, buffer_id, out_port, flags,
+                   Action.unpack_list(data, _FLOW_MOD.size, length), xid)
 
     @staticmethod
-    def valid_body(body: bytes) -> bool:
+    def valid_body(data: bytes, length: int) -> bool:
         return (
-            len(body) >= MATCH_SIZE + 24
-            and int.from_bytes(body[MATCH_SIZE + 8 : MATCH_SIZE + 10], "big")
-            in _FLOW_MOD_COMMANDS
-            and Action.valid_list(body[MATCH_SIZE + 24 :])
+            length >= _FLOW_MOD.size
+            and _U16.unpack_from(data, _COMMAND_OFFSET)[0] in _FLOW_MOD_COMMAND
+            and Action.valid_list(data, _FLOW_MOD.size, length)
         )
 
     def __repr__(self) -> str:

@@ -1,0 +1,256 @@
+"""The codec and the framer against their earlier versions.
+
+``tests/openflow/codec_reference.py`` keeps the plainer codec (a
+``struct`` call per field group, sliced bodies) and the bytearray-only
+framer.  The shipping code packs each PACKET_IN round-trip message with
+one precompiled struct, parses it in place and frames chunks without
+copying them, and must be indistinguishable:
+
+* **codec** -- over the full field ranges, ``pack()`` gives the
+  reference bytes; over mutated bytes (flips, enum fields out of range,
+  truncations, a header length rewritten shorter or longer, trailing
+  bytes) ``parse_message``
+  either gives a message that packs like the reference parse's, or both
+  raise :class:`OpenFlowDecodeError`, and ``valid_type_name`` agrees;
+* **framer** -- over streams of whole messages and garbage cut into
+  random chunks, every feed yields the same frames or raises the same
+  error, with the same ``pending_bytes``, ``messages_decoded`` and
+  ``bytes_received`` after it.
+"""
+
+from __future__ import annotations
+
+import struct
+
+from hypothesis import given, settings, strategies as st
+
+from repro.openflow import (
+    FlowMod,
+    FlowModCommand,
+    Hello,
+    Match,
+    OutputAction,
+    PacketIn,
+    PacketInReason,
+    PacketOut,
+    parse_message,
+)
+from repro.openflow.actions import (
+    SetDlDstAction,
+    SetDlSrcAction,
+    SetNwDstAction,
+    SetNwSrcAction,
+    SetTpDstAction,
+    SetTpSrcAction,
+    StripVlanAction,
+    UnknownAction,
+)
+from repro.openflow.connection import MessageFramer
+from repro.openflow.messages import EchoRequest, OpenFlowDecodeError, valid_type_name
+from tests.openflow.codec_reference import (
+    ReferenceFramer,
+    match_pack,
+    match_unpack,
+    reference_pack,
+    reference_parse,
+    reference_valid_type_name,
+)
+
+U8, U16, U32 = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
+MAC, U64 = st.integers(0, (1 << 48) - 1), st.integers(0, (1 << 64) - 1)
+XID = U32
+DATA = st.binary(max_size=256)
+
+#: Action types no class is registered for (SET_VLAN_VID, SET_VLAN_PCP,
+#: SET_NW_TOS, ENQUEUE, a vendor type).
+UNKNOWN_TYPES = st.sampled_from([1, 2, 8, 11, 0xFFFF])
+
+ACTIONS = st.one_of(
+    st.builds(OutputAction, U16, U16),
+    st.builds(SetDlSrcAction, MAC),
+    st.builds(SetDlDstAction, MAC),
+    st.builds(SetNwSrcAction, U32),
+    st.builds(SetNwDstAction, U32),
+    st.builds(SetTpSrcAction, U16),
+    st.builds(SetTpDstAction, U16),
+    st.builds(StripVlanAction),
+    st.builds(UnknownAction, UNKNOWN_TYPES,
+              st.sampled_from([4, 12, 20]).flatmap(lambda n: st.binary(min_size=n, max_size=n))),
+)
+ACTION_LISTS = st.lists(ACTIONS, max_size=4)
+
+#: Each flow-key field's range, in MATCH_FIELD_NAMES order.
+FIELD_RANGES = (U16, MAC, MAC, U16, U8, U16, U8, U8, U32, U32, U16, U16)
+
+
+@st.composite
+def matches(draw):
+    key = tuple(draw(st.one_of(st.none(), values)) for values in FIELD_RANGES)
+    match = Match.from_key(key)
+    match.nw_src_prefix = draw(st.integers(0, 32))
+    match.nw_dst_prefix = draw(st.integers(0, 32))
+    return match
+
+
+PACKET_INS = st.builds(PacketIn, U32, U16, U16, st.sampled_from(list(PacketInReason)),
+                       DATA, XID)
+PACKET_OUTS = st.builds(PacketOut, U32, U16, ACTION_LISTS, DATA, XID)
+FLOW_MODS = st.builds(FlowMod, matches(), st.sampled_from(list(FlowModCommand)), U64,
+                      U16, U16, U16, U32, U16, U16, ACTION_LISTS, XID)
+MESSAGES = st.one_of(PACKET_INS, PACKET_OUTS, FLOW_MODS)
+
+
+@st.composite
+def mutated(draw):
+    """Reference bytes of a generated message, then mutated."""
+    raw = bytearray(reference_pack(draw(MESSAGES)))
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(["flip", "enum", "truncate", "length", "append"]))
+        if mutation == "enum":
+            # Near the valid range of PACKET_IN's reason (byte 16) or
+            # FLOW_MOD's command (the low byte of bytes 56-57).
+            offset = draw(st.sampled_from([16, 57]))
+            if offset < len(raw):
+                raw[offset] = draw(st.integers(0, 8))
+        elif mutation == "flip" and raw:
+            for _ in range(draw(st.integers(1, 4))):
+                raw[draw(st.integers(0, len(raw) - 1))] = draw(U8)
+        elif mutation == "truncate":
+            del raw[draw(st.integers(0, len(raw))):]
+        elif mutation == "length" and len(raw) >= 4:
+            # Shorter or longer than the bytes there, or anywhere at all.
+            length = draw(st.one_of(st.integers(0, len(raw) + 16), U16))
+            struct.pack_into("!H", raw, 2, length)
+        elif mutation == "append":
+            raw += draw(st.binary(min_size=1, max_size=24))
+    return bytes(raw)
+
+
+def _outcome(parse, pack, raw):
+    try:
+        return pack(parse(raw))
+    except OpenFlowDecodeError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(MESSAGES)
+def test_pack_equals_the_reference(message):
+    assert message.pack() == reference_pack(message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matches())
+def test_match_pack_and_unpack_equal_the_reference(match):
+    packed = match.pack()
+    assert packed == match_pack(match)
+    assert Match.unpack(packed).pack() == match_pack(match_unpack(packed))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated())
+def test_parse_agrees_with_the_reference_on_mutated_bytes(raw):
+    expected = _outcome(reference_parse, reference_pack, raw)
+    assert _outcome(parse_message, lambda message: message.pack(), raw) == expected
+    assert valid_type_name(raw) == reference_valid_type_name(raw)
+
+
+# --------------------------------------------------------------------- #
+# Framer
+# --------------------------------------------------------------------- #
+
+WHOLE = [message.pack() for message in (
+    Hello(xid=1),
+    EchoRequest(b"probe", xid=2),
+    PacketIn(7, 60, 1, PacketInReason.NO_MATCH, bytes(range(60)), xid=3),
+    PacketOut(7, 1, [OutputAction(2)], b"", xid=4),
+    FlowMod(Match(in_port=1), actions=[OutputAction(2)], xid=5),
+)]
+#: A header whose length field is under 8: no framer can step past it.
+IMPOSSIBLE = bytes([1, 0, 0, 3, 0, 0, 0, 9])
+
+def test_enum_fields_over_their_whole_range():
+    """Every PACKET_IN reason byte and FLOW_MOD command value: decoded
+    where the enum has the value, refused where it does not."""
+    packet_in, flow_mod = bytearray(WHOLE[2]), bytearray(WHOLE[4])
+    for value in range(0x200):
+        packet_in[16] = value & 0xFF
+        struct.pack_into("!H", flow_mod, 56, value)
+        for raw in (bytes(packet_in), bytes(flow_mod)):
+            expected = _outcome(reference_parse, reference_pack, raw)
+            assert _outcome(parse_message, lambda message: message.pack(), raw) == expected
+            assert valid_type_name(raw) == reference_valid_type_name(raw)
+
+
+def test_bytes_past_the_header_length_are_not_the_message():
+    for raw in WHOLE:
+        for extra in (b"\x00", bytes(range(1, 25))):
+            expected = _outcome(reference_parse, reference_pack, raw + extra)
+            assert _outcome(parse_message, lambda message: message.pack(), raw + extra) == expected
+            assert expected == raw
+
+
+SEGMENTS = st.one_of(
+    st.sampled_from(WHOLE),
+    st.sampled_from(WHOLE).map(lambda raw: raw * 3),
+    st.just(IMPOSSIBLE),
+    st.binary(min_size=1, max_size=40),
+)
+
+
+@st.composite
+def chunked_streams(draw):
+    """``(max_buffer, chunks)``: whole messages and garbage, cut either
+    at message boundaries or anywhere (single bytes, across headers)."""
+    segments = draw(st.lists(SEGMENTS, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        chunks = []
+        while segments:
+            take = draw(st.integers(1, len(segments)))
+            chunks.append(b"".join(segments[:take]))
+            del segments[:take]
+    else:
+        stream = b"".join(segments)
+        chunks = []
+        while stream:
+            size = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(13, 300)))
+            chunks.append(stream[:size])
+            stream = stream[size:]
+    if draw(st.booleans()):
+        chunks = [bytearray(chunk) if draw(st.booleans()) else chunk for chunk in chunks]
+    max_buffer = draw(st.one_of(st.just(1 << 22), st.integers(8, 160)))
+    return max_buffer, chunks
+
+
+def _feed(framer, chunk):
+    try:
+        frames = framer.feed_frames(chunk)
+    except OpenFlowDecodeError as exc:
+        result = ("raised", str(exc))
+    else:
+        assert all(type(frame) is bytes for frame in frames)
+        result = ("frames", frames)
+    return result, framer.pending_bytes, framer.messages_decoded, framer.bytes_received
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_streams())
+def test_framer_agrees_with_the_reference_after_every_feed(case):
+    max_buffer, chunks = case
+    framer, reference = MessageFramer(max_buffer), ReferenceFramer(max_buffer)
+    for chunk in chunks:
+        assert _feed(framer, chunk) == _feed(reference, chunk)
+
+
+def test_framer_bound_on_one_message_chunks():
+    """A one-message chunk over ``max_buffer`` overflows like any other."""
+    for raw in WHOLE:
+        for max_buffer in range(len(raw) - 2, len(raw) + 2):
+            framer, reference = MessageFramer(max_buffer), ReferenceFramer(max_buffer)
+            for chunk in (raw, raw):
+                assert _feed(framer, chunk) == _feed(reference, chunk)
+
+
+def test_framer_returns_a_one_message_chunk_itself():
+    raw = WHOLE[2]
+    assert MessageFramer().feed_frames(raw)[0] is raw
