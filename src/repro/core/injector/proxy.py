@@ -154,6 +154,16 @@ class ConnectionProxy:
             elif target.open:
                 target.send(message.raw)
 
+    def count_if_dropped(self, message: InterposedMessage,
+                         outgoing: List[OutgoingMessage]) -> None:
+        """Count ``message`` in ``stats["dropped"]`` when the executor's
+        outgoing list does not carry it (the executor's own
+        ``messages_dropped`` rule, per connection)."""
+        for entry in outgoing:
+            if entry.message is message:
+                return
+        self.stats["dropped"] += 1
+
     @staticmethod
     def _send_if_open(channel: ControlChannel, data: bytes) -> None:
         if channel.open:

@@ -191,6 +191,7 @@ class RuntimeInjector:
             outgoing = [OutgoingMessage(message)]
         else:
             outgoing = executor.handle_message(message)
+            proxy.count_if_dropped(message, outgoing)
         self.notify_interposed(message, outgoing)
         proxy.deliver(outgoing)
 

@@ -32,21 +32,21 @@ class LinkCapture(RecordingMonitor):
         self._wrap(link)
 
     def _wrap(self, link: DataLink) -> None:
-        original_a = link._b_to_a.deliver
-        original_b = link._a_to_b.deliver
+        """Put a tap in front of each direction's receiver.
 
-        def tap_a(data: bytes) -> None:
-            self._capture(data, "b->a")
-            if original_a is not None:
-                original_a(data)
+        A direction calls its receiver as ``deliver(port, data)`` for a
+        switch and ``deliver(data)`` for a host; the tap records the
+        frame (the last argument) and passes every argument on.
+        """
+        for direction, label in ((link._b_to_a, "b->a"), (link._a_to_b, "a->b")):
+            original = direction.deliver
 
-        def tap_b(data: bytes) -> None:
-            self._capture(data, "a->b")
-            if original_b is not None:
-                original_b(data)
+            def tap(*args, original=original, label=label) -> None:
+                self._capture(args[-1], label)
+                if original is not None:
+                    original(*args)
 
-        link._b_to_a.deliver = tap_a
-        link._a_to_b.deliver = tap_b
+            direction.deliver = tap
 
     def _capture(self, data: bytes, direction: str) -> None:
         try:

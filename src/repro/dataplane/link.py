@@ -5,23 +5,43 @@ serialized at the link bandwidth, experience the propagation latency, and
 are dropped when the queue is full.  The paper's testbed used 100 Mbps GENI
 links; the throughput shape of the flow-modification-suppression experiment
 (Fig. 11a) depends on this serialization model.
+
+A frame's arrival is one engine event that calls the receiver itself: a
+switch's ``frame_received(port, data)`` or a host's ``frame_received(data)``.
+No link code runs then, so a direction keeps its arrival times in a FIFO
+and the next transmit first takes every arrival at or before its instant
+off the queue count.  Boundary directions (:class:`repro.sim.shard.BoundaryTx`)
+share the rule.  The tie rule: an arrival at exactly a transmit's instant
+always counts as delivered.  When each arrival was an event that
+decremented the count, it counted only if it fired before the transmit's
+event, so a transmit in an event scheduled before that frame was sent
+saw one more frame queued and could tail-drop where this rule accepts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from heapq import heappush
+from typing import Callable, Deque, Iterator, List, Optional
 
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import Entry, SimulationEngine
 
-Deliver = Callable[[bytes], None]
+Deliver = Callable[..., None]
 
 
 class _Direction:
-    """One transmit direction of a link."""
+    """One transmit direction of a link.
+
+    Each accepted frame becomes the event ``deliver(port, data)``, or
+    ``deliver(data)`` when ``port`` is None, pushed straight onto the
+    engine's heap with the key ``schedule_at`` would give it: an arrival
+    is a float no earlier than now.  A direction without a local heap
+    (:class:`repro.sim.shard.BoundaryTx`) hands the frame to ``_ship``.
+    """
 
     __slots__ = ("engine", "bandwidth", "latency", "queue_limit",
-                 "busy_until", "queued", "deliver", "tx_frames", "tx_bytes",
-                 "dropped_frames")
+                 "busy_until", "queued", "deliver", "port", "tx_frames",
+                 "tx_bytes", "dropped_frames", "_arrivals", "_heap", "_seq")
 
     def __init__(
         self,
@@ -37,15 +57,29 @@ class _Direction:
         self.busy_until = 0.0
         self.queued = 0
         self.deliver: Optional[Deliver] = None
+        self.port: Optional[int] = None
         self.tx_frames = 0
         self.tx_bytes = 0
         self.dropped_frames = 0
+        self._arrivals: Deque[float] = deque()
+        self._heap: Optional[List[Entry]] = engine._queue
+        self._seq: Iterator[int] = engine._seq
 
     def transmit(self, data: bytes) -> bool:
-        """Queue a frame for transmission; False when tail-dropped."""
-        if self.deliver is None:
+        """Queue a frame for transmission; False when tail-dropped.
+
+        The idle reset leaves the arrival FIFO alone: frames still in
+        flight decrement (clamped at zero) the count it zeroed, as their
+        arrival events did."""
+        deliver = self.deliver
+        if deliver is None:
             raise RuntimeError("link direction has no receiver attached")
         now = self.engine.now
+        arrivals = self._arrivals
+        while arrivals and arrivals[0] <= now:
+            arrivals.popleft()
+            if self.queued:
+                self.queued -= 1
         if self.busy_until < now:
             self.busy_until = now
             self.queued = 0
@@ -58,20 +92,15 @@ class _Direction:
         self.queued += 1
         self.tx_frames += 1
         self.tx_bytes += size
-        self._schedule_arrival(arrival, data)
+        arrivals.append(arrival)
+        heap = self._heap
+        if heap is None:
+            self._ship(arrival, data)
+            return True
+        port = self.port
+        heappush(heap, (arrival, 0, next(self._seq), deliver,
+                        (data,) if port is None else (port, data)))
         return True
-
-    def _schedule_arrival(self, arrival: float, data: bytes) -> None:
-        # Seam for the shard boundary (repro.sim.shard): a cross-region
-        # direction computes the identical serialization timeline but
-        # ships the frame to the far region instead of scheduling a local
-        # delivery.
-        self.engine.schedule_at(arrival, self._arrive, data)
-
-    def _arrive(self, data: bytes) -> None:
-        self.queued = max(0, self.queued - 1)
-        assert self.deliver is not None
-        self.deliver(data)
 
 
 class DataLink:
@@ -99,13 +128,16 @@ class DataLink:
         self.up = True
         self._status_observers = []
 
-    def attach_a(self, deliver: Deliver) -> None:
-        """Register the A-side receiver (frames sent by B arrive here)."""
+    def attach_a(self, deliver: Deliver, port: Optional[int] = None) -> None:
+        """Register the A-side receiver: frames sent by B arrive as
+        ``deliver(port, data)``, or ``deliver(data)`` without a port."""
         self._b_to_a.deliver = deliver
+        self._b_to_a.port = port
 
-    def attach_b(self, deliver: Deliver) -> None:
+    def attach_b(self, deliver: Deliver, port: Optional[int] = None) -> None:
         """Register the B-side receiver (frames sent by A arrive here)."""
         self._a_to_b.deliver = deliver
+        self._a_to_b.port = port
 
     def send_from_a(self, data: bytes) -> bool:
         """Transmit from the A side; returns False when dropped."""

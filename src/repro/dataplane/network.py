@@ -25,7 +25,8 @@ DEFAULT_CONTROL_LATENCY = 0.00025
 #: every topology link with exactly one endpoint inside this network's
 #: ``include`` subset, and returns a half-link object exposing
 #: ``transmit(data) -> bool`` (local device sends toward the far region)
-#: and ``attach(deliver)`` (frames arriving from the far region).
+#: and ``attach(deliver, port=None)`` (frames arriving from the far
+#: region, as ``deliver(port, data)`` or ``deliver(data)``).
 BoundaryFactory = Callable[[int, LinkSpec, str], object]
 
 
@@ -108,7 +109,7 @@ class Network:
     def _wire(
         self,
         send: Callable[[bytes], bool],
-        attach_receiver: Callable[[Callable[[bytes], None]], None],
+        attach_receiver: Callable[..., None],
         add_status_observer: Optional[Callable],
         device: str,
         port: Optional[int],
@@ -118,7 +119,7 @@ class Network:
             if port is None:
                 raise ValueError(f"switch endpoint {device!r} missing a port number")
             switch.attach_port(port, send)
-            attach_receiver(lambda data, s=switch, p=port: s.frame_received(p, data))
+            attach_receiver(switch.frame_received, port)
             if add_status_observer is not None:
                 add_status_observer(
                     lambda up, s=switch, p=port: s.port_link_status(p, up)

@@ -19,6 +19,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from repro.netlib import fastframe
+from repro.netlib.fastframe import FastFrame
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.ethernet import EthernetFrame, FrameDecodeError
 from repro.netlib.ipv4 import Ipv4Packet
@@ -142,8 +143,11 @@ class OpenFlowSwitch:
             max_entries=table_capacity if table_capacity else 65536,
             eviction=table_eviction,
         )
+        # Every attached port's link transmit function, and the table
+        # _transmit reads: the same function while the port's carrier is
+        # up, None while it is down.
         self._ports: Dict[int, Callable[[bytes], None]] = {}
-        self._port_up: Dict[int, bool] = {}
+        self._tx: Dict[int, Optional[Callable[[bytes], None]]] = {}
 
         # Control connection state: one _ControlLink per controller target
         # (N_C is many-to-many; most deployments register exactly one).
@@ -204,7 +208,7 @@ class OpenFlowSwitch:
         if not 1 <= port_no < Port.MAX:
             raise ValueError(f"{self.name}: invalid port number {port_no}")
         self._ports[port_no] = transmit
-        self._port_up[port_no] = True
+        self._tx[port_no] = transmit
 
     def set_connect_factory(self, factory: ConnectFactory) -> None:
         """Point the switch at a single controller (replaces all targets)."""
@@ -240,9 +244,9 @@ class OpenFlowSwitch:
         Mirrors OVS reacting to loss of carrier with an OFPT_PORT_STATUS
         (reason MODIFY, state LINK_DOWN).
         """
-        if port_no not in self._ports or self._port_up.get(port_no) == up:
+        if port_no not in self._ports or (self._tx[port_no] is not None) == up:
             return
-        self._port_up[port_no] = up
+        self._tx[port_no] = self._ports[port_no] if up else None
         if self.connected:
             from repro.openflow.constants import PortReason, PortState
 
@@ -676,34 +680,42 @@ class OpenFlowSwitch:
     # ------------------------------------------------------------------ #
 
     def frame_received(self, port_no: int, data: bytes) -> None:
-        """Entry point for frames arriving from a link on ``port_no``."""
-        self.stats["rx_frames"] += 1
-        data, pooled = fastframe.intern(data, self.engine.ctx.frames)
-        if pooled:
-            self.stats["frames_interned"] += 1
+        """Entry point for frames arriving from a link on ``port_no``.
+
+        A link's arrival event calls this directly.  A frame that is
+        already a FastFrame skips the intern pool: every hop after the
+        first, and every frame a host's pre-keyed sender built.
+        """
+        stats = self.stats
+        stats["rx_frames"] += 1
+        if type(data) is not FastFrame:
+            data, pooled = fastframe.intern(data, self.engine.ctx.frames)
+            if pooled:
+                stats["frames_interned"] += 1
         if self.standalone_active and not self.connected:
             self._standalone_forward(port_no, data)
             return
         try:
             fields, cached = fastframe.flow_key(data, port_no)
         except FrameDecodeError:  # shorter than an Ethernet header
-            self.stats["dropped_runts"] += 1
+            stats["dropped_runts"] += 1
             return
         if cached:
-            self.stats["flowkey_cache_hits"] += 1
+            stats["flowkey_cache_hits"] += 1
+        now = self.engine.now
         if self.sketches is not None:
-            self.sketches.on_frame(self.name, port_no, fields, self.engine.now)
+            self.sketches.on_frame(self.name, port_no, fields, now)
         entry = self.flow_table.lookup(fields)
         if entry is not None:
-            self.stats["flow_matches"] += 1
-            entry.record_use(self.engine.now, len(data))
+            stats["flow_matches"] += 1
+            entry.record_use(now, len(data))
             out = entry.out
             if out is None:
                 self._execute_actions(entry.actions, data, port_no)
             elif out != port_no:
                 self._transmit(out, data)
             return
-        self.stats["table_misses"] += 1
+        stats["table_misses"] += 1
         self._table_miss(port_no, data)
 
     def _table_miss(self, in_port: int, data: bytes) -> None:
@@ -747,15 +759,14 @@ class OpenFlowSwitch:
 
     def _flood(self, in_port: int, data: bytes) -> None:
         for port_no in self.port_numbers():
-            if port_no != in_port and self._port_up.get(port_no, False):
+            if port_no != in_port:
                 self._transmit(port_no, data)
 
     def _transmit(self, port_no: int, data: bytes) -> None:
-        transmit = self._ports.get(port_no)
-        if transmit is None or not self._port_up.get(port_no, False):
-            return
-        self.stats["tx_frames"] += 1
-        transmit(data)
+        transmit = self._tx.get(port_no)
+        if transmit is not None:
+            self.stats["tx_frames"] += 1
+            transmit(data)
 
     def _execute_actions(self, actions: List[Action], data: bytes, in_port: int) -> None:
         """Apply an OF 1.0 action list to a packet (rewrites then outputs)."""

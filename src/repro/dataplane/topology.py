@@ -69,6 +69,7 @@ class Topology:
         self._next_port: Dict[str, int] = {}
         self._used_ports: Dict[str, set] = {}
         self._link_pairs: set = set()
+        self._linked_hosts: set = set()
 
     # ------------------------------------------------------------------ #
     # Declaration
@@ -121,9 +122,7 @@ class Topology:
                 f"duplicate link between {a_name!r} and {b_name!r}"
             )
         for name in (a_name, b_name):
-            if name in self.hosts and any(
-                name in (link.a, link.b) for link in self.links
-            ):
+            if name in self._linked_hosts:
                 raise TopologyError(
                     f"host {name!r} already has a link (hosts have a single interface)"
                 )
@@ -135,6 +134,8 @@ class Topology:
             raise TopologyError(f"latency must be non-negative, got {latency_s!r}")
         link = LinkSpec(a_name, a_port, b_name, b_port, bandwidth_bps, latency_s)
         self._link_pairs.add(pair)
+        self._linked_hosts.update(name for name in (a_name, b_name)
+                                  if name in self.hosts)
         self.links.append(link)
         return link
 

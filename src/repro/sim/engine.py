@@ -80,11 +80,17 @@ class SimulationEngine:
     Nothing is cancelled: once scheduled, an event fires.  A component
     that may stop wanting a callback guards it itself, with a flag or a
     deadline the callback checks when it runs.
+
+    ``now``, the simulated time in seconds, is a plain attribute that
+    only the engine writes, once per batch of same-time events.  A link
+    direction (:mod:`repro.dataplane.link`) pushes each arrival onto
+    ``_queue`` itself, keyed as ``schedule_at`` would key it with a
+    ``seq`` from ``_seq``; neither object is ever replaced.
     """
 
     def __init__(self) -> None:
         self.ctx = SimContext()
-        self._now = 0.0
+        self.now = 0.0
         self._queue: List[Entry] = []
         self._seq = itertools.count()
         self._running = False
@@ -97,11 +103,6 @@ class SimulationEngine:
         self.shards = 1
         self.shard_id = 0
         self.cross_shard_messages = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -123,13 +124,13 @@ class SimulationEngine:
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         heapq.heappush(
-            self._queue, (float(self._now + delay), 0, next(self._seq), callback, args))
+            self._queue, (float(self.now + delay), 0, next(self._seq), callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if not time >= self._now:  # also rejects NaN
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time!r} before current time t={self._now!r}"
+                f"cannot schedule at t={time!r} before current time t={self.now!r}"
             )
         heapq.heappush(self._queue, (float(time), 0, next(self._seq), callback, args))
 
@@ -149,9 +150,9 @@ class SimulationEngine:
         how the barrier grouped deliveries into epochs — the invariant that
         lets adaptive lookahead stay byte-identical to fixed-width epochs.
         """
-        if not time >= self._now:  # also rejects NaN
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot deliver at t={time!r} before current time t={self._now!r}"
+                f"cannot deliver at t={time!r} before current time t={self.now!r}"
             )
         heapq.heappush(self._queue, (float(time), MESSAGE_PRIORITY, seq, callback, args))
 
@@ -160,7 +161,7 @@ class SimulationEngine:
         if not self._queue:
             return None
         entry = heapq.heappop(self._queue)
-        self._now = entry[0]
+        self.now = entry[0]
         self._processed += 1
         entry[3](*entry[4])
         return entry
@@ -193,15 +194,15 @@ class SimulationEngine:
                     break
                 # Batch every due event at this timestamp: time is monotone
                 # within the batch, so the horizon needs no re-test.
-                self._now = t
+                self.now = t
                 while True:
                     entry = heappop(queue)
                     fired += 1
                     entry[3](*entry[4])
                     if fired >= budget or not queue or queue[0][0] != t:
                         break
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._processed += fired
             self._running = False
@@ -217,12 +218,12 @@ class SimulationEngine:
 
     def snapshot(self) -> Tuple[float, int, int]:
         """Return ``(now, pending, processed)`` for debugging/metrics."""
-        return (self._now, len(self._queue), self._processed)
+        return (self.now, len(self._queue), self._processed)
 
     def metrics(self) -> dict:
         """Engine health counters for metrics snapshots and reports."""
         return {
-            "now": self._now,
+            "now": self.now,
             "pending_events": len(self._queue),
             "processed_events": self._processed,
             "heap_size": len(self._queue),
@@ -233,6 +234,6 @@ class SimulationEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SimulationEngine t={self._now:.6f} pending={len(self._queue)} "
+            f"<SimulationEngine t={self.now:.6f} pending={len(self._queue)} "
             f"processed={self._processed}>"
         )

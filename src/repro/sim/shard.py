@@ -68,8 +68,7 @@ import itertools
 import math
 import struct
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.link import _Direction
 from repro.netlib import fastframe
@@ -95,23 +94,18 @@ class BoundaryTx(_Direction):
     """The local transmit half of a cross-region data link.
 
     Reuses the stock direction's serialization timeline (busy_until,
-    drop-tail queue) byte for byte, but the computed arrival becomes a
-    cross-region message instead of a local delivery.  No local event
-    marks the departure: the arrival times wait in a FIFO, and a transmit
-    first retires every one at or before its instant, decrementing the
-    queue count once for each as a local link's arrivals do.  Arrivals
-    are non-decreasing, so retirement pops from the front; the idle reset
-    leaves the FIFO alone, since a local link's in-flight arrivals still
-    decrement (clamped at zero) after it.  The one difference from a
-    local link is a departure at exactly the transmit's instant: here it
-    always counts as done, there only if its event fired first.
+    drop-tail queue, the arrival FIFO a transmit retires delivered
+    frames from) byte for byte, but the computed arrival becomes a
+    cross-region message instead of a local event.  Local and boundary
+    directions therefore share one rule for removing delivered frames
+    from the queue count, tie included (see :mod:`repro.dataplane.link`).
     Payloads are flattened to plain ``bytes`` at the boundary — the
     receiving region re-interns them into its own FastFrame pool at
     dispatch, so inline and pooled execution observe the identical pool
     history.
     """
 
-    __slots__ = ("emit", "chan", "_arrivals")
+    __slots__ = ("emit", "chan")
 
     def __init__(
         self,
@@ -126,43 +120,44 @@ class BoundaryTx(_Direction):
         self.emit = emit
         self.chan = chan
         self.deliver = self._no_local_delivery  # satisfies transmit()'s guard
-        self._arrivals: Deque[float] = deque()
+        self._heap = None  # arrivals happen in the far region
 
     @staticmethod
     def _no_local_delivery(data: bytes) -> None:  # pragma: no cover
         raise AssertionError("boundary direction delivers remotely")
 
-    def transmit(self, data: bytes) -> bool:
-        arrivals, now = self._arrivals, self.engine.now
-        while arrivals and arrivals[0] <= now:
-            arrivals.popleft()
-            self.queued = max(0, self.queued - 1)
-        return _Direction.transmit(self, data)
-
-    def _schedule_arrival(self, arrival: float, data: bytes) -> None:
+    def _ship(self, arrival: float, data: bytes) -> None:
         self.emit(self.chan, arrival, OP_FRAME, bytes(data))
-        self._arrivals.append(arrival)
 
 
 class BoundaryHalf:
     """What a region's :class:`~repro.dataplane.network.Network` sees for
-    a link whose far endpoint lives in another region."""
+    a link whose far endpoint lives in another region.
 
-    __slots__ = ("tx", "_deliver")
+    Inbound frames go straight to the attached receiver, with its port
+    when it has one, as a local link's arrival event calls it."""
+
+    __slots__ = ("tx", "_deliver", "_port")
 
     def __init__(self, tx: BoundaryTx) -> None:
         self.tx = tx
-        self._deliver: Optional[Callable[[bytes], None]] = None
+        self._deliver: Optional[Callable[..., None]] = None
+        self._port: Optional[int] = None
 
     def transmit(self, data: bytes) -> bool:
         return self.tx.transmit(data)
 
-    def attach(self, deliver: Callable[[bytes], None]) -> None:
+    def attach(self, deliver: Callable[..., None], port: Optional[int] = None) -> None:
         self._deliver = deliver
+        self._port = port
 
     def deliver(self, data: bytes) -> None:
-        if self._deliver is not None:
+        if self._deliver is None:
+            return
+        if self._port is None:
             self._deliver(data)
+        else:
+            self._deliver(self._port, data)
 
 
 class BoundaryControlChannel:

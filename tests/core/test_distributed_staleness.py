@@ -39,6 +39,9 @@ class _FakeProxy:
     def deliver(self, outgoing):
         self.delivered.append(outgoing)
 
+    def count_if_dropped(self, message, outgoing):
+        pass
+
 
 def echo_on(connection, at):
     message = EchoRequest(payload=b"x")

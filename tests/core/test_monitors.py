@@ -10,10 +10,10 @@ from repro.core.monitors import (
 )
 from repro.core.lang.actions import OutgoingMessage
 from repro.core.lang.properties import Direction, InterposedMessage
-from repro.dataplane import DataLink, Host
+from repro.dataplane import DataLink, Host, Network, Topology
 from repro.netlib import Ipv4Address, MacAddress
 from repro.obs import TraceCollector
-from repro.openflow import FlowMod, Hello, Match
+from repro.openflow import FlowMod, Hello, Match, OutputAction
 from repro.sim import SimulationEngine
 
 CONN = ("c1", "s1")
@@ -224,3 +224,39 @@ class TestLinkCapture:
         directions = {e.data["direction"] for e in capture.events_of("frame")}
         assert directions == {"a->b", "b->a"}
         assert capture.bytes_total > 0
+
+    def test_captures_switch_ports_and_still_forwards(self):
+        """h1 - s1 - s2 - h2 with port-to-port flows and no controller.
+        A capture on the host-switch link and one on the switch-switch
+        link record every frame each direction carried exactly once, and
+        the frames still reach the switch ports they arrive on: the
+        pings go through."""
+        engine = SimulationEngine()
+        topology = Topology("capture")
+        topology.add_host("h1")
+        topology.add_host("h2")
+        topology.add_switch("s1")
+        topology.add_switch("s2")
+        topology.add_link("h1", ("s1", 1))
+        topology.add_link(("s1", 2), ("s2", 1))
+        topology.add_link(("s2", 2), "h2")
+        network = Network(engine, topology)
+        for switch in network.switches.values():
+            switch.preinstall_flow(Match(in_port=1), [OutputAction(2)])
+            switch.preinstall_flow(Match(in_port=2), [OutputAction(1)])
+        captures = [LinkCapture(engine, network.links[name])
+                    for name in ("h1-s1#0", "s1-s2#1")]
+        run = network.host("h1").ping(network.host_ip("h2"), count=2)
+        engine.run(until=20.0)
+        assert run.result.received == 2
+        for capture in captures:
+            link = capture.link
+            recorded = [e.data["direction"] for e in capture.events_of("frame")]
+            assert recorded.count("a->b") == link._a_to_b.tx_frames > 0
+            assert recorded.count("b->a") == link._b_to_a.tx_frames > 0
+            assert capture.frames_of("arp") == 2  # request + reply
+            assert capture.frames_of("ipv4/icmp") == 4
+        # s1 receives what h1 sent it and what s2 sent back over s1-s2.
+        host_link, trunk = (capture.link for capture in captures)
+        assert network.switch("s1").stats["rx_frames"] == (
+            host_link._a_to_b.tx_frames + trunk._b_to_a.tx_frames)

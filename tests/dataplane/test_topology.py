@@ -91,6 +91,21 @@ def test_self_loop_rejected():
         topo.add_link("s1", "s1")
 
 
+def test_second_link_on_a_host_rejected():
+    topo = Topology()
+    topo.add_host("h1")
+    topo.add_switch("s1")
+    topo.add_switch("s2")
+    topo.add_link("h1", "s1")
+    for a, b in (("h1", "s2"), ("s2", "h1")):
+        with pytest.raises(TopologyError, match="already has a link"):
+            topo.add_link(a, b)
+    # Switches take any number of links; the rejected ones left no trace.
+    topo.add_link("s1", "s2")
+    assert [(link.a, link.b) for link in topo.links] == [("h1", "s1"), ("s1", "s2")]
+    assert topo.switch_ports("s2") == [1]
+
+
 def test_unknown_device_rejected():
     topo = Topology()
     topo.add_switch("s1")

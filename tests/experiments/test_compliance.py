@@ -66,8 +66,7 @@ def test_suite_catches_a_broken_switch(monkeypatch):
     def broken_flood(self, in_port, data):
         # Wrong: also sends back out the ingress port.
         for port_no in self.port_numbers():
-            if self._port_up.get(port_no, False):
-                self._transmit(port_no, data)
+            self._transmit(port_no, data)
 
     monkeypatch.setattr(OpenFlowSwitch, "_flood", broken_flood)
     report = run_compliance_suite()

@@ -47,6 +47,25 @@ def test_injector_proxy_stats_total(engine, small_topology):
     assert "flow-mod-suppression" in repr(injector)
 
 
+def test_proxies_count_the_messages_the_attack_drops(engine, small_topology):
+    """Each connection's proxy counts the messages the executor dropped
+    on it: summed over the proxies, ``dropped`` is the executor's
+    ``messages_dropped`` on an attacked Floodlight cell."""
+    network = Network(engine, small_topology)
+    controller = FloodlightController(engine)
+    system = SystemModel.from_topology(small_topology, ["c1"])
+    model = AttackModel.no_tls_everywhere(system)
+    attack = flow_mod_suppression_attack(system.connection_keys())
+    injector = RuntimeInjector(engine, model, attack)
+    injector.install(network, {"c1": controller})
+    network.start()
+    engine.run(until=5.0)
+    network.host("h1").ping(network.host_ip("h2"), count=3)
+    engine.run(until=15.0)
+    dropped = injector.executor.stats["messages_dropped"]
+    assert injector.proxy_stats_total("dropped") == dropped > 0
+
+
 def test_cli_compile_validation_failure(tmp_path, capsys):
     """An attack demanding payload capabilities fails TLS validation."""
     from repro.cli import main

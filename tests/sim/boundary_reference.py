@@ -3,7 +3,8 @@
 :class:`EventBoundaryTx` is :class:`~repro.sim.shard.BoundaryTx` as it was
 before departures became implicit: every emitted frame also schedules a
 local no-op event at its arrival instant that decrements the queue
-count, exactly as a local link's arrival event does.
+count, exactly as the event-driven local direction's arrival event does
+(:class:`tests.dataplane.link_reference.EventDirection`, its base).
 ``BoundaryTx`` retires those arrivals when the next transmit runs
 instead; the two must accept and drop the same frames and report the
 same ``queued`` after every transmit, except for a transmit in a
@@ -13,12 +14,12 @@ that frame was sent (``tests/sim/test_boundary_queue.py`` pins it).
 
 from typing import Callable
 
-from repro.dataplane.link import _Direction
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import OP_FRAME
+from tests.dataplane.link_reference import EventDirection
 
 
-class EventBoundaryTx(_Direction):
+class EventBoundaryTx(EventDirection):
     """Emits each frame and schedules its departure as a local event."""
 
     __slots__ = ("emit", "chan")
