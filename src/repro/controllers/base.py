@@ -12,6 +12,7 @@ under the flow-modification-suppression attack.
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import Any, Dict, List, Optional
 
 from repro.controllers.apps import DL_TYPE
@@ -94,11 +95,15 @@ class Controller:
         name: str = "controller",
         apps: Optional[List["ControllerApp"]] = None,  # noqa: F821
     ) -> None:
+        if not self.SERVICE_TIME >= 0:  # also rejects NaN
+            raise ValueError(f"{type(self).__name__}.SERVICE_TIME must be >= 0: "
+                             f"{self.SERVICE_TIME!r}")
         self.engine = engine
         self.name = name
         self.apps = list(apps or [])
         self.sessions: Dict[ControlChannel, SwitchSession] = {}
         self._busy_until = 0.0
+        self._service_time = float(self.SERVICE_TIME)
         self._started_liveness = False
         self.stats: Dict[str, int] = {
             "connections_accepted": 0,
@@ -167,10 +172,17 @@ class Controller:
     # ------------------------------------------------------------------ #
 
     def _enqueue(self, session: SwitchSession, message: OpenFlowMessage) -> None:
-        """Model single-threaded processing with a fixed service time."""
-        now = self.engine.now
-        self._busy_until = max(self._busy_until, now) + self.SERVICE_TIME
-        self.engine.schedule_at(self._busy_until, self._process, session, message)
+        """Model single-threaded processing with a fixed service time.
+
+        The event goes onto the engine heap directly, keyed as
+        ``schedule_at`` keys it; the service time was checked at init.
+        """
+        engine = self.engine
+        now = engine.now
+        busy = self._busy_until
+        self._busy_until = busy = (busy if busy > now else now) + self._service_time
+        heappush(engine._queue, (busy, 0, next(engine._seq), self._process,
+                                 (session, message)))
 
     def _process(self, session: SwitchSession, message: OpenFlowMessage) -> None:
         if session.state is SessionState.CLOSED:

@@ -150,8 +150,7 @@ class DistributedInjection:
             return
         self.stats["messages_coordinated"] += 1
         outgoing = self._executor.handle_message(message)
-        proxy.count_if_dropped(message, outgoing)
-        instance.notify_interposed(message, outgoing)
+        instance.notify_interposed(proxy, message, outgoing)
         self.engine.schedule(self.coordination_latency, proxy.deliver, outgoing)
 
     def _process_optimistically(self, instance: _InstanceInjector, proxy,
@@ -164,8 +163,7 @@ class DistributedInjection:
             # left (or not yet reached): the Section VIII-C consistency risk.
             self.stats["stale_decisions"] += 1
         outgoing = replica.handle_message(message)
-        proxy.count_if_dropped(message, outgoing)
-        instance.notify_interposed(message, outgoing)
+        instance.notify_interposed(proxy, message, outgoing)
         proxy.deliver(outgoing)
 
     # ------------------------------------------------------------------ #

@@ -204,6 +204,8 @@ class AttackExecutor:
                                         action=type(action).__name__)
                         self.modifier.apply(action, action_ctx)
         if action_ctx is not None:
+            # The survival verdict, decided here once: the proxy's and the
+            # monitors' drop counts read ``incoming.dropped``.
             survived = False
             for entry in out:
                 if entry.message is incoming:
@@ -211,6 +213,7 @@ class AttackExecutor:
                 if entry.injected:
                     stats["messages_injected"] += 1
             if not survived:
+                incoming.dropped = True
                 stats["messages_dropped"] += 1
                 if tracer is not None:
                     self._trace_drop(state, incoming)

@@ -27,6 +27,8 @@ from repro.core.lang.properties import Direction, InterposedMessage
 
 ConnectionKey = Tuple[str, str]
 
+_TO_CONTROLLER = Direction.TO_CONTROLLER
+
 
 class ConnectionProxy:
     """One interposed control-plane connection (controller, switch)."""
@@ -101,10 +103,10 @@ class ConnectionProxy:
         engine = injector.engine
         stat = ("to_controller_messages" if direction is Direction.TO_CONTROLLER
                 else "to_switch_messages")
+        self.stats[stat] += len(frames)
+        connection, now, ids = self.connection, engine.now, engine.ctx.msg_ids
         for frame in frames:
-            interposed = InterposedMessage(self.connection, direction, engine.now, frame,
-                                           ids=engine.ctx.msg_ids)
-            self.stats[stat] += 1
+            interposed = InterposedMessage(connection, direction, now, frame, ids=ids)
             if self.tracer is not None:
                 self.tracer.emit(
                     "message",
@@ -130,7 +132,6 @@ class ConnectionProxy:
             return
         stats = self.stats
         stats["forwarded"] += len(outgoing)
-        route = self.injector.route
         for entry in outgoing:
             message = entry.message
             if entry.injected:
@@ -143,7 +144,14 @@ class ConnectionProxy:
                     stats["decode_avoided"] += 1
                 if not message.payload_replaced:
                     stats["repack_avoided"] += 1
-            target = route(self, entry)
+            # The message's direction picks the channel; only a
+            # MODIFYMESSAGEMETADATA rewrite asks the injector's router.
+            if message.overridden:
+                target = self.injector.route(self, entry)
+            elif message.direction is _TO_CONTROLLER:
+                target = self.controller_channel
+            else:
+                target = self.switch_channel
             if target is None:
                 continue
             if entry.delay > 0:
@@ -153,16 +161,6 @@ class ConnectionProxy:
                 )
             elif target.open:
                 target.send(message.raw)
-
-    def count_if_dropped(self, message: InterposedMessage,
-                         outgoing: List[OutgoingMessage]) -> None:
-        """Count ``message`` in ``stats["dropped"]`` when the executor's
-        outgoing list does not carry it (the executor's own
-        ``messages_dropped`` rule, per connection)."""
-        for entry in outgoing:
-            if entry.message is message:
-                return
-        self.stats["dropped"] += 1
 
     @staticmethod
     def _send_if_open(channel: ControlChannel, data: bytes) -> None:

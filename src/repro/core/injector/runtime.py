@@ -187,36 +187,36 @@ class RuntimeInjector:
     def _interpose(self, proxy: ConnectionProxy, message: InterposedMessage) -> None:
         self.stats["messages_interposed"] += 1
         executor = self.executor
-        if executor is None:
-            outgoing = [OutgoingMessage(message)]
-        else:
-            outgoing = executor.handle_message(message)
-            proxy.count_if_dropped(message, outgoing)
-        self.notify_interposed(message, outgoing)
+        outgoing = ([OutgoingMessage(message)] if executor is None
+                    else executor.handle_message(message))
+        self.notify_interposed(proxy, message, outgoing)
         proxy.deliver(outgoing)
 
-    def notify_interposed(self, message: InterposedMessage,
+    def notify_interposed(self, proxy: ConnectionProxy, message: InterposedMessage,
                           outgoing: List[OutgoingMessage]) -> None:
-        """Hand every observer one message and its outgoing list."""
+        """Count a dropped ``message`` on its proxy, then hand every
+        observer the message and its outgoing list."""
+        if message.dropped:
+            proxy.stats["dropped"] += 1
         if self._interposed_hooks:
             now = self.engine.now
             for hook in self._interposed_hooks:
                 hook(message, outgoing, now)
 
     def route(self, proxy: ConnectionProxy, entry: OutgoingMessage):
-        """Pick the output channel for one outgoing message.
+        """Pick the output channel for an outgoing message whose metadata
+        a MODIFYMESSAGEMETADATA action rewrote (the proxy routes every
+        other message by its direction).
 
-        Honors MODIFYMESSAGEMETADATA destination rewrites when the new
-        destination names a device with an active interposed connection;
-        without one the message's direction decides.
+        A new destination that names a device with an active interposed
+        connection redirects the message; otherwise its direction decides.
         """
         message = entry.message
-        if message.metadata_overrides:
-            override = message.metadata_overrides.get("destination")
-            if override and override != message.natural_destination:
-                redirected = self._channel_for_destination(override, message.direction)
-                if redirected is not None:
-                    return redirected
+        override = message.metadata_overrides.get("destination")
+        if override and override != message.natural_destination:
+            redirected = self._channel_for_destination(override, message.direction)
+            if redirected is not None:
+                return redirected
         return proxy.channel_for(message.direction)
 
     def _channel_for_destination(self, destination: str, direction: Direction):

@@ -85,10 +85,18 @@ METADATA_PROPERTIES = frozenset(
 class InterposedMessage:
     """One control-plane message observed at the runtime injector.
 
-    ``msg_id`` is drawn from ``ids``, the run's message-id sequence: the
-    proxy passes its engine's ``ctx.msg_ids``, and replicas and injected
-    messages draw from the sequence of the message they came from.  A
-    message built without ``ids`` starts a sequence of its own.
+    ``connection`` is a ``(controller, switch)`` tuple and ``raw`` the
+    wire bytes; both are stored as given.  ``msg_id`` is drawn from
+    ``ids``, the run's message-id sequence: the proxy passes its engine's
+    ``ctx.msg_ids``, and replicas and injected messages draw from the
+    sequence of the message they came from.  A message built without
+    ``ids`` starts a sequence of its own.
+
+    ``dropped`` is the attack executor's verdict: True once it has
+    handled the message and its outgoing list does not carry it.  The
+    proxy's ``dropped`` count and the monitors read this one decision.
+    ``metadata_overrides`` (MODIFYMESSAGEMETADATA) is created on first
+    use; until then the message holds no dict.
     """
 
     __slots__ = (
@@ -103,7 +111,8 @@ class InterposedMessage:
         "_coarse_type",
         "_type_name",
         "payload_replaced",
-        "metadata_overrides",
+        "dropped",
+        "_overrides",
     )
 
     def __init__(
@@ -115,10 +124,10 @@ class InterposedMessage:
         parsed: Optional[OpenFlowMessage] = None,
         ids: Optional[Iterator[int]] = None,
     ) -> None:
-        self.connection = tuple(connection)
+        self.connection = connection
         self.direction = direction
         self.timestamp = timestamp
-        self.raw = bytes(raw)
+        self.raw = raw
         self.ids = itertools.count(1) if ids is None else ids
         self.msg_id = next(self.ids)
         self._parsed = parsed
@@ -126,7 +135,22 @@ class InterposedMessage:
         self._coarse_type = _UNSET
         self._type_name = _UNSET
         self.payload_replaced = False
-        self.metadata_overrides: dict = {}
+        self.dropped = False
+        self._overrides: Optional[dict] = None
+
+    @property
+    def metadata_overrides(self) -> dict:
+        """MODIFYMESSAGEMETADATA's rewrites (``source``/``destination``)."""
+        overrides = self._overrides
+        if overrides is None:
+            overrides = self._overrides = {}
+        return overrides
+
+    @property
+    def overridden(self) -> bool:
+        """True when a metadata rewrite is set (the proxy then routes
+        through :meth:`RuntimeInjector.route`)."""
+        return bool(self._overrides)
 
     # ------------------------------------------------------------------ #
     # Identity
@@ -143,15 +167,17 @@ class InterposedMessage:
     @property
     def source(self) -> str:
         """MESSAGESOURCE ∈ C ∪ S."""
-        if "source" in self.metadata_overrides:
-            return self.metadata_overrides["source"]
+        overrides = self._overrides
+        if overrides and "source" in overrides:
+            return overrides["source"]
         return self.switch if self.direction is Direction.TO_CONTROLLER else self.controller
 
     @property
     def destination(self) -> str:
         """MESSAGEDESTINATION ∈ C ∪ S."""
-        if "destination" in self.metadata_overrides:
-            return self.metadata_overrides["destination"]
+        overrides = self._overrides
+        if overrides and "destination" in overrides:
+            return overrides["destination"]
         return self.natural_destination
 
     @property
@@ -231,7 +257,8 @@ class InterposedMessage:
             self.connection, self.direction, self.timestamp, self.raw,
             ids=self.ids,
         )
-        replica.metadata_overrides = dict(self.metadata_overrides)
+        if self._overrides:
+            replica._overrides = dict(self._overrides)
         return replica
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,9 @@ class ControlPlaneMonitor(RecordingMonitor):
         self.message_counts: Dict[str, int] = {}
         self.per_connection: Dict[Tuple[str, str], int] = {}
         self.dropped_by_type: Dict[str, int] = {}
-        self.rule_notifications: List[Tuple[float, str, str]] = []
+        #: Names of the fired rules, in firing order: a paper-scale run
+        #: fires about a million, so the log keeps the name alone.
+        self.rule_names: List[str] = []
         self.state_transitions: List[Tuple[float, str, str]] = []
 
     # -- RuntimeInjector observer hooks ---------------------------------- #
@@ -46,12 +48,7 @@ class ControlPlaneMonitor(RecordingMonitor):
         self.message_counts[type_name] = self.message_counts.get(type_name, 0) + 1
         key = message.connection
         self.per_connection[key] = self.per_connection.get(key, 0) + 1
-        survived = False
-        for entry in outgoing:
-            if entry.message is message:
-                survived = True
-                break
-        if not survived:
+        if message.dropped:  # the executor's verdict
             self.dropped_by_type[type_name] = self.dropped_by_type.get(type_name, 0) + 1
         if self.tracer is not None:
             self.record(
@@ -62,7 +59,7 @@ class ControlPlaneMonitor(RecordingMonitor):
                     "direction": message.direction.value,
                     "type": type_name,
                     "length": len(message.raw),
-                    "forwarded": survived,
+                    "forwarded": not message.dropped,
                     "injected_count": sum(1 for entry in outgoing if entry.injected),
                 },
             )
@@ -70,7 +67,7 @@ class ControlPlaneMonitor(RecordingMonitor):
     # -- ExecutorObserver hooks ------------------------------------------ #
 
     def rule_fired(self, state: str, rule_name: str, message: InterposedMessage) -> None:
-        self.rule_notifications.append((message.timestamp, state, rule_name))
+        self.rule_names.append(rule_name)
         if self.tracer is not None:
             self.record(
                 message.timestamp,
@@ -99,7 +96,7 @@ class ControlPlaneMonitor(RecordingMonitor):
         return self.message_counts.get(type_name, 0)
 
     def fired_rules(self) -> List[str]:
-        return [rule for (_t, _s, rule) in self.rule_notifications]
+        return list(self.rule_names)
 
     def visited_states(self) -> List[str]:
         states = []

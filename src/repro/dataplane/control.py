@@ -10,9 +10,10 @@ with) the bytes, exactly like the paper's TCP proxy.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional, Protocol, Tuple
 
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, SimulationError
 
 
 class ControlEndpoint(Protocol):
@@ -29,7 +30,13 @@ class ControlEndpoint(Protocol):
 
 
 class ControlChannel:
-    """One endpoint's handle on a bidirectional control-plane stream."""
+    """One endpoint's handle on a bidirectional control-plane stream.
+
+    ``send`` pushes the delivery onto the engine heap itself, keyed as
+    ``engine.schedule(latency_s, ...)`` would key it, so the latency is
+    checked once, here: a negative or NaN latency is refused when the
+    channel is built.
+    """
 
     def __init__(
         self,
@@ -38,9 +45,13 @@ class ControlChannel:
         latency_s: float,
         name: str,
     ) -> None:
+        if not latency_s >= 0:  # also rejects NaN
+            raise SimulationError(f"control channel latency must be >= 0: {latency_s!r}")
         self._engine = engine
+        self._queue = engine._queue
+        self._seq = engine._seq
         self.owner = owner
-        self.latency_s = latency_s
+        self.latency_s = float(latency_s)
         self.name = name
         self.peer: Optional["ControlChannel"] = None
         self.open = False
@@ -51,10 +62,14 @@ class ControlChannel:
 
     def send(self, data: bytes) -> None:
         """Queue bytes for in-order delivery to the peer endpoint."""
-        if not self.open or self.peer is None:
+        peer = self.peer
+        if not self.open or peer is None:
             return  # writing to a closed socket: bytes vanish
+        if type(data) is not bytes:
+            data = bytes(data)
         self.bytes_sent += len(data)
-        self._engine.schedule(self.latency_s, self.peer._deliver, bytes(data))
+        heappush(self._queue, (self._engine.now + self.latency_s, 0, next(self._seq),
+                               peer._deliver, (data,)))
 
     def close(self) -> None:
         """Close both directions; the peer sees ``channel_closed``."""

@@ -153,6 +153,9 @@ class OpenFlowSwitch:
         # (N_C is many-to-many; most deployments register exactly one).
         self._links: "OrderedDict[str, _ControlLink]" = OrderedDict()
         self._link_by_channel: Dict[ControlChannel, _ControlLink] = {}
+        #: True when at least one controller connection is established;
+        #: rewritten by _set_link_state, read on every table miss.
+        self.connected = False
         self.miss_send_len = self.DEFAULT_MISS_SEND_LEN
         self._ever_connected = False
         self.standalone_active = False
@@ -214,6 +217,7 @@ class OpenFlowSwitch:
         """Point the switch at a single controller (replaces all targets)."""
         self._links.clear()
         self._link_by_channel.clear()
+        self.connected = False
         self.add_controller_target("default", factory)
 
     def add_controller_target(self, name: str, factory: ConnectFactory) -> None:
@@ -299,7 +303,7 @@ class OpenFlowSwitch:
             channel.close()
             return
         link.channel = channel
-        link.state = ConnectionState.CONNECTING
+        self._set_link_state(link, ConnectionState.CONNECTING)
         link.framer.reset()
         link.last_received = self.engine.now
         link.echo_outstanding = False
@@ -344,7 +348,7 @@ class OpenFlowSwitch:
         link.channel = None
         link.framer.reset()
         if link.state is not ConnectionState.DISCONNECTED:
-            link.state = ConnectionState.DISCONNECTED
+            self._set_link_state(link, ConnectionState.DISCONNECTED)
             self.stats["connection_deaths"] += 1
             if not self.connected:
                 # Redundant controllers keep the switch out of fail mode;
@@ -361,10 +365,9 @@ class OpenFlowSwitch:
         # Fail-secure: nothing to do — existing entries keep forwarding
         # until they expire; new flows are dropped.
 
-    @property
-    def connected(self) -> bool:
-        """True when at least one controller connection is established."""
-        return any(link.connected for link in self._links.values())
+    def _set_link_state(self, link: _ControlLink, state: ConnectionState) -> None:
+        link.state = state
+        self.connected = any(other.connected for other in self._links.values())
 
     @property
     def channel(self) -> Optional[ControlChannel]:
@@ -479,9 +482,16 @@ class OpenFlowSwitch:
 
     def _handle_control_message(self, link: _ControlLink,
                                 message: OpenFlowMessage) -> None:
+        # The steady state's two messages are tested first.
+        if isinstance(message, PacketOut):
+            self._handle_packet_out(message)
+            return
+        if isinstance(message, FlowMod):
+            self._handle_flow_mod(link, message)
+            return
         if isinstance(message, Hello):
             if link.state is ConnectionState.CONNECTING:
-                link.state = ConnectionState.CONNECTED
+                self._set_link_state(link, ConnectionState.CONNECTED)
                 self.standalone_active = False
                 self._ever_connected = True
             return
@@ -513,12 +523,6 @@ class OpenFlowSwitch:
             return
         if isinstance(message, BarrierRequest):
             self._send_on(link, BarrierReply(xid=message.xid))
-            return
-        if isinstance(message, FlowMod):
-            self._handle_flow_mod(link, message)
-            return
-        if isinstance(message, PacketOut):
-            self._handle_packet_out(message)
             return
         if isinstance(message, StatsRequest):
             self._handle_stats_request(link, message)

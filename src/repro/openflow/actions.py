@@ -12,6 +12,9 @@ _TLV = struct.Struct("!HH")
 _OUTPUT = struct.Struct("!HHHH")
 _OUTPUT_BODY = struct.Struct("!HH")
 _OUTPUT_TYPE = int(ActionType.OUTPUT)
+#: ``(type, length)`` of an OUTPUT action's TLV header: the whole action
+#: list of a FLOW_MOD or PACKET_OUT that forwards out of one port.
+_LONE_OUTPUT = (_OUTPUT_TYPE, _OUTPUT.size)
 
 
 class ActionDecodeError(Exception):
@@ -84,6 +87,10 @@ class Action:
     @staticmethod
     def valid_list(data: bytes, start: int = 0, end: Optional[int] = None) -> bool:
         """True when :meth:`unpack_list` would decode the same bytes."""
+        if end is None:
+            end = len(data)
+        if end - start == _OUTPUT.size and _TLV.unpack_from(data, start) == _LONE_OUTPUT:
+            return True
         try:
             Action.walk(data, start, end)
         except ActionDecodeError:
@@ -92,13 +99,29 @@ class Action:
 
     @staticmethod
     def unpack_list(data: bytes, start: int = 0, end: Optional[int] = None) -> List["Action"]:
-        """Decode a contiguous action list (as found in FLOW_MOD/PACKET_OUT)."""
+        """Decode a contiguous action list (as found in FLOW_MOD/PACKET_OUT).
+
+        A list that is one OUTPUT action, the usual case, is read with one
+        ``unpack_from`` in place; anything else goes through :meth:`walk`.
+        """
+        if end is None:
+            end = len(data)
+        if end - start == _OUTPUT.size:
+            action_type, length, port, max_len = _OUTPUT.unpack_from(data, start)
+            if (action_type, length) == _LONE_OUTPUT:
+                # Both fields are ints already: skip the constructor's int().
+                action = OutputAction.__new__(OutputAction)
+                action.port = port
+                action.max_len = max_len
+                return [action]
         return [UnknownAction(action_type, data[lo:hi]) if cls is None
                 else cls.unpack_body(data[lo:hi])
                 for action_type, cls, lo, hi in Action.walk(data, start, end)]
 
     @staticmethod
     def pack_list(actions: List["Action"]) -> bytes:
+        if len(actions) == 1:
+            return actions[0].pack()
         return b"".join([action.pack() for action in actions])
 
     def __eq__(self, other: object) -> bool:

@@ -151,7 +151,14 @@ class OpenFlowMessage:
 
 def parse_message(data: bytes) -> OpenFlowMessage:
     """Decode one complete OpenFlow message from bytes; bytes that do not
-    decode raise :class:`OpenFlowDecodeError` and nothing else."""
+    decode raise :class:`OpenFlowDecodeError` and nothing else.
+
+    Any other buffer is copied to ``bytes`` first, so every decoder
+    slices ``bytes`` and a decoded message holds no view of the caller's
+    buffer.
+    """
+    if type(data) is not bytes:
+        data = bytes(data)
     size = len(data)
     if size < OFP_HEADER_SIZE:
         raise OpenFlowDecodeError(f"message shorter than header: {size} bytes")
@@ -499,10 +506,20 @@ class PacketIn(OpenFlowMessage):
 
     @classmethod
     def _decode(cls, data: bytes, length: int, xid: int) -> "PacketIn":
+        # The unpacked fields are ints and the slice is bytes already, so
+        # the message is built without the constructor's conversions.
         if length < _PACKET_IN.size:
             raise ValueError(f"PACKET_IN of {length} bytes")
         _v, _t, _l, _x, buffer_id, total_len, in_port, reason = _PACKET_IN.unpack_from(data)
-        return cls(buffer_id, total_len, in_port, reason, data[_PACKET_IN.size:length], xid)
+        member = _PACKET_IN_REASON.get(reason)
+        message = cls.__new__(cls)
+        message.xid = xid
+        message.buffer_id = buffer_id
+        message.total_len = total_len
+        message.in_port = in_port
+        message.reason = PacketInReason(reason) if member is None else member
+        message.data = data[_PACKET_IN.size:length]
+        return message
 
     @staticmethod
     def valid_body(data: bytes, length: int) -> bool:
@@ -549,8 +566,13 @@ class PacketOut(OpenFlowMessage):
         actions_end = _PACKET_OUT.size + actions_len
         if actions_end > length:
             raise OpenFlowDecodeError("PACKET_OUT actions overflow body")
-        actions = Action.unpack_list(data, _PACKET_OUT.size, actions_end)
-        return cls(buffer_id, in_port, actions, data[actions_end:length], xid)
+        message = cls.__new__(cls)
+        message.xid = xid
+        message.buffer_id = buffer_id
+        message.in_port = in_port
+        message.actions = Action.unpack_list(data, _PACKET_OUT.size, actions_end)
+        message.data = data[actions_end:length]
+        return message
 
     @staticmethod
     def valid_body(data: bytes, length: int) -> bool:
@@ -616,11 +638,16 @@ class FlowMod(OpenFlowMessage):
         if length < _FLOW_MOD.size:
             raise ValueError(f"FLOW_MOD of {length} bytes")
         fields = _FLOW_MOD.unpack_from(data)
-        (cookie, command, idle_timeout, hard_timeout, priority, buffer_id, out_port,
-         flags) = fields[_MATCH_END:]
-        return cls(Match.from_wire_fields(*fields[4:_MATCH_END]), command, cookie,
-                   idle_timeout, hard_timeout, priority, buffer_id, out_port, flags,
-                   Action.unpack_list(data, _FLOW_MOD.size, length), xid)
+        message = cls.__new__(cls)
+        message.xid = xid
+        message.match = Match.from_wire_fields(*fields[4:_MATCH_END])
+        (message.cookie, command, message.idle_timeout, message.hard_timeout,
+         message.priority, message.buffer_id, message.out_port,
+         message.flags) = fields[_MATCH_END:]
+        message.actions = Action.unpack_list(data, _FLOW_MOD.size, length)
+        member = _FLOW_MOD_COMMAND.get(command)
+        message.command = FlowModCommand(command) if member is None else member
+        return message
 
     @staticmethod
     def valid_body(data: bytes, length: int) -> bool:

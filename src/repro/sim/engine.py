@@ -82,10 +82,14 @@ class SimulationEngine:
     deadline the callback checks when it runs.
 
     ``now``, the simulated time in seconds, is a plain attribute that
-    only the engine writes, once per batch of same-time events.  A link
-    direction (:mod:`repro.dataplane.link`) pushes each arrival onto
-    ``_queue`` itself, keyed as ``schedule_at`` would key it with a
-    ``seq`` from ``_seq``; neither object is ever replaced.
+    only the engine writes, once per batch of same-time events.  The
+    per-message paths push onto ``_queue`` themselves, keyed as
+    ``schedule``/``schedule_at`` would key them with a ``seq`` from
+    ``_seq``: a link direction's arrivals (:mod:`repro.dataplane.link`),
+    a control channel's deliveries (:mod:`repro.dataplane.control`) and a
+    controller's service queue (:mod:`repro.controllers.base`).  Each
+    checks its delay where the delay is set, and neither object is ever
+    replaced.
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,11 @@
 """Unit tests for controller session management and liveness."""
 
+import math
+
+import pytest
+
 from repro.controllers import FloodlightController
-from repro.controllers.base import SessionState
+from repro.controllers.base import Controller, SessionState
 from repro.dataplane import Network
 from repro.sim import SimulationEngine
 from tests.conftest import build_connected_network
@@ -118,3 +122,14 @@ def test_flow_removed_dispatched_to_apps(engine, small_topology):
                          actions=[OutputAction(2)]))
     engine.run(until=engine.now + 5.0)
     assert len(removed) == 1
+
+
+@pytest.mark.parametrize("service_time", [-0.001, math.nan])
+def test_bad_service_time_is_refused_at_init(service_time):
+    """The service queue pushes onto the engine heap itself, so its delay
+    is checked once, when the controller is built."""
+    class Broken(Controller):
+        SERVICE_TIME = service_time
+
+    with pytest.raises(ValueError):
+        Broken(SimulationEngine())

@@ -35,12 +35,10 @@ def build_cluster(latency):
 class _FakeProxy:
     def __init__(self):
         self.delivered = []
+        self.stats = {"dropped": 0}
 
     def deliver(self, outgoing):
         self.delivered.append(outgoing)
-
-    def count_if_dropped(self, message, outgoing):
-        pass
 
 
 def echo_on(connection, at):

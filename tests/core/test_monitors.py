@@ -1,5 +1,7 @@
 """Unit tests for the monitor suite."""
 
+import tracemalloc
+
 from repro.core.monitors import (
     ControlPlaneMonitor,
     IperfMonitor,
@@ -53,6 +55,7 @@ class TestControlPlaneMonitor:
         msg = interposed(Hello())
         monitor.message_interposed(msg, [OutgoingMessage(msg)], 1.0)
         dropped = interposed(FlowMod(Match()))
+        dropped.dropped = True  # the executor's verdict
         monitor.message_interposed(dropped, [], 1.5)
         assert monitor.total_messages() == 2
         assert monitor.count_of("HELLO") == 1
@@ -88,6 +91,24 @@ class TestControlPlaneMonitor:
         monitor.tracer = TraceCollector()
         monitor.message_interposed(msg, [OutgoingMessage(msg)], 3.0)
         assert [event.kind for event in monitor.events] == ["message"]
+
+    def test_rule_log_keeps_names_only(self):
+        """A fired rule costs the log one list slot: no tuple, and no
+        timestamp kept alive (about 96 B per rule before)."""
+        monitor = ControlPlaneMonitor()
+        msg = interposed(Hello())
+        count = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(count):
+                msg.timestamp = index + 0.5
+                monitor.rule_fired("sigma1", "phi1", msg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / count <= 16
+        assert monitor.fired_rules() == ["phi1"] * count
 
     def test_visited_states_chains(self):
         monitor = ControlPlaneMonitor()

@@ -1,7 +1,13 @@
 """Unit tests for the control-channel plumbing."""
 
+import math
+
+import pytest
+
 from repro.dataplane import connect_endpoints
+from repro.dataplane.control import ControlChannel
 from repro.sim import SimulationEngine
+from repro.sim.engine import SimulationError
 
 
 class FakeEndpoint:
@@ -92,3 +98,31 @@ def test_counters():
     engine.run()
     assert chan_a.bytes_sent == 5
     assert chan_b.bytes_delivered == 5
+
+
+@pytest.mark.parametrize("latency", [-0.001, math.nan])
+def test_bad_latency_is_refused_when_the_channel_is_built(latency):
+    engine = SimulationEngine()
+    with pytest.raises(SimulationError):
+        ControlChannel(engine, FakeEndpoint(), latency, "bad")
+    with pytest.raises(SimulationError):
+        connect_endpoints(engine, FakeEndpoint(), FakeEndpoint(), latency_s=latency)
+    assert engine.pending_events == 0
+
+
+def test_delivery_is_keyed_like_schedule():
+    """A send draws the next event seq as ``engine.schedule`` does, so it
+    keeps its place among timers due at the same instant, and the clock
+    reads a float even for an int latency."""
+    engine = SimulationEngine()
+    a, b = FakeEndpoint(), FakeEndpoint()
+    chan_a, _chan_b = connect_endpoints(engine, a, b, latency_s=1)
+    engine.run()
+    fired = []
+    b.bytes_received = lambda channel, data: fired.append((data, engine.now))
+    engine.schedule(1, lambda: fired.append(("before", engine.now)))
+    chan_a.send(b"data")
+    engine.schedule(1, lambda: fired.append(("after", engine.now)))
+    engine.run()
+    assert fired == [("before", 2.0), (b"data", 2.0), ("after", 2.0)]
+    assert type(fired[1][1]) is float

@@ -12,6 +12,10 @@ copying them, and must be indistinguishable:
   bytes) ``parse_message``
   either gives a message that packs like the reference parse's, or both
   raise :class:`OpenFlowDecodeError`, and ``valid_type_name`` agrees;
+* **decoded fields** -- over the same mutated bytes, every public field
+  of the decoded message, its match and its actions has the reference
+  parse's value and type (a ``PacketInReason``, not its int; ``bytes``,
+  not a view), and no two parses share an action list or action;
 * **framer** -- over streams of whole messages and garbage cut into
   random chunks, every feed yields the same frames or raises the same
   error, with the same ``pending_bytes``, ``messages_decoded`` and
@@ -45,8 +49,14 @@ from repro.openflow.actions import (
     StripVlanAction,
     UnknownAction,
 )
+from repro.openflow.actions import Action
 from repro.openflow.connection import MessageFramer
-from repro.openflow.messages import EchoRequest, OpenFlowDecodeError, valid_type_name
+from repro.openflow.messages import (
+    EchoRequest,
+    OpenFlowDecodeError,
+    OpenFlowMessage,
+    valid_type_name,
+)
 from tests.openflow.codec_reference import (
     ReferenceFramer,
     match_pack,
@@ -133,6 +143,25 @@ def _outcome(parse, pack, raw):
         return None
 
 
+def _fields(value):
+    """``value`` as nested ``(type, ...)`` tuples: a message's, match's or
+    action's public fields, a list's items, or a plain value."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_fields(item) for item in value]
+    if isinstance(value, (OpenFlowMessage, Match, Action)):
+        names = getattr(value, "__slots__", None) or vars(value)
+        return type(value), {name: _fields(getattr(value, name))
+                             for name in names if not name.startswith("_")}
+    return type(value), value
+
+
+def _decoded(parse, raw):
+    try:
+        return _fields(parse(raw))
+    except OpenFlowDecodeError:
+        return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(MESSAGES)
 def test_pack_equals_the_reference(message):
@@ -153,6 +182,20 @@ def test_parse_agrees_with_the_reference_on_mutated_bytes(raw):
     expected = _outcome(reference_parse, reference_pack, raw)
     assert _outcome(parse_message, lambda message: message.pack(), raw) == expected
     assert valid_type_name(raw) == reference_valid_type_name(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated())
+def test_decoded_fields_and_types_equal_the_reference(raw):
+    assert _decoded(parse_message, raw) == _decoded(reference_parse, raw)
+    try:
+        first, second = parse_message(raw), parse_message(raw)
+    except OpenFlowDecodeError:
+        return
+    actions = getattr(first, "actions", None)
+    if isinstance(actions, list):  # FEATURES_REPLY's ``actions`` is a bitmap
+        assert actions is not second.actions
+        assert not {id(action) for action in actions} & {id(a) for a in second.actions}
 
 
 # --------------------------------------------------------------------- #
@@ -188,6 +231,17 @@ def test_bytes_past_the_header_length_are_not_the_message():
             expected = _outcome(reference_parse, reference_pack, raw + extra)
             assert _outcome(parse_message, lambda message: message.pack(), raw + extra) == expected
             assert expected == raw
+
+
+def test_parse_copies_any_buffer_to_bytes():
+    """A bytearray or memoryview decodes like the same bytes, into
+    ``bytes`` fields; MacAddress refuses views, so the copy comes first."""
+    raws = WHOLE + [FlowMod(Match(in_port=1), actions=[
+        SetDlSrcAction(5), OutputAction(2), UnknownAction(11, bytes(4))], xid=6).pack()]
+    for raw in raws:
+        expected = _decoded(reference_parse, raw)
+        for buffer in (bytearray(raw), memoryview(raw)):
+            assert _decoded(parse_message, buffer) == expected
 
 
 SEGMENTS = st.one_of(
