@@ -412,6 +412,10 @@ class Comparison(Condition):
         right = self.right.compile()
         op = self.op
         if op == "=":
+            name = _type_equality_const(self)
+            if isinstance(name, str):  # smart_eq of a str or None type name
+                return lambda ctx: (ctx.message is not None
+                                    and ctx.message.message_type_name == name)
             return lambda ctx: smart_eq(left(ctx), right(ctx))
         if op == "!=":
             return lambda ctx: not smart_eq(left(ctx), right(ctx))

@@ -15,7 +15,7 @@ and DELETE_STRICT: ``pack()`` equality is OF 1.0 strict equality, and it
 keeps host bits under a CIDR prefix that the masked key drops.  The live
 entries stay in install order in one dict.  An ``lru`` table finds its
 victim in a ``(last_used, order)`` heap that is checked lazily at eviction
-time, so ``record_use`` needs no hook.
+time, so the switch's hit path writes ``last_used`` with no hook.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class FlowEntry:
     def outputs_to(self, port: int) -> bool:
         """True if any action outputs to ``port`` (for out_port filtering)."""
         return any(isinstance(a, OutputAction) and a.port == port for a in self.actions)
-
-    def record_use(self, now: float, byte_count: int) -> None:
-        self.last_used = now
-        self.packet_count += 1
-        self.byte_count += byte_count
 
     def expired_reason(self, now: float) -> Optional[str]:
         """Return ``"idle"``/``"hard"`` when the entry has timed out."""

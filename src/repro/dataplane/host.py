@@ -187,32 +187,36 @@ class _Sender:
     once per pair.  Nothing is patched per packet: the IPv4 header,
     checksum included, is constant for a given length.  The frames share
     one flow-key memo (``fastframe.share_key``), so no switch hop parses
-    them.  An unresolved peer still queues through ``Host.send_ip``; an
+    them.  The peer's MAC is re-read only when the host's ``arp_version``
+    moved.  An unresolved peer still queues through ``Host.send_ip``; an
     ARP re-learn stores a new MAC object, which rebuilds the prefixes and
     the memo.
     """
 
-    __slots__ = ("host", "peer", "protocol", "_mac", "_prefixes", "_memo")
+    __slots__ = ("host", "peer", "protocol", "_mac", "_arp_version",
+                 "_prefixes", "_memo")
 
     def __init__(self, host: "Host", peer: Ipv4Address, protocol: int) -> None:
         self.host = host
         self.peer = peer
         self.protocol = protocol
         self._mac: Optional[MacAddress] = None
+        self._arp_version = -1
         self._prefixes: Dict[int, bytes] = {}
         self._memo: Optional[bytes] = None
 
     def send(self, l4: bytes) -> None:
         """Send one packet whose IPv4 payload is ``l4``."""
         host = self.host
-        mac = host.arp_table.get(self.peer)
+        if self._arp_version != host.arp_version:
+            self._arp_version = host.arp_version
+            mac = host.arp_table.get(self.peer)
+            if mac is not self._mac:
+                self._mac, self._prefixes, self._memo = mac, {}, None
+        mac = self._mac
         if mac is None:
             host.send_ip(self.peer, self.protocol, l4)
             return
-        if mac is not self._mac:
-            self._mac = mac
-            self._prefixes = {}
-            self._memo = None
         length = len(l4)
         prefix = self._prefixes.get(length)
         if prefix is None:
@@ -430,7 +434,9 @@ class Host:
         self._ip_value = int(self.ip)
         self._transmit: Optional[Callable[[bytes], None]] = None
 
+        #: Written only through learn_arp, which bumps ``arp_version``.
         self.arp_table: Dict[Ipv4Address, MacAddress] = {}
+        self.arp_version = 0
         self._arp_pending: Dict[Ipv4Address, List[bytes]] = {}
         self._arp_attempts: Dict[Ipv4Address, int] = {}
 
@@ -494,6 +500,11 @@ class Host:
         if self._arp_attempts.get(dst_ip, 0) == 0:
             self._arp_attempts[dst_ip] = 0
             self._send_arp_request(dst_ip)
+
+    def learn_arp(self, ip: Ipv4Address, mac: MacAddress) -> None:
+        """Map ``ip`` to ``mac`` in the ARP table."""
+        self.arp_table[ip] = mac
+        self.arp_version += 1
 
     def _send_arp_request(self, dst_ip: Ipv4Address) -> None:
         if dst_ip in self.arp_table or dst_ip not in self._arp_pending:
@@ -579,7 +590,7 @@ class Host:
 
     def _handle_arp(self, arp: ArpPacket) -> None:
         # Opportunistic learning from both requests and replies.
-        self.arp_table[arp.sender_ip] = arp.sender_mac
+        self.learn_arp(arp.sender_ip, arp.sender_mac)
         self._flush_pending(arp.sender_ip)
         if arp.is_request and arp.target_ip == self.ip:
             self.stats["arp_replies_sent"] += 1

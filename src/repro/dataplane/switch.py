@@ -167,13 +167,12 @@ class OpenFlowSwitch:
         # Standalone / NORMAL-action MAC learning table, MACs as ints
         self._mac_table: Dict[int, int] = {}
 
-        # Statistics the monitors scrape
+        # Statistics the monitors scrape; a table hit writes none.  Frames
+        # received: flow_table.lookups + rx_no_lookup (standalone, runts);
+        # sent: each port's link direction's tx_frames + dropped_frames.
         self.stats: Dict[str, int] = {
-            "rx_frames": 0,
-            "tx_frames": 0,
-            "flowkey_cache_hits": 0,
+            "rx_no_lookup": 0,
             "frames_interned": 0,
-            "flow_matches": 0,
             "table_misses": 0,
             "packet_ins_sent": 0,
             "packet_outs_received": 0,
@@ -688,38 +687,37 @@ class OpenFlowSwitch:
 
         A link's arrival event calls this directly.  A frame that is
         already a FastFrame skips the intern pool: every hop after the
-        first, and every frame a host's pre-keyed sender built.
+        first, and every frame a host's pre-keyed sender built.  A table
+        hit writes only the entry's OpenFlow counters.
         """
-        stats = self.stats
-        stats["rx_frames"] += 1
         if type(data) is not FastFrame:
             data, pooled = fastframe.intern(data, self.engine.ctx.frames)
             if pooled:
-                stats["frames_interned"] += 1
+                self.stats["frames_interned"] += 1
         if self.standalone_active and not self.connected:
+            self.stats["rx_no_lookup"] += 1
             self._standalone_forward(port_no, data)
             return
         try:
-            fields, cached = fastframe.flow_key(data, port_no)
+            fields = fastframe.flow_key(data, port_no)
         except FrameDecodeError:  # shorter than an Ethernet header
-            stats["dropped_runts"] += 1
+            self.stats["rx_no_lookup"] += 1
+            self.stats["dropped_runts"] += 1
             return
-        if cached:
-            stats["flowkey_cache_hits"] += 1
-        now = self.engine.now
         if self.sketches is not None:
-            self.sketches.on_frame(self.name, port_no, fields, now)
+            self.sketches.on_frame(self.name, port_no, fields, self.engine.now)
         entry = self.flow_table.lookup(fields)
         if entry is not None:
-            stats["flow_matches"] += 1
-            entry.record_use(now, len(data))
+            entry.last_used = self.engine.now
+            entry.packet_count += 1
+            entry.byte_count += len(data)
             out = entry.out
             if out is None:
                 self._execute_actions(entry.actions, data, port_no)
             elif out != port_no:
                 self._transmit(out, data)
             return
-        stats["table_misses"] += 1
+        self.stats["table_misses"] += 1
         self._table_miss(port_no, data)
 
     def _table_miss(self, in_port: int, data: bytes) -> None:
@@ -769,7 +767,6 @@ class OpenFlowSwitch:
     def _transmit(self, port_no: int, data: bytes) -> None:
         transmit = self._tx.get(port_no)
         if transmit is not None:
-            self.stats["tx_frames"] += 1
             transmit(data)
 
     def _execute_actions(self, actions: List[Action], data: bytes, in_port: int) -> None:

@@ -178,9 +178,10 @@ def fabric_config(
             detector_info(name)  # validate eagerly
         sketch = True
     if sketch_window_s is None:
-        from repro.defense.tap import DEFAULT_WINDOW_S
+        if sketch:  # only a run with the tap imports the defense plane
+            from repro.defense.tap import DEFAULT_WINDOW_S
 
-        sketch_window_s = DEFAULT_WINDOW_S
+            sketch_window_s = DEFAULT_WINDOW_S
     elif sketch_window_s <= 0:
         raise ValueError(
             f"sketch_window_s must be positive, got {sketch_window_s}"
@@ -206,7 +207,8 @@ def fabric_config(
         "trace": bool(trace),
         "trace_capacity": int(trace_capacity),
         "sketch": bool(sketch),
-        "sketch_window_s": float(sketch_window_s),
+        "sketch_window_s": (None if sketch_window_s is None
+                            else float(sketch_window_s)),
         "detectors": detectors,
         "detector_params": dict(detector_params or {}),
     }
@@ -366,16 +368,17 @@ def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
         parents = _bfs_parents(adjacency, edge)
         for host in sorted(hosts):
             mac = topo.hosts[host].mac
+            mac_value, mac_text = int(mac), str(mac)
             for switch in topo.switches:
                 if switch == edge:
-                    routes[dpid[switch]][int(mac)] = ports[(edge, host)]
+                    routes[dpid[switch]][mac_value] = ports[(edge, host)]
                 elif switch in parents:
                     # Per-(switch, destination) ECMP: every hop strictly
                     # decreases the distance to the edge, so independent
                     # per-switch choices still compose into loop-free
                     # paths.
-                    choice = _ecmp_pick(parents[switch], switch, str(mac))
-                    routes[dpid[switch]][int(mac)] = ports[(switch, choice)]
+                    choice = _ecmp_pick(parents[switch], switch, mac_text)
+                    routes[dpid[switch]][mac_value] = ports[(switch, choice)]
     return routes
 
 
@@ -610,9 +613,9 @@ class _FabricDataRegion(ShardRegion):
         # ARP anyway.
         for a, b in plan.pairs:
             if a in local:
-                local[a].arp_table[topo.hosts[b].ip] = topo.hosts[b].mac
+                local[a].learn_arp(topo.hosts[b].ip, topo.hosts[b].mac)
             if b in local:
-                local[b].arp_table[topo.hosts[a].ip] = topo.hosts[a].mac
+                local[b].learn_arp(topo.hosts[a].ip, topo.hosts[a].mac)
         if config["workload"] == "udp":
             for src, dst in plan.pairs:
                 if dst in local:

@@ -90,12 +90,12 @@ def intern(data: bytes, pool: Dict[bytes, bytes]) -> Tuple[bytes, bool]:
     return frame, False
 
 
-def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
+def flow_key(data: bytes, in_port: int) -> Dict[str, Any]:
     """The twelve-field dict for ``data`` on ``in_port``, memoized.
 
-    Returns ``(fields, cache_hit)``.  Memoized dicts carry
-    :data:`TUPLE_KEY`; treat them as read-only — they are shared across
-    every lookup of this frame at this port number.  Raises exactly what
+    Memoized dicts carry :data:`TUPLE_KEY`; treat them as read-only —
+    they are shared across every lookup of this frame at this port
+    number.  A parse is an ``extract_flow_*`` call.  Raises exactly what
     ``extract_packet_fields`` raises (nothing is cached on failure).
     """
     if type(data) is FastFrame:
@@ -103,7 +103,7 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         if by_port is not None:
             fields = by_port.get(in_port)
             if fields is not None:
-                return fields, True
+                return fields
         else:
             by_port = data._by_port = {}
         base = data._base
@@ -113,8 +113,8 @@ def flow_key(data: bytes, in_port: int) -> Tuple[Dict[str, Any], bool]:
         fields["in_port"] = in_port
         fields[TUPLE_KEY] = (in_port,) + data._base_tuple
         by_port[in_port] = fields
-        return fields, False
-    return extract_flow_key(data, in_port), False
+        return fields
+    return extract_flow_key(data, in_port)
 
 
 def base_key(data: bytes) -> Tuple[Optional[int], ...]:

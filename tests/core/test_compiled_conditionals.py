@@ -7,9 +7,11 @@ states and require identical results — including storage side effects and
 the seeded stochastic draw sequence.
 """
 
+import struct
+
 import pytest
 
-from repro.core.lang import parse_condition
+from repro.core.lang import conditionals, parse_condition
 from repro.core.lang.conditionals import (
     Comparison,
     Const,
@@ -164,6 +166,64 @@ class TestEquivalence:
     def test_shift_compile_is_interpreted_fallback(self):
         shift = ShiftExpr("d")
         assert shift.compile() == shift.evaluate
+
+
+def corrupted_flow_mod():
+    """A FLOW_MOD whose header peeks as FLOW_MOD but whose body would not
+    decode: its ``command`` is out of range."""
+    raw = bytearray(FlowMod(Match(in_port=1), actions=[OutputAction(2)]).pack())
+    struct.pack_into("!H", raw, 56, 0x7777)  # header 8 + match 40 + cookie 8
+    return InterposedMessage(CONN, Direction.TO_SWITCH, 4.0, bytes(raw))
+
+
+class TestTypeEquality:
+    """``TYPE = <name>`` compiles to one comparison of the message's type
+    name, in either operand order."""
+
+    TEXTS = ("type = FLOW_MOD", "FLOW_MOD = type")
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_no_smart_eq_and_no_parse(self, text, monkeypatch):
+        compiled = compile_condition(parse_condition(text))
+
+        def refuse(left, right):
+            raise AssertionError("smart_eq called")
+
+        monkeypatch.setattr(conditionals, "smart_eq", refuse)
+        fired = []
+        for message in sample_messages() + [corrupted_flow_mod()]:
+            raw_only = InterposedMessage(CONN, message.direction,
+                                         message.timestamp, message.raw)
+            fired.append(compiled(EvalContext(raw_only, StorageSet())))
+            if raw_only.coarse_type_name == "FLOW_MOD":
+                assert raw_only._parsed is None  # the structural check only
+        assert fired == [False, False, True, False, False, False]
+        assert compiled(EvalContext(None, StorageSet())) is False
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_a_body_corrupted_flow_mod_does_not_fire(self, text):
+        condition = parse_condition(text)
+        message = corrupted_flow_mod()
+        assert message.coarse_type_name == "FLOW_MOD"
+        assert message.message_type_name is None
+        ctx = EvalContext(message, StorageSet())
+        assert compile_condition(condition)(ctx) is False
+        assert condition.evaluate(ctx) is False
+
+    def test_a_non_string_constant_keeps_smart_eq(self, monkeypatch):
+        calls = []
+        real = conditionals.smart_eq
+
+        def counted(left, right):
+            calls.append((left, right))
+            return real(left, right)
+
+        monkeypatch.setattr(conditionals, "smart_eq", counted)
+        condition = Comparison("=", Property(MessageProperty.TYPE), Const(14))
+        message = sample_messages()[2]
+        assert compile_condition(condition)(
+            EvalContext(message, StorageSet())) is False
+        assert calls == [("FLOW_MOD", 14)]
 
 
 class TestConditionMessageTypes:

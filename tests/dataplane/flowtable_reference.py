@@ -16,6 +16,13 @@ from repro.dataplane.flowtable import FlowEntry
 from repro.openflow import FlowMod, FlowModCommand, Match, Port
 
 
+def record_use(entry: FlowEntry, now: float, byte_count: int) -> None:
+    """What a switch's table hit writes into its entry."""
+    entry.last_used = now
+    entry.packet_count += 1
+    entry.byte_count += byte_count
+
+
 class ReferenceFlowTable:
     """The O(n) table: same constructor and public API as FlowTable."""
 

@@ -91,7 +91,6 @@ def test_an_installed_entry_sends_what_the_interpreter_sends(actions, in_port):
     for _ in range(2):
         reference._execute_actions(actions, FRAME, in_port)
     assert sent == expected
-    assert switch.stats["tx_frames"] == reference.stats["tx_frames"]
 
 
 @pytest.mark.parametrize("command", [FlowModCommand.MODIFY,

@@ -66,53 +66,70 @@ class TestInterning:
         assert len(pool) == 10  # emptied once, at the full pool's next add
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The parses ``flow_key`` makes, by extractor name: the calls the
+    benchmark's ``netlib.decodes`` counts."""
+    calls = []
+    for name in ("extract_flow_base", "extract_flow_key"):
+        def counted(*args, _real=getattr(fastframe, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fastframe, name, counted)
+    return calls
+
+
 class TestFlowKeyMemoization:
-    def test_key_computed_once_per_port(self):
+    def test_key_computed_once_per_port(self, parses):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields1, hit1 = fastframe.flow_key(frame, 1)
-        fields2, hit2 = fastframe.flow_key(frame, 1)
-        assert not hit1 and hit2
+        fields1 = fastframe.flow_key(frame, 1)
+        assert parses == ["extract_flow_base"]
+        fields2 = fastframe.flow_key(frame, 1)
+        assert parses == ["extract_flow_base"]
         assert fields2 is fields1  # the same dict, not a re-parse
 
     def test_key_matches_plain_extraction(self):
         raw = tcp_frame()
         frame, _ = fastframe.intern(raw, {})
-        fields, _ = fastframe.flow_key(frame, 3)
+        fields = fastframe.flow_key(frame, 3)
         expected = extract_packet_fields(raw, 3)
         assert {k: fields[k] for k in expected} == expected
         assert field_tuple(fields) == field_tuple(expected)
 
-    def test_distinct_ports_get_distinct_keys(self):
+    def test_distinct_ports_get_distinct_keys(self, parses):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields1, _ = fastframe.flow_key(frame, 1)
-        fields2, hit = fastframe.flow_key(frame, 2)
-        assert not hit
+        fields1 = fastframe.flow_key(frame, 1)
+        fields2 = fastframe.flow_key(frame, 2)
+        # A second port builds its own dict from the memoized base.
+        assert fields2 is not fields1
+        assert parses == ["extract_flow_base"]
         assert fields1["in_port"] == 1 and fields2["in_port"] == 2
         assert field_tuple(fields1) != field_tuple(fields2)
 
     def test_memoized_tuple_equals_field_tuple(self):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields, _ = fastframe.flow_key(frame, 7)
+        fields = fastframe.flow_key(frame, 7)
         memo = fields[fastframe.TUPLE_KEY]
         stripped = {k: v for k, v in fields.items() if k != fastframe.TUPLE_KEY}
         assert memo == field_tuple(stripped)
 
-    def test_plain_bytes_bypass_the_cache(self):
+    def test_plain_bytes_bypass_the_cache(self, parses):
         raw = tcp_frame()
-        fields, hit = fastframe.flow_key(raw, 1)
-        assert not hit
+        fields = fastframe.flow_key(raw, 1)
+        assert fastframe.flow_key(raw, 1) is not fields
+        assert parses == ["extract_flow_key"] * 2
         assert fastframe.TUPLE_KEY not in fields
 
 
 class TestDeriveFrame:
     def test_set_dl_dst_replaces_only_that_field(self):
         parent, _ = fastframe.intern(tcp_frame(), {})
-        parent_fields, _ = fastframe.flow_key(parent, 1)
+        parent_fields = fastframe.flow_key(parent, 1)
         new_mac = MacAddress("00:00:00:00:00:99")
         frame = EthernetFrame.unpack(parent)
         frame.dst = new_mac
         derived = fastframe.derive_frame(frame.pack(), parent, "dl_dst", new_mac)
-        derived_fields, _ = fastframe.flow_key(derived, 1)
+        derived_fields = fastframe.flow_key(derived, 1)
         # The derived key equals a from-scratch extraction of the new bytes.
         expected = extract_packet_fields(bytes(derived), 1)
         assert {k: derived_fields[k] for k in expected} == expected
@@ -142,22 +159,28 @@ class TestSwitchFastLane:
         flow_mod = FlowMod(match, actions=actions or [OutputAction(out_port)])
         switch.flow_table.apply_flow_mod(flow_mod, switch.engine.now)
 
-    def test_repeat_frames_hit_the_key_cache(self):
+    def test_repeat_frames_hit_the_key_cache(self, parses):
         engine, switch, received = make_switch()
         raw = tcp_frame()
         self.install(switch, raw)
+        del parses[:]  # Match.from_packet's own extraction
         for _ in range(5):
             switch.frame_received(1, raw)
         assert len(received[2]) == 5
-        assert switch.stats["flowkey_cache_hits"] == 4
+        # One parse; the other four arrivals read the memoized key.
+        assert parses == ["extract_flow_base"]
         assert switch.stats["frames_interned"] == 4
         # Delivered bytes are exactly the sent bytes.
         assert all(frame == raw for frame in received[2])
 
     def test_stats_counters_exist_in_snapshot(self):
         _, switch, _ = make_switch()
-        assert "flowkey_cache_hits" in switch.stats
         assert "frames_interned" in switch.stats
+        assert "rx_no_lookup" in switch.stats
+        # A table hit writes no switch counter (tests/dataplane/test_hop_counters.py).
+        for key in ("rx_frames", "tx_frames", "flow_matches",
+                    "flowkey_cache_hits"):
+            assert key not in switch.stats
 
     def test_set_field_actions_deliver_rewritten_bytes(self):
         engine, switch, received = make_switch()
@@ -176,7 +199,7 @@ class TestSwitchFastLane:
         assert fields["nw_dst"] == new_ip
         assert fields["tp_src"] == 40000  # L4 untouched
         # And the carried (derived) key agrees with the bytes.
-        carried, _ = fastframe.flow_key(delivered, 1)
+        carried = fastframe.flow_key(delivered, 1)
         assert {k: carried[k] for k in fields} == fields
 
     def test_standalone_forwarding_learns_from_mac_pair(self):
@@ -201,7 +224,7 @@ class TestSwitchFastLane:
                 for _ in range(3):
                     switch.frame_received(1, raw)
             outputs[plain] = received[2]
-            assert switch.stats["flow_matches"] == 3
+            assert switch.flow_table.matched == 3
         assert all(type(f) is FastFrame for f in outputs[False])
         assert all(type(f) is bytes for f in outputs[True])
         assert outputs[True] == outputs[False]

@@ -6,6 +6,7 @@ from repro.dataplane import FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction, Port
 from repro.openflow.constants import FlowModFlags
+from tests.dataplane.flowtable_reference import record_use
 
 FIELDS = {
     "in_port": 1,
@@ -156,7 +157,7 @@ class TestTimeouts:
         table = FlowTable()
         add(table, Match(in_port=1), idle_timeout=5)
         entry = table.lookup(FIELDS)
-        entry.record_use(3.0, 100)
+        record_use(entry, 3.0, 100)
         assert table.expire(5.0) == []  # last_used 3.0 + 5 = 8.0
         assert len(table.expire(8.0)) == 1
 
@@ -164,7 +165,7 @@ class TestTimeouts:
         table = FlowTable()
         add(table, Match(in_port=1), hard_timeout=10)
         entry = table.lookup(FIELDS)
-        entry.record_use(9.0, 100)
+        record_use(entry, 9.0, 100)
         expired = table.expire(10.0)
         assert len(expired) == 1
         assert expired[0][1] == "hard"
@@ -185,8 +186,8 @@ class TestTimeouts:
         table = FlowTable()
         add(table, Match(in_port=1))
         entry = table.lookup(FIELDS)
-        entry.record_use(1.0, 100)
-        entry.record_use(2.0, 50)
+        record_use(entry, 1.0, 100)
+        record_use(entry, 2.0, 50)
         assert entry.packet_count == 2
         assert entry.byte_count == 150
 

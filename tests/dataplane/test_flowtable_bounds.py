@@ -8,6 +8,7 @@ from repro.netlib import Ipv4Address, MacAddress
 from repro.obs import TraceCollector
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
 from repro.openflow.match import OFP_VLAN_NONE
+from tests.dataplane.flowtable_reference import record_use
 
 
 def exact_match(octet=2, port=80):
@@ -55,8 +56,8 @@ class TestCapacity:
         table = FlowTable(max_entries=3, eviction="lru")
         fill(table, 3, now=0.0)
         # Traffic keeps two entries warm; the third goes stale.
-        entry_for(table, 1000).record_use(5.0, 64)
-        entry_for(table, 1002).record_use(6.0, 64)
+        record_use(entry_for(table, 1000), 5.0, 64)
+        record_use(entry_for(table, 1002), 6.0, 64)
         removed, full = add(table, exact_match(port=2000), now=7.0)
         assert full is False
         assert [e.match.tp_dst for e in removed] == [1001]
@@ -66,7 +67,7 @@ class TestCapacity:
     def test_fifo_evicts_the_earliest_installed_even_if_warm(self):
         table = FlowTable(max_entries=3, eviction="fifo")
         fill(table, 3)
-        entry_for(table, 1000).record_use(5.0, 64)
+        record_use(entry_for(table, 1000), 5.0, 64)
         removed, _ = add(table, exact_match(port=2000), now=6.0)
         assert [e.match.tp_dst for e in removed] == [1000]
 

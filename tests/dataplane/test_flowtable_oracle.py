@@ -27,7 +27,7 @@ from repro.netlib import Ipv4Address, MacAddress
 from repro.netlib.flowkey import FIELD_TUPLE_KEY, field_tuple
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction, Port
 from repro.openflow.match import OFP_VLAN_NONE
-from tests.dataplane.flowtable_reference import ReferenceFlowTable
+from tests.dataplane.flowtable_reference import ReferenceFlowTable, record_use
 
 MACS = (MacAddress(1), MacAddress(2), MacAddress(3))
 # 10.0.0.1 and 10.0.0.5 share a /24 but differ in host bits; 10.0.1.7
@@ -164,8 +164,8 @@ class FlowTableOracle(RuleBasedStateMachine):
         self.now += dt
         if len(self.reference):
             index %= len(self.reference)
-            self.table.entries[index].record_use(self.now, 64)
-            self.reference.entries[index].record_use(self.now, 64)
+            record_use(self.table.entries[index], self.now, 64)
+            record_use(self.reference.entries[index], self.now, 64)
 
     @rule(dt=st.sampled_from((0.0, 0.5, 1.0, 2.5)))
     def expire(self, dt):

@@ -122,7 +122,7 @@ def recording_host(cls=Host, peer_resolved=True):
     host.register_udp_handler(
         UDP_PORT, lambda *args: calls.append(("udp",) + args))
     if peer_resolved:
-        host.arp_table[PEER_IP] = PEER_MAC
+        host.learn_arp(PEER_IP, PEER_MAC)
     return host, calls, wire
 
 

@@ -80,4 +80,5 @@ def test_total_stat_aggregation(engine, small_topology):
     engine.run(until=10.0)
     assert run.result.received == 1
     assert network.total_stat("packet_ins_sent") > 0
-    assert network.total_stat("rx_frames") > 0
+    assert sum(switch.flow_table.lookups + switch.stats["rx_no_lookup"]
+               for switch in network.switches.values()) > 0

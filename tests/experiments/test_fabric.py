@@ -1,5 +1,10 @@
 """Fabric experiments: routing, workloads, campaign integration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executors import execute_descriptor
 from repro.dataplane.fabrics import generate_fabric
@@ -98,6 +103,27 @@ def test_suppression_attack_drops_flow_mods_but_floodlight_survives():
     # degraded-but-alive case).
     assert result.flow_mods_dropped > 0
     assert result.ping_received == result.ping_sent
+
+
+def test_a_defense_free_run_imports_no_defense_code():
+    """Without the sketch tap and detectors, a run, its config included,
+    never imports the defense plane (a fresh interpreter would compile
+    it from source inside the run)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                      if p]))
+    code = (
+        "import sys\n"
+        "from repro.experiments import run_fabric_experiment\n"
+        "result = run_fabric_experiment('fat-tree-k4', pairs=2, packets=5)\n"
+        "assert result.packets_delivered == 10\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.defense')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_config_rejects_ping_without_controller():
