@@ -857,6 +857,15 @@ def _sim_seconds(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: a non-negative integer."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative count, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -938,9 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_run.add_argument("--workload", default=None,
                             help="udp, ping, or a registered traffic "
                                  "source (see `repro workload list`)")
-    fabric_run.add_argument("--pairs", type=int, default=4,
+    fabric_run.add_argument("--pairs", type=_count, default=4,
                             help="communicating host pairs")
-    fabric_run.add_argument("--packets", type=int, default=None,
+    fabric_run.add_argument("--packets", type=_count, default=None,
                             help="packets (or pings) per pair")
     fabric_run.add_argument("--horizon", type=_sim_seconds, default=None,
                             help="simulated seconds to run")

@@ -448,8 +448,6 @@ class Host:
         self._echo_senders: Dict[int, _Sender] = {}
 
         self.stats: Dict[str, int] = {
-            "tx_frames": 0,
-            "rx_frames": 0,
             "arp_requests_sent": 0,
             "arp_replies_sent": 0,
             "icmp_requests_answered": 0,
@@ -479,7 +477,6 @@ class Host:
         """
         if self._transmit is None:
             raise RuntimeError(f"host {self.name} is not attached to a link")
-        self.stats["tx_frames"] += 1
         self._transmit(data)
 
     # ------------------------------------------------------------------ #
@@ -533,7 +530,6 @@ class Host:
         frame: one unpack reads what the endpoint needs.  Only ARP is
         decoded.  A frame shorter than an Ethernet header is dropped.
         """
-        self.stats["rx_frames"] += 1
         try:
             # (dl_src, dl_dst, dl_vlan, dl_vlan_pcp, dl_type, nw_tos,
             #  nw_proto, nw_src, nw_dst, tp_src, tp_dst)

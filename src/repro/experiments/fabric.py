@@ -34,7 +34,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.fabrics import (
@@ -111,6 +114,16 @@ def fabric_config(
     """
     from repro.workloads import source_info, source_names
 
+    # Out-of-range workload values are refused before anything is built.
+    for name, value in (("pairs", pairs), ("packets", packets),
+                        ("payload_len", payload_len)):
+        if value is not None and int(value) < 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
+    for name, value in (("interval_s", interval_s), ("start_s", start_s),
+                        ("horizon_s", horizon_s)):
+        if value is not None and not 0.0 <= float(value) < math.inf:
+            raise ValueError(f"{name} must be a finite non-negative number "
+                             f"of seconds, got {value!r}")
     if controller in (None, "", "none"):
         controller = None
     fabric = generate_fabric(topology)  # validates the name eagerly
@@ -314,10 +327,15 @@ def proactive_routes(
     ports = _port_map(topo)
     attach = _host_attach(topo)
     entries: Dict[str, Dict[Any, int]] = {name: {} for name in topo.switches}
+    # One BFS DAG per source edge switch, shared by every path from it.
+    trees: Dict[str, Dict[str, List[str]]] = {}
 
     def install(src: str, dst: str) -> None:
         dst_mac = topo.hosts[dst].mac
-        path = _switch_path(adjacency, attach[src], attach[dst])
+        edge = attach[src]
+        if edge not in trees:
+            trees[edge] = _bfs_parents(adjacency, edge)
+        path = _switch_path(trees[edge], edge, attach[dst])
         for i, switch in enumerate(path):
             if i + 1 < len(path):
                 out = ports[(switch, path[i + 1])]
@@ -335,16 +353,14 @@ def proactive_routes(
 
 
 def _switch_path(
-    adjacency: Dict[str, List[str]], src: str, dst: str
+    parents: Dict[str, List[str]], src: str, dst: str
 ) -> List[str]:
-    """A shortest switch path from ``src`` to ``dst``, ECMP-spread:
-    each hop picks among the equal-cost predecessors by a stable hash of
-    ``(src, dst, hop)``, so distinct flows fan out over distinct
-    aggregation and core switches instead of piling onto one."""
-    if src == dst:
-        return [src]
-    parents = _bfs_parents(adjacency, src)
-    if dst not in parents:
+    """A shortest switch path from ``src`` to ``dst`` over ``src``'s BFS
+    DAG (:func:`_bfs_parents`), ECMP-spread: each hop picks among the
+    equal-cost predecessors by a stable hash of ``(src, dst, hop)``, so
+    distinct flows fan out over distinct aggregation and core switches
+    instead of piling onto one."""
+    if src != dst and dst not in parents:
         raise ValueError(f"no switch path from {src!r} to {dst!r}")
     path = [dst]
     while path[-1] != src:
@@ -617,18 +633,24 @@ class _FabricDataRegion(ShardRegion):
             if b in local:
                 local[b].learn_arp(topo.hosts[a].ip, topo.hosts[a].mac)
         if config["workload"] == "udp":
+            packets = config["packets"]
+            seq = self.engine._seq
             for src, dst in plan.pairs:
                 if dst in local:
                     local[dst].register_udp_handler(
                         UDP_DST_PORT, self._udp_received
                     )
-                if src in local:
-                    dst_ip = topo.hosts[dst].ip
-                    for i in range(config["packets"]):
-                        self.engine.schedule_at(
-                            config["start_s"] + i * config["interval_s"],
-                            self._udp_send, local[src], dst_ip,
-                        )
+                if src in local and packets:
+                    # One pending send per flow.  The flow's ``packets``
+                    # event seqs are reserved here, as scheduling every
+                    # send up front would draw them, and each send pushes
+                    # the next under the key it would have had then.
+                    first = next(seq)
+                    deque(islice(seq, packets - 1), maxlen=0)
+                    heappush(self.engine._queue, (
+                        config["start_s"], 0, first, self._udp_send,
+                        (local[src], topo.hosts[dst].ip, first, 0),
+                    ))
         elif config["workload"] == "ping":
             monitor = self._ping_monitor()
             for src, dst in plan.pairs:
@@ -659,9 +681,18 @@ class _FabricDataRegion(ShardRegion):
                 )),
             )
 
-    def _udp_send(self, host, dst_ip) -> None:
+    def _udp_send(self, host, dst_ip, first: int, i: int) -> None:
+        """Send flow packet ``i``, then push packet ``i + 1`` at its
+        ``(start_s + (i + 1) * interval_s, 0, first + i + 1)`` key."""
         self.workload["udp_sent"] += 1
         host.send_udp(dst_ip, UDP_SRC_PORT, UDP_DST_PORT, self._payload)
+        i += 1
+        config = self.config
+        if i < config["packets"]:
+            heappush(self.engine._queue, (
+                config["start_s"] + i * config["interval_s"], 0, first + i,
+                self._udp_send, (host, dst_ip, first, i),
+            ))
 
     def _udp_received(self, src_ip: int, src_port: int, payload: bytes) -> None:
         self.workload["udp_received"] += 1
@@ -803,10 +834,16 @@ class _ControllerRegion(ShardRegion):
 
 
 def build_fabric_regions(
-    config: Dict[str, Any], rids: Sequence[int]
+    config: Dict[str, Any], rids: Sequence[int],
+    plan: Optional[FabricPlan] = None,
 ) -> List[ShardRegion]:
-    """Build the regions a worker owns (called by the shard executors)."""
-    plan = plan_fabric(config)
+    """Build the regions a worker owns (called by the shard executors).
+
+    ``plan`` is the config's plan when the caller already made it (the
+    inline run); a pooled worker plans from the config it receives.
+    """
+    if plan is None:
+        plan = plan_fabric(config)
     regions: List[ShardRegion] = []
     for rid in rids:
         if plan.ctrl_rid is not None and rid == plan.ctrl_rid:
@@ -1025,6 +1062,7 @@ def run_fabric_experiment(
         horizon=config["horizon_s"],
         shards=shards,
         promise=plan.promise,
+        plan=plan,
     )
     payload = sim.run()
 

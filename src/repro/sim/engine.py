@@ -86,10 +86,11 @@ class SimulationEngine:
     per-message paths push onto ``_queue`` themselves, keyed as
     ``schedule``/``schedule_at`` would key them with a ``seq`` from
     ``_seq``: a link direction's arrivals (:mod:`repro.dataplane.link`),
-    a control channel's deliveries (:mod:`repro.dataplane.control`) and a
-    controller's service queue (:mod:`repro.controllers.base`).  Each
-    checks its delay where the delay is set, and neither object is ever
-    replaced.
+    a control channel's deliveries (:mod:`repro.dataplane.control`), a
+    controller's service queue (:mod:`repro.controllers.base`) and a
+    fabric UDP flow's next send (:mod:`repro.experiments.fabric`, which
+    reserves the flow's seqs when it is built).  Each checks its delay
+    where the delay is set, and neither object is ever replaced.
     """
 
     def __init__(self) -> None:

@@ -453,13 +453,16 @@ class BarrierSchedule:
 # Executors
 # --------------------------------------------------------------------- #
 
-def _build_regions(config: Dict[str, Any], rids: Sequence[int]) -> Dict[int, ShardRegion]:
+def _build_regions(
+    config: Dict[str, Any], rids: Sequence[int], plan: Any = None,
+) -> Dict[int, ShardRegion]:
     # The builder lives with the experiment (it knows about controllers,
     # workloads, fabrics); imported lazily to keep the sim layer free of
     # upward dependencies at import time.
     from repro.experiments.fabric import build_fabric_regions
 
-    return {region.rid: region for region in build_fabric_regions(config, rids)}
+    return {region.rid: region
+            for region in build_fabric_regions(config, rids, plan)}
 
 
 #: SPMD control word exchanged alongside each batch blob: the sender's
@@ -636,7 +639,9 @@ class ShardedSimulation:
     ``shards <= 1`` executes every region inline (no IPC); ``shards > 1``
     spreads regions over a :class:`~repro.sim.pool.ShardWorkerPool` of
     forked workers, which run the whole barrier loop SPMD among
-    themselves.
+    themselves.  ``plan``, when the caller already derived it from
+    ``config``, builds the inline run's regions; pooled workers derive
+    their own from the config they receive.
     """
 
     def __init__(
@@ -648,6 +653,7 @@ class ShardedSimulation:
         horizon: float,
         shards: int = 1,
         promise: Optional[float] = None,
+        plan: Any = None,
     ) -> None:
         if lookahead <= 0:
             raise ValueError(f"lookahead must be positive, got {lookahead!r}")
@@ -658,6 +664,7 @@ class ShardedSimulation:
         self.horizon = float(horizon)
         self.shards = max(1, int(shards))
         self.promise = promise
+        self.plan = plan
         self.epochs = 0
         self.messages = 0
         self.epochs_skipped = 0
@@ -688,7 +695,7 @@ class ShardedSimulation:
 
     def _run_inline(self) -> Dict[str, Any]:
         """Every region in this process; the coordinator routes messages."""
-        regions = _build_regions(self.config, self.region_ids)
+        regions = _build_regions(self.config, self.region_ids, self.plan)
         schedule = BarrierSchedule(self.lookahead, self.horizon,
                                    promise=self.promise)
         inbox: Dict[int, List[ShardMessage]] = {}

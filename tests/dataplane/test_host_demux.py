@@ -59,7 +59,6 @@ class DecodeRouteHost(Host):
     """The receive path before TCP, UDP and ICMP moved onto the flow key."""
 
     def frame_received(self, data):
-        self.stats["rx_frames"] += 1
         try:
             decoded = decode_ethernet(data)
         except FrameDecodeError:

@@ -36,6 +36,59 @@ def test_config_rejects_unknown_workloads_and_bad_params():
         fabric_config("fat-tree-k4", table_capacity=0)
 
 
+def test_config_rejects_negative_or_non_finite_interval():
+    for value in (-0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval_s"):
+            fabric_config("fat-tree-k4", interval_s=value)
+
+
+def test_config_rejects_negative_or_non_finite_start():
+    for value in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="start_s"):
+            fabric_config("fat-tree-k4", start_s=value)
+
+
+def test_config_rejects_negative_or_non_finite_horizon():
+    for value in (-1.0, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="horizon_s"):
+            fabric_config("fat-tree-k4", horizon_s=value)
+
+
+def test_config_rejects_negative_packets():
+    with pytest.raises(ValueError, match="packets"):
+        fabric_config("fat-tree-k4", packets=-5)
+
+
+def test_config_rejects_negative_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        fabric_config("fat-tree-k4", pairs=-1)
+
+
+def test_config_rejects_negative_payload_len():
+    with pytest.raises(ValueError, match="payload_len"):
+        fabric_config("fat-tree-k4", payload_len=-3)
+
+
+def test_config_refuses_before_generating_the_fabric(monkeypatch):
+    from repro.experiments import fabric
+
+    def no_fabric(name):
+        raise AssertionError("generated a fabric for a refused config")
+
+    monkeypatch.setattr(fabric, "generate_fabric", no_fabric)
+    with pytest.raises(ValueError, match="interval_s"):
+        fabric_config("fat-tree-k4", interval_s=-1.0)
+
+
+def test_config_keeps_zero_workload_values():
+    config = fabric_config("fat-tree-k4", interval_s=0.0, start_s=0.0,
+                           horizon_s=0.0, packets=0, pairs=0, payload_len=0)
+    assert (config["interval_s"], config["start_s"], config["horizon_s"]) == (
+        0.0, 0.0, 0.0)
+    assert (config["packets"], config["pairs"], config["payload_len"]) == (
+        0, 0, 0)
+
+
 # --------------------------------------------------------------------- #
 # End-to-end runs
 # --------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ not a tuning difference.
 
 from typing import List, Tuple
 
+from repro.core.injector.proxy import ConnectionProxy
 from repro.dataplane.host import Host
 from repro.dataplane.switch import OpenFlowSwitch
 from repro.experiments import run_interruption_cell, run_suppression_cell
@@ -94,13 +95,37 @@ class TestInterruptionAB:
         assert metrics["interruption_happened"] is False
 
 
+#: Implementation counters, by the class whose ``stats`` dict keeps them.
+IMPLEMENTATION_COUNTERS = {
+    OpenFlowSwitch: ("frames_interned", "rx_no_lookup"),
+    ConnectionProxy: ("decode_avoided", "repack_avoided"),
+}
+
+
 def test_fastlane_counters_stay_out_of_experiment_metrics(monkeypatch):
-    """The new observability counters are operational telemetry; they
-    must never enter a cell's recorded metrics (or A/B equality —
-    and cross-machine reproducibility — would be unachievable)."""
+    """Implementation counters are operational telemetry; they must never
+    enter a cell's recorded metrics (or A/B equality — and cross-machine
+    reproducibility — would be unachievable).  Each counter must exist on
+    its owner in the same run, so a renamed counter fails here instead of
+    passing as absent."""
+    owners = {cls: [] for cls in IMPLEMENTATION_COUNTERS}
+
+    def recording(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            owners[cls].append(self)
+        return init
+
+    for cls in IMPLEMENTATION_COUNTERS:
+        monkeypatch.setattr(cls, "__init__", recording(cls))
     metrics, _ = run_with_capture(
         monkeypatch, True, run_suppression_cell,
         controller="pox", attack=None, seed=0, **FAST_PARAMS,
     )
-    for key in ("flowkey_cache_hits", "frames_interned", "heap_compactions"):
-        assert key not in metrics
+    for cls, keys in IMPLEMENTATION_COUNTERS.items():
+        assert owners[cls], f"the run built no {cls.__name__}"
+        for key in keys:
+            assert all(key in owner.stats for owner in owners[cls]), key
+            assert key not in metrics

@@ -77,6 +77,27 @@ def test_simulated_durations_parse_as_seconds(command, flag, dest):
     assert getattr(args, dest) == 0.25
 
 
+COUNT_FLAGS = (
+    (["fabric", "run", "fat-tree-k4"], "--pairs", "pairs"),
+    (["fabric", "run", "fat-tree-k4"], "--packets", "packets"),
+)
+
+
+@pytest.mark.parametrize("command,flag,dest", COUNT_FLAGS)
+def test_counts_must_be_non_negative(command, flag, dest, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(command + [flag, "-1"])
+    assert exit_info.value.code == 2
+    assert "non-negative count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,dest", COUNT_FLAGS)
+@pytest.mark.parametrize("value", [0, 7])
+def test_counts_parse_as_ints(command, flag, dest, value):
+    args = build_parser().parse_args(command + [flag, str(value)])
+    assert getattr(args, dest) == value
+
+
 def test_compliance_command(capsys):
     assert main(["compliance"]) == 0
     out = capsys.readouterr().out

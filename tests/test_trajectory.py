@@ -65,3 +65,9 @@ def test_entries_have_the_schema():
 
 def test_the_newest_entry_names_every_workload():
     assert sorted(TRAJECTORY["entries"][-1]["workloads"]) == sorted(WORKLOADS)
+
+
+def test_each_entry_names_the_previous_entry_as_its_parent():
+    entries = TRAJECTORY["entries"]
+    for previous, entry in zip(entries, entries[1:]):
+        assert entry["parent"] == previous["sha"], entry["pr"]
