@@ -866,6 +866,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive_count(text: str) -> int:
+    """argparse type for a size: a positive integer."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive count, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -923,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_gen.add_argument("name",
                             help="fabric descriptor (fat-tree-k4, "
                                  "leaf-spine-8x4, waxman-s64-h128)")
-    fabric_gen.add_argument("--regions", type=int, default=None,
+    fabric_gen.add_argument("--regions", type=_positive_count, default=None,
                             help="also partition into N regions")
     fabric_gen.add_argument("--json", action="store_true",
                             help="machine-readable output")
@@ -940,9 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_run.add_argument("--fail-mode", default="secure",
                             choices=("secure", "standalone"))
     fabric_run.add_argument("--seed", type=int, default=0)
-    fabric_run.add_argument("--regions", type=int, default=None,
+    fabric_run.add_argument("--regions", type=_positive_count, default=None,
                             help="region count (default: fabric groups)")
-    fabric_run.add_argument("--shards", type=int, default=1,
+    fabric_run.add_argument("--shards", type=_positive_count, default=1,
                             help="worker processes executing the regions")
     fabric_run.add_argument("--workload", default=None,
                             help="udp, ping, or a registered traffic "
@@ -985,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_run.add_argument("--fail-mode", default="secure",
                               choices=("secure", "insecure"))
     workload_run.add_argument("--seed", type=int, default=0)
-    workload_run.add_argument("--shards", type=int, default=1,
+    workload_run.add_argument("--shards", type=_positive_count, default=1,
                               help="worker processes executing the regions")
     workload_run.add_argument("--schedule", default=None,
                               help="rate schedule: constant:PPS, "
@@ -1001,7 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload_run.add_argument("--spoof-macs", type=int, default=None,
                               help="spoofed MAC pool size, 0=fresh each "
                                    "packet (packetin-flood)")
-    workload_run.add_argument("--table-capacity", type=int, default=None,
+    workload_run.add_argument("--table-capacity", type=_positive_count,
+                              default=None,
                               help="bound every switch flow table")
     workload_run.add_argument("--table-eviction", default="refuse",
                               choices=("refuse", "lru", "fifo"))
@@ -1037,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect_run.add_argument("--fail-mode", default="secure",
                             choices=("secure", "insecure"))
     detect_run.add_argument("--seed", type=int, default=0)
-    detect_run.add_argument("--shards", type=int, default=1,
+    detect_run.add_argument("--shards", type=_positive_count, default=1,
                             help="worker processes executing the regions")
     detect_run.add_argument("--schedule", default=None,
                             help="rate schedule (see `workload run`)")
@@ -1049,7 +1059,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pktin-rate alarm threshold (PACKET_IN/s)")
     detect_run.add_argument("--ratio", type=float, default=None,
                             help="newkey-ratio alarm threshold in (0,1]")
-    detect_run.add_argument("--table-capacity", type=int, default=None,
+    detect_run.add_argument("--table-capacity", type=_positive_count,
+                            default=None,
                             help="bound every switch flow table")
     detect_run.add_argument("--table-eviction", default="refuse",
                             choices=("refuse", "lru", "fifo"))
@@ -1116,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="result store path (default: "
                                      "<first spec>.results.jsonl; records "
                                      "live in <store>.d/)")
-    campaign_serve.add_argument("--shards", type=int, default=None,
+    campaign_serve.add_argument("--shards", type=_positive_count, default=None,
                                 help="shard fan-out when creating a new "
                                      "store (default: 8)")
     campaign_serve.add_argument("--inbox", metavar="DIR",

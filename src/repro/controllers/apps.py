@@ -210,7 +210,6 @@ def _install_flow(behavior: LearningSwitchBehavior, controller, session,
     flow_buffer = (
         message.buffer_id if behavior.release_via == "flow_mod" else OFP_NO_BUFFER
     )
-    controller.stats["flow_mods_sent"] += 1
     session.send(
         FlowMod(
             behavior.build_match(key),
@@ -229,7 +228,6 @@ def _install_flow(behavior: LearningSwitchBehavior, controller, session,
 def _release(controller, session, message: PacketIn, actions) -> None:
     """PACKET_OUT ``message``'s packet with ``actions``: by its buffer id
     when the switch buffered it, else with its bytes."""
-    controller.stats["packet_outs_sent"] += 1
     buffered = message.buffer_id != OFP_NO_BUFFER
     session.send(
         PacketOut(

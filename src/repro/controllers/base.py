@@ -58,16 +58,12 @@ class SwitchSession:
         self.ports: List[int] = []
         self.last_received = controller.engine.now
         self.echo_outstanding = False
-        self.messages_received = 0
-        self.messages_sent = 0
         #: Per-session scratch space for applications (MAC tables etc.).
         self.app_state: Dict[str, Any] = {}
 
     def send(self, message: OpenFlowMessage) -> None:
         if self.state is SessionState.CLOSED or not self.channel.open:
             return
-        self.messages_sent += 1
-        self.controller.stats["messages_sent"] += 1
         self.channel.send(message.pack())
 
     def close(self) -> None:
@@ -109,10 +105,7 @@ class Controller:
             "connections_accepted": 0,
             "connections_lost": 0,
             "messages_received": 0,
-            "messages_sent": 0,
             "packet_ins_handled": 0,
-            "flow_mods_sent": 0,
-            "packet_outs_sent": 0,
             "echo_requests_sent": 0,
             "decode_errors": 0,
         }

@@ -86,7 +86,6 @@ class DmzFirewallApp(ControllerApp):
             return False
         self.blocked_packets += 1
         self.drop_rules_installed += 1
-        controller.stats["flow_mods_sent"] += 1
         session.send(
             FlowMod(
                 self.behavior.build_match(key),

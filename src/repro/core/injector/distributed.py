@@ -55,7 +55,6 @@ class _InstanceInjector(RuntimeInjector):
         self.local_executor: Optional[AttackExecutor] = None
 
     def submit(self, proxy, message: InterposedMessage) -> None:
-        self.stats["messages_interposed"] += 1
         self.cluster.route_message(self, proxy, message)
 
 

@@ -55,7 +55,6 @@ class RuntimeInjector:
         self._interposed_hooks: List[Callable] = []
         self.tracer = None
         self.stats: Dict[str, int] = {
-            "messages_interposed": 0,
             "messages_deferred": 0,
             "proxies_created": 0,
         }
@@ -185,7 +184,6 @@ class RuntimeInjector:
         self._interpose(proxy, message)
 
     def _interpose(self, proxy: ConnectionProxy, message: InterposedMessage) -> None:
-        self.stats["messages_interposed"] += 1
         executor = self.executor
         outgoing = ([OutgoingMessage(message)] if executor is None
                     else executor.handle_message(message))

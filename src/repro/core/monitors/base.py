@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -16,16 +16,6 @@ class MonitorEvent:
 
     def __repr__(self) -> str:
         return f"<Event t={self.time:.6f} {self.kind} {self.data}>"
-
-
-def subscribe_signal(signal, callback: Callable[[Any], None]) -> None:
-    """Adapt a :class:`~repro.sim.process.Signal` to a plain callback."""
-
-    class _Waiter:
-        def _resume(self, value):
-            callback(value)
-
-    signal.wait(_Waiter())
 
 
 class RecordingMonitor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dataplane.host import Host, IperfResult
-from repro.core.monitors.base import RecordingMonitor, subscribe_signal
+from repro.core.monitors.base import RecordingMonitor
 
 
 class IperfMonitor(RecordingMonitor):
@@ -49,7 +49,7 @@ class IperfMonitor(RecordingMonitor):
                 },
             )
 
-        subscribe_signal(run.done, on_done)
+        run.on_done.append(on_done)
         return run
 
     # -- Aggregates --------------------------------------------------------- #

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dataplane.host import Host, PingResult
-from repro.core.monitors.base import RecordingMonitor, subscribe_signal
+from repro.core.monitors.base import RecordingMonitor
 
 
 class PingMonitor(RecordingMonitor):
@@ -50,7 +50,7 @@ class PingMonitor(RecordingMonitor):
                 },
             )
 
-        subscribe_signal(run.done, on_done)
+        run.on_done.append(on_done)
         return run
 
     # -- Aggregates --------------------------------------------------------- #

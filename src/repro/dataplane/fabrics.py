@@ -287,7 +287,8 @@ def generate_fabric(name: str) -> Fabric:
 # Region partitioning
 # --------------------------------------------------------------------- #
 
-def _switch_adjacency(topo: Topology) -> Dict[str, List[str]]:
+def switch_adjacency(topo: Topology) -> Dict[str, List[str]]:
+    """``switch -> its switch neighbours``, sorted (hosts left out)."""
     adjacency: Dict[str, List[str]] = {name: [] for name in topo.switches}
     for link in topo.links:
         if link.a in topo.switches and link.b in topo.switches:
@@ -306,7 +307,7 @@ def _bfs_regions(topo: Topology, regions: int) -> List[List[str]]:
     extending the currently smallest region — a cheap approximation of a
     balanced min-cut partition.
     """
-    adjacency = _switch_adjacency(topo)
+    adjacency = switch_adjacency(topo)
     names = sorted(adjacency)
     seeds = [names[0]]
     while len(seeds) < regions:

@@ -24,7 +24,6 @@ from repro.netlib.packet import decode_ethernet
 from repro.netlib.tcp import TcpFlags, pack_header
 from repro.netlib.udp import pack_datagram
 from repro.sim.engine import SimulationEngine
-from repro.sim.process import Signal
 
 _FIN = TcpFlags.FIN.value
 _SYN = TcpFlags.SYN.value
@@ -139,7 +138,9 @@ class _PingRun:
         self.timeout = timeout
         self.identifier = identifier
         self.result = PingResult(target)
-        self.done = Signal(host.engine, name=f"{host.name}.ping.{identifier}")
+        #: Called with :attr:`result`, each as its own event, when the
+        #: series finishes.
+        self.on_done: List[Callable[[PingResult], None]] = []
         self._sent_at: Dict[int, float] = {}
         self._answered: set = set()
         self._finished = False
@@ -173,7 +174,8 @@ class _PingRun:
             return
         self._finished = True
         self.host._ping_runs.pop(self.identifier, None)
-        self.done.fire(self.result)
+        for callback in self.on_done:
+            self.host.engine.schedule(0.0, callback, self.result)
 
 
 class _Sender:
@@ -295,7 +297,9 @@ class _IperfClient:
         self.duration = duration
         self.src_port = src_port
         self.result = IperfResult(target, duration)
-        self.done = Signal(host.engine, name=f"{host.name}.iperf.{src_port}")
+        #: Called with :attr:`result`, each as its own event, when the
+        #: transfer finishes.
+        self.on_done: List[Callable[[IperfResult], None]] = []
         self.established = False
         self.finished = False
         self.snd_una = 0
@@ -409,7 +413,8 @@ class _IperfClient:
             elapsed = min(self.duration, max(1e-9, self.host.engine.now - (self._deadline - self.duration)))
             self.result.duration_s = max(elapsed, 1e-9) if elapsed > 0 else self.duration
         self.host._iperf_clients.pop(self.src_port, None)
-        self.done.fire(self.result)
+        for callback in self.on_done:
+            self.host.engine.schedule(0.0, callback, self.result)
 
 
 class Host:

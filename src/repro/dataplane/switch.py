@@ -175,9 +175,7 @@ class OpenFlowSwitch:
             "frames_interned": 0,
             "table_misses": 0,
             "packet_ins_sent": 0,
-            "packet_outs_received": 0,
             "flow_mods_received": 0,
-            "flow_removed_sent": 0,
             "evictions_idle": 0,
             "evictions_hard": 0,
             "evictions_capacity": 0,
@@ -185,13 +183,10 @@ class OpenFlowSwitch:
             "dropped_no_controller": 0,
             "dropped_no_buffer_release": 0,
             "dropped_runts": 0,
-            "standalone_forwards": 0,
             "echo_requests_sent": 0,
             "port_status_sent": 0,
             "connection_deaths": 0,
             "reconnect_attempts": 0,
-            "control_messages_received": 0,
-            "control_messages_sent": 0,
         }
         self.tracer = None
         # Optional defense-plane tap (repro.defense.tap.SketchTap); shared
@@ -332,7 +327,6 @@ class OpenFlowSwitch:
             self._connection_lost(link)
             return
         for message in messages:
-            self.stats["control_messages_received"] += 1
             self._handle_control_message(link, message)
 
     def channel_closed(self, channel: ControlChannel) -> None:
@@ -436,7 +430,6 @@ class OpenFlowSwitch:
         for entry, reason in self.flow_table.expire(now):
             self._note_eviction(entry, reason)
             if entry.sends_flow_removed and self.connected:
-                self.stats["flow_removed_sent"] += 1
                 duration = max(0.0, now - entry.install_time)
                 self._send(
                     FlowRemoved(
@@ -457,7 +450,6 @@ class OpenFlowSwitch:
         sent = False
         for link in self._links.values():
             if link.connected and link.channel is not None and link.channel.open:
-                self.stats["control_messages_sent"] += 1
                 link.channel.send(message.pack())
                 sent = True
         if not sent:
@@ -465,14 +457,12 @@ class OpenFlowSwitch:
             # open channel so HELLO-phase replies still flow.
             for link in self._links.values():
                 if link.channel is not None and link.channel.open:
-                    self.stats["control_messages_sent"] += 1
                     link.channel.send(message.pack())
                     return
 
     def _send_on(self, link: _ControlLink, message: OpenFlowMessage) -> None:
         """Send a reply on the specific connection the request came from."""
         if link.channel is not None and link.channel.open:
-            self.stats["control_messages_sent"] += 1
             link.channel.send(message.pack())
 
     # ------------------------------------------------------------------ #
@@ -573,7 +563,6 @@ class OpenFlowSwitch:
             # victims; DELETE returns the deleted entries.
             self._note_eviction(entry, "delete" if deleting else "capacity")
             if entry.sends_flow_removed:
-                self.stats["flow_removed_sent"] += 1
                 self._send(
                     FlowRemoved(entry.match, entry.cookie, entry.priority, 2,
                                 xid=self.engine.ctx.next_xid())
@@ -586,7 +575,6 @@ class OpenFlowSwitch:
             self._release_buffer(flow_mod.buffer_id, flow_mod.actions)
 
     def _handle_packet_out(self, packet_out: PacketOut) -> None:
-        self.stats["packet_outs_received"] += 1
         in_port = packet_out.in_port
         if packet_out.buffer_id != OFP_NO_BUFFER:
             self._release_buffer(packet_out.buffer_id, packet_out.actions)
@@ -744,7 +732,6 @@ class OpenFlowSwitch:
 
     def _standalone_forward(self, in_port: int, data: bytes) -> None:
         """Fail-safe behaviour: autonomous MAC-learning forwarding."""
-        self.stats["standalone_forwards"] += 1
         try:
             key = fastframe.base_key(data)
         except FrameDecodeError:

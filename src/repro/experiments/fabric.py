@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
 from itertools import islice
+from statistics import median
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.fabrics import (
@@ -46,7 +47,9 @@ from repro.dataplane.fabrics import (
     Fabric,
     cut_links,
     generate_fabric,
+    is_fabric_name,
     partition_topology,
+    switch_adjacency,
 )
 from repro.dataplane.link import DataLink
 from repro.dataplane.network import Network
@@ -103,8 +106,9 @@ def fabric_config(
     """Normalize experiment arguments into the picklable config dict that
     shard workers rebuild their regions from.
 
-    Every derived default (horizon, workload, region count) is resolved
-    here, so each worker sees the identical fully-specified config.
+    Every derived default but the region count (horizon, workload) is
+    resolved here, so each worker sees the identical config;
+    :func:`plan_fabric` derives an unset region count from the fabric.
 
     ``workload`` is ``udp``/``ping`` (the PR 6 built-ins) or any name
     from the :mod:`repro.workloads` source registry; registered sources
@@ -115,6 +119,8 @@ def fabric_config(
     from repro.workloads import source_info, source_names
 
     # Out-of-range workload values are refused before anything is built.
+    if regions is not None and int(regions) < 1:
+        raise ValueError(f"regions must be at least 1, got {regions!r}")
     for name, value in (("pairs", pairs), ("packets", packets),
                         ("payload_len", payload_len)):
         if value is not None and int(value) < 0:
@@ -126,11 +132,8 @@ def fabric_config(
                              f"of seconds, got {value!r}")
     if controller in (None, "", "none"):
         controller = None
-    fabric = generate_fabric(topology)  # validates the name eagerly
-    if regions is None:
-        regions = len(fabric.groups) if fabric.groups else min(
-            4, fabric.switch_count
-        )
+    if not is_fabric_name(topology):
+        generate_fabric(topology)  # raises the TopologyError that says why
     if workload is None:
         workload = "ping" if controller else "udp"
     registered = workload not in ("udp", "ping")
@@ -206,7 +209,7 @@ def fabric_config(
         "attack_params": dict(attack_params or {}),
         "fail_mode": fail_mode,
         "seed": int(seed),
-        "regions": int(regions),
+        "regions": None if regions is None else int(regions),
         "workload": workload,
         "pairs": int(pairs),
         "packets": int(packets),
@@ -230,17 +233,6 @@ def fabric_config(
 # --------------------------------------------------------------------- #
 # Deterministic routing helpers (pure functions of the topology)
 # --------------------------------------------------------------------- #
-
-def _switch_adjacency(topo: Topology) -> Dict[str, List[str]]:
-    adjacency: Dict[str, List[str]] = {name: [] for name in topo.switches}
-    for link in topo.links:
-        if link.a in topo.switches and link.b in topo.switches:
-            adjacency[link.a].append(link.b)
-            adjacency[link.b].append(link.a)
-    for neighbors in adjacency.values():
-        neighbors.sort()
-    return adjacency
-
 
 def _port_map(topo: Topology) -> Dict[Tuple[str, str], int]:
     """``(switch, attached peer) -> switch port`` for every link."""
@@ -323,7 +315,7 @@ def proactive_routes(
 ) -> Dict[str, List[Tuple[Any, int]]]:
     """Per-switch ``(dst_mac, out_port)`` entries covering both directions
     of every pair's BFS path (the controllerless workload's flow tables)."""
-    adjacency = _switch_adjacency(topo)
+    adjacency = switch_adjacency(topo)
     ports = _port_map(topo)
     attach = _host_attach(topo)
     entries: Dict[str, Dict[Any, int]] = {name: {} for name in topo.switches}
@@ -372,7 +364,7 @@ def _switch_path(
 def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
     """Full next-hop tables for :class:`FabricRoutingApp`:
     ``datapath_id -> {host MAC as int -> out_port}`` toward every host."""
-    adjacency = _switch_adjacency(topo)
+    adjacency = switch_adjacency(topo)
     ports = _port_map(topo)
     attach = _host_attach(topo)
     dpid = {name: spec.datapath_id for name, spec in topo.switches.items()}
@@ -448,8 +440,11 @@ def _boundary_promise(
 
 def plan_fabric(config: Dict[str, Any]) -> FabricPlan:
     fabric = generate_fabric(config["topology"])
+    regions = config["regions"]
+    if regions is None:  # one region per generator group, else up to 4
+        regions = len(fabric.groups) or min(4, fabric.switch_count)
     partition = partition_topology(
-        fabric.topology, config["regions"], groups=fabric.groups or None
+        fabric.topology, regions, groups=fabric.groups or None
     )
     owner = {
         name: rid
@@ -491,18 +486,37 @@ def _ctrl_chan(controller: str, switch: str, instance: int, tail: str) -> str:
     return f"ctl:{controller}:{switch}:{instance:06d}:{tail}"
 
 
-class _FabricDataRegion(ShardRegion):
-    """One fabric region: a subset of switches/hosts plus its workload."""
+class _FabricRegion(ShardRegion):
+    """A region built from a :class:`FabricPlan`.
+
+    ``collect()`` returns ``counts`` keyed by :class:`FabricResult` field
+    names, which :func:`run_fabric_experiment` sums across regions, plus
+    the region's trace events.
+    """
 
     def __init__(self, rid: int, config: Dict[str, Any], plan: FabricPlan) -> None:
         super().__init__(rid, len(plan.region_ids))
         self.config = config
         self.plan = plan
-        self.workload: Dict[str, int] = {
-            "udp_sent": 0, "udp_received": 0, "packets_synthesized": 0,
-        }
-        self.ping_monitor = None
         self.tracer = None
+
+    def collect(self) -> Dict[str, Any]:
+        result = super().collect()
+        if self.tracer is not None:
+            result["trace"] = [
+                dict(event, region=self.rid) for event in self.tracer.events()
+            ]
+        return result
+
+
+class _FabricDataRegion(_FabricRegion):
+    """One fabric region: a subset of switches/hosts plus its workload."""
+
+    def __init__(self, rid: int, config: Dict[str, Any], plan: FabricPlan) -> None:
+        super().__init__(rid, config, plan)
+        self.packets_sent = 0
+        self.packets_delivered = 0
+        self.ping_monitor = None
         self.sketch_tap = None
         self._drivers = []
         self._dial_instances: Dict[Tuple[str, str], int] = {}
@@ -583,8 +597,8 @@ class _FabricDataRegion(ShardRegion):
                 )
 
     def _boundary_dialer(self, switch_name: str):
-        controller = self.config["controller"]
         plan = self.plan
+        # The system model names the controller c1 whatever its kind.
         connection = ("c1", switch_name)
 
         def dial(switch):
@@ -608,7 +622,6 @@ class _FabricDataRegion(ShardRegion):
                                  switch.channel_opened, chan)
             return chan
 
-        del controller  # the system model names it c1 regardless of kind
         return dial
 
     # -- workload ------------------------------------------------------ #
@@ -684,7 +697,7 @@ class _FabricDataRegion(ShardRegion):
     def _udp_send(self, host, dst_ip, first: int, i: int) -> None:
         """Send flow packet ``i``, then push packet ``i + 1`` at its
         ``(start_s + (i + 1) * interval_s, 0, first + i + 1)`` key."""
-        self.workload["udp_sent"] += 1
+        self.packets_sent += 1
         host.send_udp(dst_ip, UDP_SRC_PORT, UDP_DST_PORT, self._payload)
         i += 1
         config = self.config
@@ -695,48 +708,37 @@ class _FabricDataRegion(ShardRegion):
             ))
 
     def _udp_received(self, src_ip: int, src_port: int, payload: bytes) -> None:
-        self.workload["udp_received"] += 1
+        self.packets_delivered += 1
 
     # -- results ------------------------------------------------------- #
 
     def collect(self) -> Dict[str, Any]:
         result = super().collect()
-        self.workload["packets_synthesized"] = sum(
-            driver.emitter.emitted for driver in self._drivers
+        network = self.network
+        counts = result["counts"]
+        counts["packets_sent"] = self.packets_sent
+        counts["packets_delivered"] = self.packets_delivered
+        counts["packets_synthesized"] = sum(
+            driver.emitter.emitted for driver in self._drivers)
+        counts["switch_packet_ins"] = network.total_stat("packet_ins_sent")
+        for key in ("table_misses", "evictions_idle", "evictions_hard",
+                    "evictions_capacity", "evictions_delete"):
+            counts[key] = network.total_stat(key)
+        result["table_occupancy_peak"] = max(
+            (s.flow_table.occupancy_peak for s in network.switches.values()),
+            default=0,
         )
-        result["workload"] = dict(self.workload)
-        result["switch"] = {
-            key: self.network.total_stat(key)
-            for key in ("packet_ins_sent", "flow_mods_received",
-                        "table_misses", "evictions_idle", "evictions_hard",
-                        "evictions_capacity", "evictions_delete")
-        }
-        result["tables"] = {
-            "occupancy_peak": max(
-                (s.flow_table.occupancy_peak
-                 for s in self.network.switches.values()), default=0
-            ),
-            "entries": sum(
-                len(s.flow_table) for s in self.network.switches.values()
-            ),
-        }
         if self.ping_monitor is not None:
             results = self.ping_monitor.results
-            result["ping"] = {
-                "sent": sum(r.sent for r in results),
-                "received": sum(r.received for r in results),
-                "rtts": self.ping_monitor.all_rtts(),
-            }
-        if self.tracer is not None:
-            result["trace"] = [
-                dict(event, region=self.rid) for event in self.tracer.events()
-            ]
+            counts["ping_sent"] = sum(r.sent for r in results)
+            counts["ping_received"] = sum(r.received for r in results)
+            result["rtts"] = self.ping_monitor.all_rtts()
         if self.sketch_tap is not None:
             result["sketch"] = self.sketch_tap.collect()
         return result
 
 
-class _ControllerRegion(ShardRegion):
+class _ControllerRegion(_FabricRegion):
     """The controller region: controller + runtime injector + proxies.
 
     The paper's injector is "a single-threaded, centralized runtime
@@ -747,10 +749,7 @@ class _ControllerRegion(ShardRegion):
     """
 
     def __init__(self, rid: int, config: Dict[str, Any], plan: FabricPlan) -> None:
-        super().__init__(rid, len(plan.region_ids))
-        self.config = config
-        self.plan = plan
-        self.tracer = None
+        super().__init__(rid, config, plan)
         self._build()
 
     def _build(self) -> None:
@@ -818,18 +817,12 @@ class _ControllerRegion(ShardRegion):
     def collect(self) -> Dict[str, Any]:
         result = super().collect()
         monitor = self.control_monitor
-        result["control"] = {
-            "packet_ins": monitor.count_of("PACKET_IN"),
-            "flow_mods_seen": monitor.count_of("FLOW_MOD"),
-            "flow_mods_dropped": monitor.dropped_by_type.get("FLOW_MOD", 0),
-            "total_messages": monitor.total_messages(),
-        }
-        result["controller"] = dict(self.controller.stats)
-        result["injector"] = dict(self.injector.stats)
-        if self.tracer is not None:
-            result["trace"] = [
-                dict(event, region=self.rid) for event in self.tracer.events()
-            ]
+        result["counts"].update(
+            packet_ins=monitor.count_of("PACKET_IN"),
+            flow_mods_seen=monitor.count_of("FLOW_MOD"),
+            flow_mods_dropped=monitor.dropped_by_type.get("FLOW_MOD", 0),
+            total_control_messages=monitor.total_messages(),
+        )
         return result
 
 
@@ -903,7 +896,6 @@ class FabricResult:
     wall_s: float = 0.0
     coordinator_cpu_s: float = 0.0
     worker_cpu_s: List[float] = field(default_factory=list)
-    region_metrics: List[Dict[str, Any]] = field(default_factory=list)
     trace_jsonl: Optional[str] = None
     trace_events: int = 0
     sketch: Optional[Dict[str, Any]] = None
@@ -1010,16 +1002,6 @@ class FabricResult:
         return payload
 
 
-def _median(values: List[float]) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def run_fabric_experiment(
     topology: str = "fat-tree-k4",
     controller: Optional[str] = None,
@@ -1066,6 +1048,21 @@ def run_fabric_experiment(
     )
     payload = sim.run()
 
+    counts: Dict[str, int] = {}
+    table_occupancy_peak = 0
+    rtts: List[float] = []
+    trace_events: List[Dict[str, Any]] = []
+    sketch_parts: List[Dict[str, Any]] = []
+    for rid in sorted(payload["regions"]):
+        region = payload["regions"][rid]
+        for name, value in region["counts"].items():
+            counts[name] = counts.get(name, 0) + value
+        table_occupancy_peak = max(table_occupancy_peak,
+                                   region.get("table_occupancy_peak", 0))
+        rtts.extend(region.get("rtts", ()))
+        trace_events.extend(region.get("trace", ()))
+        if "sketch" in region:
+            sketch_parts.append(region["sketch"])
     result = FabricResult(
         fabric=config["topology"],
         controller=config["controller"],
@@ -1078,6 +1075,8 @@ def run_fabric_experiment(
         switches=plan.fabric.switch_count,
         hosts=plan.fabric.host_count,
         cut_links=plan.cut,
+        median_rtt_s=median(rtts) if rtts else None,
+        table_occupancy_peak=table_occupancy_peak,
         epochs=payload["epochs"],
         epochs_skipped=payload["epochs_skipped"],
         epochs_widened=payload["epochs_widened"],
@@ -1087,49 +1086,8 @@ def run_fabric_experiment(
         wall_s=payload["wall_s"],
         coordinator_cpu_s=payload["coordinator_cpu_s"],
         worker_cpu_s=list(payload["worker_cpu_s"]),
+        **counts,
     )
-    rtts: List[float] = []
-    trace_events: List[Dict[str, Any]] = []
-    sketch_parts: List[Dict[str, Any]] = []
-    for rid in sorted(payload["regions"]):
-        region = payload["regions"][rid]
-        engine_metrics = region["engine"]
-        result.processed_events += engine_metrics["processed_events"]
-        result.cross_shard_messages += engine_metrics["cross_shard_messages"]
-        result.region_metrics.append(
-            dict(engine_metrics, region=rid)
-        )
-        workload = region.get("workload") or {}
-        result.packets_sent += workload.get("udp_sent", 0)
-        result.packets_delivered += workload.get("udp_received", 0)
-        result.packets_synthesized += workload.get("packets_synthesized", 0)
-        switch_stats = region.get("switch") or {}
-        result.switch_packet_ins += switch_stats.get("packet_ins_sent", 0)
-        result.table_misses += switch_stats.get("table_misses", 0)
-        result.evictions_idle += switch_stats.get("evictions_idle", 0)
-        result.evictions_hard += switch_stats.get("evictions_hard", 0)
-        result.evictions_capacity += switch_stats.get("evictions_capacity", 0)
-        result.evictions_delete += switch_stats.get("evictions_delete", 0)
-        tables = region.get("tables") or {}
-        result.table_occupancy_peak = max(
-            result.table_occupancy_peak, tables.get("occupancy_peak", 0)
-        )
-        ping = region.get("ping")
-        if ping:
-            result.ping_sent += ping["sent"]
-            result.ping_received += ping["received"]
-            rtts.extend(ping["rtts"])
-        control = region.get("control")
-        if control:
-            result.packet_ins += control["packet_ins"]
-            result.flow_mods_seen += control["flow_mods_seen"]
-            result.flow_mods_dropped += control["flow_mods_dropped"]
-            result.total_control_messages += control["total_messages"]
-        trace_events.extend(region.get("trace") or [])
-        sketch = region.get("sketch")
-        if sketch:
-            sketch_parts.append(sketch)
-    result.median_rtt_s = _median(rtts)
 
     if config.get("sketch"):
         from repro.defense import (

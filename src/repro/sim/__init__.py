@@ -2,10 +2,10 @@
 
 This package is the substrate that replaces the paper's GENI testbed: all
 network elements (hosts, switches, controllers, links, and the ATTAIN
-runtime injector itself) are processes scheduled on a single simulated
-clock.  Identical seeds and identical scenarios produce identical event
-traces, which is what makes the security metrics in the evaluation
-unit-testable.
+runtime injector itself) act through callbacks scheduled on a single
+simulated clock.  Identical seeds and identical scenarios produce
+identical event traces, which is what makes the security metrics in the
+evaluation unit-testable.
 
 Every scheduled event is one plain ``(time, band, seq, callback, args)``
 tuple on the engine's heap.  The engine cannot cancel an event: a
@@ -14,7 +14,6 @@ or a deadline the callback checks when it fires.
 """
 
 from repro.sim.engine import SimContext, SimulationEngine, SimulationError
-from repro.sim.process import Process, Signal, sleep
 from repro.sim.rng import SeededRng
 from repro.sim.shard import (
     ShardRegion,
@@ -23,14 +22,11 @@ from repro.sim.shard import (
 )
 
 __all__ = [
-    "Process",
     "SeededRng",
     "ShardRegion",
     "ShardedSimulation",
-    "Signal",
     "SimContext",
     "SimulationEngine",
     "SimulationError",
     "assign_regions",
-    "sleep",
 ]

@@ -330,8 +330,12 @@ class ShardRegion:
         return self.run_epoch(until)
 
     def collect(self) -> Dict[str, Any]:
-        """Region results (metrics, workload counters, trace events)."""
-        return {"engine": self.engine.metrics()}
+        """Region results; ``counts`` are summed across regions."""
+        engine = self.engine
+        return {"counts": {
+            "processed_events": engine.processed_events,
+            "cross_shard_messages": engine.cross_shard_messages,
+        }}
 
 
 # --------------------------------------------------------------------- #

@@ -109,8 +109,10 @@ class TestPing:
         engine = SimulationEngine()
         h1, h2 = make_pair(engine)
         run = h1.ping(h2.ip, count=1)
+        done = []
+        run.on_done.append(done.append)
         engine.run(until=10.0)
-        assert run.done.fire_count == 1
+        assert done == [run.result]
 
     def test_late_reply_not_counted(self):
         engine = SimulationEngine()
@@ -412,6 +414,8 @@ class TestRetransmitTimer:
         h2.start_iperf_server()
         duration = 0.01
         run = h1.run_iperf_client(h2.ip, duration=duration)
+        done = []
+        run.on_done.append(done.append)
         while not run.finished:
             assert engine.step() is not None
         frames = len(sent)
@@ -419,7 +423,7 @@ class TestRetransmitTimer:
         # pending retransmit and give-up events fire and do nothing.
         engine.run(until=engine.now + duration + 11.0)
         assert [name for name, _, _ in sent[frames:]] == ["h2"]  # its FIN
-        assert run.done.fire_count == 1
+        assert done == [run.result]
         assert engine.pending_events == 0
 
 

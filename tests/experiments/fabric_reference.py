@@ -44,5 +44,5 @@ class UpFrontRegion(_FabricDataRegion):
                     )
 
     def _send_up_front(self, host, dst_ip) -> None:
-        self.workload["udp_sent"] += 1
+        self.packets_sent += 1
         host.send_udp(dst_ip, UDP_SRC_PORT, UDP_DST_PORT, self._payload)

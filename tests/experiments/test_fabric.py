@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executors import execute_descriptor
 from repro.dataplane.fabrics import generate_fabric
+from repro.experiments import fabric
 from repro.experiments.fabric import (
     controller_routes,
     fabric_config,
@@ -65,6 +68,27 @@ def test_plan_is_a_pure_function_of_the_config():
     assert first.ctrl_rid == len(first.partition)
 
 
+def test_plan_derives_an_unset_region_count_from_the_fabric():
+    config = fabric_config("fat-tree-k4", controller="floodlight")
+    assert config["regions"] is None
+    assert len(plan_fabric(config).partition) == 6  # 4 pods + 2 core rows
+    config = fabric_config("fat-tree-k4", regions=2)
+    assert len(plan_fabric(config).partition) == 2
+
+
+def test_an_inline_run_generates_its_fabric_once(monkeypatch):
+    calls = []
+    generate = fabric.generate_fabric
+
+    def counting(name):
+        calls.append(name)
+        return generate(name)
+
+    monkeypatch.setattr(fabric, "generate_fabric", counting)
+    run_fabric_experiment("fat-tree-k4", pairs=2, packets=2)
+    assert calls == ["fat-tree-k4"]
+
+
 # --------------------------------------------------------------------- #
 # Workloads
 # --------------------------------------------------------------------- #
@@ -91,6 +115,31 @@ def test_controller_ping_installs_flows_and_answers():
     assert result.flow_mods_seen > 0
     assert result.flow_mods_dropped == 0
     assert result.median_rtt_s is not None
+
+
+#: Record digests of two fabric ping cells (fat-tree-k4, 4 pairs x 3
+#: pings), hashed as the golden corpus hashes records.  No golden cell
+#: runs the fabric ping path, and its record counts each ping series'
+#: completion event in ``processed_events``.
+PING_CELL_DIGESTS = {
+    ("pox", None):
+        "13ddf9f1ae79ddf14e49cc6724bc00dd3a217970c766669b46054c6b9bfbc72e",
+    ("floodlight", "flow-mod-suppression"):
+        "fa3dc2aa8d7b44f4e81e087b561cd4c837053a08344f4b48b5a63c4ffd7b2821",
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("controller,attack", list(PING_CELL_DIGESTS))
+def test_ping_cells_keep_their_record_digests(controller, attack, shards):
+    from tests.golden.corpus import digest
+
+    record = run_cell(controller=controller, attack=attack,
+                      topology="fat-tree-k4", workload="ping", pairs=4,
+                      packets=3, shards=shards)
+    assert record["ping_sent"] == 12
+    assert digest("", record)["record"] == PING_CELL_DIGESTS[controller,
+                                                             attack]
 
 
 def test_suppression_attack_drops_flow_mods_but_floodlight_survives():
@@ -127,8 +176,6 @@ def test_a_defense_free_run_imports_no_defense_code():
 
 
 def test_config_rejects_ping_without_controller():
-    import pytest
-
     with pytest.raises(ValueError):
         fabric_config("fat-tree-k4", workload="ping")
 

@@ -69,6 +69,20 @@ def test_config_rejects_negative_payload_len():
         fabric_config("fat-tree-k4", payload_len=-3)
 
 
+def test_config_rejects_fewer_than_one_region():
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="regions"):
+            fabric_config("fat-tree-k4", regions=value)
+
+
+def test_config_rejects_unbuildable_fabric_names():
+    from repro.dataplane import TopologyError
+
+    for name in ("fat-tree-k5", "torus-4", "leaf-spine-1x2"):
+        with pytest.raises(TopologyError):
+            fabric_config(name)
+
+
 def test_config_refuses_before_generating_the_fabric(monkeypatch):
     from repro.experiments import fabric
 

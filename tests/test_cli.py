@@ -98,6 +98,36 @@ def test_counts_parse_as_ints(command, flag, dest, value):
     assert getattr(args, dest) == value
 
 
+SIZE_FLAGS = (
+    (["fabric", "gen", "fat-tree-k4"], "--regions", "regions"),
+    (["fabric", "run", "fat-tree-k4"], "--regions", "regions"),
+    (["fabric", "run", "fat-tree-k4"], "--shards", "shards"),
+    (["workload", "run", "table-overflow"], "--shards", "shards"),
+    (["workload", "run", "table-overflow"], "--table-capacity",
+     "table_capacity"),
+    (["detect", "run", "packetin-flood"], "--shards", "shards"),
+    (["detect", "run", "packetin-flood"], "--table-capacity",
+     "table_capacity"),
+    (["campaign", "serve"], "--shards", "shards"),
+)
+
+
+@pytest.mark.parametrize("command,flag,dest", SIZE_FLAGS)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sizes_must_be_positive(command, flag, dest, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(command + [flag, value])
+    assert exit_info.value.code == 2
+    assert "positive count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,dest", SIZE_FLAGS)
+@pytest.mark.parametrize("value", [1, 7])
+def test_sizes_parse_as_ints(command, flag, dest, value):
+    args = build_parser().parse_args(command + [flag, str(value)])
+    assert getattr(args, dest) == value
+
+
 def test_compliance_command(capsys):
     assert main(["compliance"]) == 0
     out = capsys.readouterr().out
