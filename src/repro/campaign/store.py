@@ -320,7 +320,7 @@ class ResultStore:
         if manifest is not None:
             self.shards = int(manifest.get("shards") or DEFAULT_SHARDS)
         else:
-            self.shards = int(shards or DEFAULT_SHARDS)
+            self.shards = DEFAULT_SHARDS if shards is None else int(shards)
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards!r}")
         self._legacy = _ShardView(_LEGACY_KEY, self.path)

@@ -16,6 +16,16 @@ keeps host bits under a CIDR prefix that the masked key drops.  The live
 entries stay in install order in one dict.  An ``lru`` table finds its
 victim in a ``(last_used, order)`` heap that is checked lazily at eviction
 time, so the switch's hit path writes ``last_used`` with no hook.
+
+In front of the classifier sits an exact-match cache, as OVS's kernel
+flow table sits in front of its userspace classifier (Pfaff et al., NSDI
+2015): a dict from a packet's twelve-field tuple to the entry that won
+its last lookup.  Only winners are cached.  A winner is a function of the
+set of live entries alone, so adding or removing an entry (``_link``,
+``_unlink``, ``_empty``) empties the cache, and nothing else does: MODIFY
+rewrites an entry's actions in place, and a hit or an LRU decision only
+writes ``last_used``.  A cache holding :data:`CACHE_MAX` keys is emptied
+before the next one is added, the FastFrame pool's policy.
 """
 
 from __future__ import annotations
@@ -169,6 +179,10 @@ class _Subtable:
         self.max_priority = -1
 
 
+#: Exact-match cache size bound.  Eviction is wholesale (``clear``), as
+#: in the FastFrame intern pool.
+CACHE_MAX = 1024
+
 #: How a full table treats a new ADD.  ``refuse`` mirrors stock OVS v1.9
 #: (OFPFMFC_ALL_TABLES_FULL error); ``lru``/``fifo`` model the eviction
 #: behaviour overflow attacks probe for ("An Inference Attack Model for
@@ -187,10 +201,13 @@ class FlowTable:
         self.max_entries = max_entries
         self.eviction = eviction
         self._installs = itertools.count()
+        #: Packet twelve-tuple -> the entry its lookup returned.
+        self._cache: Dict[Tuple[Any, ...], FlowEntry] = {}
         self.reset_stats()
         self._empty()
 
     def _empty(self) -> None:
+        self._cache.clear()
         # Live entry -> (strict key, subtable, bucket key), in install order.
         self._live: "OrderedDict[FlowEntry, Tuple[Any, _Subtable, Any]]" = OrderedDict()
         self._strict: Dict[Tuple[bytes, int], FlowEntry] = {}
@@ -220,6 +237,8 @@ class FlowTable:
         self.occupancy_peak = 0
 
     def _link(self, entry: FlowEntry, strict: Tuple[bytes, int]) -> None:
+        if self._cache:
+            self._cache.clear()
         mask, values = _mask_and_values(entry.match)
         sub = self._subtables.get(mask)
         if sub is None:
@@ -237,6 +256,8 @@ class FlowTable:
             heappush(self._lru, (entry.last_used, entry.order, entry))
 
     def _unlink(self, entry: FlowEntry) -> None:
+        if self._cache:
+            self._cache.clear()
         strict, sub, key = self._live.pop(entry)
         del self._strict[strict]
         bucket = sub.buckets[key]
@@ -358,18 +379,24 @@ class FlowTable:
         """Highest-priority entry matching extracted packet fields."""
         self.lookups += 1
         values = fields.get(FIELD_TUPLE_KEY) or field_tuple(fields)
-        best: Optional[FlowEntry] = None
-        for sub in self._probe_order:
-            if best is not None and sub.max_priority < best.priority:
-                break
-            key = sub.key
-            bucket = sub.buckets.get(values if key is None else key(values))
-            if bucket is not None:
-                entry = bucket[-1]
-                if best is None or entry.rank > best.rank:
-                    best = entry
-        if best is not None:
-            self.matched += 1
+        best = self._cache.get(values)
+        if best is None:
+            for sub in self._probe_order:
+                if best is not None and sub.max_priority < best.priority:
+                    break
+                key = sub.key
+                bucket = sub.buckets.get(values if key is None else key(values))
+                if bucket is not None:
+                    entry = bucket[-1]
+                    if best is None or entry.rank > best.rank:
+                        best = entry
+            if best is None:
+                return None
+            cache = self._cache
+            if len(cache) >= CACHE_MAX:
+                cache.clear()
+            cache[values] = best
+        self.matched += 1
         return best
 
     def expire(self, now: float) -> List[Tuple[FlowEntry, str]]:

@@ -495,7 +495,7 @@ class _FabricRegion(ShardRegion):
     """
 
     def __init__(self, rid: int, config: Dict[str, Any], plan: FabricPlan) -> None:
-        super().__init__(rid, len(plan.region_ids))
+        super().__init__(rid)
         self.config = config
         self.plan = plan
         self.tracer = None

@@ -90,7 +90,9 @@ class SimulationEngine:
     controller's service queue (:mod:`repro.controllers.base`) and a
     fabric UDP flow's next send (:mod:`repro.experiments.fabric`, which
     reserves the flow's seqs when it is built).  Each checks its delay
-    where the delay is set, and neither object is ever replaced.
+    where the delay is set, and neither object is ever replaced.  A
+    region crossing inside one process (:mod:`repro.sim.shard`) pushes
+    the entry ``schedule_message`` would, onto the far region's heap.
     """
 
     def __init__(self) -> None:
@@ -100,14 +102,6 @@ class SimulationEngine:
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
-        #: Sharded execution bookkeeping (see :mod:`repro.sim.shard`).  A
-        #: standalone engine is its own single shard; a region engine run
-        #: under a ShardedSimulation is stamped with its place in the
-        #: partition and counts the messages it exchanged across shard
-        #: boundaries, so ``metrics()`` stays accurate at scale.
-        self.shards = 1
-        self.shard_id = 0
-        self.cross_shard_messages = 0
 
     @property
     def pending_events(self) -> int:
@@ -224,18 +218,6 @@ class SimulationEngine:
     def snapshot(self) -> Tuple[float, int, int]:
         """Return ``(now, pending, processed)`` for debugging/metrics."""
         return (self.now, len(self._queue), self._processed)
-
-    def metrics(self) -> dict:
-        """Engine health counters for metrics snapshots and reports."""
-        return {
-            "now": self.now,
-            "pending_events": len(self._queue),
-            "processed_events": self._processed,
-            "heap_size": len(self._queue),
-            "shards": self.shards,
-            "shard_id": self.shard_id,
-            "cross_shard_messages": self.cross_shard_messages,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -123,7 +123,7 @@ class ShardWorkerPool:
         batches travel over the pipe mesh and every worker derives the
         identical epoch schedule from exchanged control words.  Returns
         per-worker ``{"epochs", "epochs_skipped", "epochs_widened",
-        "sent", "exchange_bytes", "exchange_blobs"}``."""
+        "exchange_bytes", "exchange_blobs"}``."""
         return self._call_all([
             {"op": "shard_run", "lookahead": lookahead, "horizon": horizon,
              "promise": promise}

@@ -21,13 +21,11 @@ nondeterminism is region-local:
   and every sequence its devices draw from (xids, ICMP identifiers,
   message ids, the FastFrame intern pool) live on that engine, so event
   tie-breaking never depends on what other regions did;
-* cross-region messages are delivered through
-  :meth:`~repro.sim.engine.SimulationEngine.schedule_message` with a
-  canonical ``(arrival, MESSAGE_PRIORITY, (channel, seq))`` heap key that
-  is a pure function of the message identity — delivery never draws the
-  region's event-sequence counter, so region execution is *windowing
-  invariant*: it cannot observe how the barrier grouped deliveries into
-  epochs;
+* cross-region messages reach the far region's heap under a canonical
+  ``(arrival, MESSAGE_PRIORITY, (channel, seq))`` key that is a pure
+  function of the message identity — delivery never draws the region's
+  event-sequence counter, so region execution is *windowing invariant*:
+  it cannot observe how the barrier grouped deliveries into epochs;
 * conservative barriers: every boundary channel has latency >= the
   lookahead ``L``, and every epoch ends at least ``L`` before any message
   generated inside it can arrive — no region ever needs to roll back.
@@ -35,6 +33,36 @@ nondeterminism is region-local:
 Consequently a run's results (metrics, traces) are byte-identical whether
 its regions execute inline in one process or spread over any number of
 pool workers.
+
+Delivery
+--------
+
+:meth:`ShardRegion.emit` is the one entry for every cross-region message.
+A message to a region in the same process that arrives *strictly after*
+the current epoch's boundary is pushed straight onto that region's heap
+under its canonical key: a frame as the event that calls the far
+:class:`BoundaryHalf`'s receiver with the sender's frame object (no copy,
+no re-parse), a control op as the far region's ``_dispatch``.  Every
+other message — one for another worker's region, or one landing exactly
+on the boundary — is flattened to ``bytes``, queued in the outbox and
+delivered at the next barrier through :meth:`ShardRegion.deliver` and
+:meth:`~repro.sim.engine.SimulationEngine.schedule_message`.
+
+A region fires nothing later than the boundary, so a message with a later
+arrival is on the far heap before the far region can pop anything that
+sorts after it, whichever of the two regions runs first in the round.  An
+arrival *on* the boundary is different: through the barrier it fires in
+the next epoch, after everything the far region fired at that instant,
+including same-instant messages with larger keys delivered at an earlier
+barrier.  Pushed at once it could fire before them, and only when the
+far region happens to run later in the round, so it waits.
+
+The regions one process builds learn that they share it
+(:meth:`ShardRegion.share_process`): all of them inline, a worker's own
+when pooled.  A push can land in a region that already ran this round,
+so :func:`run_region_epoch` reads the earliest heap head once every
+region has run, and the barrier sees the same ``min(next event, pending
+arrival)`` as when every message waited.
 
 Barrier schedule
 ----------------
@@ -68,12 +96,13 @@ import itertools
 import math
 import struct
 import time
+from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.link import _Direction
 from repro.netlib import fastframe
 from repro.sim.codec import BatchDecoder, BatchEncoder
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import MESSAGE_PRIORITY, SimulationEngine
 
 #: A cross-region message: (arrival_time, channel, seq, op, payload).
 #: Tuples sort naturally into the deterministic delivery order.
@@ -99,10 +128,11 @@ class BoundaryTx(_Direction):
     cross-region message instead of a local event.  Local and boundary
     directions therefore share one rule for removing delivered frames
     from the queue count, tie included (see :mod:`repro.dataplane.link`).
-    Payloads are flattened to plain ``bytes`` at the boundary — the
-    receiving region re-interns them into its own FastFrame pool at
-    dispatch, so inline and pooled execution observe the identical pool
-    history.
+    A frame that waits for the barrier is flattened to plain ``bytes``
+    and re-interned into the receiving region's FastFrame pool at
+    dispatch; one pushed straight onto a region in the same process keeps
+    its parse caches.  The pool only memoizes parses, so either way the
+    receiver sees the same fields.
     """
 
     __slots__ = ("emit", "chan")
@@ -127,7 +157,7 @@ class BoundaryTx(_Direction):
         raise AssertionError("boundary direction delivers remotely")
 
     def _ship(self, arrival: float, data: bytes) -> None:
-        self.emit(self.chan, arrival, OP_FRAME, bytes(data))
+        self.emit(self.chan, arrival, OP_FRAME, data)
 
 
 class BoundaryHalf:
@@ -135,7 +165,8 @@ class BoundaryHalf:
     a link whose far endpoint lives in another region.
 
     Inbound frames go straight to the attached receiver, with its port
-    when it has one, as a local link's arrival event calls it."""
+    when it has one, as a local link's arrival event calls it.  The
+    network attaches every half it asks the boundary factory for."""
 
     __slots__ = ("tx", "_deliver", "_port")
 
@@ -152,8 +183,6 @@ class BoundaryHalf:
         self._port = port
 
     def deliver(self, data: bytes) -> None:
-        if self._deliver is None:
-            return
         if self._port is None:
             self._deliver(data)
         else:
@@ -236,17 +265,20 @@ class ShardRegion:
 
     Subclasses (the fabric builder in :mod:`repro.experiments.fabric`)
     populate the engine/devices; this base carries the message plumbing
-    every region shares.
+    every region shares.  ``until`` is the boundary of the epoch the
+    region runs (``inf`` before the first, so what a region emits while
+    it is built waits for a barrier).
     """
 
-    def __init__(self, rid: int, total_regions: int) -> None:
+    def __init__(self, rid: int) -> None:
         self.rid = rid
         self.engine = SimulationEngine()
-        self.engine.shards = total_regions
-        self.engine.shard_id = rid
+        self.until = math.inf
         self.outbox: List[Tuple[int, ShardMessage]] = []
-        self.messages_received = 0
+        self.cross_shard_messages = 0
         self._out_seq = itertools.count()
+        #: Region id -> the other regions running in this process.
+        self._colocated: Dict[int, ShardRegion] = {}
         #: chan -> BoundaryHalf for inbound boundary-link frames.
         self.link_sinks: Dict[str, BoundaryHalf] = {}
         #: chan -> BoundaryControlChannel for inbound control streams.
@@ -254,17 +286,34 @@ class ShardRegion:
         #: chan -> destination region id.
         self.chan_dest: Dict[str, int] = {}
 
+    def share_process(self, regions: Dict[int, "ShardRegion"]) -> None:
+        """``regions`` are every region this process runs, this one
+        included; messages to the others may skip the barrier."""
+        self._colocated = {rid: region for rid, region in regions.items()
+                           if region is not self}
+
     # -- outbound ------------------------------------------------------ #
 
     def emit(self, chan: str, arrival: float, op: str, payload: bytes) -> None:
-        dest = self.route(chan)
-        self.engine.cross_shard_messages += 1
-        self.outbox.append(
-            (dest, (arrival, chan, next(self._out_seq), op, payload))
-        )
-
-    def route(self, chan: str) -> int:
-        return self.chan_dest[chan]
+        """Send one message on ``chan``, arriving at ``arrival``: pushed
+        onto the far heap or queued for the barrier (module docstring,
+        "Delivery")."""
+        dest = self.chan_dest[chan]
+        self.cross_shard_messages += 1
+        seq = next(self._out_seq)
+        far = self._colocated.get(dest)
+        if far is None or arrival <= self.until:
+            self.outbox.append((dest, (arrival, chan, seq, op, bytes(payload))))
+        elif op == OP_FRAME:
+            sink = far.link_sinks[chan]
+            port = sink._port
+            heappush(far.engine._queue, (
+                arrival, MESSAGE_PRIORITY, (chan, seq), sink._deliver,
+                (payload,) if port is None else (port, payload)))
+        else:
+            heappush(far.engine._queue, (
+                arrival, MESSAGE_PRIORITY, (chan, seq), far._dispatch,
+                (chan, op, payload)))
 
     # -- inbound ------------------------------------------------------- #
 
@@ -281,7 +330,6 @@ class ShardRegion:
         engine = self.engine
         dispatch = self._dispatch
         for arrival, chan, seq, op, payload in messages:
-            self.messages_received += 1
             engine.schedule_message(arrival, (chan, seq), dispatch,
                                     chan, op, payload)
 
@@ -316,25 +364,26 @@ class ShardRegion:
         self,
         until: float,
         messages: Optional[Sequence[ShardMessage]] = None,
-    ) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
-        """Deliver ``messages``, advance to ``until``, drain the outbox."""
+    ) -> List[Tuple[int, ShardMessage]]:
+        """Deliver ``messages``, advance to ``until``, drain the outbox:
+        the messages that wait for the next barrier, by destination."""
+        self.until = until
         if messages:
             self.deliver(messages)
         self.engine.run(until=until)
         out = self.outbox
         self.outbox = []
-        return out, self.engine.next_event_time()
+        return out
 
-    def run_until(self, until: float) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
+    def run_until(self, until: float) -> List[Tuple[int, ShardMessage]]:
         """Advance this region's clock to ``until``; drain the outbox."""
         return self.run_epoch(until)
 
     def collect(self) -> Dict[str, Any]:
         """Region results; ``counts`` are summed across regions."""
-        engine = self.engine
         return {"counts": {
-            "processed_events": engine.processed_events,
-            "cross_shard_messages": engine.cross_shard_messages,
+            "processed_events": self.engine.processed_events,
+            "cross_shard_messages": self.cross_shard_messages,
         }}
 
 
@@ -460,13 +509,17 @@ class BarrierSchedule:
 def _build_regions(
     config: Dict[str, Any], rids: Sequence[int], plan: Any = None,
 ) -> Dict[int, ShardRegion]:
+    """The regions one process runs, each told which others share it."""
     # The builder lives with the experiment (it knows about controllers,
     # workloads, fabrics); imported lazily to keep the sim layer free of
     # upward dependencies at import time.
     from repro.experiments.fabric import build_fabric_regions
 
-    return {region.rid: region
-            for region in build_fabric_regions(config, rids, plan)}
+    regions = {region.rid: region
+               for region in build_fabric_regions(config, rids, plan)}
+    for region in regions.values():
+        region.share_process(regions)
+    return regions
 
 
 #: SPMD control word exchanged alongside each batch blob: the sender's
@@ -547,7 +600,6 @@ class ShardWorkerSession:
         encoders = {peer: BatchEncoder() for peer in peers}
         decoders = {peer: BatchDecoder() for peer in peers}
         inbox: Dict[int, List[ShardMessage]] = {}
-        sent_total = 0
         exchange_bytes = 0
         exchange_blobs = 0
         while True:
@@ -590,11 +642,9 @@ class ShardWorkerSession:
                     agg_arrival = peer_arrival
             if mesh is not None:
                 mesh.flush_all()
-            sent_total += len(outbox)
             if not schedule.advance(agg_next, agg_arrival):
                 break
-        reply = {"status": "ok", "sent": sent_total,
-                 "exchange_bytes": exchange_bytes,
+        reply = {"status": "ok", "exchange_bytes": exchange_bytes,
                  "exchange_blobs": exchange_blobs}
         reply.update(schedule.counters())
         return reply
@@ -605,16 +655,19 @@ def run_region_epoch(
     until: float,
     inbox: Dict[int, List[ShardMessage]],
 ) -> Tuple[List[Tuple[int, ShardMessage]], Optional[float]]:
-    """Deliver one barrier's messages and run every region to ``until``."""
+    """Deliver one barrier's messages and run every region to ``until``.
+
+    Returns the messages that wait for the next barrier and the earliest
+    event any region then holds, read once all of them have run: a
+    region that ran early in the round may since have received a push.
+    """
     outbox: List[Tuple[int, ShardMessage]] = []
-    next_time: Optional[float] = None
     for rid in sorted(regions):
-        region = regions[rid]
-        out, region_next = region.run_epoch(until, inbox.get(rid))
-        outbox.extend(out)
-        if region_next is not None:
-            next_time = region_next if next_time is None else min(next_time, region_next)
-    return outbox, next_time
+        outbox.extend(regions[rid].run_epoch(until, inbox.get(rid)))
+    heads = [head for head in (region.engine.next_event_time()
+                               for region in regions.values())
+             if head is not None]
+    return outbox, min(heads, default=None)
 
 
 def assign_regions(
@@ -670,7 +723,6 @@ class ShardedSimulation:
         self.promise = promise
         self.plan = plan
         self.epochs = 0
-        self.messages = 0
         self.epochs_skipped = 0
         self.epochs_widened = 0
         self.exchange_bytes = 0
@@ -686,7 +738,6 @@ class ShardedSimulation:
         payload["wall_s"] = time.perf_counter() - wall_started
         payload["coordinator_cpu_s"] = time.process_time() - cpu_started
         payload["epochs"] = self.epochs
-        payload["messages"] = self.messages
         payload["shards"] = self.shards
         payload["regions_count"] = len(self.region_ids)
         payload["epochs_skipped"] = self.epochs_skipped
@@ -698,7 +749,8 @@ class ShardedSimulation:
     # -- inline -------------------------------------------------------- #
 
     def _run_inline(self) -> Dict[str, Any]:
-        """Every region in this process; the coordinator routes messages."""
+        """Every region in this process; the coordinator routes the
+        messages that wait for a barrier."""
         regions = _build_regions(self.config, self.region_ids, self.plan)
         schedule = BarrierSchedule(self.lookahead, self.horizon,
                                    promise=self.promise)
@@ -711,7 +763,6 @@ class ShardedSimulation:
                 inbox.setdefault(dest, []).append(message)
                 if pending_arrival is None or message[0] < pending_arrival:
                     pending_arrival = message[0]
-            self.messages += len(outbox)
             if not schedule.advance(next_time, pending_arrival):
                 break
         self.epochs = schedule.epochs
@@ -757,6 +808,5 @@ class ShardedSimulation:
         self.epochs = first["epochs"]
         self.epochs_skipped = first["epochs_skipped"]
         self.epochs_widened = first["epochs_widened"]
-        self.messages = sum(reply["sent"] for reply in replies)
         self.exchange_bytes = sum(reply["exchange_bytes"] for reply in replies)
         self.exchange_blobs = sum(reply["exchange_blobs"] for reply in replies)

@@ -23,7 +23,7 @@ from repro.campaign import (
     make_record,
     shard_for,
 )
-from repro.campaign.store import shard_name
+from repro.campaign.store import DEFAULT_SHARDS, shard_name
 
 
 def descriptor(seed=0, attack="passthrough"):
@@ -372,10 +372,11 @@ def test_layout_directory_names_the_store(tmp_path):
 
 
 def test_shard_count_must_be_positive(tmp_path):
-    with pytest.raises(ValueError, match="shard"):
-        ResultStore(tmp_path / "runs.jsonl", shards=-1)
-    # Zero means "unspecified" and falls back to the default fan-out.
-    assert ResultStore(tmp_path / "runs.jsonl", shards=0).shards > 0
+    for shards in (-1, 0):
+        with pytest.raises(ValueError, match="shard"):
+            ResultStore(tmp_path / "runs.jsonl", shards=shards)
+    # Only an unspecified count falls back to the default fan-out.
+    assert ResultStore(tmp_path / "runs.jsonl").shards == DEFAULT_SHARDS
 
 
 def test_trace_artifacts_live_under_the_layout(tmp_path):

@@ -108,13 +108,18 @@ class ReferenceFlowTable:
 
     def lookup(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
         self.lookups += 1
+        best = self.winner(fields)
+        if best is not None:
+            self.matched += 1
+        return best
+
+    def winner(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
+        """The entry :meth:`lookup` returns for ``fields``, uncounted."""
         best: Optional[FlowEntry] = None
         for entry in self.entries:
             if entry.match.matches_fields(fields) and (
                     best is None or entry.rank > best.rank):
                 best = entry
-        if best is not None:
-            self.matched += 1
         return best
 
     def expire(self, now: float) -> List[Tuple[FlowEntry, str]]:

@@ -3,13 +3,15 @@
 A stateful hypothesis machine drives :class:`FlowTable` and
 :class:`ReferenceFlowTable` with the same operations -- ADD, MODIFY(_STRICT)
 and DELETE(_STRICT) with and without ``out_port``, lookups, ``record_use``
-at an advancing time, and expiry -- under every eviction policy at a small
-capacity.  Matches span ``in_port``, ``dl_dst``, ``nw_src``/``nw_dst`` at
-/0 to /32 (host bits under the prefix included), ``tp_dst``, fully
-specified twelve-tuples and tied priorities.  Each step compares what both
+at an advancing time, expiry and ``clear`` -- under every eviction policy
+at a small capacity.  Matches span ``in_port``, ``dl_dst``,
+``nw_src``/``nw_dst`` at /0 to /32 (host bits under the prefix included),
+``tp_dst``, fully specified twelve-tuples and tied priorities.  Each step compares what both
 tables return (removed/evicted and expired entries in order, lookup
 winners); after every step they must also agree on a fixed set of probe
-packets, on their entries in install order and on their counters.
+packets, on their entries in install order and on their counters, and
+every key in the exact-match cache must map to the reference's winner
+for that packet.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.dataplane.flowtable import EVICTION_POLICIES, FlowTable
+from repro.dataplane.flowtable import CACHE_MAX, EVICTION_POLICIES, FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.netlib.flowkey import FIELD_TUPLE_KEY, field_tuple
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction, Port
@@ -102,6 +104,8 @@ class FlowTableOracle(RuleBasedStateMachine):
         super().__init__()
         self.now = 0.0
         self.cookies = itertools.count(1)
+        # Twelve-tuple -> a packet with that key, for each one looked up.
+        self.packets = {field_tuple(fields): fields for fields in PROBES}
 
     @initialize(eviction=st.sampled_from(EVICTION_POLICIES),
                 capacity=st.integers(min_value=1, max_value=6))
@@ -155,6 +159,7 @@ class FlowTableOracle(RuleBasedStateMachine):
 
     @rule(fields=packets, memo=st.booleans())
     def lookup(self, fields, memo):
+        self.packets[field_tuple(fields)] = fields
         probe = dict(fields, **{FIELD_TUPLE_KEY: field_tuple(fields)}) if memo else fields
         assert sig(self.table.lookup(probe)) == sig(self.reference.lookup(fields))
 
@@ -173,6 +178,11 @@ class FlowTableOracle(RuleBasedStateMachine):
         got = [(sig(e), reason) for e, reason in self.table.expire(self.now)]
         want = [(sig(e), reason) for e, reason in self.reference.expire(self.now)]
         assert got == want
+
+    @rule()
+    def clear(self):
+        assert ([sig(e) for e in self.table.clear()]
+                == [sig(e) for e in self.reference.clear()])
 
     @invariant()
     def same_probe_winners(self):
@@ -193,6 +203,13 @@ class FlowTableOracle(RuleBasedStateMachine):
     @invariant()
     def lru_heap_stays_bounded(self):
         assert len(self.table._lru) <= 2 * len(self.table)
+
+    @invariant()
+    def cache_holds_current_winners_within_its_bound(self):
+        cache = self.table._cache
+        assert len(cache) <= CACHE_MAX
+        for key, entry in cache.items():
+            assert sig(entry) == sig(self.reference.winner(self.packets[key]))
 
 
 FlowTableOracle.TestCase.settings = settings(

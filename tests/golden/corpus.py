@@ -16,7 +16,8 @@ A cell must reproduce its digests in every execution order:
 * ``campaign`` — every cell through one reused campaign worker process,
   traced.
 
-The two fabric UDP cells (1 and 2 shards) share one golden entry.
+The two fabric UDP cells and the two table-overflow cells (1 and 2
+shards each) share one golden entry per pair.
 
 From the repository root::
 
@@ -118,6 +119,9 @@ def _cells() -> List[Cell]:
     cells.append(Cell("table-overflow-k4", "table-overflow-k4", "workload",
                       "floodlight", seed=1, topology="fat-tree-k4",
                       params=_OVERFLOW))
+    cells.append(Cell("table-overflow-k4-shards2", "table-overflow-k4",
+                      "workload", "floodlight", seed=1, topology="fat-tree-k4",
+                      params=dict(_OVERFLOW, shards=2)))
     return cells
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dataplane.link import DataLink
+from repro.netlib.fastframe import FastFrame
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import (
     OP_FRAME,
@@ -10,6 +11,7 @@ from repro.sim.shard import (
     BoundaryTx,
     ShardRegion,
     assign_regions,
+    run_region_epoch,
 )
 
 
@@ -18,7 +20,7 @@ from repro.sim.shard import (
 # --------------------------------------------------------------------- #
 
 def test_regions_draw_from_their_own_engine_sequences():
-    busy, idle = ShardRegion(0, 2), ShardRegion(1, 2)
+    busy, idle = ShardRegion(0), ShardRegion(1)
     for _ in range(5):
         busy.engine.schedule(1.0, lambda: None)
         busy.engine.ctx.next_xid()
@@ -37,7 +39,7 @@ def test_regions_draw_from_their_own_engine_sequences():
 # --------------------------------------------------------------------- #
 
 def _region_with_boundary():
-    region = ShardRegion(0, 2)
+    region = ShardRegion(0)
     tx = BoundaryTx(region.engine, 1e9, 0.001, 10, region.emit, "link:000000:a")
     region.chan_dest["link:000000:a"] = 1
     return region, tx
@@ -55,7 +57,7 @@ def test_boundary_tx_emits_instead_of_delivering():
     assert payload == b"x" * 100
     # serialization (100 B at 1 Gb/s) + propagation latency
     assert arrival == pytest.approx(100 * 8 / 1e9 + 0.001)
-    assert region.engine.cross_shard_messages == 1
+    assert region.cross_shard_messages == 1
 
 
 def test_boundary_tx_drops_like_a_local_link_when_backlogged():
@@ -117,7 +119,7 @@ def test_region_delivers_sorted_messages_to_sinks():
     ])
     region.engine.run(until=0.01)
     assert received == [b"early", b"late"]
-    assert region.messages_received == 2
+    assert region.engine.processed_events == 2
 
 
 # --------------------------------------------------------------------- #
@@ -145,20 +147,88 @@ def test_assign_regions_is_deterministic_under_ties():
 
 
 # --------------------------------------------------------------------- #
-# Engine metrics / compaction floor
+# Regions sharing a process
 # --------------------------------------------------------------------- #
 
-def test_engine_metrics_report_shard_fields():
-    engine = SimulationEngine()
-    metrics = engine.metrics()
-    assert metrics["shards"] == 1
-    assert metrics["shard_id"] == 0
-    assert metrics["cross_shard_messages"] == 0
+def _near_and_far(colocated):
+    """Region 0 sends on ``link:a`` to region 1, which also listens on
+    ``link:z``; ``received`` logs (far clock, payload) per frame."""
+    near, far = ShardRegion(0), ShardRegion(1)
+    near.chan_dest["link:a"] = 1
+    received = []
+    for chan in ("link:a", "link:z"):
+        half = BoundaryHalf(None)
+        half.attach(lambda data: received.append((far.engine.now, data)))
+        far.link_sinks[chan] = half
+    regions = {0: near, 1: far}
+    if colocated:
+        for region in regions.values():
+            region.share_process(regions)
+    return near, far, regions, received
 
-    region = ShardRegion(2, 4)
-    metrics = region.engine.metrics()
-    assert metrics["shards"] == 4
-    assert metrics["shard_id"] == 2
+
+def _barriers(regions, boundaries, inbox):
+    """Run the epochs ending at ``boundaries``, routing each outbox to
+    the next barrier; return (outbox, next event) of every round."""
+    rounds = []
+    for until in boundaries:
+        outbox, next_time = run_region_epoch(regions, until, inbox)
+        rounds.append((outbox, next_time))
+        inbox = {}
+        for dest, message in outbox:
+            inbox.setdefault(dest, []).append(message)
+    return rounds
+
+
+def _on_boundary_run(colocated):
+    near, far, regions, received = _near_and_far(colocated)
+    # Emitted at 1.5, in the epoch ending at 2.0: one arrival on that
+    # boundary, one after it.
+    near.engine.schedule_at(1.5, near.emit, "link:a", 2.0, OP_FRAME, b"on")
+    near.engine.schedule_at(1.5, near.emit, "link:a", 2.5, OP_FRAME, b"after")
+    # Delivered at the first barrier for 2.0, under a larger (chan, seq).
+    earlier = {1: [(2.0, "link:z", 0, OP_FRAME, b"earlier")]}
+    rounds = _barriers(regions, (1.0, 2.0, 3.0), earlier)
+    return near, rounds, received
+
+
+def test_on_boundary_arrival_waits_for_the_barrier_in_one_process():
+    """The near region runs first in the round.  Pushed at once, its
+    on-boundary frame would sort before the far region's same-instant
+    frame with the larger key; through the barrier it fires after it,
+    in the next epoch, as it does when the regions are apart."""
+    _, _, apart = _on_boundary_run(colocated=False)
+    near, _, together = _on_boundary_run(colocated=True)
+    assert apart == [(2.0, b"earlier"), (2.0, b"on"), (2.5, b"after")]
+    assert together == apart
+    assert near.cross_shard_messages == 2
+
+
+def test_later_arrival_is_on_the_far_heap_before_the_barrier():
+    """After the epoch ending at 2.0, only the on-boundary frame waits;
+    the later one is already the head of the far heap (the near region
+    holds nothing), where apart it waits for the barrier too."""
+    _, together, _ = _on_boundary_run(colocated=True)
+    _, apart, _ = _on_boundary_run(colocated=False)
+    outbox, next_time = together[1]
+    assert [message[4] for _, message in outbox] == [b"on"]
+    assert next_time == 2.5
+    outbox, next_time = apart[1]
+    assert [message[4] for _, message in outbox] == [b"on", b"after"]
+    assert next_time is None
+
+
+def test_pushed_frame_is_the_sender_frame_and_a_barrier_frame_is_bytes():
+    """The pushed frame (arriving at 1.5) is the sender's object; the one
+    that waits (on the boundary at 1.0) crosses as plain ``bytes``."""
+    near, _, regions, received = _near_and_far(colocated=True)
+    frame = FastFrame(b"\x00" * 64)
+    near.engine.schedule_at(0.5, near.emit, "link:a", 1.5, OP_FRAME, frame)
+    near.engine.schedule_at(0.5, near.emit, "link:a", 1.0, OP_FRAME, frame)
+    (outbox, _), _ = _barriers(regions, (1.0, 2.0), {})
+    (_, (_, _, _, _, flat)), = outbox
+    assert type(flat) is bytes and flat == frame
+    assert [data is frame for _, data in received] == [False, True]
 
 
 def test_barrier_loop_epoch_skip_on_sparse_timeline():
