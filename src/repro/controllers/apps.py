@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.netlib.flowkey import MATCH_FIELD_NAMES
-from repro.openflow.actions import OutputAction
+from repro.openflow.actions import pack_output
 from repro.openflow.constants import OFP_NO_BUFFER, Port
-from repro.openflow.match import Match
+from repro.openflow.match import wire_fields
 from repro.openflow.messages import (
     ErrorMessage,
-    FlowMod,
     FlowRemoved,
     PacketIn,
-    PacketOut,
     PortStatus,
+    pack_flow_mod,
+    pack_packet_out,
 )
 
 
@@ -107,11 +107,12 @@ class LearningSwitchBehavior:
         if self.release_via not in ("flow_mod", "packet_out"):
             raise ValueError(f"bad release_via {self.release_via!r}")
 
-    def build_match(self, key: FlowKey) -> Match:
-        """Construct this controller's flow-mod match for a packet."""
+    def match_key(self, key: FlowKey) -> FlowKey:
+        """The flow key of this controller's flow-mod match for a packet
+        (``Match.from_key`` builds the match)."""
         if self.match_granularity == "l2":
-            return Match.from_key(key[:3] + _L2_WILDCARDS)
-        return Match.from_key(key)
+            return key[:3] + _L2_WILDCARDS
+        return key
 
 
 class LearningSwitchApp(ControllerApp):
@@ -151,7 +152,7 @@ class LearningSwitchApp(ControllerApp):
 
     def _flood(self, controller, session, message: PacketIn) -> None:
         self.floods += 1
-        _release(controller, session, message, [OutputAction(Port.FLOOD)])
+        _release(controller, session, message, pack_output(Port.FLOOD))
 
     def switch_down(self, controller, session) -> None:
         session.app_state.pop(self.STATE_KEY, None)
@@ -206,35 +207,21 @@ def _install_flow(behavior: LearningSwitchBehavior, controller, session,
                   message: PacketIn, key: FlowKey, out_port: int) -> None:
     """Install ``behavior``'s flow for ``key`` out of ``out_port`` and
     release the packet the way ``behavior`` does."""
-    actions = [OutputAction(out_port)]
-    flow_buffer = (
-        message.buffer_id if behavior.release_via == "flow_mod" else OFP_NO_BUFFER
-    )
-    session.send(
-        FlowMod(
-            behavior.build_match(key),
-            idle_timeout=behavior.idle_timeout,
-            hard_timeout=behavior.hard_timeout,
-            priority=behavior.priority,
-            buffer_id=flow_buffer,
-            actions=actions,
-            xid=controller.engine.ctx.next_xid(),
-        )
-    )
-    if behavior.release_via == "packet_out":
+    actions = pack_output(out_port)
+    via_flow_mod = behavior.release_via == "flow_mod"
+    session.send(pack_flow_mod(
+        controller.engine.ctx.next_xid(), wire_fields(behavior.match_key(key)), actions,
+        idle_timeout=behavior.idle_timeout, hard_timeout=behavior.hard_timeout,
+        priority=behavior.priority,
+        buffer_id=message.buffer_id if via_flow_mod else OFP_NO_BUFFER))
+    if not via_flow_mod:
         _release(controller, session, message, actions)
 
 
-def _release(controller, session, message: PacketIn, actions) -> None:
-    """PACKET_OUT ``message``'s packet with ``actions``: by its buffer id
-    when the switch buffered it, else with its bytes."""
-    buffered = message.buffer_id != OFP_NO_BUFFER
-    session.send(
-        PacketOut(
-            buffer_id=message.buffer_id,
-            in_port=message.in_port,
-            actions=actions,
-            data=b"" if buffered else message.data,
-            xid=controller.engine.ctx.next_xid(),
-        )
-    )
+def _release(controller, session, message: PacketIn, actions: bytes) -> None:
+    """PACKET_OUT ``message``'s packet with the packed ``actions``: by its
+    buffer id when the switch buffered it, else with its bytes."""
+    buffer_id = message.buffer_id
+    session.send(pack_packet_out(
+        controller.engine.ctx.next_xid(), buffer_id, message.in_port, actions,
+        b"" if buffer_id != OFP_NO_BUFFER else message.data))

@@ -61,10 +61,11 @@ class SwitchSession:
         #: Per-session scratch space for applications (MAC tables etc.).
         self.app_state: Dict[str, Any] = {}
 
-    def send(self, message: OpenFlowMessage) -> None:
+    def send(self, data: bytes) -> None:
+        """Send one message's wire bytes to the switch."""
         if self.state is SessionState.CLOSED or not self.channel.open:
             return
-        self.channel.send(message.pack())
+        self.channel.send(data)
 
     def close(self) -> None:
         """Tear the session down (controller-initiated disconnect)."""
@@ -121,7 +122,7 @@ class Controller:
         session = SwitchSession(self, channel)
         self.sessions[channel] = session
         self.stats["connections_accepted"] += 1
-        session.send(Hello(xid=self.engine.ctx.next_xid()))
+        session.send(Hello(xid=self.engine.ctx.next_xid()).pack())
         if not self._started_liveness:
             self._started_liveness = True
             self.engine.schedule(self.LIVENESS_TICK, self._liveness_tick)
@@ -190,7 +191,7 @@ class Controller:
         if isinstance(message, Hello):
             if session.state is SessionState.AWAIT_HELLO:
                 session.state = SessionState.AWAIT_FEATURES
-                session.send(FeaturesRequest(xid=self.engine.ctx.next_xid()))
+                session.send(FeaturesRequest(xid=self.engine.ctx.next_xid()).pack())
             return
         if isinstance(message, FeaturesReply):
             if session.state is SessionState.AWAIT_FEATURES:
@@ -198,12 +199,12 @@ class Controller:
                 session.datapath_id = message.datapath_id
                 session.ports = [port.port_no for port in message.ports]
                 session.send(SetConfig(miss_send_len=self.MISS_SEND_LEN,
-                                       xid=self.engine.ctx.next_xid()))
+                                       xid=self.engine.ctx.next_xid()).pack())
                 for app in self.apps:
                     app.switch_ready(self, session)
             return
         if isinstance(message, EchoRequest):
-            session.send(EchoReply.for_request(message))
+            session.send(EchoReply.for_request(message).pack())
             return
         if isinstance(message, EchoReply):
             return
@@ -261,7 +262,7 @@ class Controller:
                 session.echo_outstanding = True
                 self.stats["echo_requests_sent"] += 1
                 session.send(EchoRequest(payload=b"ctl-probe",
-                                         xid=self.engine.ctx.next_xid()))
+                                         xid=self.engine.ctx.next_xid()).pack())
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -99,7 +99,7 @@ class TopologyDiscoveryApp(ControllerApp):
                 actions=[OutputAction(port)],
                 data=frame.pack(),
                 xid=controller.engine.ctx.next_xid(),
-            )
+            ).pack()
         )
 
     # ------------------------------------------------------------------ #

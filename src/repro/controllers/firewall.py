@@ -9,7 +9,7 @@ app installs a *drop* flow entry — and that drop FLOW_MOD on connection
 rule φ2 waits for.
 
 The drop rule's match is built with the host controller's own match
-personality (``LearningSwitchBehavior.build_match``), which is what makes
+personality (``LearningSwitchBehavior.match_key``), which is what makes
 the Ryu anomaly reproducible: Ryu-style matches carry no ``nw_src`` /
 ``nw_dst``, so the attack's conditional over those type options never
 fires.
@@ -22,6 +22,7 @@ from typing import FrozenSet, Optional, SupportsInt
 
 from repro.netlib.addresses import Ipv4Address
 from repro.netlib.ethernet import EtherType
+from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, PacketIn
 from repro.controllers.apps import (DL_TYPE, NW_DST, NW_SRC, ControllerApp, FlowKey,
                                     LearningSwitchBehavior)
@@ -88,11 +89,11 @@ class DmzFirewallApp(ControllerApp):
         self.drop_rules_installed += 1
         session.send(
             FlowMod(
-                self.behavior.build_match(key),
+                Match.from_key(self.behavior.match_key(key)),
                 idle_timeout=self.drop_idle_timeout,
                 priority=self.drop_priority,
                 actions=[],  # no actions: matching packets are dropped
                 xid=controller.engine.ctx.next_xid(),
-            )
+            ).pack()
         )
         return True  # stop the pipeline; no forwarding for blocked traffic

@@ -45,7 +45,7 @@ class StatsCollectorApp(ControllerApp):
         if session.state.value == "closed":
             return
         self.polls_sent += 1
-        session.send(flow_stats_request(xid=controller.engine.ctx.next_xid()))
+        session.send(flow_stats_request(xid=controller.engine.ctx.next_xid()).pack())
         controller.engine.schedule(self.poll_interval, self._poll, controller, session)
 
     def stats_reply(self, controller, session, message: StatsReply) -> None:

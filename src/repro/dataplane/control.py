@@ -55,10 +55,6 @@ class ControlChannel:
         self.name = name
         self.peer: Optional["ControlChannel"] = None
         self.open = False
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        #: Free-form label used by monitors ("s2->proxy", "proxy->c1", ...).
-        self.label = name
 
     def send(self, data: bytes) -> None:
         """Queue bytes for in-order delivery to the peer endpoint."""
@@ -67,7 +63,6 @@ class ControlChannel:
             return  # writing to a closed socket: bytes vanish
         if type(data) is not bytes:
             data = bytes(data)
-        self.bytes_sent += len(data)
         heappush(self._queue, (self._engine.now + self.latency_s, 0, next(self._seq),
                                peer._deliver, (data,)))
 
@@ -83,7 +78,6 @@ class ControlChannel:
     def _deliver(self, data: bytes) -> None:
         if not self.open:
             return
-        self.bytes_delivered += len(data)
         self.owner.bytes_received(self, data)
 
     def _peer_closed(self) -> None:

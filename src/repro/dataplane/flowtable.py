@@ -45,14 +45,23 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 
 
+def compiled_port(actions: List[Action]) -> Optional[int]:
+    """The port number when ``actions`` is exactly one OUTPUT to a physical
+    port, else ``None``: the switch transmits there without the list."""
+    if len(actions) == 1:
+        action = actions[0]
+        if isinstance(action, OutputAction) and action.port < Port.MAX:
+            return action.port
+    return None
+
+
 class FlowEntry:
     """One installed flow rule.
 
     ``order`` is the entry's place in its table's install sequence; it
     breaks priority ties and orders LRU/FIFO eviction.  ``out`` is the
-    action list compiled for the switch's hit path: the port number when
-    the list is exactly one OUTPUT to a physical port, else ``None``.
-    Assigning ``actions`` recompiles it.
+    action list compiled for the switch's hit path
+    (:func:`compiled_port`).  Assigning ``actions`` recompiles it.
     """
 
     __slots__ = ("match", "priority", "_actions", "out", "cookie",
@@ -92,11 +101,7 @@ class FlowEntry:
     @actions.setter
     def actions(self, actions: List[Action]) -> None:
         self._actions = list(actions)
-        self.out = None
-        if len(self._actions) == 1:
-            action = self._actions[0]
-            if isinstance(action, OutputAction) and action.port < Port.MAX:
-                self.out = action.port
+        self.out = compiled_port(self._actions)
 
     @property
     def sends_flow_removed(self) -> bool:

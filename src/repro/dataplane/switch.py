@@ -36,6 +36,7 @@ from repro.openflow.constants import (
     OFP_NO_BUFFER,
     Capabilities,
     FlowModCommand,
+    PacketInReason,
     Port,
     StatsType,
 )
@@ -55,16 +56,20 @@ from repro.openflow.messages import (
     OpenFlowDecodeError,
     OpenFlowMessage,
     PacketOut,
-    PacketIn,
     PhyPort,
     PortStatus,
     SetConfig,
     StatsReply,
     StatsRequest,
+    pack_packet_in,
 )
 from repro.dataplane.control import ControlChannel
-from repro.dataplane.flowtable import FlowTable
+from repro.dataplane.flowtable import FlowTable, compiled_port
 from repro.sim.engine import SimulationEngine
+
+
+#: PACKET_IN reasons as ints: a pack takes an int faster than an enum.
+_NO_MATCH, _ACTION = int(PacketInReason.NO_MATCH), int(PacketInReason.ACTION)
 
 
 class FailMode(enum.Enum):
@@ -250,21 +255,17 @@ class OpenFlowSwitch:
 
             port = PhyPort(
                 port_no,
-                MacAddress((self.datapath_id << 8) | port_no),
+                (self.datapath_id << 8) | port_no,
                 f"{self.name}-eth{port_no}",
                 state=0 if up else int(PortState.LINK_DOWN),
             )
             self.stats["port_status_sent"] += 1
             self._send(PortStatus(PortReason.MODIFY, port,
-                                  xid=self.engine.ctx.next_xid()))
+                                  xid=self.engine.ctx.next_xid()).pack())
 
     def phy_ports(self) -> List[PhyPort]:
         return [
-            PhyPort(
-                port_no,
-                MacAddress((self.datapath_id << 8) | port_no),
-                f"{self.name}-eth{port_no}",
-            )
+            PhyPort(port_no, (self.datapath_id << 8) | port_no, f"{self.name}-eth{port_no}")
             for port_no in self.port_numbers()
         ]
 
@@ -302,7 +303,7 @@ class OpenFlowSwitch:
         link.last_received = self.engine.now
         link.echo_outstanding = False
         self._link_by_channel[channel] = link
-        self._send_on(link, Hello(xid=self.engine.ctx.next_xid()))
+        self._send_on(link, Hello(xid=self.engine.ctx.next_xid()).pack())
         self.engine.schedule(self.HANDSHAKE_TIMEOUT, self._handshake_check,
                              link, channel)
 
@@ -400,7 +401,7 @@ class OpenFlowSwitch:
                 link.echo_outstanding = True
                 self.stats["echo_requests_sent"] += 1
                 self._send_on(link, EchoRequest(
-                    payload=b"ovs-probe", xid=self.engine.ctx.next_xid()))
+                    payload=b"ovs-probe", xid=self.engine.ctx.next_xid()).pack())
 
     def _note_eviction(self, entry, reason: str) -> None:
         """Single exit point for every flow-removal path.
@@ -442,28 +443,28 @@ class OpenFlowSwitch:
                         packet_count=entry.packet_count,
                         byte_count=entry.byte_count,
                         xid=self.engine.ctx.next_xid(),
-                    )
+                    ).pack()
                 )
 
-    def _send(self, message: OpenFlowMessage) -> None:
-        """Broadcast an asynchronous message to every connected controller."""
+    def _send(self, data: bytes) -> None:
+        """Broadcast a message's wire bytes to every connected controller."""
         sent = False
         for link in self._links.values():
             if link.connected and link.channel is not None and link.channel.open:
-                link.channel.send(message.pack())
+                link.channel.send(data)
                 sent = True
         if not sent:
             # During the handshake (pre-CONNECTED) fall back to the first
             # open channel so HELLO-phase replies still flow.
             for link in self._links.values():
                 if link.channel is not None and link.channel.open:
-                    link.channel.send(message.pack())
+                    link.channel.send(data)
                     return
 
-    def _send_on(self, link: _ControlLink, message: OpenFlowMessage) -> None:
-        """Send a reply on the specific connection the request came from."""
+    def _send_on(self, link: _ControlLink, data: bytes) -> None:
+        """Send a reply's wire bytes on the connection the request came from."""
         if link.channel is not None and link.channel.open:
-            link.channel.send(message.pack())
+            link.channel.send(data)
 
     # ------------------------------------------------------------------ #
     # Control message handling
@@ -494,11 +495,11 @@ class OpenFlowSwitch:
                     capabilities=int(Capabilities.FLOW_STATS | Capabilities.ARP_MATCH_IP),
                     ports=self.phy_ports(),
                     xid=message.xid,
-                ),
+                ).pack(),
             )
             return
         if isinstance(message, EchoRequest):
-            self._send_on(link, EchoReply.for_request(message))
+            self._send_on(link, EchoReply.for_request(message).pack())
             return
         if isinstance(message, EchoReply):
             return
@@ -507,11 +508,11 @@ class OpenFlowSwitch:
             return
         if isinstance(message, GetConfigRequest):
             self._send_on(
-                link, GetConfigReply(miss_send_len=self.miss_send_len, xid=message.xid)
+                link, GetConfigReply(miss_send_len=self.miss_send_len, xid=message.xid).pack()
             )
             return
         if isinstance(message, BarrierRequest):
-            self._send_on(link, BarrierReply(xid=message.xid))
+            self._send_on(link, BarrierReply(xid=message.xid).pack())
             return
         if isinstance(message, StatsRequest):
             self._handle_stats_request(link, message)
@@ -544,7 +545,7 @@ class OpenFlowSwitch:
         removed, full = self.flow_table.apply_flow_mod(flow_mod, self.engine.now)
         if full:
             self._send_on(link, ErrorMessage(3, 0, flow_mod.pack()[:64],
-                                             xid=flow_mod.xid))
+                                             xid=flow_mod.xid).pack())
             return
         deleting = flow_mod.command in (FlowModCommand.DELETE,
                                         FlowModCommand.DELETE_STRICT)
@@ -565,7 +566,7 @@ class OpenFlowSwitch:
             if entry.sends_flow_removed:
                 self._send(
                     FlowRemoved(entry.match, entry.cookie, entry.priority, 2,
-                                xid=self.engine.ctx.next_xid())
+                                xid=self.engine.ctx.next_xid()).pack()
                 )
         if flow_mod.buffer_id != OFP_NO_BUFFER:
             # OF 1.0: a FLOW_MOD naming a buffer releases the buffered
@@ -575,12 +576,10 @@ class OpenFlowSwitch:
             self._release_buffer(flow_mod.buffer_id, flow_mod.actions)
 
     def _handle_packet_out(self, packet_out: PacketOut) -> None:
-        in_port = packet_out.in_port
         if packet_out.buffer_id != OFP_NO_BUFFER:
             self._release_buffer(packet_out.buffer_id, packet_out.actions)
-            return
-        if packet_out.data:
-            self._execute_actions(packet_out.actions, packet_out.data, in_port)
+        elif packet_out.data:
+            self._execute_actions(packet_out.actions, packet_out.data, packet_out.in_port)
 
     def _handle_stats_request(self, link: _ControlLink,
                               request: StatsRequest) -> None:
@@ -599,7 +598,7 @@ class OpenFlowSwitch:
                 + self.name.encode().ljust(32, b"\x00")  # serial_num
                 + b"simulated".ljust(256, b"\x00")    # dp_desc
             )
-            self._send_on(link, StatsReply(StatsType.DESC, body, xid=request.xid))
+            self._send_on(link, StatsReply(StatsType.DESC, body, xid=request.xid).pack())
             return
         if request.stats_type in (StatsType.FLOW, StatsType.AGGREGATE):
             try:
@@ -608,7 +607,7 @@ class OpenFlowSwitch:
                 )
             except Exception:
                 self._send_on(link, ErrorMessage(1, 2, request.pack()[:64],
-                                                 xid=request.xid))
+                                                 xid=request.xid).pack())
                 return
             now = self.engine.now
             selected = [
@@ -632,7 +631,7 @@ class OpenFlowSwitch:
                     )
                     for entry in selected
                 ]
-                self._send_on(link, flow_stats_reply(records, xid=request.xid))
+                self._send_on(link, flow_stats_reply(records, xid=request.xid).pack())
             else:
                 self._send_on(
                     link,
@@ -641,10 +640,10 @@ class OpenFlowSwitch:
                         sum(e.byte_count for e in selected),
                         len(selected),
                         xid=request.xid,
-                    )
+                    ).pack()
                 )
             return
-        self._send_on(link, StatsReply(request.stats_type, b"", xid=request.xid))
+        self._send_on(link, StatsReply(request.stats_type, b"", xid=request.xid).pack())
 
     # ------------------------------------------------------------------ #
     # Packet buffering
@@ -659,12 +658,18 @@ class OpenFlowSwitch:
         return buffer_id
 
     def _release_buffer(self, buffer_id: int, actions: List[Action]) -> None:
+        """Send a buffered packet through ``actions``; a lone physical
+        OUTPUT sends it as a table hit does."""
         entry = self._buffers.pop(buffer_id, None)
         if entry is None:
             self.stats["dropped_no_buffer_release"] += 1
             return
         data, in_port = entry
-        self._execute_actions(actions, data, in_port)
+        out = compiled_port(actions)
+        if out is None:
+            self._execute_actions(actions, data, in_port)
+        elif out != in_port:
+            self._transmit(out, data)
 
     # ------------------------------------------------------------------ #
     # Data plane
@@ -719,16 +724,8 @@ class OpenFlowSwitch:
         self.stats["packet_ins_sent"] += 1
         if self.sketches is not None:
             self.sketches.on_packet_in(self.engine.now)
-        self._send(
-            PacketIn(
-                buffer_id,
-                total_len=len(data),
-                in_port=in_port,
-                reason=0,
-                data=packet_in_data,
-                xid=self.engine.ctx.next_xid(),
-            )
-        )
+        self._send(pack_packet_in(self.engine.ctx.next_xid(), buffer_id, len(data), in_port,
+                                  _NO_MATCH, packet_in_data))
 
     def _standalone_forward(self, in_port: int, data: bytes) -> None:
         """Fail-safe behaviour: autonomous MAC-learning forwarding."""
@@ -778,8 +775,8 @@ class OpenFlowSwitch:
                 self.stats["packet_ins_sent"] += 1
                 if self.sketches is not None:
                     self.sketches.on_packet_in(self.engine.now)
-                self._send(PacketIn(OFP_NO_BUFFER, len(data), in_port, 1, data,
-                                    xid=self.engine.ctx.next_xid()))
+                self._send(pack_packet_in(self.engine.ctx.next_xid(), OFP_NO_BUFFER, len(data),
+                                          in_port, _ACTION, data))
         elif port == Port.TABLE:
             self.frame_received(in_port, data)
         elif port == Port.NORMAL:

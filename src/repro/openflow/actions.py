@@ -21,6 +21,11 @@ class ActionDecodeError(Exception):
     """Raised when an action TLV cannot be decoded."""
 
 
+def pack_output(port: int, max_len: int = 0xFFFF) -> bytes:
+    """The OUTPUT action TLV to ``port`` as wire bytes."""
+    return _OUTPUT.pack(_OUTPUT_TYPE, _OUTPUT.size, port, max_len)
+
+
 class Action:
     """Base class for flow actions; subclasses register by ``ActionType``."""
 
@@ -120,8 +125,6 @@ class Action:
 
     @staticmethod
     def pack_list(actions: List["Action"]) -> bytes:
-        if len(actions) == 1:
-            return actions[0].pack()
         return b"".join([action.pack() for action in actions])
 
     def __eq__(self, other: object) -> bool:
@@ -144,7 +147,7 @@ class OutputAction(Action):
         self.max_len = int(max_len)
 
     def pack(self) -> bytes:
-        return _OUTPUT.pack(_OUTPUT_TYPE, _OUTPUT.size, self.port, self.max_len)
+        return pack_output(self.port, self.max_len)
 
     @classmethod
     def unpack_body(cls, body: bytes) -> "OutputAction":

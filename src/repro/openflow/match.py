@@ -61,6 +61,25 @@ def _field(pos: int, to_int: Callable[[Any], int] = int,
     return property(get, set_, doc=f"``{MATCH_FIELD_NAMES[pos]}`` (None: wildcarded)")
 
 
+def wire_fields(key: Tuple[Optional[int], ...], nw_src_prefix: int = 32,
+                nw_dst_prefix: int = 32) -> Tuple[int, ...]:
+    """The values :data:`MATCH_FORMAT` packs for the match on flow key
+    ``key`` (``None`` fields wildcarded, packed as 0); no Match is built."""
+    if None in key:
+        src_wild = 32 if key[_NW_SRC] is None else 32 - nw_src_prefix
+        dst_wild = 32 if key[_NW_DST] is None else 32 - nw_dst_prefix
+        wildcards = min(src_wild, 63) << NW_SRC_SHIFT | min(dst_wild, 63) << NW_DST_SHIFT
+        for pos, flag in _SIMPLE_WILDCARDS:
+            if key[pos] is None:
+                wildcards |= flag
+        key = [0 if value is None else value for value in key]
+    else:
+        wildcards = (32 - nw_src_prefix) << NW_SRC_SHIFT | (32 - nw_dst_prefix) << NW_DST_SHIFT
+    dl_src, dl_dst = key[1], key[2]
+    return (wildcards, key[0], dl_src >> 32, dl_src & 0xFFFFFFFF,
+            dl_dst >> 32, dl_dst & 0xFFFFFFFF, *key[3:])
+
+
 def _mac_int(value: Any) -> int:
     return int(MacAddress(value))
 
@@ -207,29 +226,11 @@ class Match:
     @property
     def wildcards(self) -> int:
         """Compute the ``ofp_flow_wildcards`` word for the current fields."""
-        key = self.key
-        word = 0
-        for pos, flag in _SIMPLE_WILDCARDS:
-            if key[pos] is None:
-                word |= flag
-        src_wild = 32 if key[_NW_SRC] is None else 32 - self.nw_src_prefix
-        dst_wild = 32 if key[_NW_DST] is None else 32 - self.nw_dst_prefix
-        word |= min(src_wild, 63) << NW_SRC_SHIFT
-        word |= min(dst_wild, 63) << NW_DST_SHIFT
-        return word
+        return self.wire_fields()[0]
 
     def wire_fields(self) -> Tuple[int, ...]:
         """The values :data:`MATCH_FORMAT` packs, wildcarded fields as 0."""
-        key = self.key
-        if None in key:
-            wildcards = self.wildcards
-            key = [0 if value is None else value for value in key]
-        else:
-            wildcards = ((32 - self.nw_src_prefix) << NW_SRC_SHIFT
-                         | (32 - self.nw_dst_prefix) << NW_DST_SHIFT)
-        dl_src, dl_dst = key[1], key[2]
-        return (wildcards, key[0], dl_src >> 32, dl_src & 0xFFFFFFFF,
-                dl_dst >> 32, dl_dst & 0xFFFFFFFF, *key[3:])
+        return wire_fields(self.key, self.nw_src_prefix, self.nw_dst_prefix)
 
     def pack(self) -> bytes:
         return _MATCH.pack(*self.wire_fields())

@@ -8,7 +8,7 @@ this module.
 from __future__ import annotations
 
 import struct
-from typing import Callable, ClassVar, Dict, List, Optional, Type
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type, Union
 
 from repro.netlib.addresses import MacAddress
 from repro.openflow.actions import Action, ActionDecodeError
@@ -49,6 +49,38 @@ _FLOW_MOD_COMMAND: Dict[int, FlowModCommand] = {int(c): c for c in FlowModComman
 
 #: Header type byte -> MessageType name, for header-only peeks.
 _TYPE_NAME_BY_ID: Dict[int, str] = {int(t): t.name for t in MessageType}
+#: The round trip's type bytes as ints: a pack takes an int faster than an enum.
+_PACKET_IN_TYPE, _PACKET_OUT_TYPE, _FLOW_MOD_TYPE = (
+    int(MessageType.PACKET_IN), int(MessageType.PACKET_OUT), int(MessageType.FLOW_MOD))
+
+
+# The round trip's encoders, which its classes' ``_encode`` call: wire
+# bytes from ints, no message object (``OpenFlowMessage.pack`` counts none).
+def pack_packet_in(xid: int, buffer_id: int, total_len: int, in_port: int,
+                   reason: int, data: bytes) -> bytes:
+    """PACKET_IN wire bytes carrying ``data``."""
+    return _PACKET_IN.pack(OFP_VERSION, _PACKET_IN_TYPE, _PACKET_IN.size + len(data), xid,
+                           buffer_id, total_len, in_port, reason) + data
+
+
+def pack_packet_out(xid: int, buffer_id: int, in_port: int, actions: bytes,
+                    data: bytes) -> bytes:
+    """PACKET_OUT wire bytes; ``actions`` is the packed action list."""
+    return _PACKET_OUT.pack(OFP_VERSION, _PACKET_OUT_TYPE,
+                            _PACKET_OUT.size + len(actions) + len(data), xid, buffer_id,
+                            in_port, len(actions)) + actions + data
+
+
+def pack_flow_mod(xid: int, match_fields: Tuple[int, ...], actions: bytes, cookie: int = 0,
+                  command: int = int(FlowModCommand.ADD), idle_timeout: int = 0,
+                  hard_timeout: int = 0, priority: int = 0x8000,
+                  buffer_id: int = OFP_NO_BUFFER, out_port: int = int(Port.NONE),
+                  flags: int = 0) -> bytes:
+    """FLOW_MOD wire bytes, defaults as :class:`FlowMod`'s: ``match_fields``
+    are ``Match.wire_fields``'s values, ``actions`` the packed list."""
+    return _FLOW_MOD.pack(OFP_VERSION, _FLOW_MOD_TYPE, _FLOW_MOD.size + len(actions),
+                          xid, *match_fields, cookie, command, idle_timeout, hard_timeout,
+                          priority, buffer_id, out_port, flags) + actions
 
 
 class OpenFlowDecodeError(Exception):
@@ -357,20 +389,22 @@ _PHY_PORT = struct.Struct("!H6s16sIIIIII")
 
 
 class PhyPort:
-    """``ofp_phy_port`` — a physical port description in FEATURES_REPLY."""
+    """``ofp_phy_port`` — a physical port description in FEATURES_REPLY
+    (``hw_addr``: the MAC as an int)."""
 
     __slots__ = ("port_no", "hw_addr", "name", "config", "state")
 
     def __init__(
         self,
         port_no: int,
-        hw_addr: MacAddress,
+        hw_addr: Union[int, MacAddress, str, bytes],
         name: str,
         config: int = 0,
         state: int = 0,
     ) -> None:
         self.port_no = int(port_no)
-        self.hw_addr = MacAddress(hw_addr)
+        self.hw_addr = (hw_addr if type(hw_addr) is int and 0 <= hw_addr < 1 << 48
+                        else int(MacAddress(hw_addr)))
         if len(name.encode("ascii")) > 15:
             raise ValueError(f"port name too long: {name!r}")
         self.name = name
@@ -380,7 +414,7 @@ class PhyPort:
     def pack(self) -> bytes:
         return _PHY_PORT.pack(
             self.port_no,
-            self.hw_addr.packed,
+            self.hw_addr.to_bytes(6, "big"),
             self.name.encode("ascii").ljust(16, b"\x00"),
             self.config,
             self.state,
@@ -395,7 +429,7 @@ class PhyPort:
         port_no, hw_addr, name, config, state, _c, _a, _s, _p = _PHY_PORT.unpack_from(data)
         return cls(
             port_no,
-            MacAddress(hw_addr),
+            int.from_bytes(hw_addr, "big"),
             name.rstrip(b"\x00").decode("ascii"),
             config,
             state,
@@ -499,10 +533,8 @@ class PacketIn(OpenFlowMessage):
         return cls(buffer_id, len(data), in_port, PacketInReason.NO_MATCH, data)
 
     def _encode(self) -> bytes:
-        data = self.data
-        return _PACKET_IN.pack(OFP_VERSION, self.message_type, _PACKET_IN.size + len(data),
-                               self.xid, self.buffer_id, self.total_len, self.in_port,
-                               self.reason) + data
+        return pack_packet_in(self.xid, self.buffer_id, self.total_len, self.in_port,
+                              self.reason, self.data)
 
     @classmethod
     def _decode(cls, data: bytes, length: int, xid: int) -> "PacketIn":
@@ -552,11 +584,8 @@ class PacketOut(OpenFlowMessage):
         self.data = bytes(data)
 
     def _encode(self) -> bytes:
-        actions = Action.pack_list(self.actions)
-        data = self.data
-        return _PACKET_OUT.pack(OFP_VERSION, self.message_type,
-                                _PACKET_OUT.size + len(actions) + len(data), self.xid,
-                                self.buffer_id, self.in_port, len(actions)) + actions + data
+        return pack_packet_out(self.xid, self.buffer_id, self.in_port,
+                               Action.pack_list(self.actions), self.data)
 
     @classmethod
     def _decode(cls, data: bytes, length: int, xid: int) -> "PacketOut":
@@ -626,12 +655,9 @@ class FlowMod(OpenFlowMessage):
         self.actions = list(actions or [])
 
     def _encode(self) -> bytes:
-        actions = Action.pack_list(self.actions)
-        return _FLOW_MOD.pack(OFP_VERSION, self.message_type, _FLOW_MOD.size + len(actions),
-                              self.xid, *self.match.wire_fields(), self.cookie,
-                              self.command, self.idle_timeout, self.hard_timeout,
-                              self.priority, self.buffer_id, self.out_port,
-                              self.flags) + actions
+        return pack_flow_mod(self.xid, self.match.wire_fields(), Action.pack_list(self.actions),
+                             self.cookie, self.command, self.idle_timeout, self.hard_timeout,
+                             self.priority, self.buffer_id, self.out_port, self.flags)
 
     @classmethod
     def _decode(cls, data: bytes, length: int, xid: int) -> "FlowMod":

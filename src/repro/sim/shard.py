@@ -199,8 +199,7 @@ class BoundaryControlChannel:
     arrivals respect the barrier contract.
     """
 
-    __slots__ = ("owner", "latency_s", "name", "label", "peer", "open",
-                 "bytes_sent", "bytes_delivered", "_engine", "_emit",
+    __slots__ = ("owner", "latency_s", "name", "peer", "open", "_engine", "_emit",
                  "_out_chan")
 
     def __init__(
@@ -216,18 +215,14 @@ class BoundaryControlChannel:
         self.owner = owner
         self.latency_s = latency_s
         self.name = name
-        self.label = name
         self.peer = None  # the far half is in another region
         self.open = True
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
         self._emit = emit
         self._out_chan = out_chan
 
     def send(self, data: bytes) -> None:
         if not self.open:
             return
-        self.bytes_sent += len(data)
         self._emit(self._out_chan, self._engine.now + self.latency_s,
                    OP_DATA, bytes(data))
 
@@ -242,7 +237,6 @@ class BoundaryControlChannel:
     def _deliver(self, data: bytes) -> None:
         if not self.open:
             return
-        self.bytes_delivered += len(data)
         self.owner.bytes_received(self, data)
 
     def _peer_closed(self) -> None:

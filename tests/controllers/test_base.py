@@ -119,7 +119,7 @@ def test_flow_removed_dispatched_to_apps(engine, small_topology):
     session = controller.session_for_dpid(1)
     session.send(FlowMod(Match(in_port=1), idle_timeout=1,
                          flags=int(FlowModFlags.SEND_FLOW_REM),
-                         actions=[OutputAction(2)]))
+                         actions=[OutputAction(2)]).pack())
     engine.run(until=engine.now + 5.0)
     assert len(removed) == 1
 

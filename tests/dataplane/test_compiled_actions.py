@@ -9,6 +9,11 @@ ingress port among them), FLOOD, ALL, IN_PORT, CONTROLLER, NORMAL,
 set-field actions and the empty list, an installed entry must send the
 same bytes to the same ports.  MODIFY and MODIFY_STRICT re-target an
 installed entry.
+
+A buffered packet released by a PACKET_OUT or by a FLOW_MOD's
+``buffer_id`` goes through the same compiled port.  Against the same
+oracle, on a connected switch, each release must send the same bytes to
+the same ports and the same PACKET_INs, in the same order.
 """
 
 import pytest
@@ -33,7 +38,7 @@ from repro.openflow.actions import (
 )
 from repro.openflow.constants import FlowModCommand, Port
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod
+from repro.openflow.messages import FlowMod, PacketOut, parse_message
 from repro.sim.engine import SimulationEngine
 
 PORTS = (1, 2, 3, 4)
@@ -70,6 +75,15 @@ def make_switch():
     return switch, sent
 
 
+def make_connected_switch():
+    """``make_switch`` with a controller: the control bytes the switch
+    sends are logged in ``sent`` as ``("controller", bytes)``."""
+    switch, sent = make_switch()
+    switch.connected = True
+    switch._send = lambda data: sent.append(("controller", data))
+    return switch, sent
+
+
 def compiled_port(actions):
     if len(actions) == 1 and isinstance(actions[0], OutputAction):
         port = actions[0].port
@@ -90,6 +104,29 @@ def test_an_installed_entry_sends_what_the_interpreter_sends(actions, in_port):
     reference, expected = make_switch()
     for _ in range(2):
         reference._execute_actions(actions, FRAME, in_port)
+    assert sent == expected
+
+
+def release_via_packet_out(switch, buffer_id, in_port, actions):
+    switch._handle_packet_out(parse_message(PacketOut(buffer_id, in_port, actions).pack()))
+
+
+def release_via_flow_mod(switch, buffer_id, in_port, actions):
+    flow_mod = FlowMod(Match(dl_type=0x9999), buffer_id=buffer_id, actions=actions)
+    switch._handle_flow_mod(None, parse_message(flow_mod.pack()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ACTIONS, max_size=4), st.sampled_from(PORTS),
+       st.sampled_from([release_via_packet_out, release_via_flow_mod]))
+def test_a_released_buffer_sends_what_the_interpreter_sends(actions, in_port, release):
+    switch, sent = make_connected_switch()
+    buffer_id = switch._buffer_packet(FRAME, in_port)
+    release(switch, buffer_id, in_port, actions)
+    assert buffer_id not in switch._buffers
+
+    reference, expected = make_connected_switch()
+    reference._execute_actions(actions, FRAME, in_port)
     assert sent == expected
 
 

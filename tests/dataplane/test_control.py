@@ -90,16 +90,6 @@ def test_bytes_in_flight_when_receiver_closes_are_dropped():
     assert b.received == []
 
 
-def test_counters():
-    engine = SimulationEngine()
-    a, b = FakeEndpoint(), FakeEndpoint()
-    chan_a, chan_b = connect_endpoints(engine, a, b, latency_s=0.1)
-    chan_a.send(b"12345")
-    engine.run()
-    assert chan_a.bytes_sent == 5
-    assert chan_b.bytes_delivered == 5
-
-
 @pytest.mark.parametrize("latency", [-0.001, math.nan])
 def test_bad_latency_is_refused_when_the_channel_is_built(latency):
     engine = SimulationEngine()

@@ -19,7 +19,11 @@ copying them, and must be indistinguishable:
 * **framer** -- over streams of whole messages and garbage cut into
   random chunks, every feed yields the same frames or raises the same
   error, with the same ``pending_bytes``, ``messages_decoded`` and
-  ``bytes_received`` after it.
+  ``bytes_received`` after it;
+* **encoders** -- over the full field ranges, the field encoders the
+  switch and the controllers send with (``pack_packet_in``,
+  ``pack_packet_out``, ``pack_flow_mod``, ``pack_output``) give the
+  reference bytes of the object built from the same fields.
 """
 
 from __future__ import annotations
@@ -49,18 +53,24 @@ from repro.openflow.actions import (
     StripVlanAction,
     UnknownAction,
 )
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, pack_output
 from repro.openflow.connection import MessageFramer
+from repro.openflow.match import wire_fields
 from repro.openflow.messages import (
     EchoRequest,
     OpenFlowDecodeError,
     OpenFlowMessage,
+    pack_flow_mod,
+    pack_packet_in,
+    pack_packet_out,
     valid_type_name,
 )
 from tests.openflow.codec_reference import (
     ReferenceFramer,
     match_pack,
     match_unpack,
+    pack_action,
+    pack_action_list,
     reference_pack,
     reference_parse,
     reference_valid_type_name,
@@ -166,6 +176,50 @@ def _decoded(parse, raw):
 @given(MESSAGES)
 def test_pack_equals_the_reference(message):
     assert message.pack() == reference_pack(message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(XID, U32, U16, U16, st.sampled_from(list(PacketInReason)), DATA)
+def test_pack_packet_in_equals_the_reference(xid, buffer_id, total_len, in_port, reason, data):
+    expected = reference_pack(PacketIn(buffer_id, total_len, in_port, reason, data, xid=xid))
+    assert pack_packet_in(xid, buffer_id, total_len, in_port, int(reason), data) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(XID, U32, U16, ACTION_LISTS, DATA)
+def test_pack_packet_out_equals_the_reference(xid, buffer_id, in_port, actions, data):
+    expected = reference_pack(PacketOut(buffer_id, in_port, actions, data, xid=xid))
+    assert pack_packet_out(xid, buffer_id, in_port, pack_action_list(actions), data) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(XID, matches(), st.sampled_from(list(FlowModCommand)), U64, U16, U16, U16, U32, U16,
+       U16, ACTION_LISTS)
+def test_pack_flow_mod_equals_the_reference(xid, match, command, cookie, idle_timeout,
+                                            hard_timeout, priority, buffer_id, out_port,
+                                            flags, actions):
+    expected = reference_pack(FlowMod(match, command, cookie, idle_timeout, hard_timeout,
+                                      priority, buffer_id, out_port, flags, actions, xid=xid))
+    fields = wire_fields(match.key, match.nw_src_prefix, match.nw_dst_prefix)
+    assert pack_flow_mod(xid, fields, pack_action_list(actions), cookie, int(command),
+                         idle_timeout, hard_timeout, priority, buffer_id, out_port,
+                         flags) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(XID, matches(), ACTION_LISTS)
+def test_pack_flow_mod_defaults_are_flow_mods(xid, match, actions):
+    """An exact match (prefixes /32) and every default of ``FlowMod``."""
+    match.nw_src_prefix = match.nw_dst_prefix = 32
+    expected = reference_pack(FlowMod(match, actions=actions, xid=xid))
+    assert pack_flow_mod(xid, wire_fields(match.key), pack_action_list(actions)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(U16, U16)
+def test_pack_output_equals_the_reference(port, max_len):
+    assert pack_output(port, max_len) == pack_action(OutputAction(port, max_len))
+    assert pack_output(port) == pack_action(OutputAction(port))
 
 
 @settings(max_examples=100, deadline=None)
