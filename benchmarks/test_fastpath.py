@@ -154,16 +154,12 @@ def test_flowtable_lookup_speedup(benchmark):
         flow_mod = FlowMod(exact(index), actions=[OutputAction(2)])
         table.apply_flow_mod(flow_mod, now=0.0)
         linear.apply_flow_mod(flow_mod, now=0.0)
-    probe = exact(n_entries - 1)
-    fields = {name: getattr(probe, name)
-              for name in ("in_port", "dl_src", "dl_dst", "dl_vlan",
-                           "dl_vlan_pcp", "dl_type", "nw_tos", "nw_proto",
-                           "nw_src", "nw_dst", "tp_src", "tp_dst")}
-    assert table.lookup(fields) is not None
-    assert linear.lookup(fields) is not None
+    key = exact(n_entries - 1).key
+    assert table.lookup(key) is not None
+    assert linear.lookup(key) is not None
 
-    fast_time = median_time(lambda: table.lookup(fields), iterations=500)
-    slow_time = median_time(lambda: linear.lookup(fields), iterations=500)
+    fast_time = median_time(lambda: table.lookup(key), iterations=500)
+    slow_time = median_time(lambda: linear.lookup(key), iterations=500)
     speedup = slow_time / fast_time
     print_table(
         f"Fast lane — flow-table lookup at {n_entries} exact entries",
@@ -174,7 +170,7 @@ def test_flowtable_lookup_speedup(benchmark):
         ],
     )
     assert speedup >= SPEEDUP_FLOOR, f"only {speedup:.1f}x"
-    benchmark(lambda: table.lookup(fields))
+    benchmark(lambda: table.lookup(key))
     benchmark.extra_info["entries"] = n_entries
     benchmark.extra_info["speedup_vs_linear"] = round(speedup, 2)
 
@@ -183,18 +179,17 @@ def test_multihop_forwarding_speedup(benchmark, monkeypatch):
     """Data-plane fast lane: >= 3x on a 4-switch multi-hop path.
 
     A frame crossing a 4-switch chain is key-extracted at every hop.
-    Pre-change, each hop ran the full decode-based
-    ``extract_packet_fields`` (EthernetFrame -> Ipv4Packet -> TcpSegment
-    object construction); with the fast lane, the first arrival computes
-    the key once via the single-pass extractor and every later hop — and
-    every repeat of the same frame — is a memoized dict fetch on the
-    interned FastFrame.
+    Pre-change, each hop ran the full decode-based extraction
+    (EthernetFrame -> Ipv4Packet -> TcpSegment object construction);
+    with the fast lane, the first arrival computes the key once via the
+    single-pass extractor and every later hop — and every repeat of the
+    same frame — is a memoized tuple fetch on the interned FastFrame.
     """
     from repro.dataplane.switch import OpenFlowSwitch
     from repro.netlib import EtherType, EthernetFrame, Ipv4Address, \
         Ipv4Packet, MacAddress, TcpSegment, fastframe
     from tests.netlib import plain_frames
-    from tests.netlib.flowkey_reference import extract_packet_fields_reference
+    from tests.netlib.flowkey_reference import flow_key_reference
 
     N_SWITCHES = 4
     FORWARD_FLOOR = 3.0
@@ -247,8 +242,7 @@ def test_multihop_forwarding_speedup(benchmark, monkeypatch):
     baseline_switches, baseline_delivered = build_chain()
     with monkeypatch.context() as patch:
         plain_frames.apply(patch)
-        patch.setattr(fastframe, "extract_flow_key",
-                      extract_packet_fields_reference)
+        patch.setattr(fastframe, "extract_flow_key", flow_key_reference)
 
         def send_one_baseline():
             baseline_switches[0].frame_received(1, bytes(bytearray(raw)))

@@ -14,8 +14,9 @@ import enum
 import itertools
 from typing import Any, Iterator, Optional, Tuple
 
+from repro.netlib.ethernet import FrameDecodeError
 from repro.openflow.actions import OutputAction
-from repro.openflow.match import MATCH_FIELD_NAMES, extract_packet_fields
+from repro.openflow.match import MATCH_FIELD_NAMES, Match
 from repro.openflow.messages import (
     BODY_CHECKED_TYPES,
     EchoReply,
@@ -318,11 +319,13 @@ class InterposedMessage:
             return simple.get(head)
         if isinstance(message, PacketIn):
             if head == "packet" and rest:
-                try:
-                    fields = extract_packet_fields(message.data, message.in_port)
-                except Exception:
+                if rest not in MATCH_FIELD_NAMES:
                     return None
-                return fields.get(rest)
+                try:
+                    match = Match.from_packet(message.data, message.in_port)
+                except FrameDecodeError:  # shorter than an Ethernet header
+                    return None
+                return getattr(match, rest)
             simple = {
                 "in_port": message.in_port,
                 "reason": message.reason.name,

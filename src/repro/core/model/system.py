@@ -142,15 +142,6 @@ class SystemModel:
     def connection_keys(self) -> List[ConnectionKey]:
         return [connection.key for connection in self.control_connections]
 
-    def has_connection(self, controller: str, switch: str) -> bool:
-        return (controller, switch) in set(self.connection_keys())
-
-    def connections_for_switch(self, switch: str) -> List[ControlConnection]:
-        return [c for c in self.control_connections if c.switch == switch]
-
-    def connections_for_controller(self, controller: str) -> List[ControlConnection]:
-        return [c for c in self.control_connections if c.controller == controller]
-
     def neighbors(self, device: str) -> List[str]:
         """Data-plane neighbours of a device (for reachability analyses)."""
         result = []

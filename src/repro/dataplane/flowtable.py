@@ -7,8 +7,8 @@ FLOW_REMOVED notifications.
 
 The table is an OVS-style tuple-space classifier (Srinivasan, Suri and
 Varghese, SIGCOMM 1999): one hash table per wildcard mask, keyed by the
-masked integer field values and probed with a packet's all-int
-:func:`~repro.netlib.flowkey.field_tuple` in descending order of each
+masked integer field values and probed with a packet's all-int flow key
+(``repro.netlib.flowkey``) in descending order of each
 mask's highest priority, until no remaining mask can win.  A strict-identity
 dict keyed on ``(match.pack(), priority)`` serves ADD-replace, MODIFY_STRICT
 and DELETE_STRICT: ``pack()`` equality is OF 1.0 strict equality, and it
@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.netlib.flowkey import FIELD_TUPLE_KEY, MATCH_FIELD_NAMES, field_tuple
+from repro.netlib.flowkey import MATCH_FIELD_NAMES
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.constants import FlowModCommand, FlowModFlags, Port
 from repro.openflow.match import Match
@@ -140,7 +140,7 @@ def _mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[A
 
     The mask pairs each constrained tuple position with a netmask: -1 for
     an exact field, the prefix netmask for a CIDR ``nw_src``/``nw_dst``.
-    A /0 prefix constrains nothing, as in :meth:`Match.matches_fields`.
+    A /0 prefix constrains nothing, as in :meth:`Match.subsumes`.
     """
     key = match.key
     prefixes = {_NW_SRC: match.nw_src_prefix, _NW_DST: match.nw_dst_prefix}
@@ -380,17 +380,16 @@ class FlowTable:
             self._unlink(entry)
         return removed, False
 
-    def lookup(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
-        """Highest-priority entry matching extracted packet fields."""
+    def lookup(self, key: Tuple[Optional[int], ...]) -> Optional[FlowEntry]:
+        """Highest-priority entry matching a packet's twelve-field flow key."""
         self.lookups += 1
-        values = fields.get(FIELD_TUPLE_KEY) or field_tuple(fields)
-        best = self._cache.get(values)
+        best = self._cache.get(key)
         if best is None:
             for sub in self._probe_order:
                 if best is not None and sub.max_priority < best.priority:
                     break
-                key = sub.key
-                bucket = sub.buckets.get(values if key is None else key(values))
+                masked = sub.key
+                bucket = sub.buckets.get(key if masked is None else masked(key))
                 if bucket is not None:
                     entry = bucket[-1]
                     if best is None or entry.rank > best.rank:
@@ -400,7 +399,7 @@ class FlowTable:
             cache = self._cache
             if len(cache) >= CACHE_MAX:
                 cache.clear()
-            cache[values] = best
+            cache[key] = best
         self.matched += 1
         return best
 

@@ -634,9 +634,6 @@ class Host:
         self._iperf_servers[port] = server
         return server
 
-    def stop_iperf_server(self, port: int = 5001) -> None:
-        self._iperf_servers.pop(port, None)
-
     def run_iperf_client(
         self,
         target: Ipv4Address,

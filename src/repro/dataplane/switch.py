@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.netlib import fastframe
 from repro.netlib.fastframe import FastFrame
-from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.ethernet import EthernetFrame, FrameDecodeError
 from repro.netlib.ipv4 import Ipv4Packet
 from repro.openflow.actions import (
@@ -692,14 +691,14 @@ class OpenFlowSwitch:
             self._standalone_forward(port_no, data)
             return
         try:
-            fields = fastframe.flow_key(data, port_no)
+            key = fastframe.flow_key(data, port_no)
         except FrameDecodeError:  # shorter than an Ethernet header
             self.stats["rx_no_lookup"] += 1
             self.stats["dropped_runts"] += 1
             return
         if self.sketches is not None:
-            self.sketches.on_frame(self.name, port_no, fields, self.engine.now)
-        entry = self.flow_table.lookup(fields)
+            self.sketches.on_frame(self.name, port_no, key, self.engine.now)
+        entry = self.flow_table.lookup(key)
         if entry is not None:
             entry.last_used = self.engine.now
             entry.packet_count += 1
@@ -801,9 +800,7 @@ class OpenFlowSwitch:
             return frame.pack()
         # The rewritten frame differs from `data` only in this one field,
         # so its flow key is the parent's key with that field replaced.
-        return fastframe.derive_frame(
-            frame.pack(), data, field, MacAddress(action.address)
-        )
+        return fastframe.derive_frame(frame.pack(), data, field, int(action.address))
 
     @staticmethod
     def _rewrite_nw(data: bytes, action: Action) -> bytes:
@@ -822,9 +819,7 @@ class OpenFlowSwitch:
             frame.payload = ip.pack()
             return frame.pack()
         frame.payload = ip.pack()
-        return fastframe.derive_frame(
-            frame.pack(), data, field, Ipv4Address(action.address)
-        )
+        return fastframe.derive_frame(frame.pack(), data, field, int(action.address))
 
     def __repr__(self) -> str:
         return (

@@ -33,7 +33,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def normalize_key(values) -> Tuple[int, ...]:
-    """Map ``None`` to ``-1`` in an all-int flow key (``field_tuple``).
+    """Map ``None`` to ``-1`` in an all-int flow key (``repro.netlib.flowkey``).
 
     The result sorts and compares deterministically, which the
     heavy-hitter tie-breaks rely on.  A key without absent fields (every

@@ -2,10 +2,10 @@
 
 A :class:`SketchTap` instance is shared by every switch in one shard
 region (mirroring the ``switch.tracer`` wiring): the switch calls
-:meth:`on_frame` once per received frame — *after* the FastFrame lane has
-produced the memoized flow-key dict, so the tap reads the pre-populated
-``__tuple__`` key and never parses bytes — and :meth:`on_packet_in` at
-both PACKET_IN emission sites (table miss, OUTPUT:CONTROLLER).
+:meth:`on_frame` once per received frame with the frame's all-int flow
+key — the tuple the flow table probes with, memoized by the FastFrame
+lane, so the tap never parses bytes — and :meth:`on_packet_in` at both
+PACKET_IN emission sites (table miss, OUTPUT:CONTROLLER).
 
 Per-key work (int-fold hash, count-min row indices, normalization) is
 memoized in a bounded dict keyed by the flow-key tuple itself, so steady
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.netlib.flowkey import FIELD_TUPLE_KEY, field_tuple
 from repro.defense.sketches import (
     CountMinSketch,
     InterArrival,
@@ -78,9 +77,7 @@ class SketchTap:
     # -- hot path ------------------------------------------------------- #
 
     def on_frame(self, switch: str, port_no: int,
-                 fields: Dict[str, Any], now: float) -> None:
-        # The fast lane's memo; lane off / non-FastFrame bytes: build it.
-        key = fields.get(FIELD_TUPLE_KEY) or field_tuple(fields)
+                 key: Tuple[Optional[int], ...], now: float) -> None:
         cached = self._memo.get(key)
         if cached is None:
             norm = normalize_key(key)

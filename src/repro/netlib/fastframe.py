@@ -6,16 +6,13 @@ receiver.  Historically each hop re-ran the full twelve-field extraction
 on those same bytes; iperf streams additionally retransmit *identical*
 byte windows, so the same content was parsed dozens of times.
 
-:class:`FastFrame` is a ``bytes`` subclass that carries its parsed flow
-key alongside the payload:
+:class:`FastFrame` is a ``bytes`` subclass that carries its flow key,
+the all-int tuple of ``repro.netlib.flowkey``, alongside the payload:
 
 * ``_base`` — the eleven port-independent fields, computed once per
   distinct frame content (``extract_flow_base``).
-* ``_base_tuple`` — the same eleven fields as ints (addresses as their
-  integer values, absent fields ``None``).
-* ``_by_port`` — per-ingress-port field dicts (the base plus
-  ``in_port``), each carrying its all-int ``"__tuple__"`` flow key
-  (``field_tuple``'s value), which :meth:`FlowTable.lookup` probes with.
+* ``_by_port`` — per-ingress-port twelve-field keys, ``(in_port,) +
+  _base``, which :meth:`FlowTable.lookup` probes with.
 
 A bounded intern pool maps frame content to its ``FastFrame`` so a
 retransmitted window resolves to the *same object* — its key caches are
@@ -23,8 +20,8 @@ already warm, and CPython's ``bytes`` hash caching makes re-hashing it
 for buffering O(1).  The pool belongs to the run: callers pass their
 engine's ``ctx.frames`` to :func:`intern`.
 
-Frames of one flow may share ``_base``, ``_base_tuple`` and
-``_by_port`` (:func:`share_key`): a host sends a flow's packets with
+Frames of one flow may share ``_base`` and ``_by_port``
+(:func:`share_key`): a host sends a flow's packets with
 the same addresses, protocol and L4 pair (ports, or ICMP type and code),
 so they differ only in lengths, payloads, TCP sequence numbers and
 flags, and ICMP identifiers and sequence numbers, none of which is a key
@@ -42,15 +39,9 @@ demand for anything that is not a FastFrame.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.netlib.flowkey import (
-    FIELD_TUPLE_KEY as TUPLE_KEY,
-    extract_base_key,
-    extract_flow_base,
-    extract_flow_key,
-    field_tuple,
-)
+from repro.netlib.flowkey import BASE_FIELD_NAMES, extract_flow_base, extract_flow_key
 
 #: Intern pool size bound.  Eviction is wholesale (``clear``): the pool
 #: re-warms in one round-trip and the bookkeeping stays O(1) per frame.
@@ -58,16 +49,15 @@ POOL_MAX = 4096
 
 
 class FastFrame(bytes):
-    """Raw Ethernet bytes plus lazily-attached parse caches.
+    """Raw Ethernet bytes plus lazily-attached flow-key caches.
 
     ``bytes`` subclasses cannot declare nonempty ``__slots__``, so the
     caches live in the instance ``__dict__`` with class-level ``None``
     defaults; an untouched FastFrame costs one empty dict.
     """
 
-    _base: Optional[Dict[str, Any]] = None
-    _base_tuple: Optional[Tuple[Optional[int], ...]] = None
-    _by_port: Optional[Dict[int, Dict[str, Any]]] = None
+    _base: Optional[Tuple[Optional[int], ...]] = None
+    _by_port: Optional[Dict[int, Tuple[Optional[int], ...]]] = None
 
 
 def intern(data: bytes, pool: Dict[bytes, bytes]) -> Tuple[bytes, bool]:
@@ -90,46 +80,35 @@ def intern(data: bytes, pool: Dict[bytes, bytes]) -> Tuple[bytes, bool]:
     return frame, False
 
 
-def flow_key(data: bytes, in_port: int) -> Dict[str, Any]:
-    """The twelve-field dict for ``data`` on ``in_port``, memoized.
+def flow_key(data: bytes, in_port: int) -> Tuple[Optional[int], ...]:
+    """The twelve-field flow key of ``data`` on ``in_port``, memoized.
 
-    Memoized dicts carry :data:`TUPLE_KEY`; treat them as read-only —
-    they are shared across every lookup of this frame at this port
-    number.  A parse is an ``extract_flow_*`` call.  Raises exactly what
-    ``extract_packet_fields`` raises (nothing is cached on failure).
+    A parse is an ``extract_flow_*`` call.  Raises exactly what
+    ``extract_flow_key`` raises (nothing is cached on failure).
     """
     if type(data) is FastFrame:
         by_port = data._by_port
         if by_port is not None:
-            fields = by_port.get(in_port)
-            if fields is not None:
-                return fields
+            key = by_port.get(in_port)
+            if key is not None:
+                return key
         else:
             by_port = data._by_port = {}
-        base = data._base
-        if base is None:
-            base = _memoize_base(data)
-        fields = dict(base)
-        fields["in_port"] = in_port
-        fields[TUPLE_KEY] = (in_port,) + data._base_tuple
-        by_port[in_port] = fields
-        return fields
+        key = by_port[in_port] = (in_port,) + base_key(data)
+        return key
     return extract_flow_key(data, in_port)
 
 
 def base_key(data: bytes) -> Tuple[Optional[int], ...]:
-    """The eleven port-independent key fields of ``data`` as ints.
-
-    ``field_tuple`` order without ``in_port``: addresses as integers,
-    absent fields ``None``.  Memoized on a FastFrame; plain bytes go to
-    ``extract_base_key``, which builds no address object.  Raises exactly
-    what ``extract_flow_base`` raises.
-    """
+    """The eleven port-independent key fields of ``data``: the flow key
+    without ``in_port``.  Memoized on a FastFrame; raises exactly what
+    ``extract_flow_base`` raises."""
     if type(data) is FastFrame:
-        if data._base_tuple is None:
-            _memoize_base(data)
-        return data._base_tuple
-    return extract_base_key(data)
+        base = data._base
+        if base is None:
+            base = data._base = extract_flow_base(data)
+        return base
+    return extract_flow_base(data)
 
 
 def share_key(data: bytes, memo: Optional[bytes]) -> bytes:
@@ -145,34 +124,27 @@ def share_key(data: bytes, memo: Optional[bytes]) -> bytes:
     frame = FastFrame(data)
     if type(memo) is FastFrame:
         frame._base = memo._base
-        frame._base_tuple = memo._base_tuple
         frame._by_port = memo._by_port
     else:
-        _memoize_base(frame)
+        frame._base = extract_flow_base(frame)
         frame._by_port = {}
     return frame
 
 
-def _memoize_base(frame: FastFrame) -> Dict[str, Any]:
-    base = frame._base = extract_flow_base(frame)
-    frame._base_tuple = field_tuple(base)[1:]  # all but in_port
-    return base
-
-
-def derive_frame(new_data: bytes, parent: bytes, field: str, value: Any) -> bytes:
+def derive_frame(new_data: bytes, parent: bytes, field: str, value: int) -> bytes:
     """Attach a key to a rewritten frame without re-parsing it.
 
     ``new_data`` is the set-field action's output, which differs from
     ``parent`` only in ``field`` (plus recomputed checksums); its flow
-    key is therefore the parent's key with that one field replaced.
-    Only fires when the parent's key was already computed — otherwise the
-    rewritten bytes go out plain and parse on demand downstream.
+    key is therefore the parent's key with that one field replaced by
+    the int ``value``.  Only fires when the parent's key was already
+    computed — otherwise the rewritten bytes go out plain and parse on
+    demand downstream.
     """
     if type(parent) is not FastFrame or parent._base is None:
         return new_data
     frame = FastFrame(new_data)
-    base = dict(parent._base)
-    base[field] = value
-    frame._base = base
-    frame._base_tuple = field_tuple(base)[1:]
+    pos = BASE_FIELD_NAMES.index(field)
+    base = parent._base
+    frame._base = base[:pos] + (value,) + base[pos + 1:]
     return frame

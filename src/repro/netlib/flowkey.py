@@ -1,14 +1,13 @@
 """Single-pass flow-key extraction straight from raw Ethernet bytes.
 
-The OpenFlow twelve-tuple (:data:`MATCH_FIELD_NAMES` in
-``repro.openflow.match``) is the only thing the data-plane forwarding path
-needs from a frame, yet the historical extraction route built full
-``EthernetFrame``/``Ipv4Packet``/``TcpSegment`` objects — three payload
-copies, enum constructions, and range re-validation per hop.  This module
-reads the twelve fields with ``struct.unpack_from`` directly against the
-buffer.  :func:`extract_base_key` returns them as ints and allocates no
-address object; :func:`extract_flow_base` is its field-dict view, with
-``MacAddress``/``Ipv4Address`` values.
+The OpenFlow twelve-tuple (:data:`MATCH_FIELD_NAMES`) is the only thing
+the data-plane forwarding path needs from a frame.  This module reads it
+with ``struct.unpack_from`` directly against the buffer, as one all-int
+tuple: addresses as their integer values, absent fields ``None``.  That
+tuple is the flow key everywhere — the flow table and its exact-match
+cache, the sketch tap, ``Match.from_key`` and the controllers' apps.
+:func:`extract_flow_base` is the one extractor; :func:`extract_flow_key`
+prepends ``in_port``.
 
 Semantics are bit-for-bit those of extraction through the layer
 decoders (``decode_ethernet``): every validation a layer decoder
@@ -23,9 +22,8 @@ ethertypes, ICMP type/code edge cases).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.ethernet import FrameDecodeError
 from repro.netlib.ipv4 import internet_checksum
 
@@ -51,28 +49,6 @@ MATCH_FIELD_NAMES = (
     "tp_dst",
 )
 
-#: Key under which the fast lane memoizes the :func:`field_tuple` of an
-#: extracted fields dict (``repro.netlib.fastframe``).  Dunder-prefixed
-#: so it can never collide with a match field name;
-#: ``Match.matches_fields`` ignores unknown keys.
-FIELD_TUPLE_KEY = "__tuple__"
-
-
-def field_tuple(fields: Dict[str, Any]) -> Tuple[Optional[int], ...]:
-    """The flow key: the twelve match fields as a hashable all-int tuple.
-
-    Addresses become their integer values and absent fields stay
-    ``None``, so the tuple hashes and compares at C speed.  The flow
-    table probes with it and the sketch tap counts it.  Returns the fast
-    lane's memo (:data:`FIELD_TUPLE_KEY`) when the dict carries one.
-    """
-    memo = fields.get(FIELD_TUPLE_KEY)
-    if memo is not None:
-        return memo
-    return tuple(None if (value := fields.get(name)) is None else int(value)
-                 for name in MATCH_FIELD_NAMES)
-
-
 _ETH = struct.Struct("!HIHIH")  # dst and src MACs as (high 16, low 32) bits
 # version/IHL, total length, protocol, source, destination
 _IP = struct.Struct("!BxH5xB2xII")
@@ -95,20 +71,19 @@ _ARP_ETH_IPV4 = (1, 0x0800, 6, 4)
 #: The L3/L4 fields of a frame without (decodable) IPv4 or ARP.
 _NO_L3 = (None, None, None, None, None, None)
 
-#: :func:`extract_base_key`'s field names: the flow key without ``in_port``.
+#: :func:`extract_flow_base`'s field names: the flow key without ``in_port``.
 BASE_FIELD_NAMES = MATCH_FIELD_NAMES[1:]
 
 
-def extract_base_key(data: bytes) -> Tuple[Optional[int], ...]:
+def extract_flow_base(data: bytes) -> Tuple[Optional[int], ...]:
     """The port-independent eleven fields of the flow key, as ints.
 
     :data:`BASE_FIELD_NAMES` order: addresses as their integer values,
-    absent fields ``None``, so ``(in_port,) + extract_base_key(data)`` is
-    the frame's :func:`field_tuple`.  Raises :class:`FrameDecodeError` for
-    frames shorter than an Ethernet header and for nothing else: an ICMP
-    type other than echo keeps its IPv4 fields and has no ``tp_*``
-    fields, and an ARP opcode other than request or reply has no L3
-    fields, as ``decode_ethernet`` leaves those layers opaque.
+    absent fields ``None``.  Raises :class:`FrameDecodeError` for frames
+    shorter than an Ethernet header and for nothing else: an ICMP type
+    other than echo keeps its IPv4 fields and has no ``tp_*`` fields, and
+    an ARP opcode other than request or reply has no L3 fields, as
+    ``decode_ethernet`` leaves those layers opaque.
     """
     if len(data) < _ETH_SIZE:
         raise FrameDecodeError(
@@ -125,23 +100,9 @@ def extract_base_key(data: bytes) -> Tuple[Optional[int], ...]:
             ethertype) + l3
 
 
-def extract_flow_base(data: bytes) -> Dict[str, Any]:
-    """:func:`extract_base_key` as a field dict, addresses as
-    :class:`MacAddress`/:class:`Ipv4Address` values."""
-    fields = dict(zip(BASE_FIELD_NAMES, extract_base_key(data)))
-    fields["dl_src"] = MacAddress(fields["dl_src"])
-    fields["dl_dst"] = MacAddress(fields["dl_dst"])
-    if fields["nw_src"] is not None:  # IPv4 and ARP set both addresses
-        fields["nw_src"] = Ipv4Address(fields["nw_src"])
-        fields["nw_dst"] = Ipv4Address(fields["nw_dst"])
-    return fields
-
-
-def extract_flow_key(data: bytes, in_port: int) -> Dict[str, Any]:
-    """The full twelve-tuple for a frame arriving on ``in_port``."""
-    fields = extract_flow_base(data)
-    fields["in_port"] = in_port
-    return fields
+def extract_flow_key(data: bytes, in_port: int) -> Tuple[Optional[int], ...]:
+    """The full twelve-field flow key for a frame arriving on ``in_port``."""
+    return (in_port,) + extract_flow_base(data)
 
 
 def _ipv4_fields(data: bytes) -> Tuple[Optional[int], ...]:

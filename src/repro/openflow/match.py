@@ -6,12 +6,7 @@ import struct
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
-from repro.netlib.flowkey import (
-    MATCH_FIELD_NAMES,
-    extract_base_key,
-    extract_flow_key,
-    field_tuple,
-)
+from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_key
 from repro.openflow.constants import (
     NW_DST_MASK,
     NW_DST_SHIFT,
@@ -39,9 +34,9 @@ _SIMPLE_WILDCARDS: Tuple[Tuple[int, int], ...] = tuple(
     (MATCH_FIELD_NAMES.index(flag.name.lower()), int(flag)) for flag in Wildcards
 )
 
-# MATCH_FIELD_NAMES and field_tuple are re-exported from
-# repro.netlib.flowkey (imported above) — the single-pass extractor and
-# this module must agree on the tuple order.
+# MATCH_FIELD_NAMES is re-exported from repro.netlib.flowkey (imported
+# above) — the single-pass extractor and this module must agree on the
+# tuple order.
 
 
 def _field(pos: int, to_int: Callable[[Any], int] = int,
@@ -94,7 +89,7 @@ class Match:
     The match is stored as its flow key: ``key`` holds the twelve fields
     in :data:`MATCH_FIELD_NAMES` order, addresses as their integer
     values, wildcarded fields as ``None`` — the form
-    :func:`field_tuple` gives a packet.  The field names are properties
+    ``extract_flow_key`` gives a packet.  The field names are properties
     over it: ``dl_src``/``dl_dst`` read as :class:`MacAddress` and
     ``nw_src``/``nw_dst`` as :class:`Ipv4Address`, and each accepts
     whatever its address constructor accepts.
@@ -180,7 +175,7 @@ class Match:
         This mirrors OVS's flow-key extraction: every field the packet
         defines becomes an exact-match field.
         """
-        return cls.from_key((in_port,) + extract_base_key(data))
+        return cls.from_key(extract_flow_key(data, in_port))
 
     # ------------------------------------------------------------------ #
     # Matching semantics
@@ -188,11 +183,7 @@ class Match:
 
     def matches_packet(self, data: bytes, in_port: int) -> bool:
         """True if a raw packet arriving on ``in_port`` satisfies this match."""
-        return self.subsumes(Match.from_key((in_port,) + extract_base_key(data)))
-
-    def matches_fields(self, fields: Dict[str, Any]) -> bool:
-        """True if an extracted packet-field dict satisfies this match."""
-        return self.subsumes(Match.from_key(field_tuple(fields)))
+        return self.subsumes(Match.from_packet(data, in_port))
 
     def is_strict_equal(self, other: "Match") -> bool:
         """Strict flow-mod comparison: identical fields and wildcards."""
@@ -287,15 +278,3 @@ class Match:
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.specified_fields().items())
         return f"Match({parts or 'wildcard-all'})"
-
-
-def extract_packet_fields(data: bytes, in_port: int) -> Dict[str, Any]:
-    """Extract the twelve match-tuple fields from raw Ethernet bytes.
-
-    Missing layers yield ``None`` (e.g. ``tp_src`` for an ARP packet);
-    ARP's opcode/addresses map into nw_proto/nw_src/nw_dst per the OF 1.0
-    spec's ARP_MATCH_IP behaviour.
-
-    Delegates to the single-pass extractor in ``repro.netlib.flowkey``.
-    """
-    return extract_flow_key(data, in_port)

@@ -527,11 +527,6 @@ class PacketIn(OpenFlowMessage):
         self.reason = PacketInReason(reason) if member is None else member
         self.data = bytes(data)
 
-    @classmethod
-    def no_match(cls, buffer_id: int, in_port: int, data: bytes) -> "PacketIn":
-        """Build the flow-table-miss PACKET_IN the attacks key on."""
-        return cls(buffer_id, len(data), in_port, PacketInReason.NO_MATCH, data)
-
     def _encode(self) -> bytes:
         return pack_packet_in(self.xid, self.buffer_id, self.total_len, self.in_port,
                               self.reason, self.data)

@@ -716,11 +716,6 @@ class ShardedSimulation:
         self.shards = max(1, int(shards))
         self.promise = promise
         self.plan = plan
-        self.epochs = 0
-        self.epochs_skipped = 0
-        self.epochs_widened = 0
-        self.exchange_bytes = 0
-        self.exchange_blobs = 0
 
     def run(self) -> Dict[str, Any]:
         wall_started = time.perf_counter()
@@ -731,40 +726,23 @@ class ShardedSimulation:
             payload = self._run_pooled()
         payload["wall_s"] = time.perf_counter() - wall_started
         payload["coordinator_cpu_s"] = time.process_time() - cpu_started
-        payload["epochs"] = self.epochs
         payload["shards"] = self.shards
         payload["regions_count"] = len(self.region_ids)
-        payload["epochs_skipped"] = self.epochs_skipped
-        payload["epochs_widened"] = self.epochs_widened
-        payload["exchange_bytes"] = self.exchange_bytes
-        payload["exchange_blobs"] = self.exchange_blobs
         return payload
 
     # -- inline -------------------------------------------------------- #
 
     def _run_inline(self) -> Dict[str, Any]:
-        """Every region in this process; the coordinator routes the
-        messages that wait for a barrier."""
-        regions = _build_regions(self.config, self.region_ids, self.plan)
-        schedule = BarrierSchedule(self.lookahead, self.horizon,
-                                   promise=self.promise)
-        inbox: Dict[int, List[ShardMessage]] = {}
-        while True:
-            outbox, next_time = run_region_epoch(regions, schedule.until, inbox)
-            inbox = {}
-            pending_arrival: Optional[float] = None
-            for dest, message in outbox:
-                inbox.setdefault(dest, []).append(message)
-                if pending_arrival is None or message[0] < pending_arrival:
-                    pending_arrival = message[0]
-            if not schedule.advance(next_time, pending_arrival):
-                break
-        self.epochs = schedule.epochs
-        self.epochs_skipped = schedule.epochs_skipped
-        self.epochs_widened = schedule.epochs_widened
+        """Every region in this process: the workers' barrier loop with
+        no peers."""
+        session = ShardWorkerSession(0)
+        session.regions = _build_regions(self.config, self.region_ids, self.plan)
+        counters = _schedule_counters([session._spmd_run({
+            "lookahead": self.lookahead, "horizon": self.horizon,
+            "promise": self.promise})])
         results = {rid: region.collect()
-                   for rid, region in sorted(regions.items())}
-        return {"regions": results, "worker_cpu_s": []}
+                   for rid, region in sorted(session.regions.items())}
+        return {**counters, "regions": results, "worker_cpu_s": []}
 
     # -- pooled -------------------------------------------------------- #
 
@@ -775,7 +753,9 @@ class ShardedSimulation:
         pool = ShardWorkerPool(len(assignment))
         try:
             pool.init(self.config, assignment)
-            self._run_spmd(pool)
+            # One task per worker; the barrier loop runs inside the pool.
+            counters = _schedule_counters(
+                pool.run_barrier(self.lookahead, self.horizon, self.promise))
             collected = pool.collect()
             results: Dict[int, Dict[str, Any]] = {}
             worker_cpu = []
@@ -783,6 +763,7 @@ class ShardedSimulation:
                 results.update(reply["regions"])
                 worker_cpu.append(reply["cpu_s"])
             return {
+                **counters,
                 "regions": dict(sorted(results.items())),
                 "worker_cpu_s": worker_cpu,
                 "assignment": assignment,
@@ -790,17 +771,18 @@ class ShardedSimulation:
         finally:
             pool.shutdown()
 
-    def _run_spmd(self, pool) -> None:
-        """One task per worker; the barrier loop runs inside the pool."""
-        replies = pool.run_barrier(self.lookahead, self.horizon, self.promise)
-        epochs = {reply["epochs"] for reply in replies}
-        if len(epochs) != 1:  # pragma: no cover - protocol invariant
-            raise RuntimeError(
-                f"shard workers disagreed on the epoch count: {sorted(epochs)}"
-            )
-        first = replies[0]
-        self.epochs = first["epochs"]
-        self.epochs_skipped = first["epochs_skipped"]
-        self.epochs_widened = first["epochs_widened"]
-        self.exchange_bytes = sum(reply["exchange_bytes"] for reply in replies)
-        self.exchange_blobs = sum(reply["exchange_blobs"] for reply in replies)
+
+def _schedule_counters(replies: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The run's schedule and exchange counts from the barrier loop's
+    replies, one per process."""
+    epochs = {reply["epochs"] for reply in replies}
+    if len(epochs) != 1:  # pragma: no cover - protocol invariant
+        raise RuntimeError(
+            f"shard workers disagreed on the epoch count: {sorted(epochs)}"
+        )
+    first = replies[0]
+    counters = {name: first[name]
+                for name in ("epochs", "epochs_skipped", "epochs_widened")}
+    for name in ("exchange_bytes", "exchange_blobs"):
+        counters[name] = sum(reply[name] for reply in replies)
+    return counters

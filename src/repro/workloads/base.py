@@ -68,12 +68,6 @@ class TrafficSource:
         self.name = name
         self.emitters = list(emitters)
 
-    def emitters_for(self, host_names) -> List[HostEmitter]:
-        """The emitters whose hosts are in ``host_names`` (a shard region
-        drives only the streams it owns)."""
-        owned = set(host_names)
-        return [e for e in self.emitters if e.host in owned]
-
     def __repr__(self) -> str:
         return f"<TrafficSource {self.name} emitters={len(self.emitters)}>"
 

@@ -8,8 +8,8 @@ buffer and then patches only the bytes that vary per packet (ports,
 addresses, ICMP ident/seq), fixing checksums incrementally per RFC 1624
 (``HC' = ~(~HC + ~m + m')``) instead of re-summing the header.
 
-Templates also keep the flow-key caches warm: the patched field dict is
-maintained *alongside* the bytes, so :meth:`emit` can hand the switch a
+Templates also keep the flow-key caches warm: the all-int flow key is
+patched *alongside* the bytes, so :meth:`emit` can hand the switch a
 :class:`~repro.netlib.fastframe.FastFrame` whose ``_base`` is already
 populated — the first hop never parses the frame at all.  The tests pin
 that key against ``extract_flow_base`` of the emitted bytes.
@@ -25,20 +25,19 @@ Byte layout (no VLAN, IHL=5, offsets from frame start)::
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Union
+from typing import Union
 
 from repro.netlib.addresses import Ipv4Address, MacAddress
 from repro.netlib.arp import ArpPacket
 from repro.netlib.ethernet import EtherType, EthernetFrame
 from repro.netlib.fastframe import FastFrame
-from repro.netlib.flowkey import MATCH_FIELD_NAMES, extract_flow_base, field_tuple
+from repro.netlib.flowkey import BASE_FIELD_NAMES, extract_flow_base
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import IpProtocol, Ipv4Packet
 from repro.netlib.tcp import TcpFlags, TcpSegment
 from repro.netlib.udp import UdpDatagram
 
-_BASE_NAMES = MATCH_FIELD_NAMES[1:]  # the eleven port-independent fields
-_FIELD_POS = {name: i for i, name in enumerate(_BASE_NAMES)}
+_FIELD_POS = {name: i for i, name in enumerate(BASE_FIELD_NAMES)}
 
 # Fixed offsets (frame start; untagged Ethernet, IHL=5).
 _DL_DST = 0
@@ -51,8 +50,6 @@ _TP_DST = 36
 _ICMP_CSUM = 36
 _ICMP_ID = 38
 _ICMP_SEQ = 40
-_ARP_SENDER_MAC = 22
-_ARP_SENDER_IP = 28
 _ARP_TARGET_MAC = 32
 _ARP_TARGET_IP = 38
 
@@ -74,7 +71,7 @@ def _csum_patch(buf: bytearray, csum_off: int, word_off: int, new: int) -> None:
 
 
 class FrameTemplate:
-    """One mutable wire image plus its live flow-key fields.
+    """One mutable wire image plus its live flow key.
 
     Build via the class methods (:meth:`udp`, :meth:`tcp_syn`,
     :meth:`icmp_echo`, :meth:`arp`), patch the varying fields, and call
@@ -82,14 +79,13 @@ class FrameTemplate:
     a source cycling N flows patches the same template N times per batch.
     """
 
-    __slots__ = ("buf", "fields", "_values")
+    __slots__ = ("buf", "_values")
 
     def __init__(self, packed: bytes) -> None:
         self.buf = bytearray(packed)
-        # The authoritative key for the current bytes; patch methods keep
+        # The flow key of the current bytes as ints; patch methods keep
         # it in lockstep (pinned by tests against extract_flow_base).
-        self.fields: Dict[str, Any] = extract_flow_base(packed)
-        self._values = list(field_tuple(self.fields)[1:])
+        self._values = list(extract_flow_base(packed))
 
     # -------------------------------------------------------------- #
     # Builders
@@ -146,9 +142,8 @@ class FrameTemplate:
     # Field patches (bytes + flow key, in lockstep)
     # -------------------------------------------------------------- #
 
-    def _set_field(self, name: str, value: Any) -> None:
-        self.fields[name] = value
-        self._values[_FIELD_POS[name]] = int(value)
+    def _set_field(self, name: str, value: int) -> None:
+        self._values[_FIELD_POS[name]] = value
 
     def _put_mac(self, offset: int, mac: MacAddress) -> None:
         self.buf[offset:offset + 6] = mac.packed
@@ -156,26 +151,24 @@ class FrameTemplate:
     def set_dl_src(self, mac: Union[MacAddress, int, bytes]) -> None:
         mac = MacAddress(mac)
         self._put_mac(_DL_SRC, mac)
-        self._set_field("dl_src", mac)
+        self._set_field("dl_src", int(mac))
 
     def set_dl_dst(self, mac: Union[MacAddress, int, bytes]) -> None:
         mac = MacAddress(mac)
         self._put_mac(_DL_DST, mac)
-        self._set_field("dl_dst", mac)
+        self._set_field("dl_dst", int(mac))
 
     def set_nw_src(self, ip: Union[Ipv4Address, int, bytes]) -> None:
-        ip = Ipv4Address(ip)
-        value = int(ip)
+        value = int(Ipv4Address(ip))
         _csum_patch(self.buf, _IP_CSUM, _NW_SRC, value >> 16)
         _csum_patch(self.buf, _IP_CSUM, _NW_SRC + 2, value & 0xFFFF)
-        self._set_field("nw_src", ip)
+        self._set_field("nw_src", value)
 
     def set_nw_dst(self, ip: Union[Ipv4Address, int, bytes]) -> None:
-        ip = Ipv4Address(ip)
-        value = int(ip)
+        value = int(Ipv4Address(ip))
         _csum_patch(self.buf, _IP_CSUM, _NW_DST, value >> 16)
         _csum_patch(self.buf, _IP_CSUM, _NW_DST + 2, value & 0xFFFF)
-        self._set_field("nw_dst", ip)
+        self._set_field("nw_dst", value)
 
     def set_tp_src(self, port: int) -> None:
         # UDP/TCP checksums are unused in this stack (packed as zero),
@@ -194,19 +187,12 @@ class FrameTemplate:
     def set_icmp_seq(self, sequence: int) -> None:
         _csum_patch(self.buf, _ICMP_CSUM, _ICMP_SEQ, sequence)
 
-    def set_arp_sender(self, mac: Union[MacAddress, int, bytes],
-                       ip: Union[Ipv4Address, int, bytes]) -> None:
-        mac, ip = MacAddress(mac), Ipv4Address(ip)
-        self._put_mac(_ARP_SENDER_MAC, mac)
-        self.buf[_ARP_SENDER_IP:_ARP_SENDER_IP + 4] = ip.packed
-        self._set_field("nw_src", ip)
-
     def set_arp_target(self, mac: Union[MacAddress, int, bytes],
                        ip: Union[Ipv4Address, int, bytes]) -> None:
         mac, ip = MacAddress(mac), Ipv4Address(ip)
         self._put_mac(_ARP_TARGET_MAC, mac)
         self.buf[_ARP_TARGET_IP:_ARP_TARGET_IP + 4] = ip.packed
-        self._set_field("nw_dst", ip)
+        self._set_field("nw_dst", int(ip))
 
     # -------------------------------------------------------------- #
     # Emission
@@ -215,14 +201,13 @@ class FrameTemplate:
     def emit(self) -> bytes:
         """Freeze the current buffer into one outgoing frame.
 
-        The frame is a FastFrame born with its ``_base``/``_base_tuple``
-        caches populated from the template's live field dict and its int
-        values — ``fastframe.intern`` passes FastFrames through untouched,
-        so no hop ever re-extracts the key.
+        The frame is a FastFrame born with its ``_base`` key cache
+        populated from the template's live values — ``fastframe.intern``
+        passes FastFrames through untouched, so no hop ever re-extracts
+        the key.
         """
         frame = FastFrame(self.buf)
-        frame._base = dict(self.fields)
-        frame._base_tuple = tuple(self._values)
+        frame._base = tuple(self._values)
         return frame
 
     def __len__(self) -> int:

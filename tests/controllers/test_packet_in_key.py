@@ -28,7 +28,7 @@ from repro.netlib import (
     UdpDatagram,
 )
 from repro.netlib.addresses import BROADCAST_MAC, LLDP_MULTICAST_MAC
-from repro.openflow import PacketIn
+from repro.openflow import PacketIn, PacketInReason
 from repro.sim import SimulationEngine
 from tests.netlib.flowkey_reference import packet_in_key_reference
 
@@ -74,7 +74,8 @@ def dispatched_key(data):
     """The key the controller's apps receive for ``data``, or None."""
     recorder = KeyRecorder()
     controller = Controller(SimulationEngine(), apps=[recorder])
-    controller._dispatch_packet_in(None, PacketIn.no_match(1, IN_PORT, data))
+    controller._dispatch_packet_in(
+        None, PacketIn(1, len(data), IN_PORT, PacketInReason.NO_MATCH, data))
     assert len(recorder.keys) <= 1
     return recorder.keys[0] if recorder.keys else None
 

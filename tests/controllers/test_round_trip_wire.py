@@ -33,7 +33,7 @@ from repro.netlib import (
     UdpDatagram,
 )
 from repro.netlib.addresses import BROADCAST_MAC
-from repro.openflow import FlowMod, Match, OutputAction, PacketIn, PacketOut
+from repro.openflow import FlowMod, Match, OutputAction, PacketIn, PacketInReason, PacketOut
 from repro.openflow.constants import OFP_NO_BUFFER, Port
 from repro.sim import SimulationEngine
 from tests.openflow.codec_reference import reference_pack
@@ -70,7 +70,12 @@ def packet_ins(draw):
     data = frame(draw(st.sampled_from(["tcp", "udp", "arp", "opaque"])), src, dst)
     buffer_id = draw(st.one_of(st.just(OFP_NO_BUFFER), st.integers(0, OFP_NO_BUFFER - 1)))
     in_port = draw(st.sampled_from(PORTS))
-    return PacketIn.no_match(buffer_id, in_port, data[:128])
+    return miss(buffer_id, in_port, data[:128])
+
+
+def miss(buffer_id, in_port, data):
+    """The table-miss PACKET_IN of ``data``."""
+    return PacketIn(buffer_id, len(data), in_port, PacketInReason.NO_MATCH, data)
 
 
 class RecordingSession:
@@ -170,10 +175,10 @@ def test_fabric_router_sends_the_reference_bytes(behavior, routes, messages):
 def test_each_behaviour_installs_and_releases_its_way():
     """A flood, then one learned destination, buffered and not: a
     FLOW_MOD alone for POX, a FLOW_MOD and a PACKET_OUT for the others."""
-    flood_a = PacketIn.no_match(5, 1, frame("tcp", 0, HOSTS[1]))
+    flood_a = miss(5, 1, frame("tcp", 0, HOSTS[1]))
     for behavior in BEHAVIORS:
         for buffer_id in (9, OFP_NO_BUFFER):
-            reply = PacketIn.no_match(buffer_id, 2, frame("tcp", 1, HOSTS[0])[:128])
+            reply = miss(buffer_id, 2, frame("tcp", 1, HOSTS[0])[:128])
             sent = dispatch(LearningSwitchApp(behavior), [flood_a, reply])
             assert sent == reference_learning(behavior, [flood_a, reply])
             assert len(sent) == (2 if behavior is POX_BEHAVIOR else 3)

@@ -32,6 +32,7 @@ from repro.openflow import (
     Match,
     OutputAction,
     PacketIn,
+    PacketInReason,
 )
 from repro.sim.rng import SeededRng
 
@@ -50,7 +51,8 @@ def sample_messages():
             FlowMod(Match(in_port=1, tp_dst=80), idle_timeout=5,
                     actions=[OutputAction(2)])
         ),
-        interpose(PacketIn.no_match(7, 3, b"\x00" * 24), Direction.TO_CONTROLLER),
+        interpose(PacketIn(7, 24, 3, PacketInReason.NO_MATCH, b"\x00" * 24),
+                  Direction.TO_CONTROLLER),
         # Undecodable bytes: TYPE and all options read as None.
         InterposedMessage(CONN, Direction.TO_SWITCH, 4.0, b"\xff" * 8),
     ]

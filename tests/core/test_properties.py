@@ -9,16 +9,24 @@ from repro.core.lang.properties import (
     InterposedMessage,
     MessageProperty,
     METADATA_PROPERTIES,
+    _normalize,
 )
 from repro.netlib import (
+    MATCH_FIELD_NAMES,
+    ArpPacket,
     EtherType,
     EthernetFrame,
     IcmpEcho,
     IpProtocol,
     Ipv4Address,
     Ipv4Packet,
+    LldpPacket,
     MacAddress,
+    TcpFlags,
+    TcpSegment,
+    UdpDatagram,
 )
+from repro.netlib.ipv4 import internet_checksum
 from repro.openflow import (
     EchoRequest,
     ErrorMessage,
@@ -29,11 +37,14 @@ from repro.openflow import (
     Match,
     OutputAction,
     PacketIn,
+    PacketInReason,
     PacketOut,
     PhyPort,
     Port,
     PortStatus,
 )
+
+from tests.netlib.flowkey_reference import extract_packet_fields_reference
 
 CONN = ("c1", "s2")
 
@@ -42,12 +53,42 @@ def interpose(message, direction=Direction.TO_SWITCH, at=1.5):
     return InterposedMessage(CONN, direction, at, message.pack(), message)
 
 
-def icmp_frame():
-    icmp = IcmpEcho.request(1, 1)
+def ip_frame(protocol, l4):
     ip = Ipv4Packet(Ipv4Address("10.0.0.2"), Ipv4Address("10.0.0.3"),
-                    IpProtocol.ICMP, icmp.pack())
+                    protocol, l4)
     return EthernetFrame(MacAddress(3), MacAddress(2), EtherType.IPV4,
                          ip.pack()).pack()
+
+
+def icmp_frame():
+    return ip_frame(IpProtocol.ICMP, IcmpEcho.request(1, 1).pack())
+
+
+def icmp_unreachable_frame():
+    """ICMP destination unreachable (type 3, code 1): a valid ICMP
+    message that is not an echo."""
+    body = bytes([3, 1, 0, 0]) + b"\x00" * 4 + b"h" * 28
+    checksum = internet_checksum(body)
+    return ip_frame(IpProtocol.ICMP,
+                    body[:2] + checksum.to_bytes(2, "big") + body[4:])
+
+
+def frame_of(ethertype, payload):
+    return EthernetFrame(MacAddress(3), MacAddress(2), ethertype, payload).pack()
+
+
+#: One PACKET_IN payload per frame shape the attack language can see.
+PACKET_IN_FRAMES = {
+    "tcp": ip_frame(IpProtocol.TCP, TcpSegment(
+        40000, 5001, seq=1, flags=TcpFlags.ACK, payload=b"d" * 32).pack()),
+    "udp": ip_frame(IpProtocol.UDP, UdpDatagram(1234, 53, b"q").pack()),
+    "icmp-echo": icmp_frame(),
+    "icmp-unreachable": icmp_unreachable_frame(),
+    "arp": frame_of(EtherType.ARP, ArpPacket.request(
+        MacAddress(2), Ipv4Address("10.0.0.2"), Ipv4Address("10.0.0.3")).pack()),
+    "lldp": frame_of(EtherType.LLDP, LldpPacket("dpid:1", 2).pack()),
+    "runt": b"\x01" * 10,
+}
 
 
 class TestIdentityProperties:
@@ -152,6 +193,22 @@ class TestTypeOptions:
         assert msg.get_type_option("reason") == "NO_MATCH"
         assert msg.get_type_option("packet.nw_src") == "10.0.0.2"
         assert msg.get_type_option("packet.dl_type") == 0x0800
+
+    @pytest.mark.parametrize("frame", sorted(PACKET_IN_FRAMES))
+    @pytest.mark.parametrize("name", MATCH_FIELD_NAMES + ("nw_ttl",))
+    def test_packet_options_read_the_frames_flow_key(self, frame, name):
+        """``packet.<field>`` reads what the decode oracle reads off the
+        frame, normalized as the DSL compares it; ``None`` for an unknown
+        field and for a frame that does not decode."""
+        data = PACKET_IN_FRAMES[frame]
+        packet_in = PacketIn(9, len(data), 4, PacketInReason.NO_MATCH, data)
+        msg = interpose(packet_in, Direction.TO_CONTROLLER)
+        try:
+            expected = _normalize(
+                extract_packet_fields_reference(data, 4).get(name))
+        except Exception:  # noqa: BLE001 - the oracle's failure is None
+            expected = None
+        assert msg.get_type_option(f"packet.{name}") == expected
 
     def test_packet_out_options(self):
         msg = interpose(PacketOut(in_port=2, actions=[OutputAction(Port.FLOOD)]))

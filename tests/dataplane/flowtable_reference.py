@@ -1,7 +1,7 @@
 """The linear-scan OF 1.0 flow table: the semantics oracle for FlowTable.
 
 Every operation scans one list kept in install order: lookup tests each
-entry with ``Match.matches_fields``, ADD replaces entries that are
+entry with ``Match.subsumes`` of the packet's exact match, ADD replaces entries that are
 ``Match.is_strict_equal`` at the same priority, a full ``lru``/``fifo``
 table evicts the ``min`` by ``(last_used, order)``/``order``, and expiry
 returns entries in install order.  It has no index, so its answers follow
@@ -10,7 +10,7 @@ the same ones.
 """
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dataplane.flowtable import FlowEntry
 from repro.openflow import FlowMod, FlowModCommand, Match, Port
@@ -106,18 +106,19 @@ class ReferenceFlowTable:
         self.entries = kept
         return removed, False
 
-    def lookup(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
+    def lookup(self, key: Tuple[Optional[int], ...]) -> Optional[FlowEntry]:
         self.lookups += 1
-        best = self.winner(fields)
+        best = self.winner(key)
         if best is not None:
             self.matched += 1
         return best
 
-    def winner(self, fields: Dict[str, Any]) -> Optional[FlowEntry]:
-        """The entry :meth:`lookup` returns for ``fields``, uncounted."""
+    def winner(self, key: Tuple[Optional[int], ...]) -> Optional[FlowEntry]:
+        """The entry :meth:`lookup` returns for flow key ``key``, uncounted."""
+        packet = Match.from_key(key)
         best: Optional[FlowEntry] = None
         for entry in self.entries:
-            if entry.match.matches_fields(fields) and (
+            if entry.match.subsumes(packet) and (
                     best is None or entry.rank > best.rank):
                 best = entry
         return best

@@ -65,8 +65,8 @@ class HopCounts:
                     self.skipped += 1
                 raise
 
-        def counted_lookup(fields):
-            entry = lookup(fields)
+        def counted_lookup(key):
+            entry = lookup(key)
             if entry is not None:
                 self.flow_matches += 1
             return entry

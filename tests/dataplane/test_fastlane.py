@@ -18,10 +18,12 @@ from repro.openflow.actions import (
     SetNwDstAction,
 )
 from repro.openflow.constants import Port
-from repro.openflow.match import Match, extract_packet_fields, field_tuple
+from repro.netlib.flowkey import extract_flow_key
+from repro.openflow.match import Match
 from repro.dataplane.switch import FailMode, OpenFlowSwitch
 from repro.sim.engine import SimulationEngine
 from tests.netlib import plain_frames
+from tests.netlib.flowkey_reference import flow_key_reference
 
 MAC_A = MacAddress("00:00:00:00:00:0a")
 MAC_B = MacAddress("00:00:00:00:00:0b")
@@ -82,63 +84,60 @@ def parses(monkeypatch):
 class TestFlowKeyMemoization:
     def test_key_computed_once_per_port(self, parses):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields1 = fastframe.flow_key(frame, 1)
+        key1 = fastframe.flow_key(frame, 1)
         assert parses == ["extract_flow_base"]
-        fields2 = fastframe.flow_key(frame, 1)
+        key2 = fastframe.flow_key(frame, 1)
         assert parses == ["extract_flow_base"]
-        assert fields2 is fields1  # the same dict, not a re-parse
+        assert key2 is key1  # the same tuple, not a re-parse
 
     def test_key_matches_plain_extraction(self):
         raw = tcp_frame()
         frame, _ = fastframe.intern(raw, {})
-        fields = fastframe.flow_key(frame, 3)
-        expected = extract_packet_fields(raw, 3)
-        assert {k: fields[k] for k in expected} == expected
-        assert field_tuple(fields) == field_tuple(expected)
+        key = fastframe.flow_key(frame, 3)
+        assert key == extract_flow_key(raw, 3)
+        assert key == flow_key_reference(raw, 3)
 
     def test_distinct_ports_get_distinct_keys(self, parses):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields1 = fastframe.flow_key(frame, 1)
-        fields2 = fastframe.flow_key(frame, 2)
-        # A second port builds its own dict from the memoized base.
-        assert fields2 is not fields1
+        key1 = fastframe.flow_key(frame, 1)
+        key2 = fastframe.flow_key(frame, 2)
+        # A second port builds its own key from the memoized base.
+        assert key2 is not key1
         assert parses == ["extract_flow_base"]
-        assert fields1["in_port"] == 1 and fields2["in_port"] == 2
-        assert field_tuple(fields1) != field_tuple(fields2)
+        assert key1[0] == 1 and key2[0] == 2
+        assert key1[1:] == key2[1:] == frame._base
 
     def test_memoized_tuple_equals_field_tuple(self):
         frame, _ = fastframe.intern(tcp_frame(), {})
-        fields = fastframe.flow_key(frame, 7)
-        memo = fields[fastframe.TUPLE_KEY]
-        stripped = {k: v for k, v in fields.items() if k != fastframe.TUPLE_KEY}
-        assert memo == field_tuple(stripped)
+        key = fastframe.flow_key(frame, 7)
+        assert frame._by_port == {7: key}
+        assert key == flow_key_reference(bytes(frame), 7)
 
     def test_plain_bytes_bypass_the_cache(self, parses):
         raw = tcp_frame()
-        fields = fastframe.flow_key(raw, 1)
-        assert fastframe.flow_key(raw, 1) is not fields
+        key = fastframe.flow_key(raw, 1)
+        assert fastframe.flow_key(raw, 1) is not key
         assert parses == ["extract_flow_key"] * 2
-        assert fastframe.TUPLE_KEY not in fields
+        assert not hasattr(raw, "_by_port")
 
 
 class TestDeriveFrame:
     def test_set_dl_dst_replaces_only_that_field(self):
         parent, _ = fastframe.intern(tcp_frame(), {})
-        parent_fields = fastframe.flow_key(parent, 1)
+        parent_key = fastframe.flow_key(parent, 1)
         new_mac = MacAddress("00:00:00:00:00:99")
         frame = EthernetFrame.unpack(parent)
         frame.dst = new_mac
-        derived = fastframe.derive_frame(frame.pack(), parent, "dl_dst", new_mac)
-        derived_fields = fastframe.flow_key(derived, 1)
+        derived = fastframe.derive_frame(frame.pack(), parent, "dl_dst", int(new_mac))
+        derived_key = fastframe.flow_key(derived, 1)
         # The derived key equals a from-scratch extraction of the new bytes.
-        expected = extract_packet_fields(bytes(derived), 1)
-        assert {k: derived_fields[k] for k in expected} == expected
-        assert derived_fields["dl_dst"] == new_mac
-        assert derived_fields["dl_src"] == parent_fields["dl_src"]
+        assert derived_key == extract_flow_key(bytes(derived), 1)
+        assert Match.from_key(derived_key).dl_dst == new_mac
+        assert derived_key[1] == parent_key[1]  # dl_src
 
     def test_unparsed_parent_passes_through(self):
         parent, _ = fastframe.intern(tcp_frame(), {})  # key never computed
-        derived = fastframe.derive_frame(b"\x00" * 60, parent, "dl_dst", MAC_A)
+        derived = fastframe.derive_frame(b"\x00" * 60, parent, "dl_dst", int(MAC_A))
         assert type(derived) is bytes
 
 
@@ -194,13 +193,12 @@ class TestSwitchFastLane:
         )
         switch.frame_received(1, raw)
         (delivered,) = received[2]
-        fields = extract_packet_fields(bytes(delivered), 1)
-        assert fields["dl_dst"] == new_mac
-        assert fields["nw_dst"] == new_ip
-        assert fields["tp_src"] == 40000  # L4 untouched
+        match = Match.from_packet(bytes(delivered), 1)
+        assert match.dl_dst == new_mac
+        assert match.nw_dst == new_ip
+        assert match.tp_src == 40000  # L4 untouched
         # And the carried (derived) key agrees with the bytes.
-        carried = fastframe.flow_key(delivered, 1)
-        assert {k: carried[k] for k in fields} == fields
+        assert fastframe.flow_key(delivered, 1) == match.key
 
     def test_standalone_forwarding_learns_from_mac_pair(self):
         engine, switch, received = make_switch(fail_mode=FailMode.STANDALONE)

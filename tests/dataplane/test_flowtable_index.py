@@ -13,7 +13,8 @@ from repro.dataplane.flowtable import FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
 from repro.openflow.constants import OFP_NO_BUFFER, Port
-from repro.openflow.match import OFP_VLAN_NONE, extract_packet_fields
+from repro.netlib.flowkey import extract_flow_key
+from repro.openflow.match import OFP_VLAN_NONE
 from repro.netlib.ethernet import EthernetFrame
 from repro.netlib.ipv4 import Ipv4Packet
 from repro.netlib.tcp import TcpSegment
@@ -37,14 +38,6 @@ def exact_match(host_octet=2, port=80, in_port=1):
     )
 
 
-def fields_for(match):
-    """The packet-field dict a packet matching ``match`` exactly yields."""
-    return {name: getattr(match, name)
-            for name in ("in_port", "dl_src", "dl_dst", "dl_vlan",
-                         "dl_vlan_pcp", "dl_type", "nw_tos", "nw_proto",
-                         "nw_src", "nw_dst", "tp_src", "tp_dst")}
-
-
 def add(table, match, priority=0x8000, out_port=2, **kwargs):
     flow_mod = FlowMod(match, command=FlowModCommand.ADD, priority=priority,
                        actions=[OutputAction(out_port)], **kwargs)
@@ -55,34 +48,34 @@ class TestIndexedLookup:
     def test_exact_entry_found_via_hash(self):
         table = FlowTable()
         add(table, exact_match(), out_port=7)
-        entry = table.lookup(fields_for(exact_match()))
+        entry = table.lookup(exact_match().key)
         assert entry is not None
         assert entry.actions[0].port == 7
 
     def test_miss_returns_none(self):
         table = FlowTable()
         add(table, exact_match(2))
-        assert table.lookup(fields_for(exact_match(3))) is None
+        assert table.lookup(exact_match(3).key) is None
 
     def test_higher_priority_wildcard_beats_exact(self):
         table = FlowTable()
         add(table, exact_match(), priority=100, out_port=2)
         add(table, Match(in_port=1), priority=200, out_port=9)
-        winner = table.lookup(fields_for(exact_match()))
+        winner = table.lookup(exact_match().key)
         assert winner.actions[0].port == 9
 
     def test_exact_beats_lower_priority_wildcard(self):
         table = FlowTable()
         add(table, Match(in_port=1), priority=100, out_port=9)
         add(table, exact_match(), priority=200, out_port=2)
-        winner = table.lookup(fields_for(exact_match()))
+        winner = table.lookup(exact_match().key)
         assert winner.actions[0].port == 2
 
     def test_priority_tie_resolves_to_earliest_install(self):
         table = FlowTable()
         add(table, Match(in_port=1), priority=100, out_port=3)
         add(table, exact_match(), priority=100, out_port=5)
-        winner = table.lookup(fields_for(exact_match()))
+        winner = table.lookup(exact_match().key)
         assert winner.actions[0].port == 3  # wildcard installed first
 
     def test_add_replaces_indexed_entry(self):
@@ -90,7 +83,7 @@ class TestIndexedLookup:
         add(table, exact_match(), out_port=2)
         add(table, exact_match(), out_port=8)  # same match+priority replaces
         assert len(table) == 1
-        assert table.lookup(fields_for(exact_match())).actions[0].port == 8
+        assert table.lookup(exact_match().key).actions[0].port == 8
 
     def test_delete_removes_from_index(self):
         table = FlowTable()
@@ -99,22 +92,22 @@ class TestIndexedLookup:
                          out_port=Port.NONE)
         removed, _ = table.apply_flow_mod(delete, now=0.0)
         assert len(removed) == 1
-        assert table.lookup(fields_for(exact_match())) is None
+        assert table.lookup(exact_match().key) is None
 
     def test_expire_removes_from_index(self):
         table = FlowTable()
         add(table, exact_match(), hard_timeout=5)
-        assert table.lookup(fields_for(exact_match())) is not None
+        assert table.lookup(exact_match().key) is not None
         expired = table.expire(now=10.0)
         assert [reason for _, reason in expired] == ["hard"]
-        assert table.lookup(fields_for(exact_match())) is None
+        assert table.lookup(exact_match().key) is None
 
     def test_clear_empties_index(self):
         table = FlowTable()
         add(table, exact_match())
         add(table, Match(in_port=1))
         table.clear()
-        assert table.lookup(fields_for(exact_match())) is None
+        assert table.lookup(exact_match().key) is None
 
 
 class TestPacketPathStillWorks:
@@ -126,9 +119,9 @@ class TestPacketPathStillWorks:
         frame = EthernetFrame(MacAddress("00:00:00:00:00:02"),
                               MacAddress("00:00:00:00:00:01"),
                               0x0800, ip).pack()
-        fields = extract_packet_fields(frame, in_port=1)
+        key = extract_flow_key(frame, in_port=1)
         table = FlowTable()
         add(table, Match.from_packet(frame, in_port=1), out_port=6)
-        entry = table.lookup(fields)
+        entry = table.lookup(key)
         assert entry is not None
         assert entry.actions[0].port == 6

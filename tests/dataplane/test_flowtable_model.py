@@ -13,12 +13,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.dataplane import FlowTable
 from repro.netlib import Ipv4Address, MacAddress
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction
+from tests.netlib.flowkey_reference import field_tuple
 
 PORTS = (1, 2, 3)
 PRIORITIES = (0, 1, 2, 3)
 
 FIELDS_BY_PORT = {
-    port: {
+    port: field_tuple({
         "in_port": port,
         "dl_src": MacAddress(1),
         "dl_dst": MacAddress(2),
@@ -31,7 +32,7 @@ FIELDS_BY_PORT = {
         "nw_dst": Ipv4Address("10.0.0.2"),
         "tp_src": 1,
         "tp_dst": 2,
-    }
+    })
     for port in PORTS
 }
 

@@ -26,10 +26,10 @@ from hypothesis.stateful import (
 
 from repro.dataplane.flowtable import CACHE_MAX, EVICTION_POLICIES, FlowTable
 from repro.netlib import Ipv4Address, MacAddress
-from repro.netlib.flowkey import FIELD_TUPLE_KEY, field_tuple
 from repro.openflow import FlowMod, FlowModCommand, Match, OutputAction, Port
 from repro.openflow.match import OFP_VLAN_NONE
 from tests.dataplane.flowtable_reference import ReferenceFlowTable, record_use
+from tests.netlib.flowkey_reference import field_tuple
 
 MACS = (MacAddress(1), MacAddress(2), MacAddress(3))
 # 10.0.0.1 and 10.0.0.5 share a /24 but differ in host bits; 10.0.1.7
@@ -46,12 +46,13 @@ def maybe(*values):
 
 
 def packet(in_port, dl_dst, nw_src, nw_dst, tp_dst):
-    return {
+    """A TCP packet's flow key."""
+    return field_tuple({
         "in_port": in_port, "dl_src": MACS[0], "dl_dst": dl_dst,
         "dl_vlan": OFP_VLAN_NONE, "dl_vlan_pcp": 0, "dl_type": 0x0800,
         "nw_tos": 0, "nw_proto": 6, "nw_src": nw_src, "nw_dst": nw_dst,
         "tp_src": 1000, "tp_dst": tp_dst,
-    }
+    })
 
 
 packets = st.builds(
@@ -75,7 +76,7 @@ wildcard_matches = st.builds(
 )
 
 # What learning controllers install: every field the packet defines.
-exact_matches = packets.map(lambda fields: Match(**fields))
+exact_matches = packets.map(Match.from_key)
 
 matches = st.one_of(wildcard_matches, exact_matches)
 
@@ -104,8 +105,6 @@ class FlowTableOracle(RuleBasedStateMachine):
         super().__init__()
         self.now = 0.0
         self.cookies = itertools.count(1)
-        # Twelve-tuple -> a packet with that key, for each one looked up.
-        self.packets = {field_tuple(fields): fields for fields in PROBES}
 
     @initialize(eviction=st.sampled_from(EVICTION_POLICIES),
                 capacity=st.integers(min_value=1, max_value=6))
@@ -157,11 +156,9 @@ class FlowTableOracle(RuleBasedStateMachine):
         command = FlowModCommand.DELETE_STRICT if strict else FlowModCommand.DELETE
         self._apply(match, command, priority, 1, out_port=out_port)
 
-    @rule(fields=packets, memo=st.booleans())
-    def lookup(self, fields, memo):
-        self.packets[field_tuple(fields)] = fields
-        probe = dict(fields, **{FIELD_TUPLE_KEY: field_tuple(fields)}) if memo else fields
-        assert sig(self.table.lookup(probe)) == sig(self.reference.lookup(fields))
+    @rule(key=packets)
+    def lookup(self, key):
+        assert sig(self.table.lookup(key)) == sig(self.reference.lookup(key))
 
     @rule(index=st.integers(min_value=0, max_value=5),
           dt=st.sampled_from((0.0, 0.5, 1.0, 2.5)))
@@ -186,8 +183,8 @@ class FlowTableOracle(RuleBasedStateMachine):
 
     @invariant()
     def same_probe_winners(self):
-        for fields in PROBES:
-            assert sig(self.table.lookup(fields)) == sig(self.reference.lookup(fields))
+        for key in PROBES:
+            assert sig(self.table.lookup(key)) == sig(self.reference.lookup(key))
 
     @invariant()
     def same_entries_in_install_order(self):
@@ -209,7 +206,7 @@ class FlowTableOracle(RuleBasedStateMachine):
         cache = self.table._cache
         assert len(cache) <= CACHE_MAX
         for key, entry in cache.items():
-            assert sig(entry) == sig(self.reference.winner(self.packets[key]))
+            assert sig(entry) == sig(self.reference.winner(key))
 
 
 FlowTableOracle.TestCase.settings = settings(
@@ -224,8 +221,8 @@ def add(table, match, priority=0x8000, out_port=2, now=0.0, **kwargs):
 
 
 def exact_match(host_octet=2, port=80, in_port=1):
-    return Match(**packet(in_port, MACS[1], Ipv4Address("10.0.0.1"),
-                          Ipv4Address(f"10.0.0.{host_octet}"), port))
+    return Match.from_key(packet(in_port, MACS[1], Ipv4Address("10.0.0.1"),
+                                 Ipv4Address(f"10.0.0.{host_octet}"), port))
 
 
 class TestEquivalenceWithLinearScan:
@@ -244,24 +241,22 @@ class TestEquivalenceWithLinearScan:
         return tables
 
     def probes(self):
-        probes = [packet(1, MACS[1], Ipv4Address("10.0.0.1"),
-                         Ipv4Address(f"10.0.0.{octet}"), 80)
-                  for octet in range(2, 12)]
-        probes.append(dict(probes[0], nw_dst=Ipv4Address("192.168.1.1")))
-        return probes
+        return [packet(1, MACS[1], Ipv4Address("10.0.0.1"), Ipv4Address(dst), 80)
+                for dst in [f"10.0.0.{octet}" for octet in range(2, 12)]
+                + ["192.168.1.1"]]
 
     def test_every_probe_agrees(self):
         table, reference = self.populated()
-        for fields in self.probes():
-            assert sig(table.lookup(fields)) == sig(reference.lookup(fields))
+        for key in self.probes():
+            assert sig(table.lookup(key)) == sig(reference.lookup(key))
 
     def test_agreement_survives_mutation(self):
         table, reference = self.populated()
         delete = FlowMod(Match(in_port=1), command=FlowModCommand.DELETE)
         for each in (table, reference):
             each.apply_flow_mod(delete, now=0.0)
-        for fields in self.probes():
-            assert sig(table.lookup(fields)) == sig(reference.lookup(fields))
+        for key in self.probes():
+            assert sig(table.lookup(key)) == sig(reference.lookup(key))
 
 
 def test_priority_tie_across_masks_goes_to_the_earliest_install():

@@ -33,7 +33,7 @@ def test_reset_stats_zeroes_counters_but_keeps_entries():
         flow_mod = FlowMod(exact_match(1000 + i), command=FlowModCommand.ADD,
                            actions=[OutputAction(2)])
         table.apply_flow_mod(flow_mod, now=0.1 * i)
-    table.lookup(exact_match(1005).specified_fields())
+    table.lookup(exact_match(1005).key)
     assert table.occupancy_peak == 4
     assert table.capacity_evictions == 2
     assert table.lookups == 1

@@ -20,12 +20,12 @@ from repro.defense.tap import SketchTap
 def make_payload(window_s=0.05):
     """A tap payload with frames in windows 0-1 and PACKET_INs in 1."""
     tap = SketchTap(window_s=window_s)
-    fields = {"__tuple__": (1, 2, 3, None, 0, 0x0800, 0, 17, 4, 5, 6, 7)}
+    key = (1, 2, 3, None, 0, 0x0800, 0, 17, 4, 5, 6, 7)
     for k in range(20):
-        tap.on_frame("s1", 1, fields, 0.001 * k)  # window 0
-    flood = {"__tuple__": (2, 9, 9, None, 0, 0x0800, 0, 17, 1, 1, 1, 1)}
+        tap.on_frame("s1", 1, key, 0.001 * k)  # window 0
+    flood = (2, 9, 9, None, 0, 0x0800, 0, 17, 1, 1, 1, 1)
     for k in range(20):
-        tap.on_frame("s1", 2, dict(flood), 0.05 + 0.002 * k)  # window 1
+        tap.on_frame("s1", 2, flood, 0.05 + 0.002 * k)  # window 1
         tap.on_packet_in(0.05 + 0.002 * k)
     return tap.collect()
 

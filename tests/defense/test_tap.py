@@ -7,18 +7,16 @@ from repro.defense.tap import (
     sketch_digest,
     sketch_summary,
 )
-from repro.netlib.flowkey import FIELD_TUPLE_KEY, MATCH_FIELD_NAMES
 
 
-def flow_fields(seed=0, in_port=1):
-    key = (in_port, 10 + seed, 20 + seed, None, 0, 0x0800, 0, 17,
-           100 + seed, 200 + seed, 4000, 5000)
-    return {FIELD_TUPLE_KEY: key}
+def flow_key(seed=0, in_port=1):
+    return (in_port, 10 + seed, 20 + seed, None, 0, 0x0800, 0, 17,
+            100 + seed, 200 + seed, 4000, 5000)
 
 
 def test_on_frame_uses_pre_populated_tuple_and_memoizes():
     tap = SketchTap()
-    fields = flow_fields()
+    fields = flow_key()
     tap.on_frame("s1", 1, fields, 0.0)
     tap.on_frame("s1", 1, fields, 0.001)
     assert tap.counters["frames"] == 2
@@ -26,12 +24,10 @@ def test_on_frame_uses_pre_populated_tuple_and_memoizes():
     assert len(tap.topk.entries) == 1
 
 
-def test_on_frame_falls_back_to_field_dict_without_tuple():
+def test_on_frame_memo_hits_an_equal_key():
     tap = SketchTap()
-    key = flow_fields()[FIELD_TUPLE_KEY]
-    fields = dict(zip(MATCH_FIELD_NAMES, key))
-    tap.on_frame("s1", 1, fields, 0.0)
-    tap.on_frame("s1", 1, flow_fields(), 0.001)  # same key via fast lane
+    tap.on_frame("s1", 1, flow_key(), 0.0)
+    tap.on_frame("s1", 1, flow_key(), 0.001)  # equal key, another tuple
     assert tap.counters["memo_hits"] == 1
     assert tap.cms.total == 2
 
@@ -39,16 +35,16 @@ def test_on_frame_falls_back_to_field_dict_without_tuple():
 def test_memo_bound_evicts_wholesale():
     tap = SketchTap()
     tap._memo = {i: ((), ()) for i in range(MEMO_MAX)}  # saturate
-    tap.on_frame("s1", 1, flow_fields(), 0.0)
+    tap.on_frame("s1", 1, flow_key(), 0.0)
     assert tap.counters["memo_evictions"] == 1
     assert len(tap._memo) == 1
 
 
 def test_new_key_windows_track_count_min_first_sight():
     tap = SketchTap()
-    tap.on_frame("s1", 1, flow_fields(0), 0.0)
-    tap.on_frame("s1", 1, flow_fields(0), 0.01)  # repeat: not new
-    tap.on_frame("s1", 1, flow_fields(1), 0.06)  # new key, window 1
+    tap.on_frame("s1", 1, flow_key(0), 0.0)
+    tap.on_frame("s1", 1, flow_key(0), 0.01)  # repeat: not new
+    tap.on_frame("s1", 1, flow_key(1), 0.06)  # new key, window 1
     payload = tap.collect()
     assert payload["new_keys"]["buckets"] == [(0, 1), (1, 1)]
     assert payload["frames"]["buckets"] == [(0, 2), (1, 1)]
@@ -60,11 +56,11 @@ def test_merge_taps_equals_single_tap_over_combined_stream():
     combined = SketchTap()
     region_a, region_b = SketchTap(), SketchTap()
     for k in range(30):
-        fields = flow_fields(k % 5)
+        fields = flow_key(k % 5)
         combined.on_frame("s1", 1, fields, 0.001 * k)
         region_a.on_frame("s1", 1, fields, 0.001 * k)
     for k in range(10):
-        fields = flow_fields(50 + k)
+        fields = flow_key(50 + k)
         combined.on_frame("s2", 2, fields, 0.002 * k)
         region_b.on_frame("s2", 2, fields, 0.002 * k)
         combined.on_packet_in(0.002 * k)
@@ -82,8 +78,8 @@ def test_merge_taps_empty_and_digest_none():
 def test_sketch_summary_headline_numbers():
     tap = SketchTap()
     for k in range(4):
-        tap.on_frame("s1", 1, flow_fields(), 0.001 * k)
-    tap.on_frame("s2", 9, flow_fields(7), 0.001)
+        tap.on_frame("s1", 1, flow_key(), 0.001 * k)
+    tap.on_frame("s2", 9, flow_key(7), 0.001)
     tap.on_packet_in(0.0)
     tap.on_packet_in(0.01)
     summary = sketch_summary(tap.collect())

@@ -2,7 +2,8 @@
 
 :func:`extract_packet_fields_reference` builds the full
 ``EthernetFrame``/``Ipv4Packet``/L4 object graph with ``decode_ethernet``
-and reads the OpenFlow twelve-tuple off it.
+and reads the OpenFlow twelve-tuple off it as a field dict;
+:func:`field_tuple` turns that dict into the all-int flow key.
 ``repro.netlib.flowkey.extract_flow_key`` must agree with it on every
 frame — same fields, same ``None`` degradations, same exceptions — and
 the controller's PACKET_IN key with :func:`packet_in_key_reference`.
@@ -16,7 +17,20 @@ from repro.netlib.ipv4 import Ipv4Packet
 from repro.netlib.packet import decode_ethernet
 from repro.netlib.tcp import TcpSegment
 from repro.netlib.udp import UdpDatagram
-from repro.openflow.match import OFP_VLAN_NONE, field_tuple
+from repro.openflow.match import MATCH_FIELD_NAMES, OFP_VLAN_NONE
+
+
+def field_tuple(fields: Dict[str, Any]) -> Tuple[Optional[int], ...]:
+    """The flow key of a field dict: the twelve match fields in
+    ``MATCH_FIELD_NAMES`` order, addresses as their integer values and
+    absent fields ``None``."""
+    return tuple(None if (value := fields.get(name)) is None else int(value)
+                 for name in MATCH_FIELD_NAMES)
+
+
+def flow_key_reference(data: bytes, in_port: int) -> Tuple[Optional[int], ...]:
+    """:func:`extract_packet_fields_reference` as a flow key."""
+    return field_tuple(extract_packet_fields_reference(data, in_port))
 
 
 def extract_packet_fields_reference(data: bytes, in_port: int) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ from repro.openflow import (
     Match,
     OutputAction,
     PacketIn,
+    PacketInReason,
     PacketOut,
     PhyPort,
     PortStatus,
@@ -72,7 +73,7 @@ def sample_instances():
         GetConfigReply(miss_send_len=64),
         SetConfig(miss_send_len=128),
         FeaturesReply(0x1, ports=[_port(1), _port(2)]),
-        PacketIn.no_match(7, 3, b"\x00" * 24),
+        PacketIn(7, 24, 3, PacketInReason.NO_MATCH, b"\x00" * 24),
         PacketOut(in_port=2, actions=[OutputAction(3)], data=b"\x01" * 16),
         FlowMod(Match(in_port=1, tp_dst=80), idle_timeout=5,
                 actions=[OutputAction(2)]),
@@ -150,7 +151,7 @@ class TestPackedCache:
          FlowMod(Match(in_port=1), idle_timeout=5, actions=[OutputAction(2)]),
          lambda m: m.idle_timeout == 0),
         (ModifyMessage("buffer_id", 77),
-         PacketIn.no_match(7, 3, b"\x00" * 24),
+         PacketIn(7, 24, 3, PacketInReason.NO_MATCH, b"\x00" * 24),
          lambda m: m.buffer_id == 77),
     ], ids=["match-ip", "match-mac", "match-int", "output-flowmod",
             "output-packetout", "numeric-flowmod", "numeric-packetin"])

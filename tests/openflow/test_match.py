@@ -14,7 +14,8 @@ from repro.netlib import (
 )
 from repro.netlib.arp import ArpPacket
 from repro.openflow import Match, Wildcards
-from repro.openflow.match import MATCH_SIZE, extract_packet_fields, field_tuple
+from repro.netlib.flowkey import extract_flow_key
+from repro.openflow.match import MATCH_SIZE
 
 MAC1 = MacAddress("00:00:00:00:00:01")
 MAC2 = MacAddress("00:00:00:00:00:02")
@@ -41,34 +42,34 @@ def arp_packet():
 
 class TestExtraction:
     def test_tcp_fields(self):
-        fields = extract_packet_fields(tcp_packet(), in_port=3)
-        assert fields["in_port"] == 3
-        assert fields["dl_src"] == MAC1
-        assert fields["dl_dst"] == MAC2
-        assert fields["dl_type"] == EtherType.IPV4
-        assert fields["nw_proto"] == IpProtocol.TCP
-        assert fields["nw_src"] == IP1
-        assert fields["nw_dst"] == IP2
-        assert fields["tp_src"] == 1234
-        assert fields["tp_dst"] == 80
+        match = Match.from_packet(tcp_packet(), in_port=3)
+        assert match.in_port == 3
+        assert match.dl_src == MAC1
+        assert match.dl_dst == MAC2
+        assert match.dl_type == EtherType.IPV4
+        assert match.nw_proto == IpProtocol.TCP
+        assert match.nw_src == IP1
+        assert match.nw_dst == IP2
+        assert match.tp_src == 1234
+        assert match.tp_dst == 80
 
     def test_icmp_fields_use_type_code(self):
-        fields = extract_packet_fields(icmp_packet(), in_port=1)
-        assert fields["nw_proto"] == IpProtocol.ICMP
-        assert fields["tp_src"] == 8  # echo request type
-        assert fields["tp_dst"] == 0
+        match = Match.from_packet(icmp_packet(), in_port=1)
+        assert match.nw_proto == IpProtocol.ICMP
+        assert match.tp_src == 8  # echo request type
+        assert match.tp_dst == 0
 
     def test_arp_fields_map_opcode_and_ips(self):
-        fields = extract_packet_fields(arp_packet(), in_port=1)
-        assert fields["dl_type"] == EtherType.ARP
-        assert fields["nw_proto"] == 1  # ARP request opcode
-        assert fields["nw_src"] == IP1
-        assert fields["nw_dst"] == IP2
-        assert fields["tp_src"] is None
+        match = Match.from_packet(arp_packet(), in_port=1)
+        assert match.dl_type == EtherType.ARP
+        assert match.nw_proto == 1  # ARP request opcode
+        assert match.nw_src == IP1
+        assert match.nw_dst == IP2
+        assert match.tp_src is None
 
     def test_field_tuple_is_hashable(self):
-        fields = extract_packet_fields(tcp_packet(), in_port=3)
-        assert hash(field_tuple(fields)) == hash(field_tuple(dict(fields)))
+        key = extract_flow_key(tcp_packet(), in_port=3)
+        assert hash(key) == hash(extract_flow_key(tcp_packet(), in_port=3))
 
 
 class TestMatching:

@@ -108,7 +108,7 @@ class TestPacketIn:
         assert decoded.data == b"\xaa" * 64
 
     def test_no_match_constructor(self):
-        message = PacketIn.no_match(5, 2, b"abc")
+        message = PacketIn(5, len(b"abc"), 2, PacketInReason.NO_MATCH, b"abc")
         assert message.total_len == 3
         assert message.reason == PacketInReason.NO_MATCH
 

@@ -6,6 +6,7 @@ from repro.netlib.ethernet import EthernetFrame, EtherType
 from repro.netlib.flowkey import extract_flow_base, extract_flow_key
 from repro.netlib.icmp import IcmpEcho
 from repro.netlib.ipv4 import Ipv4Packet
+from repro.openflow.match import Match
 from repro.workloads import FrameTemplate
 
 SRC_MAC, DST_MAC = MacAddress(0x02AA00000001), MacAddress(0x02AA00000002)
@@ -14,6 +15,16 @@ SRC_IP, DST_IP = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
 
 def _udp_template():
     return FrameTemplate.udp(SRC_MAC, DST_MAC, SRC_IP, DST_IP, 4000, 4001)
+
+
+def _key(template):
+    """The eleven-field flow key the template's next frame carries."""
+    return template.emit()._base
+
+
+def _named(base):
+    """Eleven key fields read by name, addresses as address objects."""
+    return Match.from_key((None,) + base)
 
 
 def _assert_decodes_strictly(data: bytes):
@@ -28,7 +39,7 @@ def _assert_decodes_strictly(data: bytes):
 
 def test_template_fields_match_extraction():
     template = _udp_template()
-    assert template.fields == extract_flow_base(bytes(template.buf))
+    assert _key(template) == extract_flow_base(bytes(template.buf))
 
 
 def test_port_and_address_patches_stay_canonical():
@@ -38,7 +49,7 @@ def test_port_and_address_patches_stay_canonical():
         template.set_nw_src(Ipv4Address(int(SRC_IP) + i))
         template.set_nw_dst(Ipv4Address(int(DST_IP) + 2 * i))
         data = bytes(template.buf)
-        assert template.fields == extract_flow_base(data)
+        assert _key(template) == extract_flow_base(data)
         _assert_decodes_strictly(data)
 
 
@@ -46,8 +57,8 @@ def test_mac_patches_update_bytes_and_key():
     template = _udp_template()
     template.set_dl_src(0x02BB00000099)
     assert bytes(template.buf)[6:12] == MacAddress(0x02BB00000099).packed
-    assert template.fields["dl_src"] == MacAddress(0x02BB00000099)
-    assert template.fields == extract_flow_base(bytes(template.buf))
+    assert _named(_key(template)).dl_src == MacAddress(0x02BB00000099)
+    assert _key(template) == extract_flow_base(bytes(template.buf))
 
 
 def test_icmp_patches_keep_checksum_valid():
@@ -56,7 +67,7 @@ def test_icmp_patches_keep_checksum_valid():
         template.set_icmp_seq(i * 911 & 0xFFFF)
         template.set_icmp_ident(i * 37 & 0xFFFF)
         data = bytes(template.buf)
-        assert template.fields == extract_flow_base(data)
+        assert _key(template) == extract_flow_base(data)
         _assert_decodes_strictly(data)
 
 
@@ -70,10 +81,10 @@ def test_arp_retargeting():
     template.set_dl_dst(victim_mac)
     template.set_arp_target(victim_mac, victim_ip)
     base = extract_flow_base(bytes(template.buf))
-    assert template.fields == base
-    assert base["dl_dst"] == victim_mac
-    assert base["nw_dst"] == victim_ip
-    assert base["nw_src"] == DST_IP  # the impersonated host's IP
+    assert _key(template) == base
+    assert _named(base).dl_dst == victim_mac
+    assert _named(base).nw_dst == victim_ip
+    assert _named(base).nw_src == DST_IP  # the impersonated host's IP
 
 
 def test_emit_returns_a_warm_fastframe_when_the_lane_is_on():
@@ -83,9 +94,9 @@ def test_emit_returns_a_warm_fastframe_when_the_lane_is_on():
     # The pre-populated cache equals what extraction would compute, so
     # the first-hop switch never parses the frame.
     assert frame._base == extract_flow_base(bytes(frame))
-    key = extract_flow_key(frame, in_port=3)
-    assert key["in_port"] == 3
-    assert key["tp_src"] == 4000
+    key = Match.from_key(extract_flow_key(frame, in_port=3))
+    assert key.in_port == 3
+    assert key.tp_src == 4000
 
 
 def test_emit_snapshots_are_independent_of_later_patches():
@@ -94,8 +105,8 @@ def test_emit_snapshots_are_independent_of_later_patches():
     template.set_tp_src(5555)
     second = template.emit()
     assert bytes(first) != bytes(second)
-    assert first._base["tp_src"] == 4000
-    assert second._base["tp_src"] == 5555
+    assert _named(first._base).tp_src == 4000
+    assert _named(second._base).tp_src == 5555
 
 
 def test_emitted_bytes_equal_the_template_buffer():

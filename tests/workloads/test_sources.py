@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataplane.fabrics import generate_fabric
-from repro.netlib.flowkey import extract_flow_base
+from repro.openflow.match import Match
 from repro.workloads import (
     build_source,
     list_sources,
@@ -79,7 +79,7 @@ def test_packetin_flood_spoofs_a_fresh_mac_per_packet():
     topo = _fabric()
     source = build_source("packetin-flood", topo, 3, {"senders": 1})
     frames = _stream(source, n=100)[source.emitters[0].host]
-    macs = {extract_flow_base(f)["dl_src"] for f in frames}
+    macs = {Match.from_packet(f, 0).dl_src for f in frames}
     assert len(macs) == 100
     for mac in macs:
         assert int(mac) >> 40 == 0x02  # locally administered unicast
@@ -90,7 +90,7 @@ def test_packetin_flood_mac_pool_cycles():
     source = build_source("packetin-flood", topo, 3,
                           {"senders": 1, "spoof_macs": 8})
     frames = _stream(source, n=64)[source.emitters[0].host]
-    macs = [extract_flow_base(f)["dl_src"] for f in frames]
+    macs = [Match.from_packet(f, 0).dl_src for f in frames]
     assert len(set(macs)) == 8
     assert macs[:8] == macs[8:16]
 
@@ -100,10 +100,10 @@ def test_table_overflow_sweeps_distinct_keys_cyclically():
     source = build_source("table-overflow", topo, 0,
                           {"senders": 1, "keys": 16})
     frames = _stream(source, n=40)[source.emitters[0].host]
-    ports = [extract_flow_base(f)["tp_src"] for f in frames]
+    ports = [Match.from_packet(f, 0).tp_src for f in frames]
     assert ports[:16] == [OVERFLOW_PORT_BASE + i for i in range(16)]
     assert ports[16:32] == ports[:16]
-    assert all(extract_flow_base(f)["tp_dst"] == FLOOD_UDP_PORT + 1
+    assert all(Match.from_packet(f, 0).tp_dst == FLOOD_UDP_PORT + 1
                for f in frames)
 
 
@@ -121,10 +121,10 @@ def test_arp_poison_claims_the_impersonated_ip_at_the_attacker_mac():
     impersonated = topo.hosts[hosts[half]]
     frames = _stream(source, n=6)[hosts[0]]
     for frame in frames:
-        base = extract_flow_base(frame)
-        assert base["dl_src"] == attacker.mac
-        assert base["nw_src"] == impersonated.ip  # the poisoned mapping
-        assert base["dl_dst"] != impersonated.mac
+        match = Match.from_packet(frame, 0)
+        assert match.dl_src == attacker.mac
+        assert match.nw_src == impersonated.ip  # the poisoned mapping
+        assert match.dl_dst != impersonated.mac
 
 
 def test_arp_poison_needs_two_pairs():
