@@ -31,11 +31,6 @@ def register_executor(name: str, executor: Executor,
     return executor
 
 
-def list_executors() -> list:
-    _ensure_builtin_executors()
-    return sorted(_EXECUTORS)
-
-
 def _ensure_builtin_executors() -> None:
     if "suppression" in _EXECUTORS:
         return

@@ -11,8 +11,8 @@ This package is the paper's primary contribution:
   the system model, attack model, and attack states files, plus the
   executable-code generator;
 * :mod:`repro.core.injector` — the Section VI-B2 runtime injector: the
-  control-plane connection proxy, the attack executor (Algorithm 1), and
-  the message modifier;
+  control-plane connection proxy and the attack executor (Algorithm 1),
+  whose message-modifier step is each action's ``apply``;
 * :mod:`repro.core.monitors` — the Section VI-B3 monitors.
 """
 

@@ -2,7 +2,6 @@
 
 from repro.core.injector.distributed import CoordinationMode, DistributedInjection
 from repro.core.injector.executor import AttackExecutor, ExecutorObserver
-from repro.core.injector.modifier import MessageModifier
 from repro.core.injector.proxy import ConnectionProxy, ProxyPort
 from repro.core.injector.runtime import RuntimeInjector
 
@@ -12,7 +11,6 @@ __all__ = [
     "CoordinationMode",
     "DistributedInjection",
     "ExecutorObserver",
-    "MessageModifier",
     "ProxyPort",
     "RuntimeInjector",
 ]

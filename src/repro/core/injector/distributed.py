@@ -149,7 +149,7 @@ class DistributedInjection:
             return
         self.stats["messages_coordinated"] += 1
         outgoing = self._executor.handle_message(message)
-        instance.notify_interposed(proxy, message, outgoing)
+        instance.notify_interposed(message, outgoing)
         self.engine.schedule(self.coordination_latency, proxy.deliver, outgoing)
 
     def _process_optimistically(self, instance: _InstanceInjector, proxy,
@@ -162,7 +162,7 @@ class DistributedInjection:
             # left (or not yet reached): the Section VIII-C consistency risk.
             self.stats["stale_decisions"] += 1
         outgoing = replica.handle_message(message)
-        instance.notify_interposed(proxy, message, outgoing)
+        instance.notify_interposed(message, outgoing)
         proxy.deliver(outgoing)
 
     # ------------------------------------------------------------------ #

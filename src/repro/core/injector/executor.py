@@ -2,15 +2,14 @@
 
 The executor keeps the attack's current state σ_current, evaluates each
 incoming interposed message against the rules of the state saved at the
-start of processing (σ_previous), executes matching rules' actions through
-the :class:`~repro.core.injector.modifier.MessageModifier`, and returns the
-outgoing message list.  GOTOSTATE actions set the next state (Algorithm 1,
-lines 11–12); all other actions may alter the outgoing list (line 14).
+start of processing (σ_previous), applies matching rules' actions, and
+returns the outgoing message list.  GOTOSTATE actions set the next state
+(Algorithm 1, lines 11–12); every other action is applied to the outgoing
+list by its own ``apply`` — the paper's MESSAGEMODIFIER (line 14).
 
 Rule dispatch is indexed: at attack-load time every rule's conditional λ
-is lowered to a Python closure
-(:func:`~repro.core.lang.conditionals.compile_condition`) and each state's
-rules are indexed by ``(connection, coarse message type)``.
+is lowered to a Python closure (:meth:`Rule.compiled_conditional`) and
+each state's rules are indexed by ``(connection, coarse message type)``.
 ``handle_message`` then only evaluates rules that can possibly bind and
 fire — the coarse type comes from a header-only byte peek, so a message
 whose type no rule constrains passes through without ever being decoded.
@@ -29,7 +28,6 @@ from repro.core.lang.conditionals import EvalContext
 from repro.core.lang.properties import InterposedMessage
 from repro.core.lang.rules import Rule
 from repro.core.lang.states import AttackState
-from repro.core.injector.modifier import MessageModifier
 from repro.openflow.messages import peek_xid
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SeededRng
@@ -113,7 +111,6 @@ class AttackExecutor:
         self.engine = engine
         self.rng = (rng or SeededRng(0)).child("executor")
         self.storage = attack.build_storage()
-        self.modifier = MessageModifier()
         self.current_state_name = attack.start            # line 2
         self.sleep_until = 0.0
         self._syscmd_router = syscmd_router or (lambda host, cmd: None)
@@ -127,7 +124,6 @@ class AttackExecutor:
             "rules_fired": 0,
             "rules_skipped_by_index": 0,
             "state_transitions": 0,
-            "messages_dropped": 0,
             "messages_injected": 0,
         }
         # Attack-load-time lowering: compile every conditional once and
@@ -202,10 +198,10 @@ class AttackExecutor:
                         if tracer is not None:
                             tracer.emit("action", state=state, rule=rule.name,
                                         action=type(action).__name__)
-                        self.modifier.apply(action, action_ctx)
+                        action.apply(action_ctx)
         if action_ctx is not None:
-            # The survival verdict, decided here once: the proxy's and the
-            # monitors' drop counts read ``incoming.dropped``.
+            # The survival verdict, decided here once: the monitors' drop
+            # counts read ``incoming.dropped``.
             survived = False
             for entry in out:
                 if entry.message is incoming:
@@ -214,7 +210,6 @@ class AttackExecutor:
                     stats["messages_injected"] += 1
             if not survived:
                 incoming.dropped = True
-                stats["messages_dropped"] += 1
                 if tracer is not None:
                     self._trace_drop(state, incoming)
         return out                                                     # lines 19–21

@@ -50,8 +50,6 @@ class ConnectionProxy:
             "to_controller_messages": 0,
             "to_switch_messages": 0,
             "forwarded": 0,
-            "dropped": 0,
-            "injected": 0,
             "delayed": 0,
             "decode_avoided": 0,
             "repack_avoided": 0,
@@ -134,9 +132,7 @@ class ConnectionProxy:
         stats["forwarded"] += len(outgoing)
         for entry in outgoing:
             message = entry.message
-            if entry.injected:
-                stats["injected"] += 1
-            else:
+            if not entry.injected:
                 # Fast-lane accounting for interposed originals: a message
                 # no rule decoded ships without ever being parsed, and one
                 # whose payload was never replaced re-uses its wire bytes.

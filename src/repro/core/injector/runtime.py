@@ -187,15 +187,12 @@ class RuntimeInjector:
         executor = self.executor
         outgoing = ([OutgoingMessage(message)] if executor is None
                     else executor.handle_message(message))
-        self.notify_interposed(proxy, message, outgoing)
+        self.notify_interposed(message, outgoing)
         proxy.deliver(outgoing)
 
-    def notify_interposed(self, proxy: ConnectionProxy, message: InterposedMessage,
+    def notify_interposed(self, message: InterposedMessage,
                           outgoing: List[OutgoingMessage]) -> None:
-        """Count a dropped ``message`` on its proxy, then hand every
-        observer the message and its outgoing list."""
-        if message.dropped:
-            proxy.stats["dropped"] += 1
+        """Hand every observer the message and its outgoing list."""
         if self._interposed_hooks:
             now = self.engine.now
             for hook in self._interposed_hooks:
@@ -233,9 +230,6 @@ class RuntimeInjector:
     @property
     def current_state(self) -> Optional[str]:
         return self.executor.current_state_name if self.executor else None
-
-    def proxy_stats_total(self, key: str) -> int:
-        return sum(p.stats.get(key, 0) for p in self.active_proxies.values())
 
     def __repr__(self) -> str:
         attack = self.executor.attack.name if self.executor else "pass-through"

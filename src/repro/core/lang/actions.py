@@ -5,12 +5,15 @@ Each action either actuates one attacker capability from Table I
 framework actions GOTOSTATE / SLEEP / SYSCMD.  Actions run inside an
 :class:`ActionContext` supplied by the attack executor; capability-derived
 actions manipulate the outgoing message list exactly as the paper's
-MESSAGEMODIFIER does (Algorithm 1, line 14).
+MESSAGEMODIFIER does (Algorithm 1, line 14).  An argument given as an
+:class:`Expression` is compiled once, when the action is built; no value
+an argument yields ends the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, List, Optional, Union
 
 from repro.openflow.match import MATCH_FIELD_NAMES
@@ -18,6 +21,14 @@ from repro.openflow.messages import FlowMod, FlowRemoved, OpenFlowMessage, Packe
 from repro.core.lang.conditionals import EvalContext, Expression
 from repro.core.lang.properties import InterposedMessage
 from repro.core.model.capabilities import Capability
+
+
+def _lowered(value: Any) -> Callable[[EvalContext], Any]:
+    """An action argument as a closure: an :class:`Expression` compiled,
+    any other value resolving to itself."""
+    if isinstance(value, Expression):
+        return value.compile()
+    return lambda ctx: value
 
 
 @dataclass
@@ -132,26 +143,27 @@ class DropMessage(AttackAction):
 
 
 class DelayMessage(AttackAction):
-    """DELAYMESSAGE(msg, t): postpone forwarding by ``seconds``."""
+    """DELAYMESSAGE(msg, t): postpone forwarding by ``seconds``.
+
+    A delay that is None or not a number is no delay.
+    """
 
     required_capability = Capability.DELAY_MESSAGE
 
     def __init__(self, seconds: Union[float, Expression]) -> None:
         self.seconds = seconds
+        self._seconds = _lowered(seconds)
 
     def apply(self, ctx: ActionContext) -> None:
         entry = ctx.current_entry()
         if entry is None:
             return
-        delay = self._resolve(ctx)
+        try:
+            delay = float(self._seconds(ctx.eval_ctx) or 0.0)
+        except (TypeError, ValueError):
+            delay = 0.0
         entry.delay += max(0.0, delay)
         ctx.record("delay_message", {"id": entry.message.msg_id, "delay": delay})
-
-    def _resolve(self, ctx: ActionContext) -> float:
-        if isinstance(self.seconds, Expression):
-            value = self.seconds.evaluate(ctx.eval_ctx)
-            return float(value or 0.0)
-        return float(self.seconds)
 
     def argument_expressions(self) -> List[Expression]:
         return [self.seconds] if isinstance(self.seconds, Expression) else []
@@ -218,15 +230,12 @@ class ModifyMessageMetadata(AttackAction):
             raise ValueError(f"unsupported metadata field {metadata_field!r}")
         self.metadata_field = metadata_field
         self.value = value
+        self._value = _lowered(value)
 
     def apply(self, ctx: ActionContext) -> None:
         if ctx.message is None:
             return
-        value = (
-            self.value.evaluate(ctx.eval_ctx)
-            if isinstance(self.value, Expression)
-            else self.value
-        )
+        value = self._value(ctx.eval_ctx)
         ctx.message.metadata_overrides[self.metadata_field] = value
         ctx.record(
             "modify_message_metadata",
@@ -293,6 +302,8 @@ class ModifyMessage(AttackAction):
     Field paths name type options, e.g. ``idle_timeout`` or
     ``match.nw_src`` on a FLOW_MOD, ``in_port`` on a PACKET_OUT.  The
     message is re-encoded after the edit, so it stays protocol-conformant.
+    A value the field cannot hold (not a number, out of the field's
+    range, not an address) leaves the message as it was.
     """
 
     required_capability = Capability.MODIFY_MESSAGE
@@ -300,23 +311,26 @@ class ModifyMessage(AttackAction):
     def __init__(self, field_path: str, value: Union[Any, Expression]) -> None:
         self.field_path = field_path
         self.value = value
+        self._value = _lowered(value)
 
     def apply(self, ctx: ActionContext) -> None:
         incoming = ctx.message
         if incoming is None or incoming.parsed is None:
             return
-        value = (
-            self.value.evaluate(ctx.eval_ctx)
-            if isinstance(self.value, Expression)
-            else self.value
-        )
+        value = self._value(ctx.eval_ctx)
         message = incoming.parsed
-        if self._set_field(message, self.field_path, value):
+        try:
+            if not self._set_field(message, self.field_path, value):
+                return
             incoming.replace_payload(message)
-            ctx.record(
-                "modify_message",
-                {"id": incoming.msg_id, "field": self.field_path, "value": value},
-            )
+        except (TypeError, ValueError, OverflowError, struct.error):
+            # The bytes stay; the decode the edit half-changed goes.
+            incoming.set_raw(incoming.raw)
+            return
+        ctx.record(
+            "modify_message",
+            {"id": incoming.msg_id, "field": self.field_path, "value": value},
+        )
 
     @staticmethod
     def _set_field(message: OpenFlowMessage, path: str, value: Any) -> bool:
@@ -377,9 +391,14 @@ class InjectNewMessage(AttackAction):
     def __init__(self, source: MessageSource, direction: Optional[str] = None) -> None:
         self.source = source
         self.direction = direction
+        if callable(source) and not isinstance(source, OpenFlowMessage):
+            self._payload = source
+        else:
+            payload = _lowered(source)
+            self._payload = lambda ctx: payload(ctx.eval_ctx)
 
     def apply(self, ctx: ActionContext) -> None:
-        payload = self._resolve(ctx)
+        payload = self._payload(ctx)
         if payload is None:
             return
         incoming = ctx.message
@@ -402,13 +421,6 @@ class InjectNewMessage(AttackAction):
             return
         ctx.out.append(OutgoingMessage(injected, injected=True))
         ctx.record("inject_new_message", {"id": injected.msg_id})
-
-    def _resolve(self, ctx: ActionContext) -> Any:
-        if isinstance(self.source, Expression):
-            return self.source.evaluate(ctx.eval_ctx)
-        if callable(self.source) and not isinstance(self.source, OpenFlowMessage):
-            return self.source(ctx)
-        return self.source
 
     def argument_expressions(self) -> List[Expression]:
         return [self.source] if isinstance(self.source, Expression) else []
@@ -436,9 +448,10 @@ class PrependAction(_DequeAction):
     def __init__(self, deque_name: str, value: Expression) -> None:
         super().__init__(deque_name)
         self.value = value
+        self._value = _lowered(value)
 
     def apply(self, ctx: ActionContext) -> None:
-        value = self.value.evaluate(ctx.eval_ctx)
+        value = self._value(ctx.eval_ctx)
         ctx.eval_ctx.storage.deque(self.deque_name).prepend(value)
 
     def argument_expressions(self) -> List[Expression]:
@@ -454,9 +467,10 @@ class AppendAction(_DequeAction):
     def __init__(self, deque_name: str, value: Expression) -> None:
         super().__init__(deque_name)
         self.value = value
+        self._value = _lowered(value)
 
     def apply(self, ctx: ActionContext) -> None:
-        value = self.value.evaluate(ctx.eval_ctx)
+        value = self._value(ctx.eval_ctx)
         ctx.eval_ctx.storage.deque(self.deque_name).append(value)
 
     def argument_expressions(self) -> List[Expression]:

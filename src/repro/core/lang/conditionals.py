@@ -7,6 +7,8 @@ expressions for deque actions (e.g. the Section VIII-B counter idiom
 ``PREPEND(δ, SHIFT(δ) + 1)``), so expressions may deliberately carry
 storage side effects.
 
+Each node's :meth:`compile` lowers it, once, to a plain closure over an
+:class:`EvalContext`; that closure is the node's only implementation.
 Every node reports the attacker capabilities needed to *evaluate* it:
 metadata properties need READMESSAGEMETADATA, payload properties (TYPE and
 all TYPE OPTIONS) need READMESSAGE.  Rule validation aggregates these.
@@ -18,6 +20,7 @@ from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.lang.properties import (
     METADATA_PROPERTIES,
+    PROPERTY_GETTERS,
     InterposedMessage,
     MessageProperty,
 )
@@ -52,18 +55,9 @@ class EvalContext:
 class Expression:
     """Base class for value expressions."""
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        raise NotImplementedError
-
     def compile(self) -> Callable[[EvalContext], Any]:
-        """Lower this expression to a plain closure.
-
-        The default falls back to the interpreted :meth:`evaluate`, which is
-        the required behaviour for storage-side-effect nodes (SHIFT/POP):
-        their interpreted semantics *are* the semantics.  Pure nodes
-        override this to return a dedicated closure that skips the AST walk.
-        """
-        return self.evaluate
+        """Lower this expression to a closure over an :class:`EvalContext`."""
+        raise NotImplementedError
 
     def required_capabilities(self) -> FrozenSet[Capability]:
         return frozenset()
@@ -77,9 +71,6 @@ class Const(Expression):
 
     def __init__(self, value: Any) -> None:
         self.value = value
-
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return self.value
 
     def compile(self) -> Callable[[EvalContext], Any]:
         value = self.value
@@ -95,13 +86,8 @@ class Property(Expression):
     def __init__(self, prop: MessageProperty) -> None:
         self.prop = prop
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        if ctx.message is None:
-            return None
-        return ctx.message.get_property(self.prop)
-
     def compile(self) -> Callable[[EvalContext], Any]:
-        getter = _PROPERTY_GETTERS[self.prop]
+        getter = PROPERTY_GETTERS[self.prop]
 
         def run(ctx: EvalContext) -> Any:
             message = ctx.message
@@ -118,28 +104,11 @@ class Property(Expression):
         return f"Property({self.prop.value})"
 
 
-#: Direct per-property getters used by compiled Property nodes; each is the
-#: body of the matching :meth:`InterposedMessage.get_property` branch.
-_PROPERTY_GETTERS = {
-    MessageProperty.SOURCE: lambda m: m.source,
-    MessageProperty.DESTINATION: lambda m: m.destination,
-    MessageProperty.TIMESTAMP: lambda m: m.timestamp,
-    MessageProperty.LENGTH: lambda m: len(m.raw),
-    MessageProperty.ID: lambda m: m.msg_id,
-    MessageProperty.TYPE: lambda m: m.message_type_name,
-}
-
-
 class TypeOption(Expression):
     """A MESSAGETYPEOPTIONS reference, e.g. ``opt.match.nw_src``."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-
-    def evaluate(self, ctx: EvalContext) -> Any:
-        if ctx.message is None:
-            return None
-        return ctx.message.get_type_option(self.path)
 
     def compile(self) -> Callable[[EvalContext], Any]:
         path = self.path
@@ -160,9 +129,6 @@ class TypeOption(Expression):
 class MessageRef(Expression):
     """The current message itself (for storing messages in deques)."""
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return ctx.message
-
     def compile(self) -> Callable[[EvalContext], Any]:
         return lambda ctx: ctx.message
 
@@ -178,18 +144,12 @@ class _DequeExpr(Expression):
     def __init__(self, deque_name: str) -> None:
         self.deque_name = deque_name
 
-    def _deque(self, ctx: EvalContext):
-        return ctx.storage.deque(self.deque_name)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.deque_name!r})"
 
 
 class ExamineFront(_DequeExpr):
     """value ← EXAMINEFRONT(δ): read the front element (no removal)."""
-
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return self._deque(ctx).examine_front()
 
     def compile(self) -> Callable[[EvalContext], Any]:
         name = self.deque_name
@@ -199,9 +159,6 @@ class ExamineFront(_DequeExpr):
 class ExamineEnd(_DequeExpr):
     """value ← EXAMINEEND(δ): read the end element (no removal)."""
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return self._deque(ctx).examine_end()
-
     def compile(self) -> Callable[[EvalContext], Any]:
         name = self.deque_name
         return lambda ctx: ctx.storage.deque(name).examine_end()
@@ -210,21 +167,33 @@ class ExamineEnd(_DequeExpr):
 class ShiftExpr(_DequeExpr):
     """value ← SHIFT(δ): remove and return the front element.
 
-    Mutates storage, so :meth:`compile` keeps the interpreted fallback.
+    An empty δ reads None, as EXAMINEFRONT does, and stays empty.
     """
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return self._deque(ctx).shift()
+    def compile(self) -> Callable[[EvalContext], Any]:
+        name = self.deque_name
+
+        def run(ctx: EvalContext) -> Any:
+            stored = ctx.storage.deque(name)
+            return stored.shift() if len(stored) else None
+
+        return run
 
 
 class PopExpr(_DequeExpr):
     """value ← POP(δ): remove and return the end element.
 
-    Mutates storage, so :meth:`compile` keeps the interpreted fallback.
+    An empty δ reads None, as EXAMINEEND does, and stays empty.
     """
 
-    def evaluate(self, ctx: EvalContext) -> Any:
-        return self._deque(ctx).pop()
+    def compile(self) -> Callable[[EvalContext], Any]:
+        name = self.deque_name
+
+        def run(ctx: EvalContext) -> Any:
+            stored = ctx.storage.deque(name)
+            return stored.pop() if len(stored) else None
+
+        return run
 
 
 class Sum(Expression):
@@ -233,15 +202,6 @@ class Sum(Expression):
     def __init__(self, first: Expression, rest: Iterable = ()) -> None:
         self.first = first
         self.rest: List = list(rest)  # [(op, expr), ...] with op in "+-"
-
-    def evaluate(self, ctx: EvalContext) -> Any:
-        value = self.first.evaluate(ctx)
-        for op, expr in self.rest:
-            operand = expr.evaluate(ctx)
-            value = 0 if value is None else value
-            operand = 0 if operand is None else operand
-            value = value + operand if op == "+" else value - operand
-        return value
 
     def compile(self) -> Callable[[EvalContext], Any]:
         first = self.first.compile()
@@ -280,42 +240,20 @@ class Sum(Expression):
 class Condition:
     """Base class for conditional expressions λ."""
 
-    def evaluate(self, ctx: EvalContext) -> bool:
-        raise NotImplementedError
-
     def compile(self) -> Callable[[EvalContext], bool]:
-        """Lower this conditional to a plain closure.
+        """Lower this conditional to a closure over an :class:`EvalContext`.
 
-        The default falls back to the interpreted :meth:`evaluate`; the
-        stochastic :class:`Probability` node keeps that fallback so its
-        seeded-random draw order stays identical run-to-run.
+        Operands run left before right and ``and``/``or`` short-circuit,
+        so storage side effects (SHIFT/POP) happen in reading order.
         """
-        return self.evaluate
+        raise NotImplementedError
 
     def required_capabilities(self) -> FrozenSet[Capability]:
         return frozenset()
 
-    def __call__(self, ctx: EvalContext) -> bool:
-        return self.evaluate(ctx)
-
-
-def compile_condition(condition: Condition) -> Callable[[EvalContext], bool]:
-    """Lower a λ AST to a Python closure (the executor's fast lane).
-
-    Called once at attack-load time; the returned closure is semantically
-    identical to ``condition.evaluate`` (including short-circuit order and
-    storage side effects) but skips the per-message AST walk.  Stochastic
-    and storage-side-effect nodes fall back to their interpreted
-    ``evaluate`` internally.
-    """
-    return condition.compile()
-
 
 class TrueCondition(Condition):
     """Matches every message (the trivial pass-everything rule of Fig. 5)."""
-
-    def evaluate(self, ctx: EvalContext) -> bool:
-        return True
 
     def compile(self) -> Callable[[EvalContext], bool]:
         return lambda ctx: True
@@ -384,29 +322,6 @@ class Comparison(Condition):
         self.left = left
         self.right = right
 
-    def evaluate(self, ctx: EvalContext) -> bool:
-        left = self.left.evaluate(ctx)
-        right = self.right.evaluate(ctx)
-        if self.op == "=":
-            return smart_eq(left, right)
-        if self.op == "!=":
-            return not smart_eq(left, right)
-        if self.op in ("<", ">"):
-            left_num = _as_number(left)
-            right_num = _as_number(right)
-            if left_num is None or right_num is None:
-                return False
-            return left_num < right_num if self.op == "<" else left_num > right_num
-        # Membership: right must be iterable; compare with smart_eq so
-        # "10.0.0.3" matches Ipv4Address("10.0.0.3") etc.
-        if right is None:
-            return False
-        try:
-            candidates = list(right)
-        except TypeError:
-            return False
-        return any(smart_eq(left, candidate) for candidate in candidates)
-
     def compile(self) -> Callable[[EvalContext], bool]:
         left = self.left.compile()
         right = self.right.compile()
@@ -430,7 +345,9 @@ class Comparison(Condition):
                 return left_num < right_num if less else left_num > right_num
 
             return run_order
-        # Membership.  A constant right side is materialized once.
+        # Membership, compared with smart_eq so "10.0.0.3" matches
+        # Ipv4Address("10.0.0.3").  A constant right side is materialized
+        # once.
         if isinstance(self.right, Const):
             try:
                 candidates = list(self.right.value) if self.right.value is not None else None
@@ -446,8 +363,8 @@ class Comparison(Condition):
             return run_in_const
 
         def run_in(ctx: EvalContext) -> bool:
-            # Evaluate left before right — interpreted order, which matters
-            # when either operand carries storage side effects.
+            # Left before right: the order matters when either operand
+            # carries storage side effects.
             lhs = left(ctx)
             rhs = right(ctx)
             if rhs is None:
@@ -473,9 +390,6 @@ class And(Condition):
     def __init__(self, *terms: Condition) -> None:
         self.terms = list(terms)
 
-    def evaluate(self, ctx: EvalContext) -> bool:
-        return all(term.evaluate(ctx) for term in self.terms)
-
     def compile(self) -> Callable[[EvalContext], bool]:
         compiled = tuple(term.compile() for term in self.terms)
         if len(compiled) == 2:
@@ -498,9 +412,6 @@ class Or(Condition):
 
     def __init__(self, *terms: Condition) -> None:
         self.terms = list(terms)
-
-    def evaluate(self, ctx: EvalContext) -> bool:
-        return any(term.evaluate(ctx) for term in self.terms)
 
     def compile(self) -> Callable[[EvalContext], bool]:
         compiled = tuple(term.compile() for term in self.terms)
@@ -534,17 +445,15 @@ class Probability(Condition):
             raise ValueError(f"probability must be in [0, 1], got {p!r}")
         self.p = p
 
-    def evaluate(self, ctx: EvalContext) -> bool:
-        if self.p >= 1.0:
-            return True
-        if self.p <= 0.0 or ctx.rng is None:
-            # Without a random stream a stochastic rule never fires —
-            # deterministic contexts stay deterministic.
-            return False
-        return ctx.rng.random() < self.p
-
-    # compile() deliberately not overridden: the stochastic draw keeps the
-    # interpreted fallback so replayability analysis has one code path.
+    def compile(self) -> Callable[[EvalContext], bool]:
+        p = self.p
+        if p >= 1.0:
+            return lambda ctx: True
+        if p <= 0.0:
+            return lambda ctx: False
+        # One draw per evaluation; without a random stream a stochastic
+        # rule never fires, so deterministic contexts stay deterministic.
+        return lambda ctx: ctx.rng is not None and ctx.rng.random() < p
 
     def __repr__(self) -> str:
         return f"Probability({self.p})"
@@ -555,9 +464,6 @@ class Not(Condition):
 
     def __init__(self, term: Condition) -> None:
         self.term = term
-
-    def evaluate(self, ctx: EvalContext) -> bool:
-        return not self.term.evaluate(ctx)
 
     def compile(self) -> Callable[[EvalContext], bool]:
         term = self.term.compile()

@@ -95,7 +95,7 @@ class InterposedMessage:
 
     ``dropped`` is the attack executor's verdict: True once it has
     handled the message and its outgoing list does not carry it.  The
-    proxy's ``dropped`` count and the monitors read this one decision.
+    monitors' drop counts read this one decision.
     ``metadata_overrides`` (MODIFYMESSAGEMETADATA) is created on first
     use; until then the message holds no dict.
     """
@@ -244,13 +244,15 @@ class InterposedMessage:
         self._type_name = _UNSET
 
     def replace_payload(self, message: OpenFlowMessage) -> None:
-        """Swap in a modified payload (MODIFYMESSAGE support)."""
+        """Swap in a modified payload (MODIFYMESSAGE support); nothing
+        changes when ``message`` does not pack."""
+        raw = message.pack()
         self._parsed = message
         self._parse_failed = False
         self._coarse_type = _UNSET
         self._type_name = _UNSET
         self.payload_replaced = True
-        self.raw = message.pack()
+        self.raw = raw
 
     def copy(self) -> "InterposedMessage":
         """An independent replica (DUPLICATEMESSAGE support) with a new id."""
@@ -267,19 +269,7 @@ class InterposedMessage:
     # ------------------------------------------------------------------ #
 
     def get_property(self, prop: MessageProperty) -> Any:
-        if prop is MessageProperty.SOURCE:
-            return self.source
-        if prop is MessageProperty.DESTINATION:
-            return self.destination
-        if prop is MessageProperty.TIMESTAMP:
-            return self.timestamp
-        if prop is MessageProperty.LENGTH:
-            return len(self.raw)
-        if prop is MessageProperty.ID:
-            return self.msg_id
-        if prop is MessageProperty.TYPE:
-            return self.message_type_name
-        raise ValueError(f"unhandled property {prop!r}")
+        return PROPERTY_GETTERS[prop](self)
 
     def get_type_option(self, path: str) -> Any:
         """MESSAGETYPEOPTIONS accessor, e.g. ``"match.nw_src"``.
@@ -397,6 +387,17 @@ class InterposedMessage:
             f"<InterposedMessage #{self.msg_id} {self.controller}{arrow}{self.switch} "
             f"{self.message_type_name or 'undecodable'} len={len(self.raw)}>"
         )
+
+
+#: The Section V-A properties as getters on an :class:`InterposedMessage`.
+PROPERTY_GETTERS = {
+    MessageProperty.SOURCE: lambda m: m.source,
+    MessageProperty.DESTINATION: lambda m: m.destination,
+    MessageProperty.TIMESTAMP: lambda m: m.timestamp,
+    MessageProperty.LENGTH: lambda m: len(m.raw),
+    MessageProperty.ID: lambda m: m.msg_id,
+    MessageProperty.TYPE: lambda m: m.message_type_name,
+}
 
 
 def _normalize(value: Any) -> Any:

@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lang.actions import AttackAction, GoToState
-from repro.core.lang.conditionals import (
-    Condition,
-    EvalContext,
-    compile_condition,
-    condition_message_types,
-)
+from repro.core.lang.conditionals import Condition, EvalContext, condition_message_types
 from repro.core.model.capabilities import Capability
 from repro.core.model.threat import AttackModel, CapabilityViolation
 
@@ -99,14 +94,11 @@ class Rule:
         return tuple(connection) in self.connections
 
     def compiled_conditional(self) -> Callable[[EvalContext], bool]:
-        """The λ lowered to a closure, compiled once and cached.
-
-        The executor's fast lane calls this at attack-load time; the closure
-        is semantically identical to ``self.conditional.evaluate``.
-        """
+        """The λ lowered to a closure, compiled once and cached (the
+        executor calls this at attack-load time)."""
         compiled = self._compiled_conditional
         if compiled is None:
-            compiled = self._compiled_conditional = compile_condition(self.conditional)
+            compiled = self._compiled_conditional = self.conditional.compile()
         return compiled
 
     def message_types(self) -> Optional[FrozenSet[str]]:

@@ -56,7 +56,6 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, OpenFlowSwitch] = {}
         self.links: Dict[str, DataLink] = {}
-        self.boundary_halves: Dict[int, object] = {}
         # switch name -> {target name: (endpoint, latency)}
         self._control_targets: Dict[str, Dict[str, tuple]] = {}
         self._started = False
@@ -98,7 +97,6 @@ class Network:
             device = link_spec.a if a_in else link_spec.b
             port = link_spec.a_port if a_in else link_spec.b_port
             half = boundary(index, link_spec, side)
-            self.boundary_halves[index] = half
             self._wire(half.transmit, half.attach, None, device, port)
 
     def _attach(self, link: DataLink, side: str, device: str, port: Optional[int]) -> None:

@@ -224,9 +224,6 @@ class Topology:
             if name not in attached:
                 raise TopologyError(f"device {name!r} has no links")
 
-    def host_names(self) -> List[str]:
-        return sorted(self.hosts)
-
     def switch_names(self) -> List[str]:
         return sorted(self.switches)
 

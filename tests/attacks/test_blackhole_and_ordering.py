@@ -24,7 +24,7 @@ def interposed(message, at=0.0):
 class TestOrderingOperators:
     def evaluate(self, text, message=None, at=0.0):
         ctx = EvalContext(message, StorageSet(), at)
-        return parse_condition(text).evaluate(ctx)
+        return parse_condition(text).compile()(ctx)
 
     def test_timestamp_gating(self):
         late = interposed(FlowMod(Match()), at=31.0)
@@ -53,7 +53,7 @@ class TestOrderingOperators:
         reparsed = parse_condition(text)
         late = interposed(FlowMod(Match()), at=31.0)
         ctx = EvalContext(late, StorageSet(), 0.0)
-        assert cond.evaluate(ctx) == reparsed.evaluate(ctx)
+        assert cond.compile()(ctx) == reparsed.compile()(ctx)
 
 
 class TestBlackholeExecutorLevel:

@@ -1,8 +1,9 @@
 """The paper's linear Algorithm 1 scan, as the indexed executor's oracle.
 
 :class:`LinearAttackExecutor` evaluates every rule of σ_previous bound to
-the message's connection, in order, with interpreted conditionals — the
-O(|Φ|) per-message cost of §VI-D2.  The equivalence tests compare the
+the message's connection, in order, with interpreted conditionals
+(:func:`~tests.core.conditionals_reference.evaluate`) — the O(|Φ|)
+per-message cost of §VI-D2.  The equivalence tests compare the
 indexed :class:`~repro.core.injector.AttackExecutor` against it, and the
 benchmarks time it as the baseline.
 """
@@ -13,6 +14,7 @@ from repro.core.injector import AttackExecutor
 from repro.core.lang.actions import GoToState, OutgoingMessage
 from repro.core.lang.conditionals import EvalContext
 from repro.core.lang.properties import InterposedMessage
+from tests.core.conditionals_reference import evaluate
 
 
 class LinearAttackExecutor(AttackExecutor):
@@ -30,7 +32,7 @@ class LinearAttackExecutor(AttackExecutor):
             if not rule.binds(incoming.connection):
                 continue
             self.stats["rules_evaluated"] += 1
-            fired = rule.conditional.evaluate(eval_ctx)                # line 9
+            fired = evaluate(rule.conditional, eval_ctx)               # line 9
             if tracer is not None:
                 tracer.emit("rule_eval", state=previous_state.name,
                             rule=rule.name, msg_id=incoming.msg_id,
@@ -46,9 +48,9 @@ class LinearAttackExecutor(AttackExecutor):
                             tracer.emit("action", state=previous_state.name,
                                         rule=rule.name,
                                         action=type(action).__name__)
-                        self.modifier.apply(action, action_ctx)
+                        action.apply(action_ctx)
         if not any(entry.message is incoming for entry in out):
-            self.stats["messages_dropped"] += 1
+            incoming.dropped = True
             if tracer is not None:
                 self._trace_drop(previous_state.name, incoming)
         self.stats["messages_injected"] += sum(1 for entry in out if entry.injected)

@@ -89,7 +89,7 @@ def test_conditions_unparse_and_reparse_equivalently():
         round_tripped = parse_condition(condition_to_text(cond))
         # Equivalence on representative contexts: no message, empty storage.
         ctx = EvalContext(None, StorageSet(), 0.0)
-        assert cond.evaluate(ctx) == round_tripped.evaluate(ctx)
+        assert cond.compile()(ctx) == round_tripped.compile()(ctx)
         assert cond.required_capabilities() == round_tripped.required_capabilities()
 
 

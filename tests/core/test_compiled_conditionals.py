@@ -1,10 +1,11 @@
-"""Compiled conditionals must be indistinguishable from interpreted ones.
+"""Compiled conditionals and expressions must agree with the interpreter.
 
-The executor's fast lane lowers each λ AST to a closure once at attack-load
-time (:func:`repro.core.lang.conditionals.compile_condition`).  These tests
-run the same conditional both ways over a grid of messages and storage
-states and require identical results — including storage side effects and
-the seeded stochastic draw sequence.
+Every λ and action argument is lowered to a closure once, when its rule or
+action is built (``node.compile()``).  These tests run each conditional
+and value expression both ways — compiled, and through the reference
+interpreter (:mod:`tests.core.conditionals_reference`) — over a grid of
+messages and storage states and require identical results, including
+storage side effects and the seeded stochastic draw sequence.
 """
 
 import struct
@@ -18,8 +19,6 @@ from repro.core.lang.conditionals import (
     EvalContext,
     Probability,
     Property,
-    ShiftExpr,
-    compile_condition,
     condition_message_types,
 )
 from repro.core.lang.parser import parse_expression
@@ -35,6 +34,7 @@ from repro.openflow import (
     PacketInReason,
 )
 from repro.sim.rng import SeededRng
+from tests.core.conditionals_reference import evaluate
 
 CONN = ("c1", "s1")
 
@@ -98,11 +98,11 @@ class TestEquivalence:
     @pytest.mark.parametrize("text", CONDITIONS)
     def test_pure_conditions_agree_on_all_messages(self, text):
         condition = parse_condition(text)
-        compiled = compile_condition(condition)
+        compiled = condition.compile()
         for message in sample_messages():
             interpreted_ctx = EvalContext(message, storage_with_counter(), now=4.0)
             compiled_ctx = EvalContext(message, storage_with_counter(), now=4.0)
-            assert compiled(compiled_ctx) == condition.evaluate(interpreted_ctx), text
+            assert compiled(compiled_ctx) == evaluate(condition, interpreted_ctx), text
 
     @pytest.mark.parametrize(
         "text",
@@ -112,12 +112,12 @@ class TestEquivalence:
     def test_side_effecting_conditions_agree_including_storage(self, text):
         """SHIFT/POP mutate Δ: results and final storage must both match."""
         condition = parse_condition(text)
-        compiled = compile_condition(condition)
+        compiled = condition.compile()
         interpreted_storage = storage_with_counter()
         compiled_storage = storage_with_counter()
         for message in sample_messages()[:2]:
-            interpreted = condition.evaluate(
-                EvalContext(message, interpreted_storage, now=4.0)
+            interpreted = evaluate(
+                condition, EvalContext(message, interpreted_storage, now=4.0)
             )
             result = compiled(EvalContext(message, compiled_storage, now=4.0))
             assert result == interpreted, text
@@ -128,7 +128,7 @@ class TestEquivalence:
         """``shift(d) in {...}`` must consume one element per evaluation."""
         condition = Comparison("in", parse_expression("shift(d)"),
                                Const(("a", "b")))
-        compiled = compile_condition(condition)
+        compiled = condition.compile()
         storage = StorageSet()
         storage.deque("d").append("a")
         storage.deque("d").append("z")
@@ -138,13 +138,14 @@ class TestEquivalence:
         assert len(storage.deque("d")) == 0
 
     def test_probability_draw_sequence_identical(self):
-        """prob(p) keeps the interpreted path: same rng, same draws."""
+        """prob(p) draws as the interpreter does: same rng, same draws."""
         condition = parse_condition("prob(0.5)")
-        compiled = compile_condition(condition)
+        compiled = condition.compile()
         message = sample_messages()[0]
         interpreted = [
-            condition.evaluate(
-                EvalContext(message, StorageSet(), rng=SeededRng(7).child("x"))
+            evaluate(
+                condition,
+                EvalContext(message, StorageSet(), rng=SeededRng(7).child("x")),
             )
             for _ in range(20)
         ]
@@ -156,18 +157,25 @@ class TestEquivalence:
         # Fresh identical streams step identically through both paths.
         rng_a, rng_b = SeededRng(11).child("y"), SeededRng(11).child("y")
         for _ in range(50):
-            assert condition.evaluate(
-                EvalContext(message, StorageSet(), rng=rng_a)
+            assert evaluate(
+                condition, EvalContext(message, StorageSet(), rng=rng_a)
             ) == compiled(EvalContext(message, StorageSet(), rng=rng_b))
         assert drawn[0] == interpreted[0]
 
-    def test_probability_compile_is_interpreted_fallback(self):
-        probability = Probability(0.5)
-        assert probability.compile() == probability.evaluate
+    @pytest.mark.parametrize("p, draws", [(0.0, 0), (0.5, 1), (1.0, 0)])
+    def test_probability_draws_once_only_when_uncertain(self, p, draws):
+        stream = SeededRng(5).child("z")
+        calls = []
 
-    def test_shift_compile_is_interpreted_fallback(self):
-        shift = ShiftExpr("d")
-        assert shift.compile() == shift.evaluate
+        class CountingRng:
+            def random(self):
+                calls.append(p)
+                return stream.random()
+
+        compiled = Probability(p).compile()
+        compiled(EvalContext(None, StorageSet(), rng=CountingRng()))
+        assert compiled(EvalContext(None, StorageSet(), rng=None)) is (p == 1.0)
+        assert len(calls) == draws
 
 
 def corrupted_flow_mod():
@@ -186,7 +194,7 @@ class TestTypeEquality:
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_no_smart_eq_and_no_parse(self, text, monkeypatch):
-        compiled = compile_condition(parse_condition(text))
+        compiled = parse_condition(text).compile()
 
         def refuse(left, right):
             raise AssertionError("smart_eq called")
@@ -209,8 +217,8 @@ class TestTypeEquality:
         assert message.coarse_type_name == "FLOW_MOD"
         assert message.message_type_name is None
         ctx = EvalContext(message, StorageSet())
-        assert compile_condition(condition)(ctx) is False
-        assert condition.evaluate(ctx) is False
+        assert condition.compile()(ctx) is False
+        assert evaluate(condition, ctx) is False
 
     def test_a_non_string_constant_keeps_smart_eq(self, monkeypatch):
         calls = []
@@ -223,7 +231,7 @@ class TestTypeEquality:
         monkeypatch.setattr(conditionals, "smart_eq", counted)
         condition = Comparison("=", Property(MessageProperty.TYPE), Const(14))
         message = sample_messages()[2]
-        assert compile_condition(condition)(
+        assert condition.compile()(
             EvalContext(message, StorageSet())) is False
         assert calls == [("FLOW_MOD", 14)]
 
@@ -265,3 +273,38 @@ class TestConditionMessageTypes:
         for text in ("", "true", "destination = s1", "not type = HELLO",
                      "type != FLOW_MOD", "prob(0.5)", "length > 8"):
             assert condition_message_types(parse_condition(text)) is None, text
+
+
+VALUE_EXPRESSIONS = ["shift(c) + 1", "pop(c) - 1", "front(c) + end(c)",
+                     "shift(empty) + 1", "msg", "opt.idle_timeout", "length"]
+
+
+def storage_grid():
+    """The file's storage with the counter ``c`` holding two values or one."""
+    for counter in ([3, 9], [7]):
+        storage = storage_with_counter()
+        for value in counter:
+            storage.deque("c").append(value)
+        yield storage
+
+
+def deque_contents(storage):
+    return {name: storage.deque(name).snapshot() for name in storage.names()}
+
+
+class TestActionArguments:
+    """Action arguments are value expressions compiled the same way."""
+
+    @pytest.mark.parametrize("text", VALUE_EXPRESSIONS)
+    def test_value_expressions_agree_including_storage(self, text):
+        expression = parse_expression(text)
+        compiled = expression.compile()
+        for message in sample_messages():
+            for reference_storage, compiled_storage in zip(storage_grid(),
+                                                           storage_grid()):
+                expected = evaluate(
+                    expression, EvalContext(message, reference_storage, now=4.0))
+                value = compiled(EvalContext(message, compiled_storage, now=4.0))
+                assert value == expected, text
+                assert deque_contents(compiled_storage) == \
+                    deque_contents(reference_storage), text

@@ -61,25 +61,25 @@ class TestComparisons:
     def test_type_equality(self):
         msg = interposed(Hello())
         cond = Comparison("=", Property(MessageProperty.TYPE), Const("HELLO"))
-        assert cond.evaluate(ctx_for(msg))
+        assert cond.compile()(ctx_for(msg))
         cond2 = Comparison("=", Property(MessageProperty.TYPE), Const("FLOW_MOD"))
-        assert not cond2.evaluate(ctx_for(msg))
+        assert not cond2.compile()(ctx_for(msg))
 
     def test_not_equal(self):
         msg = interposed(Hello())
         cond = Comparison("!=", Property(MessageProperty.TYPE), Const("FLOW_MOD"))
-        assert cond.evaluate(ctx_for(msg))
+        assert cond.compile()(ctx_for(msg))
 
     def test_membership(self):
         msg = interposed(Hello(), Direction.TO_SWITCH)
         cond = Comparison(
             "in", Property(MessageProperty.DESTINATION), Const(frozenset({"s1", "s2"}))
         )
-        assert cond.evaluate(ctx_for(msg))
+        assert cond.compile()(ctx_for(msg))
         cond2 = Comparison(
             "in", Property(MessageProperty.DESTINATION), Const(frozenset({"s9"}))
         )
-        assert not cond2.evaluate(ctx_for(msg))
+        assert not cond2.compile()(ctx_for(msg))
 
     def test_membership_uses_smart_eq(self):
         flow_mod = FlowMod(Match(nw_dst=Ipv4Address("10.0.0.3")))
@@ -88,42 +88,42 @@ class TestComparisons:
             "in", TypeOption("match.nw_dst"),
             Const(frozenset({"10.0.0.3", "10.0.0.4"})),
         )
-        assert cond.evaluate(ctx_for(msg))
+        assert cond.compile()(ctx_for(msg))
 
     def test_membership_on_non_iterable_is_false(self):
         cond = Comparison("in", Const(1), Const(2))
-        assert not cond.evaluate(ctx_for())
+        assert not cond.compile()(ctx_for())
 
     def test_bad_operator_rejected(self):
         with pytest.raises(ValueError):
             Comparison(">=", Const(1), Const(2))
 
     def test_ordering_operators(self):
-        assert Comparison("<", Const(1), Const(2)).evaluate(ctx_for())
-        assert Comparison(">", Const(3), Const(2)).evaluate(ctx_for())
-        assert not Comparison(">", Const(1), Const(2)).evaluate(ctx_for())
+        assert Comparison("<", Const(1), Const(2)).compile()(ctx_for())
+        assert Comparison(">", Const(3), Const(2)).compile()(ctx_for())
+        assert not Comparison(">", Const(1), Const(2)).compile()(ctx_for())
         # Numeric strings order numerically; non-numerics never order.
-        assert Comparison("<", Const("9"), Const(10)).evaluate(ctx_for())
-        assert not Comparison("<", Const("abc"), Const(10)).evaluate(ctx_for())
+        assert Comparison("<", Const("9"), Const(10)).compile()(ctx_for())
+        assert not Comparison("<", Const("abc"), Const(10)).compile()(ctx_for())
 
     def test_no_message_evaluates_to_none_properties(self):
         cond = Comparison("=", Property(MessageProperty.TYPE), Const("HELLO"))
-        assert not cond.evaluate(ctx_for(message=None))
+        assert not cond.compile()(ctx_for(message=None))
 
 
 class TestConnectives:
     def test_and_or_not(self):
         true = TrueCondition()
         false = Not(TrueCondition())
-        assert And(true, true).evaluate(ctx_for())
-        assert not And(true, false).evaluate(ctx_for())
-        assert Or(false, true).evaluate(ctx_for())
-        assert not Or(false, false).evaluate(ctx_for())
-        assert Not(false).evaluate(ctx_for())
+        assert And(true, true).compile()(ctx_for())
+        assert not And(true, false).compile()(ctx_for())
+        assert Or(false, true).compile()(ctx_for())
+        assert not Or(false, false).compile()(ctx_for())
+        assert Not(false).compile()(ctx_for())
 
     def test_empty_and_is_true_empty_or_is_false(self):
-        assert And().evaluate(ctx_for())
-        assert not Or().evaluate(ctx_for())
+        assert And().compile()(ctx_for())
+        assert not Or().compile()(ctx_for())
 
 
 class TestStorageExpressions:
@@ -131,27 +131,27 @@ class TestStorageExpressions:
         storage = StorageSet()
         storage.declare("count", [3])
         cond = Comparison("=", ExamineFront("count"), Const(3))
-        assert cond.evaluate(ctx_for(storage=storage))
+        assert cond.compile()(ctx_for(storage=storage))
 
     def test_sum_with_shift_side_effect(self):
         """The counter idiom: SHIFT(δ) + 1 mutates the deque."""
         storage = StorageSet()
         storage.declare("count", [4])
         expr = Sum(ShiftExpr("count"), [("+", Const(1))])
-        assert expr.evaluate(ctx_for(storage=storage)) == 5
+        assert expr.compile()(ctx_for(storage=storage)) == 5
         assert len(storage.deque("count")) == 0  # shifted out
 
     def test_sum_treats_none_as_zero(self):
         expr = Sum(ExamineFront("empty"), [("+", Const(1))])
-        assert expr.evaluate(ctx_for()) == 1
+        assert expr.compile()(ctx_for()) == 1
 
     def test_subtraction(self):
         expr = Sum(Const(10), [("-", Const(3)), ("+", Const(1))])
-        assert expr.evaluate(ctx_for()) == 8
+        assert expr.compile()(ctx_for()) == 8
 
     def test_message_ref(self):
         msg = interposed(Hello())
-        assert MessageRef().evaluate(ctx_for(msg)) is msg
+        assert MessageRef().compile()(ctx_for(msg)) is msg
 
 
 class TestCapabilityAccounting:

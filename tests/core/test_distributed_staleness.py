@@ -35,7 +35,6 @@ def build_cluster(latency):
 class _FakeProxy:
     def __init__(self):
         self.delivered = []
-        self.stats = {"dropped": 0}
 
     def deliver(self, outgoing):
         self.delivered.append(outgoing)

@@ -116,11 +116,12 @@ class TestAlgorithm1:
             [AttackState("s", [rule("drop", "type = FLOW_MOD", [DropMessage()])])],
             "s",
         )
-        executor.handle_message(interposed(FlowMod(Match())))
-        executor.handle_message(interposed(Hello()))
+        flow_mod, hello = interposed(FlowMod(Match())), interposed(Hello())
+        executor.handle_message(flow_mod)
+        executor.handle_message(hello)
         assert executor.stats["messages_processed"] == 2
         assert executor.stats["rules_fired"] == 1
-        assert executor.stats["messages_dropped"] == 1
+        assert (flow_mod.dropped, hello.dropped) == (True, False)
 
 
 class TestFrameworkHooks:

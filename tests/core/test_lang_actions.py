@@ -1,10 +1,10 @@
-"""Unit tests for attack actions and the message modifier semantics."""
+"""Unit tests for attack actions: the MESSAGEMODIFIER semantics of
+Algorithm 1, line 14, and the storage and framework actions."""
 
 import itertools
 
 import pytest
 
-from repro.core.injector.modifier import MessageModifier
 from repro.core.lang import (
     AppendAction,
     Const,
@@ -170,6 +170,15 @@ class TestCapabilityActions:
         ModifyMessage("idle_timeout", 0).apply(h.ctx)
         assert h.records == []
 
+    def test_modify_value_that_does_not_pack_leaves_the_message(self):
+        h = Harness(interposed(FlowMod(Match(in_port=1), idle_timeout=5)))
+        raw = h.message.raw
+        ModifyMessage("idle_timeout", 70000).apply(h.ctx)
+        assert h.message.raw == raw
+        assert h.message.get_type_option("idle_timeout") == 5  # no half edit
+        assert not h.message.payload_replaced
+        assert h.records == []
+
     def test_inject_from_stored_message(self):
         h = Harness(interposed(Hello()))
         h.storage.declare("q", [interposed(EchoRequest(payload=b"z", xid=9))])
@@ -274,14 +283,3 @@ class TestCapabilityRequirements:
 
         action = AppendAction("d", Property(MessageProperty.TYPE))
         assert Capability.READ_MESSAGE in action.required_capabilities()
-
-
-class TestMessageModifier:
-    def test_counts_by_action(self):
-        modifier = MessageModifier()
-        h = Harness(interposed(Hello()))
-        modifier.apply(DropMessage(), h.ctx)
-        modifier.apply(PassMessage(), h.ctx)
-        modifier.apply(PassMessage(), h.ctx)
-        assert modifier.actions_applied == 3
-        assert modifier.by_action == {"DropMessage": 1, "PassMessage": 2}

@@ -26,7 +26,7 @@ from repro.openflow import FlowMod, Hello, Match
 
 def evaluate(text, message=None, storage=None):
     ctx = EvalContext(message, storage or StorageSet(), 0.0)
-    return parse_condition(text).evaluate(ctx)
+    return parse_condition(text).compile()(ctx)
 
 
 def interposed(message, direction=Direction.TO_SWITCH):
@@ -66,7 +66,7 @@ class TestParsing:
     def test_set_membership(self):
         cond = parse_condition("destination in {s1, s2, s3}")
         msg = interposed(Hello())
-        assert cond.evaluate(EvalContext(msg, StorageSet(), 0.0))
+        assert cond.compile()(EvalContext(msg, StorageSet(), 0.0))
 
     def test_empty_set(self):
         assert not evaluate("1 in {}")
@@ -96,7 +96,7 @@ class TestParsing:
     def test_shift_expression(self):
         storage = StorageSet()
         storage.declare("c", [7])
-        assert parse_expression("shift(c) + 1").evaluate(
+        assert parse_expression("shift(c) + 1").compile()(
             EvalContext(None, storage, 0.0)) == 8
         assert len(storage.deque("c")) == 0
 
@@ -106,7 +106,7 @@ class TestParsing:
     def test_msg_reference(self):
         expr = parse_expression("msg")
         msg = interposed(Hello())
-        assert expr.evaluate(EvalContext(msg, StorageSet(), 0.0)) is msg
+        assert expr.compile()(EvalContext(msg, StorageSet(), 0.0)) is msg
 
 
 class TestParseErrors:
@@ -145,16 +145,16 @@ class TestEndToEnd:
 
         full_match = FlowMod(Match(nw_src=Ipv4Address("10.0.0.2"),
                                    nw_dst=Ipv4Address("10.0.0.3")))
-        assert cond.evaluate(EvalContext(interposed(full_match), StorageSet(), 0))
+        assert cond.compile()(EvalContext(interposed(full_match), StorageSet(), 0))
 
         # Ryu-style flow mod without nw fields never satisfies it.
         l2_match = FlowMod(Match(in_port=1))
-        assert not cond.evaluate(EvalContext(interposed(l2_match), StorageSet(), 0))
+        assert not cond.compile()(EvalContext(interposed(l2_match), StorageSet(), 0))
 
         # Different source IP doesn't satisfy it either.
         other = FlowMod(Match(nw_src=Ipv4Address("10.0.0.9"),
                               nw_dst=Ipv4Address("10.0.0.3")))
-        assert not cond.evaluate(EvalContext(interposed(other), StorageSet(), 0))
+        assert not cond.compile()(EvalContext(interposed(other), StorageSet(), 0))
 
     def test_counter_conditional(self):
         storage = StorageSet()

@@ -81,7 +81,7 @@ def test_unparse_reparse_preserves_semantics(condition, message):
     storage = StorageSet()
     storage.declare("counter", [0])
     ctx = EvalContext(message, storage, 0.0)
-    assert condition.evaluate(ctx) == reparsed.evaluate(ctx)
+    assert condition.compile()(ctx) == reparsed.compile()(ctx)
     assert condition.required_capabilities() == reparsed.required_capabilities()
 
 
@@ -91,7 +91,7 @@ def test_not_is_involutive(condition):
     storage = StorageSet()
     storage.declare("counter", [0])
     ctx = EvalContext(message, storage, 0.0)
-    assert Not(Not(condition)).evaluate(ctx) == condition.evaluate(ctx)
+    assert Not(Not(condition)).compile()(ctx) == condition.compile()(ctx)
 
 
 @given(_conditions(), _conditions(), _messages())
@@ -99,7 +99,7 @@ def test_demorgan(a, b, message):
     storage = StorageSet()
     storage.declare("counter", [0])
     ctx = EvalContext(message, storage, 0.0)
-    assert Not(And(a, b)).evaluate(ctx) == Or(Not(a), Not(b)).evaluate(ctx)
+    assert Not(And(a, b)).compile()(ctx) == Or(Not(a), Not(b)).compile()(ctx)
 
 
 # ---------------------------------------------------------------------- #

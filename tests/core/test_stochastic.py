@@ -26,17 +26,17 @@ class TestProbabilityNode:
             Probability(1.1)
 
     def test_certainties_need_no_rng(self):
-        assert Probability(1.0).evaluate(ctx())
-        assert not Probability(0.0).evaluate(ctx())
+        assert Probability(1.0).compile()(ctx())
+        assert not Probability(0.0).compile()(ctx())
 
     def test_without_rng_never_fires(self):
         # Deterministic contexts stay deterministic.
-        assert not Probability(0.99).evaluate(ctx(rng=None))
+        assert not Probability(0.99).compile()(ctx(rng=None))
 
     def test_empirical_rate(self):
         rng = SeededRng(3)
         node = Probability(0.25)
-        hits = sum(1 for _ in range(4000) if node.evaluate(ctx(rng)))
+        hits = sum(1 for _ in range(4000) if node.compile()(ctx(rng)))
         assert 0.2 < hits / 4000 < 0.3
 
     def test_requires_no_capabilities(self):

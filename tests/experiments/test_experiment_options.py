@@ -5,6 +5,7 @@ import pytest
 from repro.attacks import flow_mod_suppression_attack
 from repro.controllers import FloodlightController
 from repro.core import AttackModel, RuntimeInjector, SystemModel
+from repro.core.monitors import ControlPlaneMonitor
 from repro.dataplane import FailMode, Network
 from repro.experiments import run_interruption_experiment
 from repro.sim import SimulationEngine
@@ -29,41 +30,47 @@ def test_interruption_unattacked_baseline_row():
     assert result.internal_to_external_t95
 
 
-def test_injector_proxy_stats_total(engine, small_topology):
+class _Verdicts:
+    """Counts the messages whose executor verdict is ``dropped``."""
+
+    def __init__(self) -> None:
+        self.dropped = 0
+
+    def message_interposed(self, message, outgoing, now) -> None:
+        self.dropped += message.dropped
+
+    def rule_fired(self, state, rule_name, message) -> None:
+        pass
+
+    def state_changed(self, previous, current, at) -> None:
+        pass
+
+    def action_record(self, kind, data, at) -> None:
+        pass
+
+
+def test_monitor_counts_the_messages_the_attack_drops(engine, small_topology):
+    """The control-plane monitor's ``dropped_by_type`` counts the
+    messages the executor's verdict dropped on an attacked Floodlight
+    cell: here every one a FLOW_MOD."""
     network = Network(engine, small_topology)
     controller = FloodlightController(engine)
     system = SystemModel.from_topology(small_topology, ["c1"])
     model = AttackModel.no_tls_everywhere(system)
     attack = flow_mod_suppression_attack(system.connection_keys())
     injector = RuntimeInjector(engine, model, attack)
-    injector.install(network, {"c1": controller})
-    network.start()
-    engine.run(until=5.0)
-    network.host("h1").ping(network.host_ip("h2"), count=2)
-    engine.run(until=15.0)
-    assert injector.proxy_stats_total("to_controller_messages") > 0
-    assert injector.proxy_stats_total("to_switch_messages") > 0
-    assert injector.current_state == "sigma1"
-    assert "flow-mod-suppression" in repr(injector)
-
-
-def test_proxies_count_the_messages_the_attack_drops(engine, small_topology):
-    """Each connection's proxy counts the messages the executor dropped
-    on it: summed over the proxies, ``dropped`` is the executor's
-    ``messages_dropped`` on an attacked Floodlight cell."""
-    network = Network(engine, small_topology)
-    controller = FloodlightController(engine)
-    system = SystemModel.from_topology(small_topology, ["c1"])
-    model = AttackModel.no_tls_everywhere(system)
-    attack = flow_mod_suppression_attack(system.connection_keys())
-    injector = RuntimeInjector(engine, model, attack)
+    monitor, verdicts = ControlPlaneMonitor(), _Verdicts()
+    injector.add_observer(monitor)
+    injector.add_observer(verdicts)
     injector.install(network, {"c1": controller})
     network.start()
     engine.run(until=5.0)
     network.host("h1").ping(network.host_ip("h2"), count=3)
     engine.run(until=15.0)
-    dropped = injector.executor.stats["messages_dropped"]
-    assert injector.proxy_stats_total("dropped") == dropped > 0
+    assert monitor.dropped_by_type == {"FLOW_MOD": verdicts.dropped}
+    assert verdicts.dropped > 0
+    assert injector.current_state == "sigma1"
+    assert "flow-mod-suppression" in repr(injector)
 
 
 def test_cli_compile_validation_failure(tmp_path, capsys):
