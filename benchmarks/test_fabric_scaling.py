@@ -1,7 +1,7 @@
 """Sharded fabric scaling: packets/sec across worker processes.
 
 The tentpole claim: partitioning a generated fat-tree into per-pod
-regions and executing them on the persistent worker pool scales the
+regions and executing them on forked shard workers scales the
 simulation's packet throughput near-linearly in the number of shards —
 and the cross-shard fast lane (packed boundary codec + adaptive
 lookahead + SPMD barrier) keeps the exchange tax off the critical path.

@@ -32,18 +32,20 @@ CONTROLLERS = ("floodlight", "pox", "ryu")
 def _print_run_record(experiment: str, attack: Optional[str], controller: str,
                       fail_mode: str, seed: int, params: dict, metrics: dict,
                       wall_duration_s: float,
-                      trace: Optional[dict] = None) -> None:
+                      trace: Optional[dict] = None,
+                      topology: str = "enterprise") -> None:
     """Emit one single-shot run in the campaign ResultStore record schema.
 
     Durations are explicit: ``wall_duration_s`` is what this process
     measured around the run; the simulated horizon is lifted from
-    ``metrics["sim_duration_s"]`` by ``make_record``.
+    ``metrics["sim_duration_s"]`` by ``make_record``.  ``topology`` is
+    the network the run used: a fabric name for fabric runs.
     """
     from repro.campaign import RunDescriptor, make_record
 
     descriptor = RunDescriptor(
         experiment=experiment, attack=attack, controller=controller,
-        topology="enterprise", fail_mode=fail_mode, seed=seed,
+        topology=topology, fail_mode=fail_mode, seed=seed,
         params=dict(params),
     )
     record = make_record(descriptor.to_dict(), "ok", metrics,
@@ -246,7 +248,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
         _print_run_record("fabric", args.attack,
                           args.controller, args.fail_mode, args.seed,
                           {"topology": args.name, "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.time() - started, topology=args.name)
         return 0
     print(f"{result.fabric}: {result.switches} switches / {result.hosts} hosts "
           f"in {result.regions} regions on {result.shards} shard(s)")
@@ -341,7 +343,8 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
                           args.controller, args.fail_mode, args.seed,
                           {"topology": args.topology, "workload": args.source,
                            "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.time() - started,
+                          topology=args.topology)
         return 0
     print(f"{args.source} on {result.fabric}: {result.switches} switches / "
           f"{result.hosts} hosts on {result.shards} shard(s)")
@@ -429,7 +432,8 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
                            "workload": args.source,
                            "detectors": args.detectors,
                            "shards": args.shards},
-                          metrics, time.time() - started)
+                          metrics, time.time() - started,
+                          topology=args.topology)
         return 0
     print(f"{args.source} on {result.fabric}: {result.switches} switches / "
           f"{result.hosts} hosts on {result.shards} shard(s), "

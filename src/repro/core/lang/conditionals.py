@@ -197,7 +197,12 @@ class PopExpr(_DequeExpr):
 
 
 class Sum(Expression):
-    """Left-associative ``+``/``-`` arithmetic over expressions."""
+    """Left-associative ``+``/``-`` arithmetic over expressions.
+
+    Every operand is read, left before right, and ``None`` counts as 0.
+    A sum Python cannot compute (a string and a number, a message) reads
+    None.
+    """
 
     def __init__(self, first: Expression, rest: Iterable = ()) -> None:
         self.first = first
@@ -209,11 +214,14 @@ class Sum(Expression):
 
         def run(ctx: EvalContext) -> Any:
             value = first(ctx)
-            for add, operand_fn in rest:
-                operand = operand_fn(ctx)
-                value = 0 if value is None else value
-                operand = 0 if operand is None else operand
-                value = value + operand if add else value - operand
+            operands = [(add, operand_fn(ctx)) for add, operand_fn in rest]
+            try:
+                for add, operand in operands:
+                    value = 0 if value is None else value
+                    operand = 0 if operand is None else operand
+                    value = value + operand if add else value - operand
+            except TypeError:
+                return None
             return value
 
         return run

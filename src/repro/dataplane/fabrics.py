@@ -9,8 +9,8 @@ partition groups the sharded simulation core uses as min-cut hints
 
 Determinism contract: a fabric is a pure function of its name string.
 ``generate_fabric("fat-tree-k4")`` builds the identical topology in every
-process, so sharded workers can rebuild their regions from the name alone
-instead of pickling device graphs across the pool.
+process and every run, so no result depends on where a fabric was
+generated.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from repro.sim.shard import (
     BoundaryHalf,
     BoundaryTx,
     ShardRegion,
-    ShardedSimulation,
+    run_sharded,
 )
 
 UDP_SRC_PORT = 40000
@@ -103,12 +103,12 @@ def fabric_config(
     detectors: Optional[Any] = None,
     detector_params: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Normalize experiment arguments into the picklable config dict that
-    shard workers rebuild their regions from.
+    """Normalize experiment arguments into the config dict every region
+    of the run is built from.
 
     Every derived default but the region count (horizon, workload) is
-    resolved here, so each worker sees the identical config;
-    :func:`plan_fabric` derives an unset region count from the fabric.
+    resolved here; :func:`plan_fabric` derives an unset region count
+    from the fabric.
 
     ``workload`` is ``udp``/``ping`` (the PR 6 built-ins) or any name
     from the :mod:`repro.workloads` source registry; registered sources
@@ -156,7 +156,7 @@ def fabric_config(
         start_s = 0.25 if controller else 0.05
     workload_params = dict(workload_params or {})
     if registered:
-        # Resolve source defaults here so every shard worker builds the
+        # Resolve source defaults here so every region builds the
         # identical source, and the horizon covers the emission window.
         workload_params.setdefault("senders", pairs)
         workload_params.setdefault("duration_s", 1.0)
@@ -396,8 +396,8 @@ def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
 
 @dataclass
 class FabricPlan:
-    """Everything the coordinator and every worker derive from a config —
-    a pure function of the config dict, recomputed identically anywhere."""
+    """Everything a run derives from its config, once: a pure function of
+    the config dict.  Pooled workers inherit the coordinator's plan."""
 
     fabric: Fabric
     partition: List[List[str]]
@@ -827,16 +827,10 @@ class _ControllerRegion(_FabricRegion):
 
 
 def build_fabric_regions(
-    config: Dict[str, Any], rids: Sequence[int],
-    plan: Optional[FabricPlan] = None,
+    config: Dict[str, Any], rids: Sequence[int], plan: FabricPlan,
 ) -> List[ShardRegion]:
-    """Build the regions a worker owns (called by the shard executors).
-
-    ``plan`` is the config's plan when the caller already made it (the
-    inline run); a pooled worker plans from the config it receives.
-    """
-    if plan is None:
-        plan = plan_fabric(config)
+    """Build the regions ``rids`` of ``plan``, the plan of ``config``
+    (called by :func:`repro.sim.shard.run_regions`)."""
     regions: List[ShardRegion] = []
     for rid in rids:
         if plan.ctrl_rid is not None and rid == plan.ctrl_rid:
@@ -1036,17 +1030,7 @@ def run_fabric_experiment(
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
         shards = 1
-    sim = ShardedSimulation(
-        config,
-        region_ids=plan.region_ids,
-        weights=plan.weights,
-        lookahead=plan.lookahead,
-        horizon=config["horizon_s"],
-        shards=shards,
-        promise=plan.promise,
-        plan=plan,
-    )
-    payload = sim.run()
+    payload = run_sharded(config, plan, shards)
 
     counts: Dict[str, int] = {}
     table_occupancy_peak = 0

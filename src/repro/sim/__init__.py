@@ -17,16 +17,16 @@ from repro.sim.engine import SimContext, SimulationEngine, SimulationError
 from repro.sim.rng import SeededRng
 from repro.sim.shard import (
     ShardRegion,
-    ShardedSimulation,
     assign_regions,
+    run_sharded,
 )
 
 __all__ = [
     "SeededRng",
     "ShardRegion",
-    "ShardedSimulation",
     "SimContext",
     "SimulationEngine",
     "SimulationError",
     "assign_regions",
+    "run_sharded",
 ]

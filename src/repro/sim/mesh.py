@@ -1,10 +1,9 @@
-"""A full mesh of non-blocking OS pipes between shard pool workers.
+"""A full mesh of non-blocking OS pipes between shard workers.
 
-The SPMD barrier loop (:meth:`repro.sim.shard.ShardWorkerSession.handle`
-with ``op="shard_run"``) exchanges one frame per directed worker pair per
-epoch.  ``multiprocessing.Queue`` pays a feeder thread, a lock and a
-pickle per transfer; a raw ``os.pipe`` moves the codec's single ``bytes``
-blob with one syscall each side.
+The barrier loop (:func:`repro.sim.shard.run_barrier_loop`) exchanges
+one frame per directed worker pair per epoch.  ``multiprocessing.Queue``
+pays a feeder thread, a lock and a pickle per transfer; a raw ``os.pipe``
+moves the codec's single ``bytes`` blob with one syscall each side.
 
 Deadlock safety: every write end is non-blocking and writes queue in a
 per-peer pending buffer; :meth:`MeshEndpoint.recv` services *all*
@@ -16,8 +15,13 @@ round ``r`` is fully collected), so at most one frame per sender can
 arrive ahead of the round being collected and per-peer buffers stay
 bounded.
 
+A worker leaves as soon as it has collected its last round.
+:meth:`MeshEndpoint.close` first writes out what its peers are still
+reading, and a peer's end-of-file is an error only while a frame from
+that peer is still awaited.
+
 The mesh relies on file-descriptor inheritance, which is why
-:class:`~repro.sim.pool.ShardWorkerPool` always forks its workers.
+:func:`~repro.sim.pool.run_pooled` always forks its workers.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ _STALL_TIMEOUT_S = 600.0
 MeshMatrix = List[List[Optional[Tuple[int, int]]]]
 
 
-def create_mesh(workers: int) -> Optional[MeshMatrix]:
+def create_mesh(workers: int) -> MeshMatrix:
     """Build the pipe matrix in the parent, before any worker forks."""
-    if workers < 2:
-        return None
     matrix: MeshMatrix = []
     for i in range(workers):
         row: List[Optional[Tuple[int, int]]] = []
@@ -47,10 +49,8 @@ def create_mesh(workers: int) -> Optional[MeshMatrix]:
     return matrix
 
 
-def close_mesh(matrix: Optional[MeshMatrix]) -> None:
+def close_mesh(matrix: MeshMatrix) -> None:
     """Close every fd of the matrix (parent-side, after workers forked)."""
-    if matrix is None:
-        return
     for row in matrix:
         for pair in row:
             if pair is not None:
@@ -94,7 +94,7 @@ class MeshEndpoint:
 
     @property
     def peers(self) -> List[int]:
-        return sorted(self._rfd)
+        return sorted(self._wfd)
 
     # -- sending ------------------------------------------------------- #
 
@@ -131,6 +131,10 @@ class MeshEndpoint:
         """
         frames = self._frames[peer]
         while not frames:
+            if peer not in self._rfd:
+                raise RuntimeError(
+                    f"mesh worker {self.index}: peer {peer} closed its pipe"
+                )
             rlist = list(self._rfd.values())
             wlist = [self._wfd[p] for p, q in self._pending.items() if q]
             readable, writable, _ = select.select(
@@ -157,9 +161,10 @@ class MeshEndpoint:
             except BlockingIOError:
                 break
             if not chunk:
-                raise RuntimeError(
-                    f"mesh worker {self.index}: peer {sender} closed its pipe"
-                )
+                # The peer has left: keep what it sent, stop watching it.
+                del self._rfd[sender]
+                os.close(fd)
+                break
             buf.extend(chunk)
             if len(chunk) < _READ_CHUNK:
                 break
@@ -178,6 +183,12 @@ class MeshEndpoint:
                 self._flush(peer)
 
     def close(self) -> None:
+        """Write out every pending frame, then close the pipes: a peer
+        may still be reading this worker's last round."""
+        for peer, pending in self._pending.items():
+            if pending:
+                os.set_blocking(self._wfd[peer], True)
+                self._flush(peer)
         for fd in list(self._wfd.values()) + list(self._rfd.values()):
             try:
                 os.close(fd)

@@ -1,12 +1,13 @@
-"""A fixed pool of forked worker processes executing simulation shards.
+"""Forked workers for a pooled sharded run: one fork and one reply each.
 
-:class:`ShardWorkerPool` forks one worker per shard after building the
-pipe mesh (:mod:`repro.sim.mesh`), so every worker inherits a direct pipe
-to every peer.  Each worker answers three tasks per run with one reply
-each: ``shard_init`` builds its regions, ``shard_run`` executes the whole
-barrier loop SPMD-style with batches travelling peer-to-peer over the
-mesh, and ``shard_collect`` returns the region results (see
-:class:`~repro.sim.shard.ShardWorkerSession`).
+:func:`run_pooled` builds the pipe mesh (:mod:`repro.sim.mesh`) and forks
+one worker per entry of the region assignment, so every worker inherits
+a direct pipe to every peer.  A worker also inherits the run's config,
+the coordinator's plan and the assignment instead of receiving them: it
+builds its own regions, runs the barrier loop with batches travelling
+peer-to-peer over the mesh (:func:`~repro.sim.shard.run_regions`), and
+sends one reply holding its schedule and exchange counts, its region
+results and its CPU seconds.
 
 The pool always forks: the mesh relies on file-descriptor inheritance.
 Where ``fork`` is unavailable, and inside daemonic campaign workers that
@@ -20,133 +21,83 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import List, Optional
+from typing import Any, Dict, List
 
-from repro.sim.mesh import MeshMatrix, close_mesh, create_mesh
-from repro.sim.shard import ShardWorkerSession
+from repro.sim.mesh import MeshEndpoint, MeshMatrix, close_mesh, create_mesh
+from repro.sim.shard import run_regions
 
-#: How long shutdown waits for a worker to exit before terminating it.
+#: How long the coordinator waits for a worker to exit before
+#: terminating it.
 _SHUTDOWN_GRACE_S = 2.0
 
 
-def _worker_loop(conn, index: int, mesh_matrix: Optional[MeshMatrix]) -> None:
-    """Answer ``shard_*`` tasks until the pool sends ``None``."""
-    session = ShardWorkerSession(index, mesh_matrix)
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            break
-        if task is None:
-            break
-        try:
-            reply = session.handle(task)
-        except BaseException:
-            reply = {"status": "error", "error": traceback.format_exc(limit=8)}
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
+def _worker(conn, index: int, matrix: MeshMatrix, config: Dict[str, Any],
+            plan: Any, assignment: List[List[int]]) -> None:
+    """Run worker ``index``'s regions and send its one reply."""
+    started = time.process_time()
+    try:
+        mesh = MeshEndpoint(index, matrix)
+        owner = {rid: worker for worker, rids in enumerate(assignment)
+                 for rid in rids}
+        reply = run_regions(config, plan, assignment[index], mesh, owner)
+        mesh.close()
+        reply["cpu_s"] = time.process_time() - started
+    except Exception:
+        reply = {"error": traceback.format_exc(limit=8)}
+    conn.send(reply)
     conn.close()
 
 
-class ShardWorkerPool:
-    """A fixed set of forked workers driven in lock-step.
+def run_pooled(config: Dict[str, Any], plan: Any,
+               assignment: List[List[int]]) -> List[Dict[str, Any]]:
+    """Run worker ``i`` on the regions ``assignment[i]``; return each
+    worker's reply, in worker order.
 
-    Every call sends one task to each worker and waits for every reply;
-    worker ``i`` owns the regions ``assignment[i]`` given to :meth:`init`.
+    Raises :class:`RuntimeError` with the traceback of every worker that
+    failed and the exit code of every worker that died.  No worker
+    outlives the call.
     """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers!r}")
-        ctx = multiprocessing.get_context("fork")
-        self._slots = []
-        # The mesh must exist before any worker forks so every child
-        # inherits the full fd matrix; each worker closes the fds it does
-        # not own, and the parent closes its copies below.
-        mesh_matrix = create_mesh(workers)
-        for index in range(workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_worker_loop,
-                args=(child_conn, index, mesh_matrix),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._slots.append((process, parent_conn))
-        close_mesh(mesh_matrix)
-
-    def _call_all(self, tasks: List[dict]) -> List[dict]:
-        for (_process, conn), task in zip(self._slots, tasks):
-            conn.send(task)
-        replies = []
-        for process, conn in self._slots:
+    ctx = multiprocessing.get_context("fork")
+    matrix = create_mesh(len(assignment))
+    workers = []
+    replies: List[Dict[str, Any]] = []
+    failures: List[str] = []
+    try:
+        try:
+            for index in range(len(assignment)):
+                reader, writer = ctx.Pipe(duplex=False)
+                process = ctx.Process(
+                    target=_worker,
+                    args=(writer, index, matrix, config, plan, assignment),
+                    daemon=True,
+                )
+                process.start()
+                writer.close()
+                workers.append((process, reader))
+        finally:
+            # Each worker keeps the fds it owns; once the parent's copies
+            # are gone, a worker that exits reads as end-of-file to its
+            # peers instead of leaving them waiting.
+            close_mesh(matrix)
+        for index, (process, reader) in enumerate(workers):
             try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(
-                    f"shard worker pid {process.pid} died mid-run "
-                    f"(exit code {process.exitcode})"
-                )
-            if reply.get("status") != "ok":
-                raise RuntimeError(
-                    "shard worker failed:\n" + str(reply.get("error"))
-                )
+                reply = reader.recv()
+            except EOFError:
+                process.join(_SHUTDOWN_GRACE_S)
+                failures.append(f"shard worker {index} (pid {process.pid}) "
+                                f"died with exit code {process.exitcode}")
+                continue
+            if "error" in reply:
+                failures.append(f"shard worker {index} failed:\n"
+                                f"{reply['error']}")
             replies.append(reply)
-        return replies
-
-    def init(self, config: dict, assignment: List[List[int]]) -> List[dict]:
-        """Build each worker's regions; ``assignment[i]`` lists worker
-        ``i``'s region ids."""
-        if len(assignment) != len(self._slots):
-            raise ValueError(
-                f"assignment covers {len(assignment)} workers, "
-                f"pool has {len(self._slots)}"
-            )
-        return self._call_all([
-            {"op": "shard_init", "config": config, "rids": rids,
-             "assignment": assignment}
-            for rids in assignment
-        ])
-
-    def run_barrier(
-        self,
-        lookahead: float,
-        horizon: float,
-        promise: Optional[float] = None,
-    ) -> List[dict]:
-        """Run the whole SPMD barrier loop inside the workers.
-
-        One task and one reply per worker for the entire simulation;
-        batches travel over the pipe mesh and every worker derives the
-        identical epoch schedule from exchanged control words.  Returns
-        per-worker ``{"epochs", "epochs_skipped", "epochs_widened",
-        "exchange_bytes", "exchange_blobs"}``."""
-        return self._call_all([
-            {"op": "shard_run", "lookahead": lookahead, "horizon": horizon,
-             "promise": promise}
-            for _ in self._slots
-        ])
-
-    def collect(self) -> List[dict]:
-        """Fetch per-region results and per-worker CPU accounting."""
-        return self._call_all([
-            {"op": "shard_collect"} for _ in self._slots
-        ])
-
-    def shutdown(self) -> None:
-        for _process, conn in self._slots:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.time() + _SHUTDOWN_GRACE_S
-        for process, conn in self._slots:
-            process.join(timeout=max(0.0, deadline - time.time()))
+    finally:
+        for process, reader in workers:
+            reader.close()
+            process.join(_SHUTDOWN_GRACE_S)
             if process.is_alive():
                 process.terminate()
                 process.join()
-            conn.close()
-        self._slots = []
+    if failures:
+        raise RuntimeError("\n".join(failures))
+    return replies

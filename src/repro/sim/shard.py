@@ -78,16 +78,18 @@ intervals, drain tails) collapse into far fewer rounds than a grid of
 lookahead-sized epochs would need.  Windowing invariance makes the
 widening invisible in results.
 
-Pooled execution
-----------------
+Execution
+---------
 
-Pooled execution (:class:`~repro.sim.pool.ShardWorkerPool`) runs the whole
-barrier loop **inside** the workers (``shard_run``): every worker computes
-the identical schedule from exchanged control words and ships its message
-batches peer-to-peer over :class:`~repro.sim.mesh.MeshEndpoint` pipes as
-single packed blobs (:mod:`repro.sim.codec`), so the coordinator's only
-involvement is one task/reply per run — nothing serial remains on the
-critical path.
+:func:`run_sharded` runs a plan's regions.  Inline, one process builds
+every region and runs :func:`run_barrier_loop` with no mesh.  Pooled
+(:func:`~repro.sim.pool.run_pooled`), each forked worker inherits the
+config and the coordinator's plan, builds its own regions and runs the
+same loop: every worker computes the identical schedule from exchanged
+control words and ships its message batches peer-to-peer over
+:class:`~repro.sim.mesh.MeshEndpoint` pipes as single packed blobs
+(:mod:`repro.sim.codec`).  The coordinator forks the workers and reads
+one reply from each; nothing serial remains on the critical path.
 """
 
 from __future__ import annotations
@@ -390,8 +392,8 @@ class BarrierSchedule:
 
     A pure function of the global barrier state fed to :meth:`advance`
     (earliest pending local event, earliest in-flight arrival), so the
-    inline coordinator and every SPMD worker compute the identical
-    boundary sequence independently.
+    inline run and every pooled worker compute the identical boundary
+    sequence independently.
 
     Each epoch ends at ``wake + promise`` (clamped to the horizon): since
     no region fires an event before ``wake``, no boundary channel can emit
@@ -500,23 +502,7 @@ class BarrierSchedule:
 # Executors
 # --------------------------------------------------------------------- #
 
-def _build_regions(
-    config: Dict[str, Any], rids: Sequence[int], plan: Any = None,
-) -> Dict[int, ShardRegion]:
-    """The regions one process runs, each told which others share it."""
-    # The builder lives with the experiment (it knows about controllers,
-    # workloads, fabrics); imported lazily to keep the sim layer free of
-    # upward dependencies at import time.
-    from repro.experiments.fabric import build_fabric_regions
-
-    regions = {region.rid: region
-               for region in build_fabric_regions(config, rids, plan)}
-    for region in regions.values():
-        region.share_process(regions)
-    return regions
-
-
-#: SPMD control word exchanged alongside each batch blob: the sender's
+#: Control word exchanged alongside each batch blob: the sender's
 #: earliest pending local event time and earliest outbound arrival
 #: (``inf`` encodes "none").
 _CONTROL = struct.Struct("<dd")
@@ -530,118 +516,75 @@ def _unpack_optional(value: float) -> Optional[float]:
     return None if math.isinf(value) else value
 
 
-class ShardWorkerSession:
-    """Per-process state behind the pool's ``shard_*`` tasks.
+def run_barrier_loop(
+    regions: Dict[int, ShardRegion],
+    schedule: BarrierSchedule,
+    mesh: Any = None,
+    owner: Optional[Dict[int, int]] = None,
+) -> Dict[str, int]:
+    """Run every barrier of the simulation over this process's regions.
 
-    Lives inside a :mod:`repro.sim.pool` worker.  ``shard_init`` builds
-    this worker's regions; ``shard_run`` executes the **entire** barrier
-    loop SPMD-style (batches travel peer-to-peer over the pipe mesh, every
-    worker derives the identical epoch schedule from exchanged control
-    words, and the coordinator sees exactly one reply per run);
-    ``shard_collect`` returns results.
+    Each round: run the regions to the current boundary, keep the
+    messages for regions of this process, group the rest by the worker
+    ``owner`` names for their region, send one control word plus one
+    batch blob to every peer on the :class:`~repro.sim.mesh.MeshEndpoint`
+    ``mesh``, fold the peers' control words into the global barrier
+    state, and advance the shared schedule.  Every worker sees the same
+    control information, so every worker computes the same boundary
+    sequence: lock-step without a conductor.  The inline run passes no
+    mesh, and every message is its own.  Returns the schedule and
+    exchange counts.
     """
-
-    def __init__(self, index: int, mesh_matrix=None) -> None:
-        self.regions: Dict[int, ShardRegion] = {}
-        self.cpu_s = 0.0
-        self._index = index
-        self._owner: Dict[int, int] = {}
-        self._mesh = None
-        if mesh_matrix is not None:
-            from repro.sim.mesh import MeshEndpoint
-
-            self._mesh = MeshEndpoint(index, mesh_matrix)
-
-    def handle(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        op = task["op"]
-        started = time.process_time()
-        if op == "shard_init":
-            self.regions = _build_regions(task["config"], task["rids"])
-            self._owner = {
-                rid: worker
-                for worker, rids in enumerate(task["assignment"])
-                for rid in rids
-            }
-            reply = {"status": "ok", "rids": sorted(self.regions)}
-        elif op == "shard_run":
-            reply = self._spmd_run(task)
-        elif op == "shard_collect":
-            results = {rid: region.collect()
-                       for rid, region in sorted(self.regions.items())}
-            reply = {"status": "ok", "regions": results}
-        else:
-            raise ValueError(f"unknown shard op {op!r}")
-        self.cpu_s += time.process_time() - started
-        reply["cpu_s"] = self.cpu_s
-        return reply
-
-    # -- SPMD barrier loop --------------------------------------------- #
-
-    def _spmd_run(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """Run every barrier of the simulation without coordinator turns.
-
-        Each round: run this worker's regions to the current boundary,
-        group the outbox by owning worker, send one control word plus one
-        batch blob to every peer, fold the peers' control words into the
-        global barrier state, and advance the shared schedule.  All
-        workers see the same control information, so all compute the same
-        boundary sequence — lock-step without a conductor.
-        """
-        schedule = BarrierSchedule(
-            task["lookahead"], task["horizon"], promise=task.get("promise"))
-        mesh = self._mesh
-        peers = mesh.peers if mesh is not None else []
-        encoders = {peer: BatchEncoder() for peer in peers}
-        decoders = {peer: BatchDecoder() for peer in peers}
-        inbox: Dict[int, List[ShardMessage]] = {}
-        exchange_bytes = 0
-        exchange_blobs = 0
-        while True:
-            outbox, next_time = run_region_epoch(
-                self.regions, schedule.until, inbox)
-            inbox = {}
-            grouped: Dict[int, Dict[int, List[ShardMessage]]] = {
-                peer: {} for peer in peers}
-            min_arrival: Optional[float] = None
-            for dest, message in outbox:
-                owner = self._owner.get(dest, self._index)
-                target = inbox if owner == self._index else grouped[owner]
-                target.setdefault(dest, []).append(message)
-                if min_arrival is None or message[0] < min_arrival:
-                    min_arrival = message[0]
-            control = _CONTROL.pack(
-                _pack_optional(next_time), _pack_optional(min_arrival))
-            for peer in peers:
-                batch = grouped[peer]
-                blob = encoders[peer].encode(batch)
-                mesh.send(peer, control + blob)
-                exchange_bytes += _CONTROL.size + len(blob)
-                if batch:
-                    exchange_blobs += 1
-            agg_next = next_time
-            agg_arrival = min_arrival
-            for peer in peers:
-                frame = mesh.recv(peer)
-                peer_next, peer_arrival = _CONTROL.unpack_from(frame, 0)
-                batch = decoders[peer].decode(frame[_CONTROL.size:])
-                for rid, messages in batch.items():
-                    inbox.setdefault(rid, []).extend(messages)
-                peer_next = _unpack_optional(peer_next)
-                peer_arrival = _unpack_optional(peer_arrival)
-                if peer_next is not None and (
-                        agg_next is None or peer_next < agg_next):
-                    agg_next = peer_next
-                if peer_arrival is not None and (
-                        agg_arrival is None or peer_arrival < agg_arrival):
-                    agg_arrival = peer_arrival
-            if mesh is not None:
-                mesh.flush_all()
-            if not schedule.advance(agg_next, agg_arrival):
-                break
-        reply = {"status": "ok", "exchange_bytes": exchange_bytes,
-                 "exchange_blobs": exchange_blobs}
-        reply.update(schedule.counters())
-        return reply
+    peers = mesh.peers if mesh is not None else []
+    encoders = {peer: BatchEncoder() for peer in peers}
+    decoders = {peer: BatchDecoder() for peer in peers}
+    inbox: Dict[int, List[ShardMessage]] = {}
+    exchange_bytes = 0
+    exchange_blobs = 0
+    while True:
+        outbox, next_time = run_region_epoch(regions, schedule.until, inbox)
+        inbox = {}
+        grouped: Dict[int, Dict[int, List[ShardMessage]]] = {
+            peer: {} for peer in peers}
+        min_arrival: Optional[float] = None
+        for dest, message in outbox:
+            target = inbox if dest in regions else grouped[owner[dest]]
+            target.setdefault(dest, []).append(message)
+            if min_arrival is None or message[0] < min_arrival:
+                min_arrival = message[0]
+        control = _CONTROL.pack(
+            _pack_optional(next_time), _pack_optional(min_arrival))
+        for peer in peers:
+            batch = grouped[peer]
+            blob = encoders[peer].encode(batch)
+            mesh.send(peer, control + blob)
+            exchange_bytes += _CONTROL.size + len(blob)
+            if batch:
+                exchange_blobs += 1
+        agg_next = next_time
+        agg_arrival = min_arrival
+        for peer in peers:
+            frame = mesh.recv(peer)
+            peer_next, peer_arrival = _CONTROL.unpack_from(frame, 0)
+            batch = decoders[peer].decode(frame[_CONTROL.size:])
+            for rid, messages in batch.items():
+                inbox.setdefault(rid, []).extend(messages)
+            peer_next = _unpack_optional(peer_next)
+            peer_arrival = _unpack_optional(peer_arrival)
+            if peer_next is not None and (
+                    agg_next is None or peer_next < agg_next):
+                agg_next = peer_next
+            if peer_arrival is not None and (
+                    agg_arrival is None or peer_arrival < agg_arrival):
+                agg_arrival = peer_arrival
+        if mesh is not None:
+            mesh.flush_all()
+        if not schedule.advance(agg_next, agg_arrival):
+            break
+    counts = {"exchange_bytes": exchange_bytes,
+              "exchange_blobs": exchange_blobs}
+    counts.update(schedule.counters())
+    return counts
 
 
 def run_region_epoch(
@@ -664,6 +607,37 @@ def run_region_epoch(
     return outbox, min(heads, default=None)
 
 
+def run_regions(
+    config: Dict[str, Any],
+    plan: Any,
+    rids: Sequence[int],
+    mesh: Any = None,
+    owner: Optional[Dict[int, int]] = None,
+) -> Dict[str, Any]:
+    """Build the plan's regions ``rids`` in this process, run the barrier
+    loop over them and collect their results.
+
+    The inline run calls this with every region and no mesh; a pooled
+    worker with its own regions, its mesh endpoint and the region ->
+    worker map.  Returns the schedule and exchange counts plus
+    ``regions``, each region's results by id.
+    """
+    # The builder lives with the experiment (it knows about controllers,
+    # workloads, fabrics); imported lazily to keep the sim layer free of
+    # upward dependencies at import time.
+    from repro.experiments.fabric import build_fabric_regions
+
+    regions = {region.rid: region
+               for region in build_fabric_regions(config, rids, plan)}
+    for region in regions.values():
+        region.share_process(regions)
+    schedule = BarrierSchedule(plan.lookahead, config["horizon_s"],
+                               plan.promise)
+    reply: Dict[str, Any] = run_barrier_loop(regions, schedule, mesh, owner)
+    reply["regions"] = {rid: regions[rid].collect() for rid in sorted(regions)}
+    return reply
+
+
 def assign_regions(
     region_ids: Sequence[int],
     weights: Dict[int, int],
@@ -684,92 +658,42 @@ def assign_regions(
     return [sorted(b) for b in bins]
 
 
-class ShardedSimulation:
-    """The conservative barrier coordinator.
+def run_sharded(config: Dict[str, Any], plan: Any, shards: int) -> Dict[str, Any]:
+    """Run the regions of ``plan`` (a
+    :class:`~repro.experiments.fabric.FabricPlan`) to the config's
+    horizon.
 
-    ``shards <= 1`` executes every region inline (no IPC); ``shards > 1``
-    spreads regions over a :class:`~repro.sim.pool.ShardWorkerPool` of
-    forked workers, which run the whole barrier loop SPMD among
-    themselves.  ``plan``, when the caller already derived it from
-    ``config``, builds the inline run's regions; pooled workers derive
-    their own from the config they receive.
+    ``shards <= 1`` runs every region inline; ``shards > 1`` packs them
+    onto forked workers (:func:`~repro.sim.pool.run_pooled`), which
+    inherit ``config`` and ``plan`` and run the barrier loop among
+    themselves.  Returns the schedule and exchange counts, ``regions``
+    (each region's results by id), ``worker_cpu_s`` (one entry per
+    worker, none inline), ``shards``, ``wall_s`` and
+    ``coordinator_cpu_s``.
     """
+    wall_started = time.perf_counter()
+    cpu_started = time.process_time()
+    shards = max(1, int(shards))
+    if shards == 1:
+        replies = [run_regions(config, plan, plan.region_ids)]
+        worker_cpu_s = []
+    else:
+        from repro.sim.pool import run_pooled
 
-    def __init__(
-        self,
-        config: Dict[str, Any],
-        region_ids: Sequence[int],
-        weights: Dict[int, int],
-        lookahead: float,
-        horizon: float,
-        shards: int = 1,
-        promise: Optional[float] = None,
-        plan: Any = None,
-    ) -> None:
-        if lookahead <= 0:
-            raise ValueError(f"lookahead must be positive, got {lookahead!r}")
-        self.config = config
-        self.region_ids = list(region_ids)
-        self.weights = dict(weights)
-        self.lookahead = float(lookahead)
-        self.horizon = float(horizon)
-        self.shards = max(1, int(shards))
-        self.promise = promise
-        self.plan = plan
-
-    def run(self) -> Dict[str, Any]:
-        wall_started = time.perf_counter()
-        cpu_started = time.process_time()
-        if self.shards <= 1:
-            payload = self._run_inline()
-        else:
-            payload = self._run_pooled()
-        payload["wall_s"] = time.perf_counter() - wall_started
-        payload["coordinator_cpu_s"] = time.process_time() - cpu_started
-        payload["shards"] = self.shards
-        payload["regions_count"] = len(self.region_ids)
-        return payload
-
-    # -- inline -------------------------------------------------------- #
-
-    def _run_inline(self) -> Dict[str, Any]:
-        """Every region in this process: the workers' barrier loop with
-        no peers."""
-        session = ShardWorkerSession(0)
-        session.regions = _build_regions(self.config, self.region_ids, self.plan)
-        counters = _schedule_counters([session._spmd_run({
-            "lookahead": self.lookahead, "horizon": self.horizon,
-            "promise": self.promise})])
-        results = {rid: region.collect()
-                   for rid, region in sorted(session.regions.items())}
-        return {**counters, "regions": results, "worker_cpu_s": []}
-
-    # -- pooled -------------------------------------------------------- #
-
-    def _run_pooled(self) -> Dict[str, Any]:
-        from repro.sim.pool import ShardWorkerPool
-
-        assignment = assign_regions(self.region_ids, self.weights, self.shards)
-        pool = ShardWorkerPool(len(assignment))
-        try:
-            pool.init(self.config, assignment)
-            # One task per worker; the barrier loop runs inside the pool.
-            counters = _schedule_counters(
-                pool.run_barrier(self.lookahead, self.horizon, self.promise))
-            collected = pool.collect()
-            results: Dict[int, Dict[str, Any]] = {}
-            worker_cpu = []
-            for reply in collected:
-                results.update(reply["regions"])
-                worker_cpu.append(reply["cpu_s"])
-            return {
-                **counters,
-                "regions": dict(sorted(results.items())),
-                "worker_cpu_s": worker_cpu,
-                "assignment": assignment,
-            }
-        finally:
-            pool.shutdown()
+        replies = run_pooled(config, plan, assign_regions(
+            plan.region_ids, plan.weights, shards))
+        worker_cpu_s = [reply["cpu_s"] for reply in replies]
+    regions: Dict[int, Dict[str, Any]] = {}
+    for reply in replies:
+        regions.update(reply["regions"])
+    return {
+        **_schedule_counters(replies),
+        "regions": regions,
+        "worker_cpu_s": worker_cpu_s,
+        "shards": shards,
+        "wall_s": time.perf_counter() - wall_started,
+        "coordinator_cpu_s": time.process_time() - cpu_started,
+    }
 
 
 def _schedule_counters(replies: List[Dict[str, Any]]) -> Dict[str, Any]:

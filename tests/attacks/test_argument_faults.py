@@ -4,9 +4,10 @@ Each attack below is one rule on every control connection of the
 enterprise network, under Floodlight, with h1 pinging h6 from t = 2 s.
 Lint passes each with warnings or infos at most, and each argument is a
 value its action cannot use: a SHIFT/POP of an empty deque inside an
-expression, a MODIFYMESSAGE value its field cannot hold, a DELAYMESSAGE
-delay that is not a number.  The run must reach its horizon; the last
-two must leave the network exactly as a pass-through rule does.
+expression, a sum of a string and a number, a MODIFYMESSAGE value its
+field cannot hold, a DELAYMESSAGE delay that is not a number.  The run
+must reach its horizon; the last three must leave the network exactly
+as a pass-through rule does.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def test_an_empty_deque_reads_none_in_an_expression(statement):
     assert fired > 0
     assert injector.executor.storage.deque("counter").snapshot() == [fired]
     assert pings[0].result.received == 3
+
+
+def test_a_sum_of_a_string_and_a_number_reads_none(pass_through):
+    """``opt.command`` of a FLOW_MOD reads ``ADD``; the sum reads None."""
+    setup, injector, _records, pings = run(
+        "type = FLOW_MOD",
+        [AppendAction("c", parse_expression("opt.command + 1"))])
+    fired = injector.executor.stats["rules_fired"]
+    assert fired > 0
+    assert injector.executor.storage.deque("c").snapshot() == [None] * fired
+    assert outcome(setup, pings) == pass_through
 
 
 @pytest.mark.parametrize("field, value", [

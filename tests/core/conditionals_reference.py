@@ -52,12 +52,17 @@ def evaluate(node, ctx: EvalContext) -> Any:
             return None
         return stored.shift() if isinstance(node, ShiftExpr) else stored.pop()
     if isinstance(node, Sum):
+        # Every operand is read before any is added: a sum that cannot
+        # be computed still runs its SHIFT/POP operands, then reads None.
         value = evaluate(node.first, ctx)
-        for op, expr in node.rest:
-            operand = evaluate(expr, ctx)
+        operands = [(op, evaluate(expr, ctx)) for op, expr in node.rest]
+        for op, operand in operands:
             value = 0 if value is None else value
             operand = 0 if operand is None else operand
-            value = value + operand if op == "+" else value - operand
+            try:
+                value = value + operand if op == "+" else value - operand
+            except TypeError:
+                return None
         return value
     if isinstance(node, TrueCondition):
         return True

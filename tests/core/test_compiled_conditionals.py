@@ -276,7 +276,9 @@ class TestConditionMessageTypes:
 
 
 VALUE_EXPRESSIONS = ["shift(c) + 1", "pop(c) - 1", "front(c) + end(c)",
-                     "shift(empty) + 1", "msg", "opt.idle_timeout", "length"]
+                     "shift(empty) + 1", "msg", "opt.idle_timeout", "length",
+                     "opt.command + 1", "msg - shift(c)",
+                     "front(names) + front(names)"]
 
 
 def storage_grid():
@@ -308,3 +310,14 @@ class TestActionArguments:
                 assert value == expected, text
                 assert deque_contents(compiled_storage) == \
                     deque_contents(reference_storage), text
+
+    def test_a_sum_python_cannot_compute_reads_none(self):
+        """A FLOW_MOD's ``opt.command`` reads ``ADD``: adding a number to
+        it reads None, and a SHIFT operand after it still runs."""
+        storage = next(storage_grid())
+        ctx = EvalContext(sample_messages()[2], storage, now=4.0)
+        assert parse_expression("opt.command + 1").compile()(ctx) is None
+        assert parse_expression("opt.command - shift(c)").compile()(ctx) is None
+        assert storage.deque("c").snapshot() == [9]
+        assert parse_expression(
+            "opt.idle_timeout + shift(empty) - 1").compile()(ctx) == 4

@@ -1,8 +1,11 @@
-"""The shard worker pool: start methods, inline fallback, layering.
+"""Pooled shard runs: start methods, inline fallback, worker
+failures, layering.
 
 The pool always forks (its pipe mesh rides on inherited fds), so a
 process whose default start method is ``spawn`` still gets the mesh
-exchange; a platform without ``fork`` runs the regions inline.
+exchange; a platform without ``fork`` runs the regions inline.  A forked
+worker inherits a monkeypatch made in the test process, which is how
+the failure cases below reach inside one worker.
 """
 
 import ast
@@ -13,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro.sim
+from repro.experiments import fabric
 from repro.experiments.fabric import run_fabric_experiment
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -61,6 +67,34 @@ def test_without_fork_a_pooled_run_executes_inline(monkeypatch):
     assert result.exchange_bytes == 0
     assert result.worker_cpu_s == []
     assert result.packets_delivered == result.packets_sent == 40
+
+
+def test_a_region_build_that_raises_in_one_worker_ends_the_run(monkeypatch):
+    build = fabric.build_fabric_regions
+
+    def build_or_raise(config, rids, plan):
+        if 0 in rids:
+            raise ValueError("region 0 cannot be built")
+        return build(config, rids, plan)
+
+    monkeypatch.setattr(fabric, "build_fabric_regions", build_or_raise)
+    with pytest.raises(RuntimeError, match="region 0 cannot be built"):
+        run_fabric_experiment("fat-tree-k4", pairs=4, packets=10, shards=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_mid_run_ends_the_run(monkeypatch):
+    send = fabric._FabricDataRegion._udp_send
+
+    def send_or_exit(self, host, dst_ip, first, i):
+        if host.name == "p00e00h00" and i == 5:
+            os._exit(7)
+        send(self, host, dst_ip, first, i)
+
+    monkeypatch.setattr(fabric._FabricDataRegion, "_udp_send", send_or_exit)
+    with pytest.raises(RuntimeError, match="exit code 7"):
+        run_fabric_experiment("fat-tree-k4", pairs=4, packets=10, shards=2)
+    assert multiprocessing.active_children() == []
 
 
 def _imported_modules(path: Path, package: str):

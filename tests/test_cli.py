@@ -561,6 +561,7 @@ def test_fabric_run_command_json(capsys, tmp_path):
     captured = capsys.readouterr()
     record = json.loads(captured.out)
     assert record["experiment"] == "fabric"
+    assert record["topology"] == "fat-tree-k4"
     assert record["metrics"]["packets_delivered"] == 10
     assert record["metrics"]["shards"] == 2
     assert trace_path.exists()
@@ -617,6 +618,7 @@ def test_workload_run_json_record(capsys):
                  "--duration", "0.3", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["experiment"] == "workload"
+    assert record["topology"] == "fat-tree-k4"
     assert record["metrics"]["workload"] == "benign-mix"
     assert record["metrics"]["packets_synthesized"] == 2 * 60
 
@@ -676,6 +678,7 @@ def test_detect_run_json_record(capsys):
                  "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["experiment"] == "detect"
+    assert record["topology"] == "fat-tree-k4"
     metrics = record["metrics"]
     assert metrics["sketch_digest"]
     assert metrics["detect_precision"] == 1.0
