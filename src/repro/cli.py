@@ -893,8 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=CONTROLLERS + ("all",))
     suppression.add_argument("--full", action="store_true",
                              help="use the paper's full 60-ping/30-iperf timing")
-    suppression.add_argument("--ping-trials", type=int, default=10)
-    suppression.add_argument("--iperf-trials", type=int, default=2)
+    suppression.add_argument("--ping-trials", type=_positive_count, default=10)
+    suppression.add_argument("--iperf-trials", type=_positive_count, default=2)
     suppression.add_argument("--iperf-duration", type=_sim_seconds, default=2.0)
     suppression.add_argument("--seed", type=int, default=0,
                              help="root seed for the run's random streams")

@@ -54,6 +54,10 @@ class _InstanceInjector(RuntimeInjector):
         self.cluster = cluster
         self.local_executor: Optional[AttackExecutor] = None
 
+    def passes(self, connection, type_name) -> bool:
+        # The cluster orders and delays every message: none skips it.
+        return False
+
     def submit(self, proxy, message: InterposedMessage) -> None:
         self.cluster.route_message(self, proxy, message)
 

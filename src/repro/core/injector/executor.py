@@ -15,7 +15,9 @@ fire — the coarse type comes from a header-only byte peek, so a message
 whose type no rule constrains passes through without ever being decoded.
 The per-message cost drops from the paper's O(|Φ|) conditional
 evaluations to O(|candidates|), with ``rules_skipped_by_index`` counting
-the saving.
+the saving.  The proxy asks :meth:`AttackExecutor.passes` first, for each
+frame: a message with no candidate is counted there and forwarded as its
+frame, and never reaches ``handle_message``.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ class AttackExecutor:
             "state_transitions": 0,
             "messages_injected": 0,
         }
+        # One action context, pointed at each message's evaluation
+        # context and outgoing list when a rule first fires on it.
+        self._action_ctx = ActionContext(None, None, goto=self._goto,
+                                         sleep=self._sleep, syscmd=self._syscmd,
+                                         record=self._record, rng=self.rng)
         # Attack-load-time lowering: compile every conditional once and
         # index every state's rules by (connection, coarse message type).
         self._dispatch: Dict[str, Dict[ConnectionKey, _ConnectionDispatch]] = {}
@@ -160,6 +167,22 @@ class AttackExecutor:
     # ------------------------------------------------------------------ #
     # Algorithm 1
     # ------------------------------------------------------------------ #
+
+    def passes(self, connection: ConnectionKey, type_name: Optional[str]) -> bool:
+        """True, counting the message as handled, when no rule of the
+        current state can fire on a message of ``type_name`` on
+        ``connection``: Algorithm 1's output is then the message alone.
+        False leaves the message to :meth:`handle_message`."""
+        dispatch = self._dispatch[self.current_state_name].get(connection)
+        skipped = 0
+        if dispatch is not None:
+            if dispatch.candidates(type_name):
+                return False
+            skipped = dispatch.bound_count
+        stats = self.stats
+        stats["messages_processed"] += 1
+        stats["rules_skipped_by_index"] += skipped
+        return True
 
     def handle_message(self, incoming: InterposedMessage) -> List[OutgoingMessage]:
         """Process one asynchronous incoming message (lines 4–21)."""
@@ -217,15 +240,10 @@ class AttackExecutor:
     def _action_context(
         self, eval_ctx: EvalContext, out: List[OutgoingMessage]
     ) -> ActionContext:
-        return ActionContext(
-            eval_ctx,
-            out,
-            goto=self._goto,
-            sleep=self._sleep,
-            syscmd=self._syscmd,
-            record=self._record,
-            rng=self.rng,
-        )
+        action_ctx = self._action_ctx
+        action_ctx.eval_ctx = eval_ctx
+        action_ctx.out = out
+        return action_ctx
 
     # ------------------------------------------------------------------ #
     # Framework hooks

@@ -7,8 +7,9 @@ a client for controller connections."
 Each switch is pointed at a :class:`ProxyPort` instead of its controller
 (the only deployment change the paper requires).  When the switch dials in,
 the port spins up a :class:`ConnectionProxy` which dials the real
-controller, decodes the byte streams into OpenFlow messages, runs each
-through the attack executor, and re-encodes the executor's outgoing list.
+controller and frames both byte streams into OpenFlow messages.  A message
+no rule of the current state can fire on leaves as its frame; any other
+runs through the attack executor, and the proxy sends its outgoing list.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.lang.properties import Direction, InterposedMessage
 ConnectionKey = Tuple[str, str]
 
 _TO_CONTROLLER = Direction.TO_CONTROLLER
+_TO_SWITCH = Direction.TO_SWITCH
 
 
 class ConnectionProxy:
@@ -68,54 +70,70 @@ class ConnectionProxy:
         if self.closed:
             return
         if channel is self.switch_channel:
-            direction = Direction.TO_CONTROLLER
+            direction, peer = _TO_CONTROLLER, self.controller_channel
             framer = self._to_controller_framer
         elif channel is self.controller_channel:
-            direction = Direction.TO_SWITCH
+            direction, peer = _TO_SWITCH, self.switch_channel
             framer = self._to_switch_framer
         else:
             return
         if framer is not None:
             try:
                 # Frame on the header length field only — no body decode.
-                # The executor's dispatch peeks the type from the header;
-                # the full parse happens lazily iff an evaluated
-                # conditional reads the payload, and pass-through reuses
-                # these exact wire bytes.
+                # Each frame's header type decides its path; the full
+                # parse happens lazily iff an evaluated conditional reads
+                # the payload, and pass-through reuses these exact wire
+                # bytes.
                 frames = framer.feed_frames(data)
             except OpenFlowDecodeError:
                 # Give up interposing a corrupt stream: from this chunk on
                 # its bytes pass through, so the endpoints see the same
                 # garbage a real TCP proxy would, and no framer keeps them.
-                if direction is Direction.TO_CONTROLLER:
+                if direction is _TO_CONTROLLER:
                     self._to_controller_framer = None
                 else:
                     self._to_switch_framer = None
                 framer = None
         if framer is None:
-            peer = self.channel_for(direction)
             if peer is not None:
                 peer.send(data)
             return
         injector = self.injector
         engine = injector.engine
-        stat = ("to_controller_messages" if direction is Direction.TO_CONTROLLER
+        stats = self.stats
+        stat = ("to_controller_messages" if direction is _TO_CONTROLLER
                 else "to_switch_messages")
-        self.stats[stat] += len(frames)
+        stats[stat] += len(frames)
         connection, now, ids = self.connection, engine.now, engine.ctx.msg_ids
+        tracer, passes, hooks = self.tracer, injector.passes, injector.passed_hooks
         for frame in frames:
-            interposed = InterposedMessage(connection, direction, now, frame, ids=ids)
-            if self.tracer is not None:
-                self.tracer.emit(
+            type_name = peek_message_type_name(frame)
+            msg_id = next(ids)
+            if tracer is not None:
+                tracer.emit(
                     "message",
-                    connection=list(self.connection),
+                    connection=list(connection),
                     direction=direction.value,
-                    type=peek_message_type_name(frame),
+                    type=type_name,
                     xid=peek_xid(frame),
                     length=len(frame),
-                    msg_id=interposed.msg_id,
+                    msg_id=msg_id,
                 )
-            injector.submit(self, interposed)
+            if not passes(connection, type_name):
+                injector.submit(self, InterposedMessage(
+                    connection, direction, now, frame, ids=ids, msg_id=msg_id,
+                    coarse_type=type_name))
+                continue
+            # The lane: no rule can fire, so the message is Algorithm 1's
+            # whole output and its frame leaves unparsed, as deliver()
+            # would send and count it.
+            for hook in hooks:
+                hook(connection, direction, frame, type_name, now)
+            stats["forwarded"] += 1
+            stats["decode_avoided"] += 1
+            stats["repack_avoided"] += 1
+            if peer is not None:
+                peer.send(frame)
 
     def channel_closed(self, channel: ControlChannel) -> None:
         self.close()

@@ -5,6 +5,13 @@ proxied "through a single-threaded, centralized runtime injector instance",
 imposing a total order on interposed messages.  Here that total order is
 the simulation engine's deterministic event order, and the single executor
 instance holds the one global state σ and storage Δ.
+
+For each frame the proxy asks :meth:`RuntimeInjector.passes` whether a
+rule of the current state could fire on it.  When none can, Algorithm 1's
+output is the message itself: the proxy forwards the frame and hands it
+to the observers' ``message_passed`` hooks, and no message object is
+built.  Every other message goes through :meth:`RuntimeInjector.submit`
+to the executor, and its observers see it through ``message_interposed``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ class RuntimeInjector:
         self._observers: List = []
         #: The observers' ``message_interposed`` hooks, bound once.
         self._interposed_hooks: List[Callable] = []
+        #: The observers' ``message_passed`` hooks, bound once; the proxy
+        #: calls them for each message it forwards without the executor.
+        self.passed_hooks: List[Callable] = []
         self.tracer = None
         self.stats: Dict[str, int] = {
             "messages_deferred": 0,
@@ -113,6 +123,9 @@ class RuntimeInjector:
         hook = getattr(observer, "message_interposed", None)
         if hook is not None:
             self._interposed_hooks.append(hook)
+        hook = getattr(observer, "message_passed", None)
+        if hook is not None:
+            self.passed_hooks.append(hook)
         if self.executor is not None:
             self.executor.add_observer(observer)
 
@@ -161,6 +174,19 @@ class RuntimeInjector:
     # Message path
     # ------------------------------------------------------------------ #
 
+    def passes(self, connection: ConnectionKey, type_name: Optional[str]) -> bool:
+        """True when the proxy forwards a message of ``type_name`` on
+        ``connection`` as its frame: there is no executor, or it is awake
+        and no rule of its current state can fire on the message.  Asked
+        for each frame, so a GOTOSTATE or SLEEP that one frame fires
+        governs the next."""
+        executor = self.executor
+        if executor is None:
+            return True
+        if self.engine.now < executor.sleep_until:
+            return False  # submit defers it, in order
+        return executor.passes(connection, type_name)
+
     def submit(self, proxy: ConnectionProxy, message: InterposedMessage) -> None:
         """Run one interposed message through the attack executor.
 
@@ -188,7 +214,8 @@ class RuntimeInjector:
         outgoing = ([OutgoingMessage(message)] if executor is None
                     else executor.handle_message(message))
         self.notify_interposed(message, outgoing)
-        proxy.deliver(outgoing)
+        if outgoing:
+            proxy.deliver(outgoing)
 
     def notify_interposed(self, message: InterposedMessage,
                           outgoing: List[OutgoingMessage]) -> None:

@@ -91,7 +91,9 @@ class InterposedMessage:
     ``ids``, the run's message-id sequence: the proxy passes its engine's
     ``ctx.msg_ids``, and replicas and injected messages draw from the
     sequence of the message they came from.  A message built without
-    ``ids`` starts a sequence of its own.
+    ``ids`` starts a sequence of its own.  The proxy has drawn the id and
+    peeked the header type before it builds the message, and hands both
+    over (``msg_id``, ``coarse_type``).
 
     ``dropped`` is the attack executor's verdict: True once it has
     handled the message and its outgoing list does not carry it.  The
@@ -124,16 +126,18 @@ class InterposedMessage:
         raw: bytes,
         parsed: Optional[OpenFlowMessage] = None,
         ids: Optional[Iterator[int]] = None,
+        msg_id: Optional[int] = None,
+        coarse_type: Any = _UNSET,
     ) -> None:
         self.connection = connection
         self.direction = direction
         self.timestamp = timestamp
         self.raw = raw
         self.ids = itertools.count(1) if ids is None else ids
-        self.msg_id = next(self.ids)
+        self.msg_id = next(self.ids) if msg_id is None else msg_id
         self._parsed = parsed
         self._parse_failed = False
-        self._coarse_type = _UNSET
+        self._coarse_type = coarse_type
         self._type_name = _UNSET
         self.payload_replaced = False
         self.dropped = False

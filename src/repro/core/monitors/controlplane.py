@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.lang.actions import OutgoingMessage
-from repro.core.lang.properties import InterposedMessage
+from repro.core.lang.properties import Direction, InterposedMessage
 from repro.core.monitors.base import RecordingMonitor
 
 
@@ -44,22 +44,31 @@ class ControlPlaneMonitor(RecordingMonitor):
         # The header peek is enough to classify the message; reading
         # message_type_name here would force a full body decode on every
         # interposed message and defeat the proxy's lazy-decode fast lane.
-        type_name = message.coarse_type_name or "UNDECODABLE"
+        self._message(message.connection, message.direction, len(message.raw),
+                      message.coarse_type_name, now, message.dropped, outgoing)
+
+    def message_passed(self, connection: Tuple[str, str], direction: Direction,
+                       frame: bytes, type_name: Optional[str], now: float) -> None:
+        """A message no rule could fire on, forwarded as its frame."""
+        self._message(connection, direction, len(frame), type_name, now, False, ())
+
+    def _message(self, connection, direction, length, type_name, now,
+                 dropped, outgoing) -> None:
+        type_name = type_name or "UNDECODABLE"
         self.message_counts[type_name] = self.message_counts.get(type_name, 0) + 1
-        key = message.connection
-        self.per_connection[key] = self.per_connection.get(key, 0) + 1
-        if message.dropped:  # the executor's verdict
+        self.per_connection[connection] = self.per_connection.get(connection, 0) + 1
+        if dropped:  # the executor's verdict
             self.dropped_by_type[type_name] = self.dropped_by_type.get(type_name, 0) + 1
         if self.tracer is not None:
             self.record(
                 now,
                 "message",
                 {
-                    "connection": key,
-                    "direction": message.direction.value,
+                    "connection": connection,
+                    "direction": direction.value,
                     "type": type_name,
-                    "length": len(message.raw),
-                    "forwarded": not message.dropped,
+                    "length": length,
+                    "forwarded": not dropped,
                     "injected_count": sum(1 for entry in outgoing if entry.injected),
                 },
             )

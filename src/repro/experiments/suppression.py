@@ -127,8 +127,12 @@ def run_suppression_experiment(
     independent.  ``attack_name`` swaps the interposed attack for any
     registry entry (``repro.attacks.list_attacks()``) bound to all
     control-plane connections; the default keeps the paper's pairing of
-    ``attacked`` with Fig. 10's flow-mod suppression.
+    ``attacked`` with Fig. 10's flow-mod suppression.  Both trial counts
+    must be at least 1.
     """
+    for name, trials in (("ping_trials", ping_trials), ("iperf_trials", iperf_trials)):
+        if trials < 1:
+            raise ValueError(f"{name} must be at least 1, got {trials!r}")
     engine = SimulationEngine()
     setup = build_enterprise(
         engine,

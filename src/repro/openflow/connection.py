@@ -23,8 +23,6 @@ class MessageFramer:
     def __init__(self, max_buffer: int = 1 << 22) -> None:
         self._buffer = bytearray()
         self._max_buffer = max_buffer
-        self.messages_decoded = 0
-        self.bytes_received = 0
 
     def feed(self, data: bytes) -> List[OpenFlowMessage]:
         """Append stream bytes; return every now-complete message in order."""
@@ -44,7 +42,6 @@ class MessageFramer:
         tail is copied into the buffer.  A decode error leaves the buffer
         holding the stream from the failing header on.
         """
-        self.bytes_received += len(data)
         buffer = self._buffer
         if buffer:
             buffer += data
@@ -61,7 +58,6 @@ class MessageFramer:
             )
         if (data is not buffer and size >= OFP_HEADER_SIZE
                 and _LENGTH.unpack_from(data, 2)[0] == size):
-            self.messages_decoded += 1
             return [data]
         frames: List[bytes] = []
         offset = 0
@@ -76,7 +72,6 @@ class MessageFramer:
                 frames.append(bytes(data[offset:end]))
                 offset = end
         finally:
-            self.messages_decoded += len(frames)
             if data is buffer:
                 del buffer[:offset]
             elif offset < size:

@@ -4,7 +4,8 @@ Short attacked Floodlight cells whose rules drop, duplicate then drop
 the original, inject beside a message, delay it, or modify then drop it.
 An observer derives each interposed message's fate from its outgoing
 list alone, independently of the injector's own bookkeeping, and records
-where every surviving entry must arrive.  The control-plane monitor's
+where every surviving entry must arrive; a message no rule could fire on
+reaches it through the proxy's lane hook, forwarded unchanged.  The control-plane monitor's
 ``dropped_by_type``, which reads the executor's verdict, must agree with
 the drops the observer saw, and each endpoint must receive the surviving
 entries in the order the proxy forwarded them (a delayed entry at its
@@ -84,6 +85,11 @@ class _FateObserver:
             key = (message.connection, entry.message.direction)
             self.expected[key].append((now + entry.delay, next(self._order),
                                        entry.message.raw))
+
+    def message_passed(self, connection, direction, frame, type_name, now) -> None:
+        """A message no rule could fire on: forwarded unchanged at ``now``."""
+        if self.active:
+            self.expected[(connection, direction)].append((now, next(self._order), frame))
 
     def rule_fired(self, state, rule_name, message) -> None:
         pass

@@ -79,3 +79,13 @@ def test_result_row_shape(results):
         "controller", "attacked", "throughput_mbps", "median_rtt_ms",
         "ping_loss", "packet_ins", "flow_mods_dropped", "dos",
     }
+
+
+@pytest.mark.parametrize("name", ["ping_trials", "iperf_trials"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trial_counts_below_one_are_refused(name, trials):
+    """No trials would read as a 0 Mbps baseline or an infinite RTT (the
+    table's denial-of-service mark), and a negative ping count scheduled
+    the iperf phase into the past."""
+    with pytest.raises(ValueError, match=name):
+        run_suppression_experiment("pox", False, **dict(FAST, **{name: trials}))

@@ -294,11 +294,8 @@ class ReferenceFramer:
     def __init__(self, max_buffer: int = 1 << 22) -> None:
         self._buffer = bytearray()
         self._max_buffer = max_buffer
-        self.messages_decoded = 0
-        self.bytes_received = 0
 
     def feed_frames(self, data: bytes) -> List[bytes]:
-        self.bytes_received += len(data)
         self._buffer.extend(data)
         if len(self._buffer) > self._max_buffer:
             raise OpenFlowDecodeError(
@@ -323,7 +320,6 @@ class ReferenceFramer:
             return None
         frame = bytes(self._buffer[:length])
         del self._buffer[:length]
-        self.messages_decoded += 1
         return frame
 
     @property

@@ -18,8 +18,7 @@ copying them, and must be indistinguishable:
   not a view), and no two parses share an action list or action;
 * **framer** -- over streams of whole messages and garbage cut into
   random chunks, every feed yields the same frames or raises the same
-  error, with the same ``pending_bytes``, ``messages_decoded`` and
-  ``bytes_received`` after it;
+  error, with the same ``pending_bytes`` after it;
 * **encoders** -- over the full field ranges, the field encoders the
   switch and the controllers send with (``pack_packet_in``,
   ``pack_packet_out``, ``pack_flow_mod``, ``pack_output``) give the
@@ -338,7 +337,7 @@ def _feed(framer, chunk):
     else:
         assert all(type(frame) is bytes for frame in frames)
         result = ("frames", frames)
-    return result, framer.pending_bytes, framer.messages_decoded, framer.bytes_received
+    return result, framer.pending_bytes
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,15 +47,6 @@ def test_split_across_header_boundary():
     assert framer.feed(raw[5:]) == [message]
 
 
-def test_counters():
-    framer = MessageFramer()
-    raw = Hello().pack()
-    framer.feed(raw)
-    framer.feed(raw)
-    assert framer.messages_decoded == 2
-    assert framer.bytes_received == 2 * len(raw)
-
-
 def test_impossible_header_length_rejected():
     framer = MessageFramer()
     with pytest.raises(OpenFlowDecodeError):

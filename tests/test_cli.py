@@ -109,6 +109,8 @@ SIZE_FLAGS = (
     (["detect", "run", "packetin-flood"], "--table-capacity",
      "table_capacity"),
     (["campaign", "serve"], "--shards", "shards"),
+    (["suppression"], "--ping-trials", "ping_trials"),
+    (["suppression"], "--iperf-trials", "iperf_trials"),
 )
 
 

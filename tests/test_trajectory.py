@@ -2,8 +2,8 @@
 
 ``benchmarks/trajectory.json`` holds, per perf change, what the
 end-to-end benchmark read for the change and its parent on one host.
-This checks its shape, and that the newest entry names every workload
-``BENCHMARK.json`` declares.
+This checks its shape, that the newest entry names every workload
+``BENCHMARK.json`` declares, and that no entry is skipped.
 """
 
 import json
@@ -44,13 +44,14 @@ def test_entries_have_the_schema():
     for index, entry in enumerate(entries):
         newest = index == len(entries) - 1
         assert {"pr", "sha", "parent", "host", "workloads"} <= set(entry)
-        assert set(entry) <= {"pr", "sha", "parent", "host", "workloads",
+        assert set(entry) <= {"pr", "sha", "parent", "since", "host", "workloads",
                               "replications", "floors", "paper_scale"}
         assert isinstance(entry["pr"], int)
         # The newest entry's sha is the commit that adds it, unknown
         # inside that commit; the next perf change fills it in.
         assert (entry["sha"] is None and newest) or SHA.match(entry["sha"])
         assert SHA.match(entry["parent"])
+        assert SHA.match(entry.get("since", entry["parent"]))
         assert entry["host"]
         for name, reading in entry["workloads"].items():
             assert name in WORKLOADS, name
@@ -68,6 +69,8 @@ def test_the_newest_entry_names_every_workload():
 
 
 def test_each_entry_names_the_previous_entry_as_its_parent():
+    """An entry's parent is the previous entry's sha, or, when changes
+    that claimed no gain landed in between, ``since`` names it."""
     entries = TRAJECTORY["entries"]
     for previous, entry in zip(entries, entries[1:]):
-        assert entry["parent"] == previous["sha"], entry["pr"]
+        assert entry.get("since", entry["parent"]) == previous["sha"], entry["pr"]
