@@ -40,6 +40,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.experiments.fabric import run_fabric_experiment
+from repro.obs import TraceCollector
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
@@ -177,39 +178,41 @@ def test_registered_attack_campaign_on_125_switch_fabric(benchmark):
     fat-tree-k10, and its trace export is shard-count invariant."""
 
     def run_pair():
+        inline_trace, pooled_trace = TraceCollector(), TraceCollector()
         inline = run_fabric_experiment(
             "fat-tree-k10", controller="floodlight",
             attack="flow-mod-suppression", pairs=8, packets=2,
-            shards=1, trace=True,
+            shards=1, trace=inline_trace,
         )
         pooled = run_fabric_experiment(
             "fat-tree-k10", controller="floodlight",
             attack="flow-mod-suppression", pairs=8, packets=2,
-            shards=4, trace=True,
+            shards=4, trace=pooled_trace,
         )
-        return inline, pooled
+        return inline, inline_trace, pooled, pooled_trace
 
-    inline, pooled = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    inline, inline_trace, pooled, pooled_trace = benchmark.pedantic(
+        run_pair, rounds=1, iterations=1)
     assert inline.switches == 125
     assert inline.flow_mods_dropped > 0
     assert inline.ping_sent == 16
-    assert inline.trace_jsonl == pooled.trace_jsonl
-    assert inline.trace_events == pooled.trace_events > 0
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
+    assert inline_trace.events_total == pooled_trace.events_total > 0
     print_table(
         "fat-tree-k10 suppression campaign (125 switches)",
         ("shards", "pings", "flow-mods dropped", "trace events", "wall"),
         [
             (1, f"{inline.ping_received}/{inline.ping_sent}",
-             inline.flow_mods_dropped, inline.trace_events,
+             inline.flow_mods_dropped, inline_trace.events_total,
              f"{inline.wall_s:.2f} s"),
             (4, f"{pooled.ping_received}/{pooled.ping_sent}",
-             pooled.flow_mods_dropped, pooled.trace_events,
+             pooled.flow_mods_dropped, pooled_trace.events_total,
              f"{pooled.wall_s:.2f} s"),
         ],
     )
     benchmark.extra_info["switches"] = inline.switches
     benchmark.extra_info["flow_mods_dropped"] = inline.flow_mods_dropped
-    benchmark.extra_info["trace_events"] = inline.trace_events
+    benchmark.extra_info["trace_events"] = inline_trace.events_total
     benchmark.extra_info["shard_invariant"] = (
-        inline.trace_jsonl == pooled.trace_jsonl
+        inline_trace.to_jsonl() == pooled_trace.to_jsonl()
     )

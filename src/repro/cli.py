@@ -223,6 +223,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
     if args.horizon is not None:
         kwargs["horizon_s"] = args.horizon
     started = time.time()
+    tracer = _make_collector(bool(args.trace))
     result = run_fabric_experiment(
         topology=args.name,
         controller=None if args.controller == "none" else args.controller,
@@ -232,23 +233,17 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
         regions=args.regions,
         shards=args.shards,
         pairs=args.pairs,
-        trace=bool(args.trace),
+        trace=tracer,
         **kwargs,
     )
-    if args.trace:
-        from pathlib import Path
-
-        path = Path(args.trace)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.trace_jsonl or "", encoding="utf-8")
-        print(f"trace: {result.trace_events} event(s) -> {path}",
-              file=sys.stderr)
+    trace_info = _dump_trace(tracer, args.trace, args.name, multi=False)
     metrics = result.record()
     if args.json:
         _print_run_record("fabric", args.attack,
                           args.controller, args.fail_mode, args.seed,
                           {"topology": args.name, "shards": args.shards},
-                          metrics, time.time() - started, topology=args.name)
+                          metrics, time.time() - started,
+                          trace=trace_info, topology=args.name)
         return 0
     print(f"{result.fabric}: {result.switches} switches / {result.hosts} hosts "
           f"in {result.regions} regions on {result.shards} shard(s)")
@@ -316,6 +311,7 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
     if args.spoof_macs is not None:
         workload_params["spoof_macs"] = args.spoof_macs
     started = time.time()
+    tracer = _make_collector(bool(args.trace))
     result = run_fabric_experiment(
         topology=args.topology,
         controller=None if args.controller == "none" else args.controller,
@@ -327,16 +323,9 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
         workload_params=workload_params,
         table_capacity=args.table_capacity,
         table_eviction=args.table_eviction,
-        trace=bool(args.trace),
+        trace=tracer,
     )
-    if args.trace:
-        from pathlib import Path
-
-        path = Path(args.trace)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(result.trace_jsonl or "", encoding="utf-8")
-        print(f"trace: {result.trace_events} event(s) -> {path}",
-              file=sys.stderr)
+    trace_info = _dump_trace(tracer, args.trace, args.source, multi=False)
     metrics = dict(result.record(), experiment="workload")
     if args.json:
         _print_run_record("workload", args.attack,
@@ -344,7 +333,7 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
                           {"topology": args.topology, "workload": args.source,
                            "shards": args.shards},
                           metrics, time.time() - started,
-                          topology=args.topology)
+                          trace=trace_info, topology=args.topology)
         return 0
     print(f"{args.source} on {result.fabric}: {result.switches} switches / "
           f"{result.hosts} hosts on {result.shards} shard(s)")

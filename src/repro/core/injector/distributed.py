@@ -240,9 +240,6 @@ class _TransitionRecorder:
     def state_changed(self, previous, current, at) -> None:
         self.cluster.record_transition(current)
 
-    def action_record(self, kind, data, at) -> None:
-        pass
-
 
 class _ReplicaBroadcaster:
     """Observer broadcasting a replica's transitions to its peers."""
@@ -257,6 +254,3 @@ class _ReplicaBroadcaster:
 
     def state_changed(self, previous, current, at) -> None:
         self.cluster.broadcast_transition(self.instance, current)
-
-    def action_record(self, kind, data, at) -> None:
-        pass

@@ -46,9 +46,6 @@ class ExecutorObserver(Protocol):
     def state_changed(self, previous: str, current: str, at: float) -> None:
         ...
 
-    def action_record(self, kind: str, data: dict, at: float) -> None:
-        ...
-
 
 class _ConnectionDispatch:
     """Ordered rule dispatch for one (state, connection) pair.
@@ -274,8 +271,6 @@ class AttackExecutor:
     def _record(self, kind: str, data: dict) -> None:
         if self.tracer is not None:
             self.tracer.emit("record", record_kind=kind, data=dict(data))
-        for observer in self._observers:
-            observer.action_record(kind, data, self.engine.now)
 
     def _notify_rule(self, state: str, rule_name: str, message: InterposedMessage) -> None:
         if self.tracer is not None:

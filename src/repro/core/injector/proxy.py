@@ -46,13 +46,11 @@ class ConnectionProxy:
         interposed = bool(injector.attack_model.gamma(connection))
         self._to_controller_framer = MessageFramer() if interposed else None
         self._to_switch_framer = MessageFramer() if interposed else None
-        self.tracer = getattr(injector, "tracer", None)
         self.closed = False
         self.stats: Dict[str, int] = {
             "to_controller_messages": 0,
             "to_switch_messages": 0,
             "forwarded": 0,
-            "delayed": 0,
             "decode_avoided": 0,
             "repack_avoided": 0,
         }
@@ -105,7 +103,7 @@ class ConnectionProxy:
                 else "to_switch_messages")
         stats[stat] += len(frames)
         connection, now, ids = self.connection, engine.now, engine.ctx.msg_ids
-        tracer, passes, hooks = self.tracer, injector.passes, injector.passed_hooks
+        tracer, passes, hooks = injector.tracer, injector.passes, injector.passed_hooks
         for frame in frames:
             type_name = peek_message_type_name(frame)
             msg_id = next(ids)
@@ -169,7 +167,6 @@ class ConnectionProxy:
             if target is None:
                 continue
             if entry.delay > 0:
-                stats["delayed"] += 1
                 self.injector.engine.schedule(
                     entry.delay, self._send_if_open, target, message.raw
                 )

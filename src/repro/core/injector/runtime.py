@@ -134,12 +134,11 @@ class RuntimeInjector:
             self.executor.set_syscmd_router(router)
 
     def set_tracer(self, tracer) -> None:
-        """Attach a trace collector to the executor and every proxy."""
+        """Attach a trace collector to the executor and the proxies
+        (each proxy reads ``tracer`` here for every chunk)."""
         self.tracer = tracer
         if self.executor is not None:
             self.executor.set_tracer(tracer)
-        for proxy in self.active_proxies.values():
-            proxy.tracer = tracer
 
     # ------------------------------------------------------------------ #
     # Proxy lifecycle (called by ProxyPort / ConnectionProxy)

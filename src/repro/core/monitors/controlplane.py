@@ -2,13 +2,12 @@
 
 The paper's runtime injector "logged all control plane connections, all
 messages sent across such connections, and rule notifications (when
-actuated)" (Section VII-A2).  This monitor plugs into the runtime injector
-as an observer and provides the counters the experiments report (e.g. the
-control-plane traffic amplification of the suppression attack).  Its
-per-message records (``message``, ``rule_fired``, ``state_changed``,
-``action:*``) are built only while a tracer is attached: the trace
-(``--trace``, :mod:`repro.obs`) is this reproduction's form of the paper's
-control-plane log, and nothing else reads them.
+actuated)" (Section VII-A2).  That log is the trace (``--trace``,
+:mod:`repro.obs`): the proxy's ``message`` events and the executor's
+``rule_fired``, ``state``, ``record`` and ``message_drop`` events.  This
+monitor only counts: it plugs into the runtime injector as an observer
+and keeps the counters the experiments report (e.g. the control-plane
+traffic amplification of the suppression attack).
 """
 
 from __future__ import annotations
@@ -17,14 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.lang.actions import OutgoingMessage
 from repro.core.lang.properties import Direction, InterposedMessage
-from repro.core.monitors.base import RecordingMonitor
 
 
-class ControlPlaneMonitor(RecordingMonitor):
+class ControlPlaneMonitor:
     """Observer for :class:`~repro.core.injector.runtime.RuntimeInjector`."""
 
-    def __init__(self, name: str = "control-plane", capacity: Optional[int] = None) -> None:
-        super().__init__(name=name, capacity=capacity)
+    def __init__(self) -> None:
         self.message_counts: Dict[str, int] = {}
         self.per_connection: Dict[Tuple[str, str], int] = {}
         self.dropped_by_type: Dict[str, int] = {}
@@ -44,54 +41,27 @@ class ControlPlaneMonitor(RecordingMonitor):
         # The header peek is enough to classify the message; reading
         # message_type_name here would force a full body decode on every
         # interposed message and defeat the proxy's lazy-decode fast lane.
-        self._message(message.connection, message.direction, len(message.raw),
-                      message.coarse_type_name, now, message.dropped, outgoing)
+        self._count(message.connection, message.coarse_type_name, message.dropped)
 
     def message_passed(self, connection: Tuple[str, str], direction: Direction,
                        frame: bytes, type_name: Optional[str], now: float) -> None:
         """A message no rule could fire on, forwarded as its frame."""
-        self._message(connection, direction, len(frame), type_name, now, False, ())
+        self._count(connection, type_name, False)
 
-    def _message(self, connection, direction, length, type_name, now,
-                 dropped, outgoing) -> None:
+    def _count(self, connection, type_name, dropped) -> None:
         type_name = type_name or "UNDECODABLE"
         self.message_counts[type_name] = self.message_counts.get(type_name, 0) + 1
         self.per_connection[connection] = self.per_connection.get(connection, 0) + 1
         if dropped:  # the executor's verdict
             self.dropped_by_type[type_name] = self.dropped_by_type.get(type_name, 0) + 1
-        if self.tracer is not None:
-            self.record(
-                now,
-                "message",
-                {
-                    "connection": connection,
-                    "direction": direction.value,
-                    "type": type_name,
-                    "length": length,
-                    "forwarded": not dropped,
-                    "injected_count": sum(1 for entry in outgoing if entry.injected),
-                },
-            )
 
     # -- ExecutorObserver hooks ------------------------------------------ #
 
     def rule_fired(self, state: str, rule_name: str, message: InterposedMessage) -> None:
         self.rule_names.append(rule_name)
-        if self.tracer is not None:
-            self.record(
-                message.timestamp,
-                "rule_fired",
-                {"state": state, "rule": rule_name, "message_id": message.msg_id},
-            )
 
     def state_changed(self, previous: str, current: str, at: float) -> None:
         self.state_transitions.append((at, previous, current))
-        if self.tracer is not None:
-            self.record(at, "state_changed", {"from": previous, "to": current})
-
-    def action_record(self, kind: str, data: dict, at: float) -> None:
-        if self.tracer is not None:
-            self.record(at, f"action:{kind}", data)
 
     # -- Queries ----------------------------------------------------------- #
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from heapq import heappush
 from itertools import islice
 from statistics import median
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataplane.fabrics import (
     FABRIC_CONTROL_LATENCY,
@@ -64,6 +64,9 @@ from repro.sim.shard import (
     ShardRegion,
     run_sharded,
 )
+
+if TYPE_CHECKING:
+    from repro.obs import TraceCollector
 
 UDP_SRC_PORT = 40000
 UDP_DST_PORT = 40001
@@ -97,9 +100,7 @@ def fabric_config(
     table_capacity: Optional[int] = None,
     table_eviction: str = "refuse",
     trace: bool = False,
-    trace_capacity: int = 262_144,
     sketch: bool = False,
-    sketch_window_s: Optional[float] = None,
     detectors: Optional[Any] = None,
     detector_params: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -193,15 +194,6 @@ def fabric_config(
         for name in detectors:
             detector_info(name)  # validate eagerly
         sketch = True
-    if sketch_window_s is None:
-        if sketch:  # only a run with the tap imports the defense plane
-            from repro.defense.tap import DEFAULT_WINDOW_S
-
-            sketch_window_s = DEFAULT_WINDOW_S
-    elif sketch_window_s <= 0:
-        raise ValueError(
-            f"sketch_window_s must be positive, got {sketch_window_s}"
-        )
     return {
         "topology": topology,
         "controller": controller,
@@ -221,10 +213,7 @@ def fabric_config(
         "table_capacity": table_capacity,
         "table_eviction": table_eviction,
         "trace": bool(trace),
-        "trace_capacity": int(trace_capacity),
         "sketch": bool(sketch),
-        "sketch_window_s": (None if sketch_window_s is None
-                            else float(sketch_window_s)),
         "detectors": detectors,
         "detector_params": dict(detector_params or {}),
     }
@@ -569,14 +558,14 @@ class _FabricDataRegion(_FabricRegion):
 
             # One tap per region, shared by its switches; payloads merge
             # deterministically at collection in sorted-region order.
-            self.sketch_tap = SketchTap(window_s=config["sketch_window_s"])
+            self.sketch_tap = SketchTap()
             for switch in self.network.switches.values():
                 switch.sketches = self.sketch_tap
 
         if config["trace"]:
             from repro.obs import TraceCollector, wire_run
 
-            self.tracer = TraceCollector(capacity=config["trace_capacity"])
+            self.tracer = TraceCollector()
             monitors = ()
             if config["workload"] == "ping":
                 monitors = (self._ping_monitor(),)
@@ -793,9 +782,8 @@ class _ControllerRegion(_FabricRegion):
         if config["trace"]:
             from repro.obs import TraceCollector, wire_run
 
-            self.tracer = TraceCollector(capacity=config["trace_capacity"])
-            wire_run(self.tracer, self.engine, injector=self.injector,
-                     monitors=(self.control_monitor,))
+            self.tracer = TraceCollector()
+            wire_run(self.tracer, self.engine, injector=self.injector)
 
     def control_opened(self, chan_name: str) -> None:
         """A switch region dialled: hand the boundary channel to the
@@ -890,8 +878,6 @@ class FabricResult:
     wall_s: float = 0.0
     coordinator_cpu_s: float = 0.0
     worker_cpu_s: List[float] = field(default_factory=list)
-    trace_jsonl: Optional[str] = None
-    trace_events: int = 0
     sketch: Optional[Dict[str, Any]] = None
     sketch_digest: Optional[str] = None
     detections: List[Dict[str, Any]] = field(default_factory=list)
@@ -1003,7 +989,7 @@ def run_fabric_experiment(
     fail_mode: str = FailMode.SECURE.value,
     seed: int = 0,
     shards: int = 1,
-    trace=None,
+    trace: Optional[TraceCollector] = None,
     **config_kwargs,
 ) -> FabricResult:
     """Run one sharded fabric workload and aggregate the region results.
@@ -1012,17 +998,13 @@ def run_fabric_experiment(
     regions over N forked worker processes.  Results are byte-identical
     either way, so where the workers cannot be forked (no ``fork`` start
     method, or inside a daemonic campaign worker) the regions run
-    inline.  ``trace`` accepts ``True`` or an existing
-    :class:`~repro.obs.TraceCollector` (the campaign runner's), which
-    receives the merged, deterministically ordered per-region events.
+    inline.  ``trace`` receives the regions' events, merged in
+    ``(t, region, seq)`` order.
     """
-    collector = None
-    if trace is not None and not isinstance(trace, bool):
-        collector = trace
-        trace = True
     config = fabric_config(
         topology=topology, controller=controller, attack=attack,
-        fail_mode=fail_mode, seed=seed, trace=bool(trace), **config_kwargs,
+        fail_mode=fail_mode, seed=seed, trace=trace is not None,
+        **config_kwargs,
     )
     plan = plan_fabric(config)
     if shards > 1 and (
@@ -1099,22 +1081,9 @@ def run_fabric_experiment(
                 attack_span=span,
             )
 
-    if config["trace"]:
-        from repro.obs import event_to_json
-
+    if trace is not None:
         trace_events.sort(key=lambda e: (e["t"], e["region"], e["seq"]))
-        lines = [event_to_json(event) for event in trace_events]
-        result.trace_jsonl = "\n".join(lines) + ("\n" if lines else "")
-        result.trace_events = len(trace_events)
-        if collector is not None:
-            # Feed the merged stream back into the caller's collector so
-            # the campaign trace plumbing (to_jsonl, counts) sees it.
-            for event in trace_events:
-                collector.events_total += 1
-                collector.counts[event["kind"]] = (
-                    collector.counts.get(event["kind"], 0) + 1
-                )
-                collector._ring.append(event)
+        trace.extend(trace_events)
     return result
 
 

@@ -37,7 +37,7 @@ Kinds emitted by the stock instrumentation:
 ``deque``          a Δ operation: deque name, op, size after
 ``flow_install``   a FLOW_MOD changed a switch's flow table
 ``flow_evict``     a flow entry left the table (idle/hard/delete)
-``monitor``        one monitor sample (ping/iperf/control-plane record)
+``monitor``        one monitor sample (ping, iperf or capture record)
 =================  ====================================================
 """
 
@@ -100,6 +100,15 @@ class TraceCollector:
         self.events_total += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._ring.append(event)
+
+    def extend(self, events: Iterable[Dict[str, Any]]) -> None:
+        """Append events emitted elsewhere (a fabric run's merged
+        regions), keeping their ``seq`` and ``t``."""
+        counts, ring = self.counts, self._ring
+        for event in events:
+            self.events_total += 1
+            counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+            ring.append(event)
 
     # ------------------------------------------------------------------ #
     # Reading / export

@@ -9,22 +9,18 @@ from __future__ import annotations
 
 from repro.core import AttackModel, RuntimeInjector
 from repro.experiments import build_enterprise
+from repro.obs import TraceCollector, wire_run
 
 
 class ActionRecords:
-    """Executor observer keeping the kind of every action record."""
+    """The kind of every action record in a run's trace."""
 
-    def __init__(self) -> None:
-        self.kinds = []
+    def __init__(self, trace: TraceCollector) -> None:
+        self.trace = trace
 
-    def rule_fired(self, state, rule_name, message) -> None:
-        pass
-
-    def state_changed(self, previous, current, at) -> None:
-        pass
-
-    def action_record(self, kind, data, at) -> None:
-        self.kinds.append(kind)
+    @property
+    def kinds(self):
+        return [event["record_kind"] for event in self.trace.events("record")]
 
 
 def run_on_enterprise(attack, controller_kind, pings, horizon, system=None):
@@ -38,8 +34,8 @@ def run_on_enterprise(attack, controller_kind, pings, horizon, system=None):
     setup = build_enterprise(controller_kind=controller_kind)
     model = AttackModel.no_tls_everywhere(system or setup.system)
     injector = RuntimeInjector(setup.engine, model, attack)
-    records = ActionRecords()
-    injector.add_observer(records)
+    records = ActionRecords(wire_run(TraceCollector(), setup.engine,
+                                     injector=injector))
     injector.install(setup.network, {"c1": setup.controller})
     setup.network.start()
     ping_runs = []

@@ -20,6 +20,7 @@ from repro.core.lang import (
 )
 from repro.core.lang.properties import Direction, InterposedMessage
 from repro.core.model import gamma_no_tls
+from repro.obs import TraceCollector
 from repro.openflow import EchoRequest, FlowMod, Hello, Match
 from repro.sim import SimulationEngine
 
@@ -154,9 +155,6 @@ class TestFrameworkHooks:
             def state_changed(self, previous, current, at):
                 events.append(("state", previous, current))
 
-            def action_record(self, kind, data, at):
-                events.append(("action", kind))
-
         states = [
             AttackState("s1", [rule("go", "true", [DropMessage(), GoToState("s2")])]),
             AttackState("s2", []),
@@ -164,10 +162,16 @@ class TestFrameworkHooks:
         executor = make_executor(states, "s1")
         observer = Observer()
         executor.add_observer(observer)
-        executor.handle_message(interposed(Hello()))
+        tracer = TraceCollector()
+        executor.set_tracer(tracer)
+        message = interposed(Hello())
+        executor.handle_message(message)
         assert ("rule", "s1", "go") in events
         assert ("state", "s1", "s2") in events
-        assert ("action", "drop_message") in events
+        # Action records go to the trace, not to the observers.
+        assert [(event["record_kind"], event["data"])
+                for event in tracer.events("record")] == [
+            ("drop_message", {"id": message.msg_id})]
 
     def test_storage_shared_across_messages(self):
         states = [AttackState("s", [

@@ -97,9 +97,6 @@ class _FateObserver:
     def state_changed(self, previous, current, at) -> None:
         pass
 
-    def action_record(self, kind, data, at) -> None:
-        pass
-
 
 def _capture(channel, arrived):
     """Record every chunk the channel's peer endpoint is handed."""

@@ -106,8 +106,7 @@ def test_a_lane_message_builds_nothing_and_skips_the_executor_path(
         states = [AttackState("s", [_rule("drop", "type = FLOW_MOD", [DropMessage()])])]
     injector, monitor, proxy = _proxy(engine, small_topology, states)
     tracer = TraceCollector()
-    injector.set_tracer(tracer)
-    monitor.tracer = tracer
+    injector.set_tracer(tracer)  # after the proxy was made: read per chunk
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a lane message took the executor path")
@@ -131,10 +130,6 @@ def test_a_lane_message_builds_nothing_and_skips_the_executor_path(
     assert [(event["type"], event["msg_id"], event["length"]) for event in messages] == [
         ("HELLO", 1, len(hello)), ("ECHO_REQUEST", 2, len(echo)),
         ("ECHO_REQUEST", 3, len(echo))]
-    samples = [event["data"] for event in tracer.events("monitor")]
-    assert [(sample["type"], sample["forwarded"], sample["injected_count"])
-            for sample in samples] == [("HELLO", True, 0), ("ECHO_REQUEST", True, 0),
-                                       ("ECHO_REQUEST", True, 0)]
     if injector.executor is not None:
         stats = injector.executor.stats
         assert stats["messages_processed"] == 3

@@ -34,7 +34,7 @@ def build(engine, topology, attack=None, attack_model=None, monitor=True,
     model = attack_model or AttackModel.no_tls_everywhere(system)
     injector = RuntimeInjector(engine, model, attack)
     cp_monitor = ControlPlaneMonitor() if monitor else None
-    if cp_monitor is not None:  # note: an empty monitor is falsy (len == 0)
+    if cp_monitor is not None:
         injector.add_observer(cp_monitor)
     injector.install(network, {"c1": controller})
     network.start()

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.experiments.fabric import run_fabric_experiment
+from repro.obs import TraceCollector
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
@@ -58,18 +59,19 @@ def test_sketches_byte_identical_across_shard_counts():
 def test_sketch_tap_does_not_perturb_the_run():
     """Telemetry is observation only: traces and metrics match a
     sketch-free run exactly."""
+    base_trace, tapped_trace = TraceCollector(), TraceCollector()
     base = run_fabric_experiment(
         "fat-tree-k4", controller="pox", workload="packetin-flood",
         workload_params={"schedule": "constant:400", "senders": 2,
                          "duration_s": 0.2},
-        horizon_s=0.5, trace=True, shards=1,
+        horizon_s=0.5, trace=base_trace, shards=1,
     )
     tapped = run_fabric_experiment(
         "fat-tree-k4", controller="pox", workload="packetin-flood",
         workload_params={"schedule": "constant:400", "senders": 2,
                          "duration_s": 0.2},
-        horizon_s=0.5, trace=True, shards=1, sketch=True,
+        horizon_s=0.5, trace=tapped_trace, shards=1, sketch=True,
     )
-    assert tapped.trace_jsonl == base.trace_jsonl
+    assert tapped_trace.to_jsonl() == base_trace.to_jsonl()
     assert tapped.switch_packet_ins == base.switch_packet_ins
     assert tapped.packets_synthesized == base.packets_synthesized

@@ -45,9 +45,6 @@ class _Verdicts:
     def state_changed(self, previous, current, at) -> None:
         pass
 
-    def action_record(self, kind, data, at) -> None:
-        pass
-
 
 def test_monitor_counts_the_messages_the_attack_drops(engine, small_topology):
     """The control-plane monitor's ``dropped_by_type`` counts the

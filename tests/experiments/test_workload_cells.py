@@ -7,6 +7,7 @@ from repro.campaign.executors import execute_descriptor
 from repro.campaign.report import build_report
 from repro.experiments.fabric import fabric_config, run_fabric_experiment
 from repro.experiments.workload import run_cell as run_workload_cell
+from repro.obs import TraceCollector
 
 
 # --------------------------------------------------------------------- #
@@ -137,18 +138,19 @@ def test_table_overflow_fills_and_evicts():
 
 
 def test_workload_runs_are_shard_invariant():
-    def run(shards):
+    def run(shards, trace):
         return run_fabric_experiment(
             "fat-tree-k4", controller="floodlight",
             workload="packetin-flood", seed=7, shards=shards,
-            table_capacity=128, table_eviction="fifo", trace=True,
+            table_capacity=128, table_eviction="fifo", trace=trace,
             workload_params={"schedule": "burst:1500:150:0.2:0.4",
                              "duration_s": 0.4, "senders": 2},
         )
 
-    inline, pooled = run(1), run(2)
-    assert inline.trace_jsonl == pooled.trace_jsonl
-    assert inline.trace_events == pooled.trace_events > 0
+    inline_trace, pooled_trace = TraceCollector(), TraceCollector()
+    inline, pooled = run(1, inline_trace), run(2, pooled_trace)
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
+    assert inline_trace.events_total == pooled_trace.events_total > 0
     inline_metrics, pooled_metrics = inline.record(), pooled.record()
     for metrics in (inline_metrics, pooled_metrics):
         for key in ("shards", "wall_s", "wall_packets_per_sec",

@@ -28,15 +28,17 @@ SPAWN_SCRIPT = """
 import hashlib, json, multiprocessing
 multiprocessing.set_start_method("spawn", force=True)
 from repro.experiments.fabric import run_fabric_experiment
+from repro.obs import TraceCollector
 from tests.golden.corpus import digest
 
 runs = {}
 for shards in (1, 2):
+    trace = TraceCollector()
     result = run_fabric_experiment("fat-tree-k4", controller="floodlight",
                                    pairs=4, packets=3, shards=shards,
-                                   trace=True)
-    runs[shards] = dict(digest(result.trace_jsonl, result.record()),
-                        shards=result.shards, events=result.trace_events,
+                                   trace=trace)
+    runs[shards] = dict(digest(trace.to_jsonl(), result.record()),
+                        shards=result.shards, events=trace.events_total,
                         exchange_bytes=result.exchange_bytes)
 print(json.dumps(runs))
 """

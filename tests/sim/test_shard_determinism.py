@@ -13,6 +13,7 @@ proxies, and control-plane boundary channels all sit on the sharded path.
 import os
 
 from repro.experiments.fabric import run_fabric_experiment
+from repro.obs import TraceCollector
 from repro.sim import shard
 from tests.golden.corpus import EXECUTION_KEYS
 
@@ -24,10 +25,13 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0", "false")
 
 
 def _run(shards, **kwargs):
-    return run_fabric_experiment(
+    """The run's result and the collector its trace went into."""
+    trace = TraceCollector()
+    result = run_fabric_experiment(
         "fat-tree-k4", controller="floodlight", pairs=4, packets=3,
-        shards=shards, trace=True, **kwargs,
+        shards=shards, trace=trace, **kwargs,
     )
+    return result, trace
 
 
 def _comparable(result, across_schedules=False):
@@ -72,21 +76,21 @@ class FixedGridSchedule(shard.BarrierSchedule):
 def test_shard_counts_are_byte_identical():
     """Inline and every pooled shard count replay the same run."""
     shard_counts = (1, 2) if QUICK else (1, 2, 4)
-    reference = _run(shard_counts[0])
-    assert reference.trace_events > 0
+    reference, reference_trace = _run(shard_counts[0])
+    assert reference_trace.events_total > 0
     for shards in shard_counts[1:]:
-        result = _run(shards)
-        assert result.trace_jsonl == reference.trace_jsonl, shards
+        result, trace = _run(shards)
+        assert trace.to_jsonl() == reference_trace.to_jsonl(), shards
         assert _comparable(result) == _comparable(reference), shards
 
 
 def test_adaptive_lookahead_actually_widens_epochs(monkeypatch):
     for shards in (1, 2):
-        adaptive = _run(shards)
+        adaptive, adaptive_trace = _run(shards)
         with monkeypatch.context() as patch:
             patch.setattr(shard, "BarrierSchedule", FixedGridSchedule)
-            fixed = _run(shards)
-        assert adaptive.trace_jsonl == fixed.trace_jsonl, shards
+            fixed, fixed_trace = _run(shards)
+        assert adaptive_trace.to_jsonl() == fixed_trace.to_jsonl(), shards
         assert (_comparable(adaptive, across_schedules=True)
                 == _comparable(fixed, across_schedules=True)), shards
         assert adaptive.epochs_widened > 0, shards
@@ -95,10 +99,10 @@ def test_adaptive_lookahead_actually_widens_epochs(monkeypatch):
 
 
 def test_suppression_attack_is_shard_invariant():
-    inline = _run(1, attack="flow-mod-suppression")
-    pooled = _run(3, attack="flow-mod-suppression")
-    assert inline.trace_jsonl == pooled.trace_jsonl
-    assert inline.trace_events == pooled.trace_events > 0
+    inline, inline_trace = _run(1, attack="flow-mod-suppression")
+    pooled, pooled_trace = _run(3, attack="flow-mod-suppression")
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
+    assert inline_trace.events_total == pooled_trace.events_total > 0
     assert _comparable(inline) == _comparable(pooled)
     assert inline.flow_mods_dropped > 0  # the attack actually fired
 
@@ -115,40 +119,43 @@ def test_interruption_attack_is_shard_invariant():
         "trigger_source_ip": str(hosts["p00e00h00"].ip),
         "protected_destination_ips": [str(hosts["p02e00h00"].ip)],
     }
-    inline = _run(1, attack="connection-interruption", attack_params=params)
-    pooled = _run(4, attack="connection-interruption", attack_params=params)
-    assert inline.trace_jsonl == pooled.trace_jsonl
+    inline, inline_trace = _run(1, attack="connection-interruption",
+                                attack_params=params)
+    pooled, pooled_trace = _run(4, attack="connection-interruption",
+                                attack_params=params)
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
     assert _comparable(inline) == _comparable(pooled)
     assert inline.flow_mods_dropped > 0  # the state machine reached phi2
 
 
 def test_unattacked_controller_run_is_shard_invariant():
-    inline = _run(1)
-    pooled = _run(2)
-    assert inline.trace_jsonl == pooled.trace_jsonl
+    inline, inline_trace = _run(1)
+    pooled, pooled_trace = _run(2)
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
     assert inline.ping_received == inline.ping_sent > 0
 
 
 def test_controllerless_udp_run_is_shard_invariant():
+    inline_trace, pooled_trace = TraceCollector(), TraceCollector()
     inline = run_fabric_experiment("fat-tree-k4", pairs=4, packets=10,
-                                   shards=1, trace=True)
+                                   shards=1, trace=inline_trace)
     pooled = run_fabric_experiment("fat-tree-k4", pairs=4, packets=10,
-                                   shards=2, trace=True)
-    assert inline.trace_jsonl == pooled.trace_jsonl
+                                   shards=2, trace=pooled_trace)
+    assert inline_trace.to_jsonl() == pooled_trace.to_jsonl()
     assert _comparable(inline) == _comparable(pooled)
     assert inline.packets_delivered == inline.packets_sent == 40
 
 
 def test_rerun_same_config_is_byte_identical():
-    first = _run(2)
-    second = _run(2)
-    assert first.trace_jsonl == second.trace_jsonl
+    _first, first_trace = _run(2)
+    _second, second_trace = _run(2)
+    assert first_trace.to_jsonl() == second_trace.to_jsonl()
 
 
 def test_exchange_counters_are_populated_on_pooled_runs():
-    pooled = _run(2)
+    pooled, _trace = _run(2)
     assert pooled.exchange_bytes > 0
     assert pooled.exchange_blobs > 0
     assert pooled.cross_shard_messages > 0
-    inline = _run(1)
+    inline, _trace = _run(1)
     assert inline.exchange_bytes == inline.exchange_blobs == 0

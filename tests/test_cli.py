@@ -566,10 +566,41 @@ def test_fabric_run_command_json(capsys, tmp_path):
     assert record["topology"] == "fat-tree-k4"
     assert record["metrics"]["packets_delivered"] == 10
     assert record["metrics"]["shards"] == 2
-    assert trace_path.exists()
-    lines = trace_path.read_text().strip().splitlines()
-    assert len(lines) == record["metrics"].get("trace_events",
-                                               len(lines)) or lines
+    # Proactive routes and no controller: nothing control-plane to trace.
+    assert record["trace"] == {"path": str(trace_path), "events": 0}
+    assert trace_path.read_text() == ""
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_fabric_run_json_stamps_its_trace(capsys, tmp_path, shards):
+    """The record names the trace file and its event count, as the
+    suppression and interruption records do."""
+    import json
+
+    trace_path = tmp_path / "fabric.jsonl"
+    assert main(["fabric", "run", "fat-tree-k4", "--controller", "floodlight",
+                 "--attack", "flow-mod-suppression", "--shards", shards,
+                 "--trace", str(trace_path), "--json"]) == 0
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    lines = trace_path.read_text().splitlines()
+    assert record["trace"] == {"path": str(trace_path), "events": len(lines)}
+    assert len(lines) > 0
+    assert f"trace: {len(lines)} event(s) -> {trace_path}" in captured.err
+
+
+def test_workload_run_json_stamps_its_trace(capsys, tmp_path):
+    import json
+
+    trace_path = tmp_path / "workload.jsonl"
+    assert main(["workload", "run", "packetin-flood",
+                 "--controller", "floodlight", "--schedule", "constant:400",
+                 "--senders", "2", "--duration", "0.2",
+                 "--trace", str(trace_path), "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    lines = trace_path.read_text().splitlines()
+    assert record["trace"] == {"path": str(trace_path), "events": len(lines)}
+    assert len(lines) > 0
 
 
 def test_fabric_run_with_controller_and_attack(capsys):
