@@ -18,6 +18,7 @@ Two artifacts, committed as ``BENCH_detect.json``:
 ``REPRO_BENCH_QUICK=1`` shrinks both for CI smoke.
 """
 
+import gc
 import os
 import statistics
 
@@ -67,12 +68,17 @@ def _timed_run(sketch):
 
 def _paired_runs():
     """``PAIRS`` (sketch off, sketch on) times, each pair run back to back
-    in alternating order; and the last sketch-on result."""
+    in alternating order; and the last sketch-on result.
+
+    A fabric run leaves reference cycles behind, and one gen-2 collection
+    of them would land in whichever run comes next, so each timed run
+    starts from a collected heap."""
     pairs = []
     for index in range(PAIRS):
         order = (False, True) if index % 2 == 0 else (True, False)
         times = {}
         for sketch in order:
+            gc.collect()
             times[sketch], result = _timed_run(sketch)
             if sketch:
                 tapped = result

@@ -9,13 +9,19 @@ The table is an OVS-style tuple-space classifier (Srinivasan, Suri and
 Varghese, SIGCOMM 1999): one hash table per wildcard mask, keyed by the
 masked integer field values and probed with a packet's all-int flow key
 (``repro.netlib.flowkey``) in descending order of each
-mask's highest priority, until no remaining mask can win.  A strict-identity
-dict keyed on ``(match.pack(), priority)`` serves ADD-replace, MODIFY_STRICT
-and DELETE_STRICT: ``pack()`` equality is OF 1.0 strict equality, and it
-keeps host bits under a CIDR prefix that the masked key drops.  The live
-entries stay in install order in one dict.  An ``lru`` table finds its
-victim in a ``(last_used, order)`` heap that is checked lazily at eviction
-time, so the switch's hit path writes ``last_used`` with no hook.
+mask's highest priority, until no remaining mask can win.  A match that
+constrains all twelve fields exactly (every reactive install of a TCP or
+UDP flow) skips the per-field mask loop: its mask is the all-exact one and
+its bucket key is its own flow key.  A strict-identity dict keyed on
+``(match.wire_fields(), priority)`` serves ADD-replace, MODIFY_STRICT and
+DELETE_STRICT: the wire fields are the values ``pack()`` packs, so two
+keys are equal exactly when the packed matches are (OF 1.0 strict
+equality) and no struct is packed per ADD; they keep host bits under a
+CIDR prefix that the masked key drops.  The live entries stay in install
+order in one ``OrderedDict``, whose head FIFO eviction reads in O(1).  An
+``lru`` table finds its victim in a ``(last_used, order)`` heap that is
+checked lazily at eviction time, so the switch's hit path writes
+``last_used`` with no hook.
 
 In front of the classifier sits an exact-match cache, as OVS's kernel
 flow table sits in front of its userspace classifier (Pfaff et al., NSDI
@@ -134,15 +140,24 @@ class FlowEntry:
 _NW_SRC = MATCH_FIELD_NAMES.index("nw_src")
 _NW_DST = MATCH_FIELD_NAMES.index("nw_dst")
 
+#: The mask of a match that constrains all twelve fields exactly.
+_EXACT_MASK = tuple((pos, -1) for pos in range(len(MATCH_FIELD_NAMES)))
+
+_RANK = attrgetter("rank")
+
 
 def _mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Any, ...]]:
     """A match's wildcard mask and its masked integer field values.
 
     The mask pairs each constrained tuple position with a netmask: -1 for
     an exact field, the prefix netmask for a CIDR ``nw_src``/``nw_dst``.
-    A /0 prefix constrains nothing, as in :meth:`Match.subsumes`.
+    A /0 prefix constrains nothing, as in :meth:`Match.subsumes`.  An
+    exact match on all twelve fields (every reactive install of a TCP or
+    UDP flow) is its own key under :data:`_EXACT_MASK`.
     """
     key = match.key
+    if match.nw_src_prefix == 32 and match.nw_dst_prefix == 32 and None not in key:
+        return _EXACT_MASK, key
     prefixes = {_NW_SRC: match.nw_src_prefix, _NW_DST: match.nw_dst_prefix}
     mask = []
     values: List[Any] = [None] * len(key)
@@ -215,7 +230,7 @@ class FlowTable:
         self._cache.clear()
         # Live entry -> (strict key, subtable, bucket key), in install order.
         self._live: "OrderedDict[FlowEntry, Tuple[Any, _Subtable, Any]]" = OrderedDict()
-        self._strict: Dict[Tuple[bytes, int], FlowEntry] = {}
+        self._strict: Dict[Tuple[Tuple[int, ...], int], FlowEntry] = {}
         self._subtables: Dict[Tuple[Tuple[int, int], ...], _Subtable] = {}
         self._probe_order: List[_Subtable] = []  # max priority, descending
         self._lru: List[Tuple[float, int, FlowEntry]] = []
@@ -241,7 +256,7 @@ class FlowTable:
         self.capacity_evictions = 0
         self.occupancy_peak = 0
 
-    def _link(self, entry: FlowEntry, strict: Tuple[bytes, int]) -> None:
+    def _link(self, entry: FlowEntry, strict: Tuple[Tuple[int, ...], int]) -> None:
         if self._cache:
             self._cache.clear()
         mask, values = _mask_and_values(entry.match)
@@ -251,7 +266,11 @@ class FlowTable:
         key = values if sub.key is None else sub.key(values)
         self._live[entry] = (strict, sub, key)
         self._strict[strict] = entry
-        insort(sub.buckets.setdefault(key, []), entry, key=attrgetter("rank"))
+        bucket = sub.buckets.get(key)
+        if bucket is None:
+            sub.buckets[key] = [entry]
+        else:
+            insort(bucket, entry, key=_RANK)
         priority = entry.priority
         sub.priorities[priority] = sub.priorities.get(priority, 0) + 1
         if priority > sub.max_priority:
@@ -308,7 +327,7 @@ class FlowTable:
 
     def _add(self, flow_mod: FlowMod, now: float) -> Tuple[List[FlowEntry], bool]:
         # OF 1.0: ADD with an identical match+priority replaces the entry.
-        strict = (flow_mod.match.pack(), flow_mod.priority)
+        strict = (flow_mod.match.wire_fields(), flow_mod.priority)
         replaced = self._strict.get(strict)
         if replaced is not None:
             self._unlink(replaced)
@@ -356,7 +375,7 @@ class FlowTable:
     def _selected(self, flow_mod: FlowMod, strict: bool) -> List[FlowEntry]:
         """The entries a MODIFY/DELETE applies to, in install order."""
         if strict:
-            entry = self._strict.get((flow_mod.match.pack(), flow_mod.priority))
+            entry = self._strict.get((flow_mod.match.wire_fields(), flow_mod.priority))
             return [] if entry is None else [entry]
         match = flow_mod.match
         return [entry for entry in self._live if match.subsumes(entry.match)]

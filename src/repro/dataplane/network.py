@@ -33,11 +33,13 @@ BoundaryFactory = Callable[[int, LinkSpec, str], object]
 class Network:
     """A fully wired simulated network.
 
-    By default the whole topology is instantiated.  A sharded region
-    passes ``include`` (the device names it owns) and ``boundary`` (a
-    factory for the cross-region half-links); links between two excluded
-    devices are skipped entirely, links with one excluded endpoint are
-    wired through the boundary.
+    By default the whole topology is instantiated, and validated first.
+    A sharded region passes ``include`` (the device names it owns) and
+    ``boundary`` (a factory for the cross-region half-links); links
+    between two excluded devices are skipped entirely, links with one
+    excluded endpoint are wired through the boundary.  Such a region's
+    topology is not validated again: it comes from a fabric generator,
+    which validated it once for every region.
     """
 
     def __init__(
@@ -50,7 +52,8 @@ class Network:
         table_capacity: Optional[int] = None,
         table_eviction: str = "refuse",
     ) -> None:
-        topology.validate()
+        if include is None:
+            topology.validate()
         self.engine = engine
         self.topology = topology
         self.hosts: Dict[str, Host] = {}

@@ -12,19 +12,22 @@ Every structure here obeys the same three-part contract:
   process, which would make pooled shard workers disagree with an
   inline run; row indices instead derive from an FNV-1a fold of the
   integer key (:func:`fold_key`), exactly like the fabric's CRC32 ECMP
-  picker avoids ``hash()``.
+  picker avoids ``hash()``.  The fold is sequential, so it resumes from
+  a memoized prefix state (the tap folds a new key's ports only).
 * **Merges are deterministic.**  Shard regions each hold a private
   sketch; the coordinator merges the per-region payloads in sorted
-  region-id order.  Count-min merges element-wise, the heavy-hitter set
-  re-ranks against the merged count-min with ``(-count, key)``
-  tie-breaks, and window series add per-index — so the merged contents
-  are byte-identical for any worker grouping (``tests/defense/
-  test_sketch_determinism.py`` pins this).
+  region-id order.  Count-min rows are built and added element-wise in
+  C (``array("Q", ...)`` over ``map(operator.add, ...)``), the
+  heavy-hitter set re-ranks against the merged count-min with
+  ``(-count, key)`` tie-breaks, and window series add per-index — so
+  the merged contents are byte-identical for any worker grouping
+  (``tests/defense/test_sketch_determinism.py`` pins this).
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import add
 from typing import Any, Dict, List, Optional, Tuple
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -44,11 +47,12 @@ def normalize_key(values) -> Tuple[int, ...]:
     return tuple(-1 if v is None else v for v in values)
 
 
-def fold_key(key: Tuple[int, ...]) -> int:
+def fold_key(key: Tuple[int, ...], h: int = _FNV_OFFSET) -> int:
     """A 64-bit FNV-1a fold of an integer tuple — process-stable, unlike
     the salted builtin ``hash``.  Elements fold in as their low 64 bits
-    (``-1`` as all ones): one mask after the multiply keeps exactly those."""
-    h = _FNV_OFFSET
+    (``-1`` as all ones): one mask after the multiply keeps exactly those.
+    The fold is sequential, so ``fold_key(key[n:], fold_key(key[:n]))``
+    is ``fold_key(key)``: pass ``h`` to resume from a prefix's state."""
     for v in key:
         h = ((h ^ v) * _FNV_PRIME) & _MASK64
     return h
@@ -110,9 +114,7 @@ class CountMinSketch:
                 f"cannot merge {other.width}x{other.depth} count-min into "
                 f"{self.width}x{self.depth}")
         for mine, theirs in zip(self.rows, other.rows):
-            for i, count in enumerate(theirs):
-                if count:
-                    mine[i] += count
+            mine[:] = array("Q", map(add, mine, theirs))
         self.total += other.total
 
     def to_dict(self) -> Dict[str, Any]:
@@ -127,9 +129,12 @@ class CountMinSketch:
     def from_dict(cls, payload: Dict[str, Any]) -> "CountMinSketch":
         sketch = cls(payload["width"], payload["depth"])
         sketch.total = int(payload["total"])
-        for row, values in zip(sketch.rows, payload["rows"]):
-            for i, count in enumerate(values):
-                row[i] = count
+        rows = [array("Q", values) for values in payload["rows"]]
+        widths = [len(row) for row in rows]
+        if widths != [sketch.width] * sketch.depth:
+            raise ValueError(f"count-min rows of widths {widths} do not fit "
+                             f"{sketch.width}x{sketch.depth}")
+        sketch.rows = rows
         return sketch
 
 

@@ -10,8 +10,12 @@ PACKET_IN emission sites (table miss, OUTPUT:CONTROLLER).
 Per-key work (int-fold hash, count-min row indices, normalization) is
 memoized in a bounded dict keyed by the flow-key tuple itself, so steady
 traffic pays one dict hit, one window-bucket division and a handful of
-array increments per frame.
-The memo evicts wholesale like the FastFrame intern pool: O(1)
+array increments per frame.  A key the memo has not seen resumes the
+fold from its first ten fields' state (``in_port`` … ``nw_dst``: the
+flow's endpoints on one port), memoized in a second bounded dict, and
+folds only ``tp_src, tp_dst``: a port sweep between two hosts, the
+shape of a flow-table overflow storm, folds two fields per new key.
+Both memos evict wholesale like the FastFrame intern pool: O(1)
 bookkeeping, one re-warm round trip after a clear.
 
 ``collect()`` produces the picklable per-region payload;
@@ -38,9 +42,12 @@ from repro.defense.sketches import (
     row_indices,
 )
 
-#: Flow-key memo bound; eviction is wholesale (`clear`), like the
-#: FastFrame pool, so bookkeeping stays O(1) per frame.
+#: Flow-key (and fold-prefix) memo bound; eviction is wholesale
+#: (`clear`), like the FastFrame pool, so bookkeeping stays O(1) per frame.
 MEMO_MAX = 65536
+
+#: Key fields ``in_port`` … ``nw_dst`` whose fold state the tap memoizes.
+_PREFIX_LEN = 10
 
 #: Default detection window width (sim-seconds).  50 ms is ~10 batch
 #: ticks of workload traffic: fine enough for sub-window detection
@@ -53,7 +60,8 @@ class SketchTap:
     """Streaming telemetry for one shard region's switches."""
 
     __slots__ = ("window_s", "cms", "topk", "ports", "pktin_gaps",
-                 "frames", "new_keys", "packet_ins", "_memo", "counters")
+                 "frames", "new_keys", "packet_ins", "_memo", "_prefixes",
+                 "counters")
 
     def __init__(
         self,
@@ -71,6 +79,7 @@ class SketchTap:
         self.new_keys = WindowSeries(window_s)
         self.packet_ins = WindowSeries(window_s)
         self._memo: Dict[Any, tuple] = {}
+        self._prefixes: Dict[Tuple[int, ...], int] = {}  # prefix -> fold state
         self.counters = {"frames": 0, "packet_ins": 0,
                          "memo_hits": 0, "memo_evictions": 0}
 
@@ -81,8 +90,14 @@ class SketchTap:
         cached = self._memo.get(key)
         if cached is None:
             norm = normalize_key(key)
-            indices = row_indices(fold_key(norm), self.cms.width,
-                                  self.cms.depth)
+            prefix = norm[:_PREFIX_LEN]
+            state = self._prefixes.get(prefix)
+            if state is None:
+                if len(self._prefixes) >= MEMO_MAX:
+                    self._prefixes.clear()
+                state = self._prefixes[prefix] = fold_key(prefix)
+            indices = row_indices(fold_key(norm[_PREFIX_LEN:], state),
+                                  self.cms.width, self.cms.depth)
             if len(self._memo) >= MEMO_MAX:
                 self._memo.clear()
                 self.counters["memo_evictions"] += 1

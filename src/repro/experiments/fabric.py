@@ -361,11 +361,14 @@ def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
     by_edge: Dict[str, List[str]] = {}
     for host, edge in attach.items():
         by_edge.setdefault(edge, []).append(host)
+    # _ecmp_pick(options, switch, mac) hashes "switch|mac"; CRC-32 chains,
+    # so each switch's "switch|" state is computed once.
+    seeds = {switch: zlib.crc32(f"{switch}|".encode()) for switch in topo.switches}
     for edge, hosts in sorted(by_edge.items()):
         parents = _bfs_parents(adjacency, edge)
         for host in sorted(hosts):
             mac = topo.hosts[host].mac
-            mac_value, mac_text = int(mac), str(mac)
+            mac_value, mac_bytes = int(mac), str(mac).encode()
             for switch in topo.switches:
                 if switch == edge:
                     routes[dpid[switch]][mac_value] = ports[(edge, host)]
@@ -374,7 +377,9 @@ def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
                     # decreases the distance to the edge, so independent
                     # per-switch choices still compose into loop-free
                     # paths.
-                    choice = _ecmp_pick(parents[switch], switch, mac_text)
+                    options = parents[switch]
+                    digest = zlib.crc32(mac_bytes, seeds[switch])
+                    choice = options[digest % len(options)]
                     routes[dpid[switch]][mac_value] = ports[(switch, choice)]
     return routes
 

@@ -597,10 +597,21 @@ def run_region_epoch(
     Returns the messages that wait for the next barrier and the earliest
     event any region then holds, read once all of them have run: a
     region that ran early in the round may since have received a push.
+    A region with no messages, an empty outbox and no event due by
+    ``until`` is not run: its boundary and clock are set as
+    :meth:`ShardRegion.run_epoch` would leave them.
     """
     outbox: List[Tuple[int, ShardMessage]] = []
     for rid in sorted(regions):
-        outbox.extend(regions[rid].run_epoch(until, inbox.get(rid)))
+        region = regions[rid]
+        messages = inbox.get(rid)
+        first = region.engine.next_event_time()
+        if messages or region.outbox or (first is not None and first <= until):
+            outbox.extend(region.run_epoch(until, messages))
+            continue
+        region.until = until
+        if until > region.engine.now:
+            region.engine.now = until
     heads = [head for head in (region.engine.next_event_time()
                                for region in regions.values())
              if head is not None]

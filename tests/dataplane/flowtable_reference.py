@@ -10,10 +10,33 @@ the same ones.
 """
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.dataplane.flowtable import FlowEntry
+from repro.netlib.flowkey import MATCH_FIELD_NAMES
 from repro.openflow import FlowMod, FlowModCommand, Match, Port
+
+_NW_SRC = MATCH_FIELD_NAMES.index("nw_src")
+_NW_DST = MATCH_FIELD_NAMES.index("nw_dst")
+
+
+def mask_and_values(match: Match) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Any, ...]]:
+    """``FlowTable``'s mask and masked values of ``match``, one field at a
+    time: every constrained position with its netmask (-1 exact, the
+    prefix netmask for a CIDR ``nw_src``/``nw_dst``, a /0 prefix
+    constraining nothing) and each value under its netmask."""
+    key = match.key
+    prefixes = {_NW_SRC: match.nw_src_prefix, _NW_DST: match.nw_dst_prefix}
+    mask = []
+    values: List[Any] = [None] * len(key)
+    for pos, value in enumerate(key):
+        prefix = prefixes.get(pos, 32)
+        if value is None or prefix == 0:
+            continue
+        netmask = -1 if prefix == 32 else ((1 << prefix) - 1) << (32 - prefix)
+        mask.append((pos, netmask))
+        values[pos] = value & netmask
+    return tuple(mask), tuple(values)
 
 
 def record_use(entry: FlowEntry, now: float, byte_count: int) -> None:

@@ -1,6 +1,7 @@
 """Streaming sketch primitives: hashing, updates, deterministic merges."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.defense import (
     CountMinSketch,
@@ -146,3 +147,62 @@ def test_window_series_sparse_buckets_and_merge():
     other.add(0.27)
     series.merge_dict(other.to_dict())
     assert series.to_dict()["buckets"] == [(0, 2), (5, 2)]
+
+
+# --------------------------------------------------------------------- #
+# The resumed fold and the count-min merge against their definitions
+# --------------------------------------------------------------------- #
+
+_FIELD = st.sampled_from((-1, 0, 1, (1 << 48) - 1)) | st.integers(-1, (1 << 48) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_FIELD] * 12), st.integers(0, 12))
+def test_fold_resumes_from_any_prefix_state(key, split):
+    assert fold_key(key[split:], fold_key(key[:split])) == fold_key(key)
+
+
+def _elementwise_from_dict(payload):
+    sketch = CountMinSketch(payload["width"], payload["depth"])
+    sketch.total = int(payload["total"])
+    for row, values in zip(sketch.rows, payload["rows"]):
+        for i, count in enumerate(values):
+            row[i] = count
+    return sketch
+
+
+def _elementwise_merge(mine, theirs):
+    for row, other in zip(mine.rows, theirs.rows):
+        for i, count in enumerate(other):
+            row[i] += count
+    mine.total += theirs.total
+
+
+_ROWS = st.lists(st.lists(st.integers(0, 1 << 40), min_size=8, max_size=8),
+                 min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS, _ROWS)
+def test_count_min_from_dict_and_merge_equal_the_elementwise_loop(a, b):
+    payloads = [{"width": 8, "depth": 3, "total": sum(map(sum, rows)),
+                 "rows": rows} for rows in (a, b)]
+    shipped = CountMinSketch.from_dict(payloads[0])
+    reference = _elementwise_from_dict(payloads[0])
+    assert shipped.to_dict() == reference.to_dict() == payloads[0]
+    shipped.merge(CountMinSketch.from_dict(payloads[1]))
+    _elementwise_merge(reference, _elementwise_from_dict(payloads[1]))
+    assert shipped.to_dict() == reference.to_dict()
+    assert all(row.typecode == "Q" for row in shipped.rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0] * 8, [0] * 9],        # a row too wide
+    [[0] * 8, [0] * 7],        # a row too narrow
+    [[0] * 8],                 # a row missing
+    [[0] * 8, [0] * 8, [0] * 8],  # a row too many
+])
+def test_count_min_from_dict_refuses_rows_that_do_not_fit(rows):
+    with pytest.raises(ValueError):
+        CountMinSketch.from_dict({"width": 8, "depth": 2, "total": 0,
+                                  "rows": rows})

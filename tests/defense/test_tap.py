@@ -1,5 +1,6 @@
 """The switch-fed sketch tap: hot-path updates, memoization, merging."""
 
+from repro.defense.sketches import fold_key, normalize_key, row_indices
 from repro.defense.tap import (
     MEMO_MAX,
     SketchTap,
@@ -88,3 +89,53 @@ def test_sketch_summary_headline_numbers():
     assert summary["busiest_port"] == "s1:1"
     assert summary["busiest_port_frames"] == 4
     assert summary["pktin_mean_gap_s"] == 0.01
+
+
+def _storm_keys():
+    """A port sweep per host pair, pairs that share their first nine
+    fields and differ in ``nw_dst`` only, repeats, and absent fields."""
+    keys = []
+    for dst in (200, 201, 202):
+        for tp_src in range(6):
+            keys.append((1, 10, 20, None, 0, 0x0800, 0, 17, 100, dst,
+                         4000 + tp_src, 5000))
+    keys += keys[:4]
+    keys.append((2, 10, 20, None, 0, 0x0806, 0, None, 100, 200, None, None))
+    return keys
+
+
+def test_memoized_row_indices_fold_the_whole_normalized_key():
+    tap = SketchTap()
+    for t, key in enumerate(_storm_keys()):
+        tap.on_frame("s1", 1, key, 0.001 * t)
+    for key, (norm, indices) in tap._memo.items():
+        assert norm == normalize_key(key)
+        assert indices == row_indices(fold_key(norm), tap.cms.width,
+                                      tap.cms.depth)
+
+
+class _NoPrefixMemo(dict):
+    """A prefix memo that forgets everything before each probe."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+def test_prefix_memo_changes_no_payload():
+    tapped, cold = SketchTap(), SketchTap()
+    cold._prefixes = _NoPrefixMemo()
+    for t, key in enumerate(_storm_keys() * 2):
+        for tap in (tapped, cold):
+            tap.on_frame("s1", key[0], key, 0.01 * t)
+            tap._memo.clear()  # every frame misses the key memo
+    assert tapped.collect() == cold.collect()
+    assert len(tapped._prefixes) == 4
+
+
+def test_prefix_memo_bound_evicts_wholesale():
+    tap = SketchTap()
+    tap._prefixes = {(i,): 0 for i in range(MEMO_MAX)}  # saturate
+    tap.on_frame("s1", 1, flow_key(), 0.0)
+    assert len(tap._prefixes) == 1
+    assert tap.counters["memo_evictions"] == 0  # the key memo's count only

@@ -1,4 +1,5 @@
-"""The UDP fabric workload's up-front scheduler, kept as an oracle.
+"""Fabric oracles: the UDP workload's up-front scheduler and the
+controller's next-hop tables picked one ``_ecmp_pick`` at a time.
 
 Before each flow kept one pending send, a data region pushed all of a
 flow's ``packets`` sends onto its heap at build time, one
@@ -7,13 +8,48 @@ flow's ``packets`` sends onto its heap at build time, one
 is the shipping :class:`~repro.experiments.fabric._FabricDataRegion`.
 ``tests/experiments/test_fabric_event_order.py`` requires both to fire
 the same ``(time, band, seq)`` sequence in every region.
+
+:func:`controller_routes` hashes each ``(switch, destination MAC)``
+through :func:`~repro.experiments.fabric._ecmp_pick`, which joins the two
+as text; the shipping function must pick the same next hops.
 """
 
+from typing import Dict, List
+
+from repro.dataplane.topology import Topology
 from repro.experiments.fabric import (
     UDP_DST_PORT,
     UDP_SRC_PORT,
+    _bfs_parents,
+    _ecmp_pick,
     _FabricDataRegion,
+    _host_attach,
+    _port_map,
+    switch_adjacency,
 )
+
+
+def controller_routes(topo: Topology) -> Dict[int, Dict[int, int]]:
+    """``datapath_id -> {host MAC as int -> out_port}`` toward every host."""
+    adjacency = switch_adjacency(topo)
+    ports = _port_map(topo)
+    attach = _host_attach(topo)
+    dpid = {name: spec.datapath_id for name, spec in topo.switches.items()}
+    routes: Dict[int, Dict[int, int]] = {d: {} for d in dpid.values()}
+    by_edge: Dict[str, List[str]] = {}
+    for host, edge in attach.items():
+        by_edge.setdefault(edge, []).append(host)
+    for edge, hosts in sorted(by_edge.items()):
+        parents = _bfs_parents(adjacency, edge)
+        for host in sorted(hosts):
+            mac = topo.hosts[host].mac
+            for switch in topo.switches:
+                if switch == edge:
+                    routes[dpid[switch]][int(mac)] = ports[(edge, host)]
+                elif switch in parents:
+                    choice = _ecmp_pick(parents[switch], switch, str(mac))
+                    routes[dpid[switch]][int(mac)] = ports[(switch, choice)]
+    return routes
 
 
 class UpFrontRegion(_FabricDataRegion):

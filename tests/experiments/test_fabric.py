@@ -10,6 +10,7 @@ import pytest
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executors import execute_descriptor
 from repro.dataplane.fabrics import generate_fabric
+from repro.dataplane.topology import Topology
 from repro.experiments import fabric
 from repro.experiments.fabric import (
     controller_routes,
@@ -20,6 +21,7 @@ from repro.experiments.fabric import (
     run_fabric_experiment,
     workload_pairs,
 )
+from tests.experiments import fabric_reference
 
 
 # --------------------------------------------------------------------- #
@@ -58,6 +60,12 @@ def test_controller_routes_reach_every_host_from_every_switch():
         assert len(table) == fabric.host_count
 
 
+@pytest.mark.parametrize("name", ["fat-tree-k4", "fat-tree-k8", "leaf-spine-4x2"])
+def test_controller_routes_equal_the_ecmp_pick_oracle(name):
+    topo = generate_fabric(name).topology
+    assert controller_routes(topo) == fabric_reference.controller_routes(topo)
+
+
 def test_plan_is_a_pure_function_of_the_config():
     config = fabric_config("fat-tree-k4", controller="floodlight")
     first = plan_fabric(config)
@@ -87,6 +95,23 @@ def test_an_inline_run_generates_its_fabric_once(monkeypatch):
     monkeypatch.setattr(fabric, "generate_fabric", counting)
     run_fabric_experiment("fat-tree-k4", pairs=2, packets=2)
     assert calls == ["fat-tree-k4"]
+
+
+@pytest.mark.parametrize("controller", [None, "floodlight"])
+def test_a_run_validates_its_topology_once(monkeypatch, controller):
+    """The generator validates the fabric; its regions' Networks, each
+    built from part of it, do not validate it again."""
+    calls = []
+    validate = Topology.validate
+
+    def counting(topo):
+        calls.append(topo)
+        validate(topo)
+
+    monkeypatch.setattr(Topology, "validate", counting)
+    run_fabric_experiment("fat-tree-k4", controller=controller, pairs=2,
+                          packets=2, workload="ping" if controller else "udp")
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------- #

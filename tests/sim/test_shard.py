@@ -244,3 +244,35 @@ def test_barrier_loop_epoch_skip_on_sparse_timeline():
     # 2.0 s / 1 ms lookahead = 2000 naive epochs; the skip logic should
     # need only a handful per packet exchange.
     assert result.epochs < 200
+
+
+def test_an_idle_region_is_left_as_its_epoch_would_leave_it(monkeypatch):
+    """A region with no messages, no outbox and nothing due by the
+    boundary is not run; its boundary and clock still move to it."""
+    busy, idle, waiting, later = (ShardRegion(rid) for rid in range(4))
+    busy.engine.schedule_at(0.5, lambda: None)
+    waiting.outbox.append((0, (0.2, "link:a", 0, OP_FRAME, b"x")))
+    later.engine.schedule_at(1.5, lambda: None)
+    regions = {region.rid: region for region in (busy, idle, waiting, later)}
+    ran = []
+    run_epoch = ShardRegion.run_epoch
+
+    def counting(region, until, messages=None):
+        ran.append(region.rid)
+        return run_epoch(region, until, messages)
+
+    monkeypatch.setattr(ShardRegion, "run_epoch", counting)
+    inbox = {1: [(1.2, "link:z", 0, OP_FRAME, b"y")]}
+    outbox, next_time = run_region_epoch(regions, 1.0, inbox)
+    assert ran == [0, 1, 2]  # an event due, a message, an outbox
+    assert [dest for dest, _ in outbox] == [0]
+    assert next_time == 1.2  # idle's delivery waits on its heap
+    ran.clear()
+    outbox, next_time = run_region_epoch(regions, 1.1, {})
+    assert ran == [] and outbox == []
+    for region in regions.values():
+        assert region.until == 1.1
+        assert region.engine.now == 1.1
+    assert [region.engine.processed_events for region in regions.values()] \
+        == [1, 0, 0, 0]
+    assert next_time == 1.2
